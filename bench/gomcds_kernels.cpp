@@ -1,12 +1,15 @@
 // gomcds_kernels — flat-kernel GOMCDS sweep: grid sizes 4x4 -> 64x64 on a
 // matmul trace, comparing the frozen pre-flat callback solver against the
-// flat solver with subproblem dedup off and on. Emits
-// results/bench_gomcds.json and self-checks that all three variants
-// produce bit-identical schedules (exit 1 on divergence).
+// flat solver with subproblem dedup off and on, plus faulted-mesh points
+// (3% dead processors and dead links) comparing the mesh-sweep engine
+// against the dense transition-table engine (GomcdsEngine::kNaive). Emits
+// results/bench_gomcds.json and self-checks that all variants produce
+// bit-identical schedules (exit 1 on divergence).
 //
 //   gomcds_kernels [--smoke] [--out FILE] [--repeat N] [--warmup N]
 //
-// --smoke stops the sweep at 16x16 for CI. The callback baseline below is
+// --smoke stops the healthy sweep at 16x16 and the faulted one at 16x16
+// for CI; the full faulted sweep runs 12x12 -> 64x64. The callback baseline below is
 // a verbatim copy of the pre-flat implementation (std::function node
 // costs, per-layer vector allocations, per-datum cost-table lookups, no
 // dedup), kept here so the bench keeps measuring the real before/after no
@@ -27,7 +30,10 @@
 #include "core/gomcds.hpp"
 #include "core/pipeline.hpp"
 #include "cost/cost_cache.hpp"
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
+#include "graph/mesh_links.hpp"
 #include "graph/simd/simd_kernels.hpp"
 #include "kernels/benchmarks.hpp"
 #include "pim/memory.hpp"
@@ -201,6 +207,21 @@ struct Point {
   bool match = false;
 };
 
+/// A faulted-mesh sweep point: the same scheduling call through the mesh
+/// sweeps (kChamfer on a faulted model) and the dense table (kNaive).
+struct FaultedPoint {
+  int side = 0;
+  int n = 0;
+  DataId data = 0;
+  int windows = 0;
+  int deadProcs = 0;
+  int deadLinks = 0;
+  int dedupClasses = 0;
+  double denseMs = 0;
+  double meshMs = 0;
+  bool match = false;
+};
+
 std::string fmt(double v) {
   std::ostringstream os;
   os.precision(4);
@@ -304,6 +325,124 @@ std::vector<MicroRow> kernelMicro(int side, int repeat) {
     rows.push_back(r);
   }
   return rows;
+}
+
+// --- faulted mesh ------------------------------------------------------
+
+/// 3% dead processors plus grid.size() / 36 dead directed links (at least
+/// one of each), redrawn from the seed until the alive mesh is connected.
+void drawFaults(FaultMap& faults, const Grid& grid, std::uint64_t seed) {
+  const int procs = std::max(1, grid.size() * 3 / 100);
+  const int links = std::max(1, grid.size() / 36);
+  for (;; ++seed) {
+    faults.clear();
+    faults.injectUniformProcs(procs, seed);
+    faults.injectUniformLinks(links, seed ^ 0x5eedULL);
+    if (!DistanceMap(grid, faults).partitioned()) return;
+  }
+}
+
+FaultedPoint faultedPoint(int side, int n,
+                          const benchtool::RepeatOptions& rep) {
+  const Grid grid(side, side);
+  FaultMap faults(grid);
+  drawFaults(faults, grid, 0xFA017ULL + static_cast<std::uint64_t>(side));
+  const ReferenceTrace trace =
+      makePaperBenchmark(PaperBenchmark::kMatSquare, grid, n);
+  PipelineConfig cfg;
+  cfg.numWindows = 8;
+  cfg.capacity = PipelineConfig::kUnlimited;
+  const Experiment exp(trace, grid, faults, cfg);
+  const SchedulerOptions opts{exp.capacity(), cfg.order};
+
+  FaultedPoint pt;
+  pt.side = side;
+  pt.n = n;
+  pt.data = exp.refs().numData();
+  pt.windows = exp.refs().numWindows();
+  pt.deadProcs = faults.deadProcCount();
+  pt.deadLinks = faults.deadLinkCount();
+  pt.dedupClasses = countDedupClasses(exp.refs());
+
+  const auto run = [&](GomcdsEngine engine) {
+    return scheduleGomcds(exp.refs(), exp.costModel(), opts, engine);
+  };
+  const simd::Tier dispatched = simd::activeTier();
+  const DataSchedule dense = run(GomcdsEngine::kNaive);
+  const DataSchedule mesh = run(GomcdsEngine::kChamfer);
+  simd::forceTier(simd::Tier::kScalar);
+  const DataSchedule meshScalar = run(GomcdsEngine::kChamfer);
+  simd::forceTier(dispatched);
+  pt.match = sameSchedule(dense, mesh) && sameSchedule(dense, meshScalar);
+
+  pt.denseMs = benchtool::medianRunMs(
+      [&] { (void)run(GomcdsEngine::kNaive); }, rep);
+  pt.meshMs = benchtool::medianRunMs(
+      [&] { (void)run(GomcdsEngine::kChamfer); }, rep);
+  return pt;
+}
+
+/// One layer's faulted min-plus relax in isolation: the dense table relax
+/// (minPlusRow per finite source) against the mesh sweeps, on the same
+/// random dp row, with the sweep count the mesh relax needed.
+struct MeshMicroRow {
+  int side = 0;
+  Cost beta = 0;
+  double denseUs = 0;
+  double meshUs = 0;
+  double sweeps = 0;
+  bool match = false;
+};
+
+MeshMicroRow meshRelaxMicro(int side, Cost beta, int repeat) {
+  const Grid grid(side, side);
+  FaultMap faults(grid);
+  drawFaults(faults, grid, 0xFA017ULL + static_cast<std::uint64_t>(side));
+  const DistanceMap distances(grid, faults);
+  const MeshLinks links(distances);
+  const std::size_t n = static_cast<std::size_t>(grid.size());
+  std::vector<Cost> trans(n * n);
+  for (std::size_t q = 0; q < n; ++q) {
+    for (std::size_t p = 0; p < n; ++p) {
+      const Cost d = distances.hopDistance(static_cast<ProcId>(q),
+                                           static_cast<ProcId>(p));
+      trans[q * n + p] = d >= kInfiniteCost ? kInfiniteCost : beta * d;
+    }
+  }
+  std::uint64_t state = 777 + static_cast<std::uint64_t>(side);
+  CostBuffer in(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    in[p] = distances.alive(static_cast<ProcId>(p))
+                ? static_cast<Cost>((state >> 33) % 200)
+                : kInfiniteCost;
+  }
+  CostBuffer dense(n);
+  CostBuffer mesh(n);
+  const auto denseRelax = [&] {
+    std::fill(dense.begin(), dense.end(), kInfiniteCost);
+    for (std::size_t q = 0; q < n; ++q) {
+      if (in[q] >= kInfiniteCost) continue;
+      simd::active().minPlusRow(trans.data() + q * n, in[q], dense.data(), n);
+    }
+    simd::active().clampInf(dense.data(), n);
+  };
+  int sweeps = 0;
+  const auto meshRelax = [&] {
+    sweeps = meshMinPlusInto(links, std::span<const Cost>(in.data(), n), beta,
+                             std::span<Cost>(mesh.data(), n));
+  };
+  denseRelax();
+  meshRelax();
+  MeshMicroRow r;
+  r.side = side;
+  r.beta = beta;
+  r.sweeps = sweeps;
+  r.match = std::equal(dense.begin(), dense.end(), mesh.begin());
+  const int iters = side >= 64 ? 20 : side >= 32 ? 200 : 2000;
+  r.denseUs = microUs(denseRelax, iters, repeat);
+  r.meshUs = microUs(meshRelax, iters * 10, repeat);
+  return r;
 }
 
 }  // namespace
@@ -412,6 +551,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Faulted meshes: the mesh-sweep engine against the dense table engine.
+  const std::vector<int> faultedSides =
+      smoke ? std::vector<int>{12, 16} : std::vector<int>{12, 16, 32, 64};
+  std::vector<FaultedPoint> faulted;
+  std::vector<MeshMicroRow> meshMicro;
+  for (const int side : faultedSides) {
+    // n = 2 * side like the healthy sweep up to 32x32; the 64x64 point
+    // takes n = 8 because its dense reference costs about 130 ms per
+    // equivalence class.
+    const FaultedPoint pt = faultedPoint(side, side >= 64 ? 8 : 2 * side,
+                                         rep);
+    allMatch = allMatch && pt.match;
+    faulted.push_back(pt);
+    std::cout << "faulted " << side << "x" << side << " (n=" << pt.n
+              << ", data=" << pt.data << ", classes=" << pt.dedupClasses
+              << ", dead procs " << pt.deadProcs << ", dead links "
+              << pt.deadLinks << "): dense " << fmt(pt.denseMs) << " ms, mesh "
+              << fmt(pt.meshMs) << " ms ("
+              << fmt(pt.meshMs > 0 ? pt.denseMs / pt.meshMs : 0)
+              << "x), schedules " << (pt.match ? "match" : "DIVERGE") << "\n";
+    for (const Cost beta : {Cost{0}, Cost{1}, Cost{3}}) {
+      const MeshMicroRow r = meshRelaxMicro(side, beta, rep.repeat);
+      allMatch = allMatch && r.match;
+      meshMicro.push_back(r);
+      std::cout << "  relax beta=" << beta << ": dense " << fmt(r.denseUs)
+                << " us, mesh " << fmt(r.meshUs) << " us (" << r.sweeps
+                << " sweeps), values " << (r.match ? "match" : "DIVERGE")
+                << "\n";
+    }
+  }
+
   std::filesystem::create_directories(
       std::filesystem::path(outPath).parent_path().empty()
           ? "."
@@ -445,8 +615,32 @@ int main(int argc, char** argv) {
        << fmt(p.flatDedupMs > 0 ? p.callbackMs / p.flatDedupMs : 0)
        << ", \"dedup_classes\": " << p.dedupClasses << ", \"dedup_data\": "
        << (static_cast<std::int64_t>(p.data) - p.dedupClasses)
+       << ", \"faulted\": false, \"schedules_match\": "
+       << (p.match ? "true" : "false") << "}"
+       << (i + 1 < points.size() || !faulted.empty() ? "," : "") << "\n";
+  }
+  for (std::size_t i = 0; i < faulted.size(); ++i) {
+    const FaultedPoint& p = faulted[i];
+    os << "    {\"grid\": \"" << p.side << "x" << p.side << "\", \"n\": "
+       << p.n << ", \"data\": " << p.data << ", \"windows\": " << p.windows
+       << ", \"capacity\": -1, \"faulted\": true, \"dead_procs\": "
+       << p.deadProcs << ", \"dead_links\": " << p.deadLinks
+       << ", \"dense_ms\": " << fmt(p.denseMs) << ", \"mesh_ms\": "
+       << fmt(p.meshMs) << ", \"speedup_mesh\": "
+       << fmt(p.meshMs > 0 ? p.denseMs / p.meshMs : 0)
+       << ", \"dedup_classes\": " << p.dedupClasses
        << ", \"schedules_match\": " << (p.match ? "true" : "false") << "}"
-       << (i + 1 < points.size() ? "," : "") << "\n";
+       << (i + 1 < faulted.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n"
+     << "  \"mesh_relax_micro\": [\n";
+  for (std::size_t i = 0; i < meshMicro.size(); ++i) {
+    const MeshMicroRow& r = meshMicro[i];
+    os << "    {\"grid\": \"" << r.side << "x" << r.side
+       << "\", \"beta\": " << r.beta << ", \"dense_us\": " << fmt(r.denseUs)
+       << ", \"mesh_us\": " << fmt(r.meshUs) << ", \"sweeps\": " << r.sweeps
+       << ", \"values_match\": " << (r.match ? "true" : "false") << "}"
+       << (i + 1 < meshMicro.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
      << "  \"kernel_micro\": [\n";
@@ -462,7 +656,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << outPath << "\n";
 
   if (!allMatch) {
-    std::cerr << "error: flat/callback schedules diverge\n";
+    std::cerr << "error: schedules or relaxed values diverge\n";
     return 1;
   }
   return 0;

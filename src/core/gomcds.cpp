@@ -89,17 +89,44 @@ DedupClasses computeDedupClasses(const WindowedRefs& refs, bool enabled) {
   return out;
 }
 
-void buildTransTable(const CostModel& model, std::vector<Cost>& trans) {
-  const int m = model.grid().size();
-  trans.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
-  for (ProcId q = 0; q < m; ++q) {
-    Cost* row = trans.data() +
-                static_cast<std::size_t>(q) * static_cast<std::size_t>(m);
-    for (ProcId p = 0; p < m; ++p) {
-      row[static_cast<std::size_t>(p)] = model.moveCost(q, p);
+LayerKernel::LayerKernel(const CostModel& model, GomcdsEngine engine)
+    : grid_(&model.grid()),
+      beta_(model.params().hopCost * model.params().moveVolume),
+      dense_(engine == GomcdsEngine::kNaive) {
+  if (dense_) {
+    // Rows by source: fault distances can be asymmetric.
+    const int m = grid_->size();
+    trans_.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
+    for (ProcId q = 0; q < m; ++q) {
+      Cost* row = trans_.data() +
+                  static_cast<std::size_t>(q) * static_cast<std::size_t>(m);
+      for (ProcId p = 0; p < m; ++p) {
+        row[static_cast<std::size_t>(p)] = model.moveCost(q, p);
+      }
     }
+    PIMSCHED_COUNTER_ADD("gomcds.trans_table.builds", 1);
+  } else if (model.faultAware()) {
+    mesh_.emplace(model.distances());
   }
-  PIMSCHED_COUNTER_ADD("gomcds.trans_table.builds", 1);
+}
+
+void LayerKernel::resume(int numLayers, std::span<const Cost> nodeCosts,
+                         int fromLayer, CostBuffer& dp,
+                         LayeredDagScratch& scratch, LayeredPath& out,
+                         LayeredParentCache* parents) const {
+  if (dense_) {
+    LayeredDagSolver::solveFlatResumeInto(numLayers, grid_->size(), nodeCosts,
+                                          trans_, fromLayer, dp, scratch, out,
+                                          parents);
+  } else if (mesh_) {
+    LayeredDagSolver::solveMeshFlatResumeInto(*mesh_, numLayers, nodeCosts,
+                                              beta_, fromLayer, dp, scratch,
+                                              out, parents);
+  } else {
+    LayeredDagSolver::solveManhattanFlatResumeInto(*grid_, numLayers,
+                                                   nodeCosts, beta_, fromLayer,
+                                                   dp, scratch, out, parents);
+  }
 }
 
 }  // namespace detail
@@ -108,7 +135,7 @@ namespace {
 
 using detail::DedupClasses;
 using detail::GomcdsScratch;
-using detail::buildTransTable;
+using detail::LayerKernel;
 using detail::computeDedupClasses;
 using detail::staticForbiddenSet;
 
@@ -203,7 +230,6 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   const Grid& grid = model.grid();
   const int W = refs.numWindows();
   const int P = grid.size();
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
 
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
@@ -211,10 +237,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
   }
 
-  const bool useChamfer =
-      engine == GomcdsEngine::kChamfer && !model.faultAware();
-  std::vector<Cost> trans;
-  if (!useChamfer) buildTransTable(model, trans);
+  const LayerKernel kernel(model, engine);
 
   const DedupClasses classes = computeDedupClasses(refs, options.dedup);
   ClassServeTables tables(refs, model, classes);
@@ -242,13 +265,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
   const auto solveInto = [&](std::span<const Cost> nodeCosts,
                              LayeredPath& out) {
-    if (useChamfer) {
-      LayeredDagSolver::solveManhattanFlatInto(grid, W, nodeCosts, beta,
-                                               scratch.dag, out);
-    } else {
-      LayeredDagSolver::solveFlatInto(W, P, nodeCosts, trans, scratch.dag,
-                                      out);
-    }
+    kernel.solve(W, nodeCosts, scratch.dag, out);
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves", 1);
   };
 
@@ -310,7 +327,6 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
   const Grid& grid = model.grid();
   const int W = refs.numWindows();
   const int P = grid.size();
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
   DataSchedule schedule(refs.numData(), W);
 
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
@@ -322,28 +338,16 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
     for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
   }
 
-  const bool useChamfer = !model.faultAware();
-  std::vector<Cost> trans;
-  if (!useChamfer) buildTransTable(model, trans);
+  const LayerKernel kernel(model, GomcdsEngine::kChamfer);
 
   const DedupClasses classes = computeDedupClasses(refs, options.dedup);
   ClassServeTables tables(refs, model, classes);
   tables.buildShared(threads);
   const bool staticMask = staticForbiddenSet(model, options);
 
-  const auto solveInto = [&](std::span<const Cost> nodeCosts,
-                             GomcdsScratch& scratch, LayeredPath& out) {
-    if (useChamfer) {
-      LayeredDagSolver::solveManhattanFlatInto(grid, W, nodeCosts, beta,
-                                               scratch.dag, out);
-    } else {
-      LayeredDagSolver::solveFlatInto(W, P, nodeCosts, trans, scratch.dag,
-                                      out);
-    }
-    // gomcds.flat.solves is accounted in bulk per fan-out below — a
-    // per-solve add here would have every worker hammering one counter
-    // cache line.
-  };
+  // gomcds.flat.solves is accounted in bulk per fan-out below — a
+  // per-solve add in the workers would have every one hammering one
+  // counter cache line.
 
   if (staticMask) {
     // The forbidden set never changes, so plans cannot conflict: one solve
@@ -354,8 +358,9 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
     parallelFor(static_cast<std::int64_t>(classes.rep.size()), threads,
                 [&](std::int64_t k) {
                   GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-                  solveInto(tables.table(static_cast<int>(k), scratch),
-                            scratch, classPaths[static_cast<std::size_t>(k)]);
+                  kernel.solve(W, tables.table(static_cast<int>(k), scratch),
+                               scratch.dag,
+                               classPaths[static_cast<std::size_t>(k)]);
                 });
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
                          static_cast<std::int64_t>(classes.rep.size()));
@@ -434,7 +439,7 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
           } else {
             maskServe(serve, full, scratch.serve);
           }
-          solveInto(scratch.serve, scratch, plans[i]);
+          kernel.solve(W, scratch.serve, scratch.dag, plans[i]);
         });
     // Marking plans current happens after the barrier: workers writing
     // adjacent planned[] bytes from different cores would false-share the

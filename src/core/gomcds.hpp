@@ -8,10 +8,12 @@
 namespace pimsched {
 
 /// Which engine solves the per-datum shortest-path problem. Both produce
-/// identical schedules; kChamfer exploits the Manhattan structure of the
-/// movement cost to relax each layer in O(numProcs) instead of
-/// O(numProcs^2). kNaive exists for the A2 ablation and as the literal
-/// reading of the paper's cost-graph.
+/// identical schedules; kChamfer exploits the grid structure of the
+/// movement cost to relax each layer without a numProcs^2 transition
+/// table — the L1 distance transform on a healthy mesh, O(numProcs), and
+/// masked grid sweeps over the alive links on a faulted one, O(numProcs)
+/// per sweep. kNaive exists for the A2 ablation and as the literal reading
+/// of the paper's cost-graph: a dense O(numProcs^2) relax per layer.
 enum class GomcdsEngine { kChamfer, kNaive };
 
 /// Global-Optimal Multiple-Center Data Scheduling (paper Algorithm 2): for

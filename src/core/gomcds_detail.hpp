@@ -7,12 +7,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "cost/cost_model.hpp"
+#include "core/gomcds.hpp"
 #include "core/scheduler_options.hpp"
+#include "cost/cost_model.hpp"
 #include "graph/layered_dag.hpp"
+#include "graph/mesh_links.hpp"
 #include "pim/memory.hpp"
 #include "trace/windowed_refs.hpp"
 #include "util/aligned.hpp"
@@ -92,10 +96,37 @@ DedupClasses buildEquivalenceClasses(DataId n, const SigFn& sig,
 [[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs,
                                                bool enabled);
 
-/// The shared beta * distance transition table of the faulted / naive
-/// engines: trans[q * P + p] = model.moveCost(q, p), built once per
-/// scheduling call and reused by every datum (fault distances can be
-/// asymmetric, so rows are indexed by source).
-void buildTransTable(const CostModel& model, std::vector<Cost>& trans);
+/// The per-datum layered-DAG kernel of one scheduling call, chosen from
+/// the model and the engine: the chamfer distance transform on a healthy
+/// mesh, the masked mesh sweeps on a faulted one (both GomcdsEngine::
+/// kChamfer), and for GomcdsEngine::kNaive the dense relax over a P x P
+/// beta x distance table — the literal cost-graph oracle, whose table is
+/// built once per kernel (counter gomcds.trans_table.builds). All three
+/// produce bit-identical dp tables and paths. Read-only once built, so one
+/// instance serves every worker of a parallel call; the model (and its
+/// DistanceMap) must outlive it.
+class LayerKernel {
+ public:
+  LayerKernel(const CostModel& model, GomcdsEngine engine);
+
+  /// Cold solve of a flat numLayers x P node-cost table.
+  void solve(int numLayers, std::span<const Cost> nodeCosts,
+             LayeredDagScratch& scratch, LayeredPath& out) const {
+    resume(numLayers, nodeCosts, 0, scratch.dp, scratch, out, nullptr);
+  }
+
+  /// Warm-start solve under the contract of
+  /// LayeredDagSolver::solveFlatResumeInto.
+  void resume(int numLayers, std::span<const Cost> nodeCosts, int fromLayer,
+              CostBuffer& dp, LayeredDagScratch& scratch, LayeredPath& out,
+              LayeredParentCache* parents) const;
+
+ private:
+  const Grid* grid_;
+  Cost beta_;
+  bool dense_;
+  std::optional<MeshLinks> mesh_;  ///< faulted mesh, kChamfer engine
+  std::vector<Cost> trans_;        ///< kNaive: trans[q * P + p]
+};
 
 }  // namespace pimsched::detail

@@ -251,12 +251,10 @@ void IncrementalSolver::invalidate() {
   prevRefs_.reset();
   prevClassOf_.clear();
   prevStates_.clear();
-  trans_.clear();
-  transValid_ = false;
 }
 
 std::size_t IncrementalSolver::retainedBytes() const {
-  std::size_t bytes = trans_.size() * sizeof(Cost);
+  std::size_t bytes = 0;
   std::unordered_set<const ClassState*> seen;
   for (const std::shared_ptr<ClassState>& st : prevStates_) {
     if (!st || !seen.insert(st.get()).second) continue;
@@ -294,9 +292,6 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
   const int W = refs.numWindows();
   const int P = grid.size();
   const std::size_t pn = static_cast<std::size_t>(P);
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
-  const bool useChamfer =
-      engine == GomcdsEngine::kChamfer && !model.faultAware();
 
   const std::uint64_t fp = solveFingerprint(refs, model, options, engine);
   const bool warm = retainedValid_ && fp == fingerprint_ && prevRefs_ &&
@@ -305,10 +300,9 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
   stats_.cold = !warm;
 
   try {
-    if (!useChamfer && (!transValid_ || !warm)) {
-      detail::buildTransTable(model, trans_);
-      transValid_ = true;
-    }
+    // Rebuilt per solve: O(P) masks on a faulted mesh, nothing on a
+    // healthy one. Only the kNaive oracle pays its P x P table each time.
+    const detail::LayerKernel kernel(model, engine);
 
     // Cold generations rehash every reference string; warm generations
     // refine the previous partition touching only churned suffix bytes.
@@ -385,15 +379,9 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
         std::copy(rowBuf.begin(), rowBuf.end(),
                   st->serve.data() + static_cast<std::size_t>(w) * pn);
       }
-      if (useChamfer) {
-        LayeredDagSolver::solveManhattanFlatResumeInto(
-            grid, W, std::span<const Cost>(st->serve.data(), st->serve.size()),
-            beta, from, st->dp, scratch_, st->path, &st->parents);
-      } else {
-        LayeredDagSolver::solveFlatResumeInto(
-            W, P, std::span<const Cost>(st->serve.data(), st->serve.size()),
-            trans_, from, st->dp, scratch_, st->path, &st->parents);
-      }
+      kernel.resume(W,
+                    std::span<const Cost>(st->serve.data(), st->serve.size()),
+                    from, st->dp, scratch_, st->path, &st->parents);
       ++flatSolves;
       stats_.reusedLayers += from;
       stats_.relaxedLayers += W - from;

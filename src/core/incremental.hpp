@@ -59,8 +59,8 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// comparison — authoritative, and in the CSR layout cheaper than
 /// recomputing either side's signature), reuses the retained prefix rows
 /// untouched, and re-relaxes only the changed suffix through the same
-/// SIMD-dispatched flat kernels. The shared beta x distance transition
-/// table of the faulted engine is retained across solves as well.
+/// SIMD-dispatched flat kernels (detail::LayerKernel — chamfer, faulted
+/// mesh sweeps, or the kNaive dense table).
 ///
 /// Warm solves also skip the full reference-string rehash of the cold
 /// dedup classing: the new partition is derived from the previous one by
@@ -134,8 +134,6 @@ class IncrementalSolver {
   std::optional<WindowedRefs> prevRefs_;
   std::vector<int> prevClassOf_;  ///< datum -> previous class index
   std::vector<std::shared_ptr<ClassState>> prevStates_;
-  std::vector<Cost> trans_;  ///< retained transition table (naive engine)
-  bool transValid_ = false;
   LayeredDagScratch scratch_;
 };
 

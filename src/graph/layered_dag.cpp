@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "graph/mesh_links.hpp"
 #include "graph/simd/simd_kernels.hpp"
 #include "obs/obs.hpp"
 
@@ -119,6 +120,71 @@ std::int32_t* resetParentCache(LayeredParentCache* parents, int fromLayer,
   return parents->data();
 }
 
+/// One Gauss-Seidel iteration of the faulted-mesh relax over the R x C
+/// grid `h`: a forward pass over the rows top-down (relax from N, then
+/// in-row from W, then from E) and a backward pass bottom-up (from S, then
+/// W, then E). A candidate counts only through a live incoming link.
+/// `step` is min(beta, kInfiniteCost) and every value of `h` stays at or
+/// below kInfiniteCost, so no candidate sum can overflow.
+void meshSweep(const std::uint8_t* masks, int R, int C, Cost step, Cost* h) {
+  const std::size_t cs = static_cast<std::size_t>(C);
+  // Branch-free: a dead link offers kInfiniteCost, which never lowers a
+  // value.
+  const auto offer = [step](Cost& v, bool live, Cost src) {
+    const Cost cand = live ? src + step : kInfiniteCost;
+    v = cand < v ? cand : v;
+  };
+  const auto rowScans = [&](Cost* row, const std::uint8_t* m) {
+    for (int c = 1; c < C; ++c) {
+      offer(row[c], (m[c] & MeshLinks::kFromW) != 0, row[c - 1]);
+    }
+    for (int c = C - 2; c >= 0; --c) {
+      offer(row[c], (m[c] & MeshLinks::kFromE) != 0, row[c + 1]);
+    }
+  };
+  for (int r = 0; r < R; ++r) {
+    Cost* row = h + static_cast<std::size_t>(r) * cs;
+    const std::uint8_t* m = masks + static_cast<std::size_t>(r) * cs;
+    if (r > 0) {
+      const Cost* up = row - cs;
+      for (std::size_t c = 0; c < cs; ++c) {
+        offer(row[c], (m[c] & MeshLinks::kFromN) != 0, up[c]);
+      }
+    }
+    rowScans(row, m);
+  }
+  for (int r = R - 1; r >= 0; --r) {
+    Cost* row = h + static_cast<std::size_t>(r) * cs;
+    const std::uint8_t* m = masks + static_cast<std::size_t>(r) * cs;
+    if (r + 1 < R) {
+      const Cost* down = row + cs;
+      for (std::size_t c = 0; c < cs; ++c) {
+        offer(row[c], (m[c] & MeshLinks::kFromS) != 0, down[c]);
+      }
+    }
+    rowScans(row, m);
+  }
+}
+
+/// True when one more meshSweep would change nothing. After a sweep only
+/// the N links can offer a lower value: the backward pass leaves every
+/// row settled against its W and E links (the E scan only lowers a value
+/// to its right neighbour's final value plus step, which keeps the W link
+/// into that neighbour settled) and against the finished row below it,
+/// and never touches a row again once the pass moves above it; but it may
+/// lower row r-1 after row r is done. So the check is one read-only
+/// vertical pass.
+bool meshSettled(const std::uint8_t* masks, int R, int C, Cost step,
+                 const Cost* h) {
+  const std::size_t cs = static_cast<std::size_t>(C);
+  const std::size_t n = static_cast<std::size_t>(R) * cs;
+  bool lower = false;
+  for (std::size_t p = cs; p < n; ++p) {
+    lower |= ((masks[p] & MeshLinks::kFromN) != 0) & (h[p - cs] + step < h[p]);
+  }
+  return !lower;
+}
+
 }  // namespace
 
 void manhattanMinPlusInto(const Grid& grid, std::span<const Cost> in,
@@ -183,6 +249,38 @@ std::vector<Cost> manhattanMinPlus(const Grid& grid,
   return out;
 }
 
+int meshMinPlusInto(const MeshLinks& links, std::span<const Cost> in,
+                    Cost beta, std::span<Cost> out) {
+  const Grid& grid = links.grid();
+  const std::size_t n = static_cast<std::size_t>(grid.size());
+  if (in.size() != n || out.size() != n) {
+    throw std::invalid_argument("meshMinPlus: size mismatch");
+  }
+  if (beta < 0) throw std::invalid_argument("meshMinPlus: beta < 0");
+  // Every alive hop costs the same beta, so min_q in[q] + beta * hops(q, p)
+  // is a multi-source shortest path over the alive directed mesh. Dead
+  // processors start (and, having no live incoming link, stay)
+  // unreachable, like their all-infinite rows in the dense table.
+  const std::uint8_t* masks = links.masks();
+  Cost* h = out.data();
+  for (std::size_t p = 0; p < n; ++p) {
+    h[p] = (masks[p] & MeshLinks::kAlive) != 0 ? std::min(in[p], kInfiniteCost)
+                                                : kInfiniteCost;
+  }
+  // Sweep until settled: the fixpoint where one more sweep would change
+  // nothing. Every value is then the shortest-path minimum — it is the
+  // cost of a real path, and no live link can lower it.
+  const int R = grid.rows();
+  const int C = grid.cols();
+  const Cost step = std::min(beta, kInfiniteCost);
+  int sweeps = 0;
+  do {
+    meshSweep(masks, R, C, step, h);
+    ++sweeps;
+  } while (!meshSettled(masks, R, C, step, h));
+  return sweeps;
+}
+
 void LayeredDagSolver::solveFlatInto(int numLayers, int numNodes,
                                      std::span<const Cost> nodeCosts,
                                      std::span<const Cost> transCosts,
@@ -192,11 +290,21 @@ void LayeredDagSolver::solveFlatInto(int numLayers, int numNodes,
                       scratch.dp, scratch, out);
 }
 
-void LayeredDagSolver::solveFlatResumeInto(
-    int numLayers, int numNodes, std::span<const Cost> nodeCosts,
-    std::span<const Cost> transCosts, int fromLayer, CostBuffer& dpBuf,
-    LayeredDagScratch& scratch, LayeredPath& out,
-    LayeredParentCache* parents) {
+namespace {
+
+/// The layer loop every flat kernel shares: validates the problem and the
+/// resume contract, copies layer 0 on a cold start, relaxes layers
+/// [max(fromLayer, 1), numLayers) — `relax(prev, relaxed)` writes
+/// min_q prev[q] + trans(q, p) into `relaxed`, where anything at or above
+/// kInfiniteCost means unreachable — adds each layer's node costs through
+/// combineLayer, and reconstructs the path with `scanPrev` (see
+/// reconstructFlat). The relax and scan are statically dispatched
+/// callables, so each kernel's inner loops stay free of indirect calls.
+template <class RelaxFn, class ScanFn>
+void solveLayered(int numLayers, int numNodes, std::span<const Cost> nodeCosts,
+                  int fromLayer, CostBuffer& dpBuf, LayeredDagScratch& scratch,
+                  LayeredPath& out, LayeredParentCache* parents,
+                  const RelaxFn& relax, const ScanFn& scanPrev) {
   if (numLayers < 1 || numNodes < 1) {
     throw std::invalid_argument("LayeredDagSolver: empty problem");
   }
@@ -207,10 +315,6 @@ void LayeredDagSolver::solveFlatResumeInto(
   const std::size_t ln = static_cast<std::size_t>(numLayers) * n;
   if (nodeCosts.size() != ln) {
     throw std::invalid_argument("LayeredDagSolver: node-cost table size mismatch");
-  }
-  if (transCosts.size() != n * n) {
-    throw std::invalid_argument(
-        "LayeredDagSolver: transition table size mismatch");
   }
   if (fromLayer > 0 && dpBuf.size() < ln) {
     throw std::invalid_argument(
@@ -230,29 +334,49 @@ void LayeredDagSolver::solveFlatResumeInto(
   Cost* dp = dpBuf.data();
   Cost* relaxed = scratch.relaxed.data();
   const Cost* nc = nodeCosts.data();
-  const Cost* trans = transCosts.data();
   std::int32_t* par = resetParentCache(parents, fromLayer, numLayers, n);
 
   if (fromLayer == 0) std::copy(nc, nc + n, dp);
   for (int w = std::max(fromLayer, 1); w < numLayers; ++w) {
-    const Cost* prev = dp + static_cast<std::size_t>(w - 1) * n;
-    // Min-plus against the full table. Sources run in the outer loop so the
-    // inner pass reads one contiguous table row; unreachable sums drift
-    // above kInfiniteCost and are clamped in combineLayer.
-    std::fill(relaxed, relaxed + n, kInfiniteCost);
-    for (std::size_t q = 0; q < n; ++q) {
-      const Cost dq = prev[q];
-      if (dq >= kInfiniteCost) continue;
-      k.minPlusRow(trans + q * n, dq, relaxed, n);
-    }
+    relax(static_cast<const Cost*>(dp + static_cast<std::size_t>(w - 1) * n),
+          relaxed);
     k.combineLayer(relaxed, nc + static_cast<std::size_t>(w) * n,
                    dp + static_cast<std::size_t>(w) * n, n);
   }
-  // Table scan: trans entries follow the cost contract (finite values keep
-  // partial sums below kInfiniteCost), so `prev + t` cannot overflow once
-  // both guards pass and plain equality against `need` is exact.
-  reconstructFlat(
-      numLayers, numNodes, dp, nc,
+  reconstructFlat(numLayers, numNodes, dp, nc, scanPrev, par, out);
+}
+
+}  // namespace
+
+void LayeredDagSolver::solveFlatResumeInto(
+    int numLayers, int numNodes, std::span<const Cost> nodeCosts,
+    std::span<const Cost> transCosts, int fromLayer, CostBuffer& dpBuf,
+    LayeredDagScratch& scratch, LayeredPath& out,
+    LayeredParentCache* parents) {
+  const std::size_t n = static_cast<std::size_t>(std::max(numNodes, 0));
+  if (numNodes >= 1 && transCosts.size() != n * n) {
+    throw std::invalid_argument(
+        "LayeredDagSolver: transition table size mismatch");
+  }
+  const auto& k = simd::active();
+  const Cost* trans = transCosts.data();
+  solveLayered(
+      numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out, parents,
+      [&](const Cost* prev, Cost* relaxed) {
+        // Min-plus against the full table. Sources run in the outer loop so
+        // the inner pass reads one contiguous table row; unreachable sums
+        // drift above kInfiniteCost and are clamped in combineLayer.
+        std::fill(relaxed, relaxed + n, kInfiniteCost);
+        for (std::size_t q = 0; q < n; ++q) {
+          const Cost dq = prev[q];
+          if (dq >= kInfiniteCost) continue;
+          k.minPlusRow(trans + q * n, dq, relaxed, n);
+        }
+      },
+      // Table scan: trans entries follow the cost contract (finite values
+      // keep partial sums below kInfiniteCost), so `prev + t` cannot
+      // overflow once both guards pass and plain equality against `need`
+      // is exact.
       [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
         const Cost need = target - own;
         const Cost* col = trans + static_cast<std::size_t>(cur);
@@ -264,8 +388,7 @@ void LayeredDagSolver::solveFlatResumeInto(
           }
         }
         return -1;
-      },
-      par, out);
+      });
 }
 
 LayeredPath LayeredDagSolver::solveFlat(int numLayers, int numNodes,
@@ -291,43 +414,11 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
     Cost beta, int fromLayer, CostBuffer& dpBuf, LayeredDagScratch& scratch,
     LayeredPath& out, LayeredParentCache* parents) {
   const int numNodes = grid.size();
-  if (numLayers < 1) {
-    throw std::invalid_argument("LayeredDagSolver: empty problem");
-  }
-  if (fromLayer < 0 || fromLayer > numLayers) {
-    throw std::invalid_argument("LayeredDagSolver: fromLayer out of range");
-  }
   const std::size_t n = static_cast<std::size_t>(numNodes);
-  const std::size_t ln = static_cast<std::size_t>(numLayers) * n;
-  if (nodeCosts.size() != ln) {
-    throw std::invalid_argument("LayeredDagSolver: node-cost table size mismatch");
-  }
-  if (fromLayer > 0 && dpBuf.size() < ln) {
-    throw std::invalid_argument(
-        "LayeredDagSolver: retained dp table too small for resume");
-  }
-  // Counters only; see solveFlatInto for why the scoped timer moved to the
-  // std::function wrappers.
-  PIMSCHED_COUNTER_ADD("solver.runs", 1);
-  PIMSCHED_COUNTER_ADD("solver.relaxed_layers",
-                       numLayers - std::max(fromLayer, 1));
-
-  const auto& k = simd::active();
-  dpBuf.resize(ln);
-  scratch.relaxed.resize(n);
-  Cost* dp = dpBuf.data();
-  Cost* relaxed = scratch.relaxed.data();
-  const Cost* nc = nodeCosts.data();
-  std::int32_t* par = resetParentCache(parents, fromLayer, numLayers, n);
-
-  if (fromLayer == 0) std::copy(nc, nc + n, dp);
-  for (int w = std::max(fromLayer, 1); w < numLayers; ++w) {
-    const Cost* prev = dp + static_cast<std::size_t>(w - 1) * n;
+  const auto relax = [&](const Cost* prev, Cost* relaxed) {
     manhattanMinPlusInto(grid, std::span<const Cost>(prev, n), beta,
                          std::span<Cost>(relaxed, n));
-    k.combineLayer(relaxed, nc + static_cast<std::size_t>(w) * n,
-                   dp + static_cast<std::size_t>(w) * n, n);
-  }
+  };
   // Chamfer scan, division-free: the layer's node splits into (row, col)
   // once, then every candidate's transition is two |delta| multiplies — no
   // Grid::manhattan (two integer divisions) per candidate. Transitions top
@@ -341,15 +432,17 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
   if (beta == 0 || beta <= (INT64_MAX - kInfiniteCost) / steps) {
     // Per candidate row, the whole-row transition part rowT is constant and
     // the in-row part colT[qc] = beta * |qc - cc| depends only on cc, so it
-    // is staged once per reconstruction step (into `relaxed`, idle by now)
-    // and the scan becomes one findPredecessor per row with the rowT folded
-    // into the probe: pr[qc] + colT == need - rowT and colT < kInf - rowT
-    // are exact rearrangements of the original conditions (rowT and colT
-    // are each below INT64_MAX - kInfiniteCost here, so nothing wraps).
-    Cost* colT = relaxed;
-    reconstructFlat(
-        numLayers, numNodes, dp, nc,
+    // is staged once per reconstruction step (into scratch.relaxed, idle by
+    // now) and the scan becomes one findPredecessor per row with the rowT
+    // folded into the probe: pr[qc] + colT == need - rowT and colT < kInf -
+    // rowT are exact rearrangements of the original conditions (rowT and
+    // colT are each below INT64_MAX - kInfiniteCost here, so nothing wraps).
+    const auto& k = simd::active();
+    solveLayered(
+        numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out,
+        parents, relax,
         [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
+          Cost* colT = scratch.relaxed.data();
           const Cost need = target - own;
           const int cr = cur / C;
           const int cc = cur % C;
@@ -369,11 +462,11 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
             if (qc >= 0) return qr * C + static_cast<int>(qc);
           }
           return -1;
-        },
-        par, out);
+        });
   } else {
-    reconstructFlat(
-        numLayers, numNodes, dp, nc,
+    solveLayered(
+        numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out,
+        parents, relax,
         [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
           for (int q = 0; q < numNodes; ++q) {
             const Cost t =
@@ -385,9 +478,55 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
             }
           }
           return -1;
-        },
-        par, out);
+        });
   }
+}
+
+void LayeredDagSolver::solveMeshFlatInto(const MeshLinks& links, int numLayers,
+                                         std::span<const Cost> nodeCosts,
+                                         Cost beta, LayeredDagScratch& scratch,
+                                         LayeredPath& out) {
+  solveMeshFlatResumeInto(links, numLayers, nodeCosts, beta, 0, scratch.dp,
+                          scratch, out);
+}
+
+void LayeredDagSolver::solveMeshFlatResumeInto(
+    const MeshLinks& links, int numLayers, std::span<const Cost> nodeCosts,
+    Cost beta, int fromLayer, CostBuffer& dpBuf, LayeredDagScratch& scratch,
+    LayeredPath& out, LayeredParentCache* parents) {
+  if (beta < 0) throw std::invalid_argument("LayeredDagSolver: beta < 0");
+  const DistanceMap& distances = links.distances();
+  const std::size_t n = static_cast<std::size_t>(links.grid().size());
+  // Largest hop count whose beta multiple stays below kInfiniteCost: a
+  // transition of more hops is infinite, exactly as the dense table's
+  // `t < kInfiniteCost` guard rejects it.
+  const Cost maxHops =
+      beta == 0 ? kInfiniteCost - 1 : (kInfiniteCost - 1) / beta;
+  std::int64_t sweeps = 0;
+  solveLayered(
+      numLayers, links.grid().size(), nodeCosts, fromLayer, dpBuf, scratch,
+      out, parents,
+      [&](const Cost* prev, Cost* relaxed) {
+        sweeps += meshMinPlusInto(links, std::span<const Cost>(prev, n), beta,
+                                  std::span<Cost>(relaxed, n));
+      },
+      // The dense table scan with beta * hops(q, cur) read from the
+      // DistanceMap. prev[q] > need can never match (transitions are
+      // nonnegative), which skips the distance read for most candidates;
+      // it also rejects prev[q] >= kInfiniteCost, since need is finite.
+      [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
+        const Cost need = target - own;
+        for (std::size_t q = 0; q < n; ++q) {
+          const Cost pq = prevRow[q];
+          if (pq > need) continue;
+          const Cost hops =
+              distances.hopDistance(static_cast<ProcId>(q), cur);
+          if (hops > maxHops) continue;
+          if (pq + beta * hops == need) return static_cast<int>(q);
+        }
+        return -1;
+      });
+  PIMSCHED_COUNTER_ADD("solver.mesh_sweeps", sweeps);
 }
 
 LayeredPath LayeredDagSolver::solveManhattanFlat(

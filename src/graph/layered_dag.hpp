@@ -11,6 +11,8 @@
 
 namespace pimsched {
 
+class MeshLinks;
+
 /// Saturating add that keeps kInfiniteCost absorbing.
 [[nodiscard]] inline Cost satAdd(Cost a, Cost b) {
   if (a >= kInfiniteCost || b >= kInfiniteCost) return kInfiniteCost;
@@ -154,6 +156,32 @@ class LayeredDagSolver {
                                            LayeredDagScratch& scratch,
                                            LayeredPath& out,
                                            LayeredParentCache* parents = nullptr);
+
+  /// Mesh flat solve for a faulted grid: the q -> p transition costs beta *
+  /// hopDistance(q, p) over the alive directed mesh `links` describes —
+  /// the table the dense kernel gets as model.moveCost(q, p), with
+  /// unreachable or dead endpoints infinite. That step costs the same beta
+  /// per alive hop, so each layer's min-plus is a multi-source shortest
+  /// path, computed by masked Gauss-Seidel grid sweeps repeated until the
+  /// grid is settled: O(numNodes) per sweep instead of the dense
+  /// O(numNodes^2) relax, and no numNodes^2 table. Reconstruction keeps
+  /// the dense kernel's ascending-q scan, reading hop distances from the
+  /// links' DistanceMap. dp rows, totals, paths and tie-breaks are
+  /// bit-identical to solveFlatInto over that table.
+  static void solveMeshFlatInto(const MeshLinks& links, int numLayers,
+                                std::span<const Cost> nodeCosts, Cost beta,
+                                LayeredDagScratch& scratch, LayeredPath& out);
+
+  /// Warm-start mesh variant; same contract as solveFlatResumeInto
+  /// (including the optional predecessor cache), with retained dp rows
+  /// valid as long as the fault state, beta and the node-cost prefix are
+  /// unchanged.
+  static void solveMeshFlatResumeInto(const MeshLinks& links, int numLayers,
+                                      std::span<const Cost> nodeCosts,
+                                      Cost beta, int fromLayer, CostBuffer& dp,
+                                      LayeredDagScratch& scratch,
+                                      LayeredPath& out,
+                                      LayeredParentCache* parents = nullptr);
 };
 
 /// The L1 (chamfer) min-plus convolution used by solveManhattan, exposed for
@@ -170,5 +198,15 @@ class LayeredDagSolver {
 /// inputs must follow the solver cost contract above.
 void manhattanMinPlusInto(const Grid& grid, std::span<const Cost> in,
                           Cost beta, std::span<Cost> out);
+
+/// The faulted-mesh min-plus step of solveMeshFlatInto, exposed for testing
+/// and benchmarking: out[p] = min over q of in[q] + beta * hops(q, p), hops
+/// taken over the alive directed mesh of `links` (kInfiniteCost when no
+/// path exists or p is dead). `out` may alias `in` exactly or not at all;
+/// inputs must follow the solver cost contract. Returns the number of
+/// Gauss-Seidel sweeps run; the grid is settled (one more sweep would
+/// change nothing) after the last, which a read-only check confirms.
+int meshMinPlusInto(const MeshLinks& links, std::span<const Cost> in,
+                    Cost beta, std::span<Cost> out);
 
 }  // namespace pimsched

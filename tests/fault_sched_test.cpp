@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/gomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/verify.hpp"
+#include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "sim/replay.hpp"
 #include "test_util.hpp"
@@ -232,6 +237,87 @@ TEST(FaultSched, GomcdsEnginesAgreeUnderFaults) {
   for (DataId d = 0; d < a.numData(); ++d) {
     for (WindowId w = 0; w < a.numWindows(); ++w) {
       ASSERT_EQ(a.center(d, w), b.center(d, w));
+    }
+  }
+}
+
+/// Random faulted meshes for the engine-identity sweep: dead processors,
+/// one-way dead links, and sometimes a reduced capacity limit on an alive
+/// processor (which makes the forbidden set grow while data are placed).
+/// Redrawn until the alive mesh is connected, so every job is feasible.
+FaultMap randomConnectedFaults(Rng& rng, const Grid& grid) {
+  for (;;) {
+    FaultMap faults(grid);
+    const int procs = static_cast<int>(rng.range(1, grid.size() / 8 + 1));
+    for (int i = 0; i < procs; ++i) {
+      faults.killProc(static_cast<ProcId>(
+          rng.below(static_cast<std::uint64_t>(grid.size()))));
+    }
+    const int links = static_cast<int>(rng.range(1, grid.size() / 4 + 1));
+    for (int i = 0; i < links; ++i) {
+      const auto from = static_cast<ProcId>(
+          rng.below(static_cast<std::uint64_t>(grid.size())));
+      const std::vector<ProcId> next = grid.neighbors(from);
+      faults.killLink(from, next[rng.below(next.size())]);
+    }
+    if (rng.below(2) == 0) {
+      faults.limitCapacity(
+          static_cast<ProcId>(
+              rng.below(static_cast<std::uint64_t>(grid.size()))),
+          rng.range(1, 3));
+    }
+    if (!DistanceMap(grid, faults).partitioned()) return faults;
+  }
+}
+
+void expectSame(const DataSchedule& a, const DataSchedule& b,
+                const std::string& what) {
+  ASSERT_EQ(a.numData(), b.numData()) << what;
+  for (DataId d = 0; d < a.numData(); ++d) {
+    for (WindowId w = 0; w < a.numWindows(); ++w) {
+      ASSERT_EQ(a.center(d, w), b.center(d, w))
+          << what << ": datum " << d << " window " << w;
+    }
+  }
+}
+
+// The faulted fast path (mesh sweeps) against the dense cost-graph oracle
+// (kNaive), and the toggles that route through it: thread counts and
+// dedup. Every schedule must be bit-identical, with and without capacity
+// pressure.
+TEST(FaultSched, MeshEngineMatchesDenseOracleAcrossToggles) {
+  Rng rng(1401);
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<int, int>>{{1, 9}, {5, 7}, {8, 8}}) {
+    const Grid grid(rows, cols);
+    for (int trial = 0; trial < 3; ++trial) {
+      const FaultMap faults = randomConnectedFaults(rng, grid);
+      const ReferenceTrace trace =
+          testutil::randomTrace(rng, grid, 6, 6, 12, 16);
+      PipelineConfig cfg;
+      cfg.numWindows = 5;
+      const Experiment exp(trace, grid, faults, cfg);
+      for (const std::int64_t capacity :
+           {std::int64_t{-1}, exp.capacity()}) {
+        const SchedulerOptions on{capacity, cfg.order};
+        SchedulerOptions off = on;
+        off.dedup = false;
+        const std::string at = std::to_string(rows) + "x" +
+                               std::to_string(cols) + " trial " +
+                               std::to_string(trial) + " capacity " +
+                               std::to_string(capacity);
+        const DataSchedule oracle = scheduleGomcds(
+            exp.refs(), exp.costModel(), on, GomcdsEngine::kNaive);
+        expectSame(scheduleGomcds(exp.refs(), exp.costModel(), on), oracle,
+                   at + " mesh");
+        expectSame(scheduleGomcds(exp.refs(), exp.costModel(), off), oracle,
+                   at + " mesh, dedup off");
+        for (const unsigned threads : {1u, 2u, 4u}) {
+          expectSame(scheduleGomcdsParallel(exp.refs(), exp.costModel(), on,
+                                            threads),
+                     oracle, at + " parallel " + std::to_string(threads));
+        }
+      }
     }
   }
 }

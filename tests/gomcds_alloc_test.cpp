@@ -12,7 +12,10 @@
 #include <new>
 
 #include "core/gomcds.hpp"
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
+#include "graph/mesh_links.hpp"
 #include "trace/trace.hpp"
 #include "trace/windowed_refs.hpp"
 
@@ -137,6 +140,64 @@ TEST(GomcdsAlloc, ScheduleAllocationsIndependentOfDataCount) {
   // allocations beyond noise (the steady-state loop is allocation-free).
   EXPECT_LE(bigAllocs, smallAllocs + 4)
       << "per-datum steady state is supposed to be allocation-free: "
+      << smallAllocs << " allocations for 8 data vs " << bigAllocs
+      << " for 64";
+}
+
+TEST(GomcdsAlloc, WarmFaultedMeshSolveAllocatesNothing) {
+  const Grid grid(5, 6);
+  FaultMap faults(grid);
+  faults.killProc(7);
+  faults.killLink(14, 15);
+  faults.killLink(21, 15);
+  const DistanceMap distances(grid, faults);
+  const MeshLinks links(distances);
+  const int layers = 6;
+  std::vector<Cost> nodeCosts(
+      static_cast<std::size_t>(layers) * static_cast<std::size_t>(grid.size()));
+  for (std::size_t i = 0; i < nodeCosts.size(); ++i) {
+    nodeCosts[i] = i % 11 == 0 ? kInfiniteCost : static_cast<Cost>((i * 7) % 23);
+  }
+  LayeredDagScratch scratch;
+  LayeredPath path;
+  LayeredDagSolver::solveMeshFlatInto(links, layers, nodeCosts, 2, scratch,
+                                      path);
+  const std::int64_t before = allocCount();
+  for (int i = 0; i < 10; ++i) {
+    LayeredDagSolver::solveMeshFlatInto(links, layers, nodeCosts, 2, scratch,
+                                        path);
+  }
+  EXPECT_EQ(allocCount(), before)
+      << "warm solveMeshFlatInto must not touch the heap";
+}
+
+TEST(GomcdsAlloc, FaultedScheduleAllocationsIndependentOfDataCount) {
+  const Grid grid(4, 4);
+  FaultMap faults(grid);
+  faults.killProc(5);
+  faults.killLink(9, 10);
+  const DistanceMap distances(grid, faults);
+  const CostModel model(grid, distances);
+  const int windows = 4;
+  ReferenceTrace smallTrace{DataSpace::singleSquare(1)};
+  ReferenceTrace bigTrace{DataSpace::singleSquare(1)};
+  const WindowedRefs smallRefs =
+      singleClassRefs(grid, 8, windows, smallTrace);
+  const WindowedRefs bigRefs = singleClassRefs(grid, 64, windows, bigTrace);
+
+  (void)scheduleGomcds(smallRefs, model);
+
+  const std::int64_t beforeSmall = allocCount();
+  (void)scheduleGomcds(smallRefs, model);
+  const std::int64_t smallAllocs = allocCount() - beforeSmall;
+
+  const std::int64_t beforeBig = allocCount();
+  (void)scheduleGomcds(bigRefs, model);
+  const std::int64_t bigAllocs = allocCount() - beforeBig;
+
+  EXPECT_LE(bigAllocs, smallAllocs + 4)
+      << "the faulted per-datum steady state is supposed to be "
+         "allocation-free: "
       << smallAllocs << " allocations for 8 data vs " << bigAllocs
       << " for 64";
 }

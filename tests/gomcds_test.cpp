@@ -7,6 +7,7 @@
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/scds.hpp"
+#include "fault/fault_map.hpp"
 #include "kernels/benchmarks.hpp"
 #include "obs/obs.hpp"
 #include "test_util.hpp"
@@ -243,6 +244,41 @@ TEST(Gomcds, DedupCountersTrackClassesAndTransTableBuiltOnce) {
   (void)scheduleGomcds(exp.refs(), exp.costModel(), SchedulerOptions{},
                        GomcdsEngine::kNaive);
   EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
+  registry.reset();
+}
+
+TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
+  PIMSCHED_OBS_TEST_GUARD();
+  const Grid g(6, 6);
+  const ReferenceTrace t =
+      makePaperBenchmark(PaperBenchmark::kMatSquare, g, 12);
+  FaultMap faults(g);
+  faults.killProc(8);
+  faults.killLink(14, 15);
+  PipelineConfig cfg;
+  cfg.numWindows = 6;
+  const Experiment exp(t, g, faults, cfg);
+  SchedulerOptions opts{exp.capacity(), cfg.order};
+
+  // The mesh sweeps relax the faulted layers; no P x P table is built by
+  // the sequential or the parallel engine, whatever the capacity regime.
+  obs::Registry& registry = obs::Registry::instance();
+  for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
+    opts.capacity = capacity;
+    registry.reset();
+    (void)scheduleGomcds(exp.refs(), exp.costModel(), opts);
+    (void)scheduleGomcdsParallel(exp.refs(), exp.costModel(), opts, 2);
+    EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 0);
+    EXPECT_GE(registry.counterValue("solver.mesh_sweeps"),
+              registry.counterValue("solver.relaxed_layers"));
+  }
+
+  // kNaive stays the dense oracle: one table per call.
+  registry.reset();
+  (void)scheduleGomcds(exp.refs(), exp.costModel(), opts,
+                       GomcdsEngine::kNaive);
+  EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
+  EXPECT_EQ(registry.counterValue("solver.mesh_sweeps"), 0);
   registry.reset();
 }
 

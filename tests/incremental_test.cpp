@@ -16,6 +16,7 @@
 #include "fault/fault_map.hpp"
 #include "fault/fault_trace.hpp"
 #include "graph/layered_dag.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -143,6 +144,48 @@ TEST(Incremental, BitIdenticalWithStableFaults) {
     }
     work.churnTail(rng, 1, 30);
   }
+}
+
+// A faulted stream with one-way dead links on a larger grid: every warm
+// solve resumes through the mesh-sweep kernel and must match a cold solve
+// of the dense cost-graph oracle, and no P x P transition table is built
+// or retained along the way.
+TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
+  const Grid g(7, 6);
+  FaultMap faults(g);
+  faults.killProc(9);
+  faults.killProc(26);
+  faults.killLink(2, 3);   // one-way: 3 -> 2 stays alive
+  faults.killLink(20, 14);
+  faults.killLink(31, 32);
+  const DistanceMap distances(g, faults);
+  ASSERT_FALSE(distances.partitioned());
+  const CostModel model(g, distances);
+  testutil::Rng rng(903);
+  StreamWorkload work(rng, g, 20, 6, 40);
+  IncrementalSolver solver;
+#ifndef PIMSCHED_NO_OBS
+  obs::Registry::instance().reset();
+#endif
+  for (int stream = 0; stream < 6; ++stream) {
+    const WindowedRefs refs =
+        work.refs(g).withProcsMasked(faults.deadProcMask());
+    const DataSchedule warm = solver.solve(refs, model);
+    expectSameSchedule(warm, scheduleGomcds(refs, model));
+    expectSameSchedule(
+        warm, scheduleGomcds(refs, model, {}, GomcdsEngine::kNaive));
+    if (stream > 0 && warmPathOn()) {
+      EXPECT_FALSE(solver.lastStats().cold);
+      EXPECT_GT(solver.lastStats().reusedLayers, 0);
+    }
+    work.churnTail(rng, 1 + stream % 3, 40);
+  }
+#ifndef PIMSCHED_NO_OBS
+  // Only the kNaive oracle call of each step builds a table.
+  EXPECT_EQ(
+      obs::Registry::instance().counterValue("gomcds.trans_table.builds"), 6);
+  obs::Registry::instance().reset();
+#endif
 }
 
 TEST(Incremental, BitIdenticalWithDedupOffAndWeightOrder) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <tuple>
 
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
+#include "graph/mesh_links.hpp"
 #include "graph/simd/simd_kernels.hpp"
 #include "test_util.hpp"
 
@@ -483,6 +487,289 @@ TEST(SimdTierIdentity, HugeBetaSaturatingPathBitIdenticalAcrossTiers) {
           << rows << "x" << cols << " tier " << simd::tierName(t);
     }
   }
+}
+
+// --- faulted-mesh kernel ------------------------------------------------
+//
+// The mesh kernel must agree bit for bit with the dense kernel fed the
+// beta x hop-distance table the faulted engines used to build: relaxed
+// values, dp rows, totals, paths, tie-breaks and parent caches.
+
+/// A faulted grid with its distance map and mesh links. Heap-held and
+/// immovable: the links point at the distance map, which points at the
+/// fault map, which points at the grid.
+struct FaultedMesh {
+  FaultedMesh(int rows, int cols) : grid(rows, cols), faults(grid) {}
+  FaultedMesh(const FaultedMesh&) = delete;
+  FaultedMesh& operator=(const FaultedMesh&) = delete;
+
+  /// Freezes the fault state into the distance map and the links.
+  void build() {
+    distances = std::make_unique<DistanceMap>(grid, faults);
+    links = std::make_unique<MeshLinks>(*distances);
+  }
+
+  /// The dense transition table of the same transition: beta * hops,
+  /// saturated to kInfiniteCost (unreachable pairs, and hop counts whose
+  /// beta multiple would reach it).
+  [[nodiscard]] std::vector<Cost> table(Cost beta) const {
+    const std::size_t n = static_cast<std::size_t>(grid.size());
+    std::vector<Cost> t(n * n);
+    for (std::size_t q = 0; q < n; ++q) {
+      for (std::size_t p = 0; p < n; ++p) {
+        const Cost d = distances->hopDistance(static_cast<ProcId>(q),
+                                              static_cast<ProcId>(p));
+        const bool inf =
+            d >= kInfiniteCost || (beta > 0 && d > (kInfiniteCost - 1) / beta);
+        t[q * n + p] = inf ? kInfiniteCost : beta * d;
+      }
+    }
+    return t;
+  }
+
+  Grid grid;
+  FaultMap faults;
+  std::unique_ptr<DistanceMap> distances;
+  std::unique_ptr<MeshLinks> links;
+};
+
+/// Random dead processors and one-way dead links; `partition` also kills a
+/// whole middle row (or column), so some alive pairs are unreachable.
+std::unique_ptr<FaultedMesh> randomFaultedMesh(testutil::Rng& rng, int rows,
+                                               int cols, bool partition) {
+  auto mesh = std::make_unique<FaultedMesh>(rows, cols);
+  const Grid& g = mesh->grid;
+  const int procs = static_cast<int>(rng.range(0, std::max(1, g.size() / 8)));
+  for (int i = 0; i < procs; ++i) {
+    mesh->faults.killProc(
+        static_cast<ProcId>(rng.below(static_cast<std::uint64_t>(g.size()))));
+  }
+  const int links = static_cast<int>(rng.range(1, g.size() / 3 + 1));
+  for (int i = 0; i < links; ++i) {
+    const auto from =
+        static_cast<ProcId>(rng.below(static_cast<std::uint64_t>(g.size())));
+    const std::vector<ProcId> next = g.neighbors(from);
+    mesh->faults.killLink(from, next[rng.below(next.size())]);
+  }
+  if (partition) {
+    if (rows > 2) {
+      mesh->faults.killRow(rows / 2);
+    } else {
+      mesh->faults.killCol(cols / 2);
+    }
+  }
+  mesh->build();
+  return mesh;
+}
+
+/// The dense relax of one layer, clamped: what the mesh relax must return.
+std::vector<Cost> denseRelax(const std::vector<Cost>& table,
+                             const std::vector<Cost>& in) {
+  const std::size_t n = in.size();
+  std::vector<Cost> out(n, kInfiniteCost);
+  for (std::size_t q = 0; q < n; ++q) {
+    if (in[q] >= kInfiniteCost) continue;
+    for (std::size_t p = 0; p < n; ++p) {
+      out[p] = std::min(out[p], satAdd(in[q], table[q * n + p]));
+    }
+  }
+  return out;
+}
+
+const std::vector<std::pair<int, int>> kMeshGrids = {
+    {1, 9}, {9, 1}, {5, 7}, {9, 9}, {12, 12}};
+const std::vector<Cost> kMeshBetas = {0, 1, 3, kInfiniteCost / 8};
+
+TEST(MeshMinPlus, MatchesDenseRelaxOnRandomFaults) {
+  testutil::Rng rng(1301);
+  for (const auto& [rows, cols] : kMeshGrids) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const auto mesh = randomFaultedMesh(rng, rows, cols, trial % 3 == 2);
+      for (const Cost beta : kMeshBetas) {
+        const std::vector<Cost> table = mesh->table(beta);
+        std::vector<Cost> in =
+            randomNodeTable(rng, 1, mesh->grid.size(), 60);
+        const std::vector<Cost> expect = denseRelax(table, in);
+        std::vector<Cost> out(in.size());
+        const int sweeps = meshMinPlusInto(*mesh->links, in, beta, out);
+        EXPECT_GE(sweeps, 1);
+        ASSERT_EQ(out, expect) << rows << "x" << cols << " trial " << trial
+                               << " beta " << beta;
+        meshMinPlusInto(*mesh->links, in, beta, in);  // in-place
+        ASSERT_EQ(in, expect) << "aliased, " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+TEST(MeshFlatSolver, MatchesDenseKernelBitForBit) {
+  testutil::Rng rng(1302);
+  for (const auto& [rows, cols] : kMeshGrids) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto mesh = randomFaultedMesh(rng, rows, cols, trial == 3);
+      const int nodes = mesh->grid.size();
+      for (const Cost beta : kMeshBetas) {
+        const std::vector<Cost> table = mesh->table(beta);
+        const int layers = static_cast<int>(rng.range(1, 6));
+        // kInfiniteCost entries stand in for capacity-masked nodes.
+        const std::vector<Cost> nodeTable =
+            randomNodeTable(rng, layers, nodes);
+        LayeredDagScratch denseScratch;
+        LayeredDagScratch meshScratch;
+        LayeredPath dense;
+        LayeredPath got;
+        LayeredDagSolver::solveFlatInto(layers, nodes, nodeTable, table,
+                                        denseScratch, dense);
+        LayeredDagSolver::solveMeshFlatInto(*mesh->links, layers, nodeTable,
+                                            beta, meshScratch, got);
+        const std::size_t ln =
+            static_cast<std::size_t>(layers) * static_cast<std::size_t>(nodes);
+        ASSERT_TRUE(std::equal(meshScratch.dp.begin(),
+                               meshScratch.dp.begin() + ln,
+                               denseScratch.dp.begin()))
+            << rows << "x" << cols << " trial " << trial << " beta " << beta;
+        ASSERT_EQ(got.total, dense.total);
+        ASSERT_EQ(got.nodes, dense.nodes);
+      }
+    }
+  }
+}
+
+TEST(MeshFlatSolver, ResumeFromEveryLayerMatchesDenseResume) {
+  testutil::Rng rng(1303);
+  for (const auto& [rows, cols] : kMeshGrids) {
+    const auto mesh = randomFaultedMesh(rng, rows, cols, false);
+    const int nodes = mesh->grid.size();
+    const int layers = 5;
+    for (const Cost beta : kMeshBetas) {
+      const std::vector<Cost> table = mesh->table(beta);
+      std::vector<Cost> nodeTable = randomNodeTable(rng, layers, nodes);
+      for (const bool cached : {true, false}) {
+        LayeredDagScratch denseScratch;
+        LayeredDagScratch meshScratch;
+        CostBuffer denseDp;
+        CostBuffer meshDp;
+        LayeredParentCache denseParents;
+        LayeredParentCache meshParents;
+        LayeredPath dense;
+        LayeredPath got;
+        LayeredDagSolver::solveFlatResumeInto(
+            layers, nodes, nodeTable, table, 0, denseDp, denseScratch, dense,
+            cached ? &denseParents : nullptr);
+        LayeredDagSolver::solveMeshFlatResumeInto(
+            *mesh->links, layers, nodeTable, beta, 0, meshDp, meshScratch, got,
+            cached ? &meshParents : nullptr);
+        for (int from = 0; from <= layers; ++from) {
+          for (std::size_t i = static_cast<std::size_t>(from * nodes);
+               i < nodeTable.size(); ++i) {
+            nodeTable[i] =
+                rng.below(6) == 0 ? kInfiniteCost : rng.range(0, 40);
+          }
+          LayeredDagSolver::solveFlatResumeInto(
+              layers, nodes, nodeTable, table, from, denseDp, denseScratch,
+              dense, cached ? &denseParents : nullptr);
+          LayeredDagSolver::solveMeshFlatResumeInto(
+              *mesh->links, layers, nodeTable, beta, from, meshDp,
+              meshScratch, got, cached ? &meshParents : nullptr);
+          ASSERT_TRUE(std::equal(meshDp.begin(), meshDp.end(),
+                                 denseDp.begin(), denseDp.end()))
+              << rows << "x" << cols << " beta " << beta << " from " << from;
+          ASSERT_EQ(got.total, dense.total) << "from " << from;
+          ASSERT_EQ(got.nodes, dense.nodes) << "from " << from;
+          ASSERT_EQ(meshParents, denseParents) << "from " << from;
+        }
+      }
+    }
+  }
+}
+
+// A serpentine maze: walls of dead processors on every odd column, each
+// open only at the bottom or the top row, alternately. The only path from
+// the top-left corner runs down, over, up, over, down, ... and each sweep
+// (one top-down and one bottom-up pass) carries it through about two
+// corridors, so the relax needs many sweeps — the worst case the settled
+// check has to detect.
+TEST(MeshMinPlus, SerpentineMazeNeedsManySweepsAndStaysExact) {
+  const int rows = 6;
+  const int cols = 25;
+  FaultedMesh mesh(rows, cols);
+  for (int c = 1; c < cols; c += 2) {
+    const int gap = (c / 2) % 2 == 0 ? rows - 1 : 0;
+    for (int r = 0; r < rows; ++r) {
+      if (r != gap) mesh.faults.killProc(mesh.grid.id(r, c));
+    }
+  }
+  mesh.build();
+  ASSERT_FALSE(mesh.distances->partitioned());
+  for (const Cost beta : {Cost{1}, Cost{3}}) {
+    std::vector<Cost> in(static_cast<std::size_t>(mesh.grid.size()),
+                         kInfiniteCost);
+    in[0] = 0;
+    std::vector<Cost> out(in.size());
+    const int sweeps = meshMinPlusInto(*mesh.links, in, beta, out);
+    EXPECT_GE(sweeps, 6) << "the maze should need one sweep per two walls";
+    EXPECT_EQ(out, denseRelax(mesh.table(beta), in));
+    // The far corner sits at the end of the whole serpentine.
+    EXPECT_EQ(out[static_cast<std::size_t>(mesh.grid.id(rows - 1, cols - 1))],
+              beta * mesh.distances->hopDistance(0, mesh.grid.id(rows - 1,
+                                                                 cols - 1)));
+
+    testutil::Rng rng(1304);
+    const std::vector<Cost> nodeTable =
+        randomNodeTable(rng, 4, mesh.grid.size());
+    const LayeredPath dense = LayeredDagSolver::solveFlat(
+        4, mesh.grid.size(), nodeTable, mesh.table(beta));
+    LayeredDagScratch scratch;
+    LayeredPath got;
+    LayeredDagSolver::solveMeshFlatInto(*mesh.links, 4, nodeTable, beta,
+                                        scratch, got);
+    EXPECT_EQ(got.total, dense.total);
+    EXPECT_EQ(got.nodes, dense.nodes);
+  }
+}
+
+TEST(MeshFlatSolver, BitIdenticalAcrossSimdTiers) {
+  const TierGuard guard;
+  testutil::Rng rng(1305);
+  for (const auto& [rows, cols] : kMeshGrids) {
+    const auto mesh = randomFaultedMesh(rng, rows, cols, false);
+    const int layers = 5;
+    const std::vector<Cost> nodeTable =
+        randomNodeTable(rng, layers, mesh->grid.size());
+    const LayeredPath expect = LayeredDagSolver::solveFlat(
+        layers, mesh->grid.size(), nodeTable, mesh->table(2));
+    for (const simd::Tier t : supportedTiers()) {
+      simd::forceTier(t);
+      LayeredDagScratch scratch;
+      LayeredPath got;
+      LayeredDagSolver::solveMeshFlatInto(*mesh->links, layers, nodeTable, 2,
+                                          scratch, got);
+      ASSERT_EQ(got.total, expect.total) << simd::tierName(t);
+      ASSERT_EQ(got.nodes, expect.nodes) << simd::tierName(t);
+    }
+  }
+}
+
+TEST(MeshFlatSolver, RejectsInvalidInput) {
+  FaultedMesh mesh(3, 3);
+  mesh.faults.killProc(4);
+  mesh.build();
+  LayeredDagScratch scratch;
+  LayeredPath out;
+  const std::vector<Cost> nodeTable(18, 1);
+  EXPECT_THROW(LayeredDagSolver::solveMeshFlatInto(*mesh.links, 2, nodeTable,
+                                                   -1, scratch, out),
+               std::invalid_argument);
+  EXPECT_THROW(LayeredDagSolver::solveMeshFlatInto(*mesh.links, 3, nodeTable,
+                                                   1, scratch, out),
+               std::invalid_argument);
+  CostBuffer dp;
+  EXPECT_THROW(LayeredDagSolver::solveMeshFlatResumeInto(
+                   *mesh.links, 2, nodeTable, 1, 1, dp, scratch, out),
+               std::invalid_argument);
+  std::vector<Cost> row(8, 0);
+  EXPECT_THROW(meshMinPlusInto(*mesh.links, row, 1, row),
+               std::invalid_argument);
 }
 
 }  // namespace

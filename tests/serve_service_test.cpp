@@ -47,6 +47,11 @@ JobRequest makeRequest(int n = 4, int steps = 6,
 /// arranges the queue behind it — deterministic, not timing-based. Each
 /// gtest case runs in its own process, so holding the global pool here
 /// cannot starve unrelated tests.
+///
+/// The destructor waits until every parked task has woken and left the
+/// gate: destroying the mutex and condition variable while a worker is
+/// still returning from cv_.wait is undefined behaviour, and in practice
+/// hung the test at teardown.
 class PoolGate {
  public:
   PoolGate() {
@@ -57,6 +62,8 @@ class PoolGate {
         ++held_;
         cv_.notify_all();
         cv_.wait(lock, [&] { return released_; });
+        --held_;
+        cv_.notify_all();
       });
     }
     std::unique_lock<std::mutex> lock(mutex_);
@@ -64,7 +71,11 @@ class PoolGate {
              [&] { return held_ == ThreadPool::global().workers(); });
   }
 
-  ~PoolGate() { release(); }
+  ~PoolGate() {
+    release();
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return held_ == 0; });
+  }
 
   void release() {
     std::lock_guard<std::mutex> lock(mutex_);
