@@ -148,6 +148,14 @@ using detail::staticForbiddenSet;
   detail::throwGomcdsSlotDisagreement(d, p, w, occ);
 }
 
+/// Sets every entry of the flat W x P table `costs` whose (window,
+/// processor) slot is flagged in `full` to kInfiniteCost, through the
+/// dispatched SIMD mask kernel.
+void maskInPlace(const std::vector<char>& full, CostBuffer& costs) {
+  simd::active().maskInf(reinterpret_cast<const unsigned char*>(full.data()),
+                         costs.data(), costs.size());
+}
+
 /// Flat W x P serving-cost tables per equivalence class. Tables of shared
 /// classes (>= 2 members) are built once and retained; singleton classes
 /// are materialized into caller scratch so an all-distinct trace never
@@ -163,14 +171,27 @@ class ClassServeTables {
 
   /// Serving-cost table of class `cls`. Shared classes build lazily into
   /// their retained slot; singletons build into `scratch`.
-  std::span<const Cost> table(int cls, GomcdsScratch& scratch) {
+  std::span<const Cost> table(int cls, CostBuffer& scratch) {
     if (classes_->size[static_cast<std::size_t>(cls)] > 1) {
       std::vector<Cost>& t = tables_[static_cast<std::size_t>(cls)];
       if (t.empty()) buildInto(cls, t);
       return t;
     }
-    buildInto(cls, scratch.serve);
-    return scratch.serve;
+    buildInto(cls, scratch);
+    return scratch;
+  }
+
+  /// Writes the table of class `cls` into `out` with every (window,
+  /// processor) slot flagged in `full` set to kInfiniteCost: a singleton
+  /// builds straight into `out` and is masked in place, a shared table is
+  /// copied out first.
+  void maskedInto(int cls, const std::vector<char>& full, CostBuffer& out) {
+    const std::span<const Cost> serve = table(cls, out);
+    if (serve.data() != out.data()) {
+      out.resize(serve.size());
+      std::copy(serve.begin(), serve.end(), out.begin());
+    }
+    maskInPlace(full, out);
   }
 
   /// Builds every shared-class table upfront (the parallel planner reads
@@ -208,17 +229,6 @@ class ClassServeTables {
   CenterCostCache cache_;
   std::vector<std::vector<Cost>> tables_;
 };
-
-/// Applies the forbidden mask to a class serve table: out = full ? inf :
-/// serve, elementwise over the flat W x P layout, through the dispatched
-/// SIMD mask kernel.
-void maskServe(std::span<const Cost> serve, const std::vector<char>& full,
-               CostBuffer& out) {
-  out.resize(serve.size());
-  std::copy(serve.begin(), serve.end(), out.begin());
-  simd::active().maskInf(reinterpret_cast<const unsigned char*>(full.data()),
-                         out.data(), out.size());
-}
 
 }  // namespace
 
@@ -277,25 +287,17 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
                           classes.size[static_cast<std::size_t>(cls)] > 1;
       if (shared) {
         if (!classSolved[static_cast<std::size_t>(cls)]) {
-          solveInto(tables.table(cls, scratch),
+          solveInto(tables.table(cls, scratch.serve),
                     classPaths[static_cast<std::size_t>(cls)]);
           classSolved[static_cast<std::size_t>(cls)] = 1;
         }
         path = &classPaths[static_cast<std::size_t>(cls)];
       } else {
-        solveInto(tables.table(cls, scratch), scratch.path);
+        solveInto(tables.table(cls, scratch.serve), scratch.path);
         path = &scratch.path;
       }
     } else {
-      const std::span<const Cost> serve = tables.table(cls, scratch);
-      if (serve.data() == scratch.serve.data()) {
-        // Singleton table already lives in scratch — mask it in place.
-        simd::active().maskInf(
-            reinterpret_cast<const unsigned char*>(full.data()),
-            scratch.serve.data(), full.size());
-      } else {
-        maskServe(serve, full, scratch.serve);
-      }
+      tables.maskedInto(cls, full, scratch.serve);
       solveInto(scratch.serve, scratch.path);
       path = &scratch.path;
     }
@@ -358,7 +360,8 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
     parallelFor(static_cast<std::int64_t>(classes.rep.size()), threads,
                 [&](std::int64_t k) {
                   GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-                  kernel.solve(W, tables.table(static_cast<int>(k), scratch),
+                  kernel.solve(W,
+                               tables.table(static_cast<int>(k), scratch.serve),
                                scratch.dag,
                                classPaths[static_cast<std::size_t>(k)]);
                 });
@@ -385,8 +388,9 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
     return schedule;
   }
 
-  // Capacity-constrained plan/commit rounds. full[] snapshots the
-  // forbidden set for the plan phase; the commit pass keeps it in sync.
+  // Capacity-constrained: bounded-lookahead speculation with in-order
+  // repair. full[] mirrors !occupancy[w].hasRoom(p); the commit pass keeps
+  // it in sync and nothing writes it while a window is being planned.
   std::vector<char> full(static_cast<std::size_t>(W) *
                          static_cast<std::size_t>(P));
   for (WindowId w = 0; w < W; ++w) {
@@ -396,13 +400,6 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
           !occupancy[static_cast<std::size_t>(w)].hasRoom(p);
     }
   }
-
-  // plans[i] is the layered-DAG solution for order[i]; planned[i] marks it
-  // current (solved against a snapshot no newer placements invalidated).
-  std::vector<LayeredPath> plans(n);
-  std::vector<char> planned(n, 0);
-  std::vector<std::size_t> toSolve;
-  toSolve.reserve(n);
 
   const auto pathFits = [&](const LayeredPath& path) {
     for (WindowId w = 0; w < W; ++w) {
@@ -414,54 +411,57 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
     return true;
   };
 
-  std::size_t committed = 0;  // order[0..committed) are placed
-  while (committed < n) {
-    PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
-    // Plan phase: solve every pending datum without a current plan against
-    // the read-only forbidden-set snapshot. Pure per-datum work — safe to
-    // fan out; shared-class serve tables were prebuilt above.
-    toSolve.clear();
-    for (std::size_t i = committed; i < n; ++i) {
-      if (!planned[i]) toSolve.push_back(i);
-    }
-    parallelFor(
-        static_cast<std::int64_t>(toSolve.size()), threads,
-        [&](std::int64_t k) {
-          const std::size_t i = toSolve[static_cast<std::size_t>(k)];
-          const DataId d = order[i];
-          const int cls = classes.classOf[static_cast<std::size_t>(d)];
-          GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
-          const std::span<const Cost> serve = tables.table(cls, scratch);
-          if (serve.data() == scratch.serve.data()) {
-            simd::active().maskInf(
-                reinterpret_cast<const unsigned char*>(full.data()),
-                scratch.serve.data(), full.size());
-          } else {
-            maskServe(serve, full, scratch.serve);
-          }
-          kernel.solve(W, scratch.serve, scratch.dag, plans[i]);
-        });
-    // Marking plans current happens after the barrier: workers writing
-    // adjacent planned[] bytes from different cores would false-share the
-    // line for no benefit — every datum in toSolve was solved regardless.
-    for (const std::size_t i : toSolve) planned[i] = 1;
-    PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                         static_cast<std::int64_t>(toSolve.size()));
+  // One slot per datum of the lookahead window: its serve table, masked by
+  // the forbidden set as of the window start, and the path solved from it.
+  struct Slot {
+    CostBuffer serve;
+    LayeredPath path;
+  };
+  constexpr std::size_t kLookaheadPerThread = 32;
+  const std::size_t executors =
+      threads == 0 ? ThreadPool::global().workers() + 1 : threads;
+  std::vector<Slot> slots(std::min(n, kLookaheadPerThread * executors));
+  GomcdsScratch& scratch = workerScratch<GomcdsScratch>();
 
-    // Commit phase: sequential, in visit order — the deterministic
-    // tie-break that makes the result thread-count independent and equal
-    // to the sequential engine. Stops at the first datum whose planned
-    // path lost a slot to a commit it did not see.
-    std::size_t i = committed;
-    for (; i < n; ++i) {
-      // A plan infeasible against any snapshot stays infeasible under the
-      // only-growing occupancy, exactly when the sequential engine throws.
-      if (!plans[i].feasible()) throwInfeasible(model);
-      if (!pathFits(plans[i])) break;
-      const DataId d = order[i];
+  for (std::size_t begin = 0; begin < n; begin += slots.size()) {
+    const std::size_t count = std::min(slots.size(), n - begin);
+    PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
+    // Speculate: solve the window's data against the window-start
+    // forbidden set. Each serve table is built once, into its slot.
+    parallelFor(static_cast<std::int64_t>(count), threads,
+                [&](std::int64_t k) {
+                  Slot& slot = slots[static_cast<std::size_t>(k)];
+                  const DataId d = order[begin + static_cast<std::size_t>(k)];
+                  tables.maskedInto(
+                      classes.classOf[static_cast<std::size_t>(d)], full,
+                      slot.serve);
+                  kernel.solve(W, slot.serve,
+                               workerScratch<GomcdsScratch>().dag, slot.path);
+                });
+
+    // Commit in visit order — the deterministic tie-break that makes the
+    // result thread-count independent and equal to the sequential engine.
+    // The window-start forbidden set is a subset of the live one and
+    // occupancy only grows, so: a plan infeasible then stays infeasible
+    // (the sequential engine throws at this datum too); a plan that still
+    // fits keeps its dp value and smallest-index tie-breaks, so it is the
+    // sequential engine's path; a stale plan is repaired by masking its
+    // slot table with the live set and re-solving — exactly the sequential
+    // solve for this datum.
+    std::int64_t repaired = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      Slot& slot = slots[k];
+      if (!slot.path.feasible()) throwInfeasible(model);
+      if (!pathFits(slot.path)) {
+        ++repaired;
+        maskInPlace(full, slot.serve);
+        kernel.solve(W, slot.serve, scratch.dag, slot.path);
+        if (!slot.path.feasible()) throwInfeasible(model);
+      }
+      const DataId d = order[begin + k];
       for (WindowId w = 0; w < W; ++w) {
         const auto p =
-            static_cast<ProcId>(plans[i].nodes[static_cast<std::size_t>(w)]);
+            static_cast<ProcId>(slot.path.nodes[static_cast<std::size_t>(w)]);
         if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
           throwSlotDisagreement(d, p, w,
                                 occupancy[static_cast<std::size_t>(w)]);
@@ -472,29 +472,13 @@ DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
         schedule.setCenter(d, w, p);
       }
     }
-    if (i < n) {
-      // Conflict: keep still-fitting plans (they remain optimal under the
-      // grown forbidden set), re-solve only the invalidated ones.
-      PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", 1);
-      for (std::size_t j = i; j < n; ++j) {
-        // Infeasible plans stay "planned": occupancy only grows, so they
-        // stay infeasible and throw when the commit pass reaches them.
-        if (planned[j] && plans[j].feasible() && !pathFits(plans[j])) {
-          planned[j] = 0;
-        }
-      }
-    }
-    committed = i;
+    PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
+                         static_cast<std::int64_t>(count) + repaired);
+    PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", repaired);
   }
   PIMSCHED_COUNTER_ADD("sched.gomcds.data",
                        static_cast<std::int64_t>(refs.numData()));
   return schedule;
-}
-
-DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
-                                    const CostModel& model,
-                                    unsigned threads) {
-  return scheduleGomcdsParallel(refs, model, SchedulerOptions{}, threads);
 }
 
 }  // namespace pimsched

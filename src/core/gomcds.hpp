@@ -37,27 +37,25 @@ enum class GomcdsEngine { kChamfer, kNaive };
     GomcdsEngine engine = GomcdsEngine::kChamfer);
 
 /// Multi-threaded GOMCDS, bit-identical to scheduleGomcds(refs, model,
-/// options) for any options, capacity included. Two-phase plan/commit:
-/// workers solve the per-datum layered DAGs in parallel against a
-/// read-only snapshot of the occupancy maps, then a sequential commit
-/// pass walks the data in visit order (the deterministic tie-break) and
-/// places every datum whose planned path still fits. The first datum
-/// whose plan hits a slot filled after its snapshot stops the pass; only
-/// plans invalidated by the new placements are re-solved in the next
-/// round, so conflict-free workloads finish in a single parallel round.
+/// options) for any options, capacity included. Under a static forbidden
+/// set (unlimited capacity, no alive processor with a fault capacity
+/// limit) paths cannot conflict: one solve per equivalence class, fanned
+/// out, then one commit pass. Under capacity pressure the data are taken
+/// in lookahead windows of 32 x threads in visit order: workers build each
+/// datum's serve table once and solve it against the forbidden set as of
+/// the window start, then the calling thread commits the window in visit
+/// order, re-solving inline any plan that lost a slot to an earlier commit
+/// of the same window. Each datum costs one speculative solve and at most
+/// one repair.
 ///
 /// Equality to the sequential engine holds because a planned path that
 /// stays feasible under the (larger) commit-time forbidden set is still
 /// the cost- and tie-break-minimal path the sequential scheduler would
-/// pick. threads = 0 uses hardware concurrency; helper workers come from
-/// the shared ThreadPool (util/thread_pool.hpp).
+/// pick, and a repair is the sequential solve itself. threads = 0 uses
+/// hardware concurrency; helper workers come from the shared ThreadPool
+/// (util/thread_pool.hpp).
 [[nodiscard]] DataSchedule scheduleGomcdsParallel(
     const WindowedRefs& refs, const CostModel& model,
     const SchedulerOptions& options, unsigned threads = 0);
-
-/// Back-compat convenience: unlimited capacity, id order.
-[[nodiscard]] DataSchedule scheduleGomcdsParallel(const WindowedRefs& refs,
-                                                  const CostModel& model,
-                                                  unsigned threads = 0);
 
 }  // namespace pimsched

@@ -282,6 +282,44 @@ TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
   registry.reset();
 }
 
+// Under capacity the parallel engine solves each datum once against the
+// forbidden set of its lookahead-window start and re-solves only the plans
+// that went stale: solves = data + conflicts <= 2 x data. Each serve table
+// is built once per class, even when its plan is repaired.
+TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
+  PIMSCHED_OBS_TEST_GUARD();
+  const Grid g(8, 8);
+  const CostModel model(g);
+  testutil::Rng rng(1412);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 21, 21, 30, 60);
+  const WindowedRefs refs = refsFromTrace(t, g, 6);
+  const std::int64_t n = refs.numData();
+  const std::int64_t tight = (n + g.size() - 1) / g.size();
+  obs::Registry& registry = obs::Registry::instance();
+  for (const bool dedup : {false, true}) {
+    SchedulerOptions opts{tight, DataOrder::kByWeightDesc};
+    opts.dedup = dedup;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      registry.reset();
+      (void)scheduleGomcdsParallel(refs, model, opts, threads);
+      const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
+      const std::int64_t conflicts =
+          registry.counterValue("sched.gomcds.conflicts");
+      EXPECT_GT(conflicts, 0) << "threads=" << threads;  // repairs ran
+      EXPECT_EQ(solves, n + conflicts) << "threads=" << threads;
+      EXPECT_LE(solves, 2 * n) << "threads=" << threads;
+      EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n);
+      const std::int64_t tables =
+          dedup ? registry.counterValue("gomcds.dedup.classes") : n;
+      EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
+                    registry.counterValue("cost.center_cache.miss"),
+                tables * refs.numWindows())
+          << "threads=" << threads << " dedup=" << dedup;
+    }
+  }
+  registry.reset();
+}
+
 TEST(Gomcds, ZeroMoveVolumeDegeneratesToLomcdsServeCost) {
   // With free movement GOMCDS serves every window at its local optimum.
   const Grid g(3, 3);

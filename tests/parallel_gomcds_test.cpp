@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/evaluator.hpp"
+#include "core/pipeline.hpp"
+#include "fault/fault_map.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -16,6 +19,17 @@ WindowedRefs refsFromTrace(const ReferenceTrace& t, const Grid& g,
                       g);
 }
 
+void expectSameSchedule(const DataSchedule& par, const DataSchedule& seq,
+                        const std::string& what) {
+  ASSERT_EQ(par.numData(), seq.numData()) << what;
+  for (DataId d = 0; d < seq.numData(); ++d) {
+    for (WindowId w = 0; w < seq.numWindows(); ++w) {
+      ASSERT_EQ(par.center(d, w), seq.center(d, w))
+          << what << " datum " << d << " window " << w;
+    }
+  }
+}
+
 TEST(ParallelGomcds, BitIdenticalToSequential) {
   const Grid g(4, 4);
   const CostModel model(g);
@@ -25,7 +39,8 @@ TEST(ParallelGomcds, BitIdenticalToSequential) {
     const WindowedRefs refs = refsFromTrace(t, g, 8);
     const DataSchedule seq = scheduleGomcds(refs, model);
     for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-      const DataSchedule par = scheduleGomcdsParallel(refs, model, threads);
+      const DataSchedule par =
+          scheduleGomcdsParallel(refs, model, {}, threads);
       for (DataId d = 0; d < refs.numData(); ++d) {
         for (WindowId w = 0; w < refs.numWindows(); ++w) {
           ASSERT_EQ(par.center(d, w), seq.center(d, w))
@@ -46,7 +61,7 @@ TEST(ParallelGomcds, MoreThreadsThanDataIsFine) {
   t.add(0, 3, 1, 2);
   t.finalize();
   const WindowedRefs refs(t, WindowPartition::whole(1), g);
-  const DataSchedule s = scheduleGomcdsParallel(refs, model, 16);
+  const DataSchedule s = scheduleGomcdsParallel(refs, model, {}, 16);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.center(0, 0), 0);
   EXPECT_EQ(s.center(1, 0), 3);
@@ -92,16 +107,40 @@ TEST(ParallelGomcds, BitIdenticalToSequentialWithCapacity) {
 TEST(ParallelGomcds, InfeasibleCapacityThrowsLikeSequential) {
   const Grid g(2, 2);
   const CostModel model(g);
-  testutil::Rng rng(77);
-  // 9 data on 4 processors with capacity 2: one datum cannot be placed.
-  const ReferenceTrace t = testutil::randomTrace(rng, g, 3, 3, 6, 12);
-  const WindowedRefs refs = refsFromTrace(t, g, 3);
-  ASSERT_EQ(refs.numData(), 9);
-  const SchedulerOptions opts{2, DataOrder::kById};
-  EXPECT_THROW((void)scheduleGomcds(refs, model, opts), std::runtime_error);
-  for (const unsigned threads : {1u, 4u}) {
-    EXPECT_THROW((void)scheduleGomcdsParallel(refs, model, opts, threads),
-                 std::runtime_error);
+  struct Case {
+    int rows, cols, windows;
+    std::int64_t capacity;
+  };
+  // 9 data with capacity 2, and 161 data with capacity 40: one datum more
+  // than the 4 processors hold. In the second case the unplaceable datum
+  // lies past the first lookahead window at up to 4 threads, so the throw
+  // comes after earlier windows committed.
+  for (const Case c : {Case{3, 3, 3, 2}, Case{7, 23, 4, 40}}) {
+    testutil::Rng rng(77);
+    const ReferenceTrace t =
+        testutil::randomTrace(rng, g, c.rows, c.cols, 20, 40);
+    const WindowedRefs refs = refsFromTrace(t, g, c.windows);
+    ASSERT_EQ(refs.numData(), 4 * c.capacity + 1);
+    for (const DataOrder order :
+         {DataOrder::kById, DataOrder::kByWeightDesc}) {
+      const SchedulerOptions opts{c.capacity, order};
+      std::string expected;
+      try {
+        (void)scheduleGomcds(refs, model, opts);
+        FAIL() << "sequential engine placed an infeasible instance";
+      } catch (const std::runtime_error& e) {
+        expected = e.what();
+      }
+      for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+        try {
+          (void)scheduleGomcdsParallel(refs, model, opts, threads);
+          FAIL() << "threads=" << threads << " placed an infeasible instance";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), expected)
+              << "threads=" << threads;
+        }
+      }
+    }
   }
 }
 
@@ -115,9 +154,81 @@ TEST(ParallelGomcds, CostEqualsSequentialOptimal) {
       evaluateSchedule(scheduleGomcds(refs, model), refs, model)
           .aggregate.total();
   const Cost par =
-      evaluateSchedule(scheduleGomcdsParallel(refs, model), refs, model)
+      evaluateSchedule(scheduleGomcdsParallel(refs, model, {}), refs, model)
           .aggregate.total();
   EXPECT_EQ(seq, par);
+}
+
+// The capacity-constrained engine speculates over lookahead windows of
+// 32 x threads data. 441 data span at least four windows at 1 to 4
+// threads and are a multiple of none of those window sizes, so full
+// windows, the short last window and speculation against a forbidden set
+// that earlier windows filled are all exercised.
+TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
+  const Grid g(8, 8);
+  const CostModel model(g);
+  testutil::Rng rng(1409);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 21, 21, 30, 60);
+  const WindowedRefs refs = refsFromTrace(t, g, 6);
+  ASSERT_EQ(refs.numData(), 441);
+  const std::int64_t tight = (refs.numData() + g.size() - 1) / g.size();
+  for (const DataOrder order : {DataOrder::kById, DataOrder::kByWeightDesc}) {
+    for (const std::int64_t cap : {tight, tight + 1}) {
+      for (const bool dedup : {true, false}) {
+        SchedulerOptions opts{cap, order};
+        opts.dedup = dedup;
+        const DataSchedule seq = scheduleGomcds(refs, model, opts);
+        for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+          const std::string at =
+              "threads=" + std::to_string(threads) +
+              " cap=" + std::to_string(cap) +
+              " order=" + std::to_string(static_cast<int>(order)) +
+              " dedup=" + std::to_string(dedup);
+          const DataSchedule par =
+              scheduleGomcdsParallel(refs, model, opts, threads);
+          expectSameSchedule(par, seq, at);
+          ASSERT_TRUE(par.respectsCapacity(g, cap)) << at;
+        }
+      }
+    }
+  }
+}
+
+// Per-processor fault capacity limits make the forbidden set dynamic even
+// without a global capacity, so both regimes run the faulted mesh kernel
+// through the lookahead-window path.
+TEST(ParallelGomcds, FaultedCapacityLimitsAcrossLookaheadWindows) {
+  const Grid g(8, 8);
+  FaultMap faults(g);
+  faults.killProc(9);
+  faults.killProc(30);
+  faults.killProc(45);
+  faults.killLink(12, 13);
+  faults.killLink(36, 28);
+  for (const ProcId p : {0, 7, 18, 27, 35, 54, 63}) {
+    faults.limitCapacity(p, 1 + p % 3);
+  }
+  testutil::Rng rng(1410);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 21, 21, 30, 60);
+  PipelineConfig cfg;
+  cfg.numWindows = 6;
+  const Experiment exp(t, g, faults, cfg);
+  ASSERT_EQ(exp.refs().numData(), 441);
+  for (const std::int64_t cap : {std::int64_t{-1}, exp.capacity()}) {
+    for (const bool dedup : {true, false}) {
+      SchedulerOptions opts{cap, cfg.order};
+      opts.dedup = dedup;
+      const DataSchedule seq =
+          scheduleGomcds(exp.refs(), exp.costModel(), opts);
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+        expectSameSchedule(
+            scheduleGomcdsParallel(exp.refs(), exp.costModel(), opts, threads),
+            seq,
+            "threads=" + std::to_string(threads) + " cap=" +
+                std::to_string(cap) + " dedup=" + std::to_string(dedup));
+      }
+    }
+  }
 }
 
 }  // namespace
