@@ -2,14 +2,18 @@
 // matmul trace, comparing the frozen pre-flat callback solver against the
 // flat solver with subproblem dedup off and on, plus faulted-mesh points
 // (3% dead processors and dead links) comparing the mesh-sweep engine
-// against the dense transition-table engine (GomcdsEngine::kNaive). Emits
-// results/bench_gomcds.json and self-checks that all variants produce
-// bit-identical schedules (exit 1 on divergence).
+// against the dense transition-table engine (GomcdsEngine::kNaive), plus a
+// `grouped` section timing grouped GOMCDS (Algorithm 3 + the group DP) on
+// the five paper kernels at 16x16 under the paper's 2x-minimum capacity,
+// with each schedule's digest. Emits results/bench_gomcds.json and
+// self-checks that all variants produce bit-identical schedules and that
+// every grouped schedule passes verifySchedule (exit 1 otherwise).
 //
 //   gomcds_kernels [--smoke] [--out FILE] [--repeat N] [--warmup N]
 //
 // --smoke stops the healthy sweep at 16x16 and the faulted one at 16x16
-// for CI; the full faulted sweep runs 12x12 -> 64x64. The callback baseline below is
+// and runs the grouped section on 8x8, for CI; the full faulted sweep runs
+// 12x12 -> 64x64. The callback baseline below is
 // a verbatim copy of the pre-flat implementation (std::function node
 // costs, per-layer vector allocations, per-datum cost-table lookups, no
 // dedup), kept here so the bench keeps measuring the real before/after no
@@ -29,6 +33,8 @@
 #include "core/data_order.hpp"
 #include "core/gomcds.hpp"
 #include "core/pipeline.hpp"
+#include "core/schedule_io.hpp"
+#include "core/verify.hpp"
 #include "cost/cost_cache.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
@@ -445,6 +451,46 @@ MeshMicroRow meshRelaxMicro(int side, Cost beta, int repeat) {
   return r;
 }
 
+/// One grouped-GOMCDS job of the `grouped` section.
+struct GroupedRow {
+  std::string kernel;
+  int side = 0;
+  int n = 0;
+  DataId data = 0;
+  std::int64_t capacity = 0;
+  double ms = 0;
+  std::string digest;
+  bool verified = false;
+};
+
+/// Grouped GOMCDS on every paper kernel at side x side, the paper's
+/// 2x-minimum capacity, data-array edges n = 24-32 at 16x16 (halved on
+/// 8x8) — the grouped jobs of the repository benchmark's paper workload.
+std::vector<GroupedRow> groupedSection(int side,
+                                       const benchtool::RepeatOptions& rep) {
+  const Grid grid(side, side);
+  const std::vector<int> sizes = {32, 24, 32, 24, 32};
+  std::vector<GroupedRow> rows;
+  for (std::size_t k = 0; k < allPaperBenchmarks().size(); ++k) {
+    const PaperBenchmark kernel = allPaperBenchmarks()[k];
+    const int n = sizes[k] * side / 16;
+    const Experiment exp(makePaperBenchmark(kernel, grid, n), grid);
+    GroupedRow row;
+    row.kernel = toString(kernel);
+    row.side = side;
+    row.n = n;
+    row.data = exp.refs().numData();
+    row.capacity = exp.capacity();
+    const DataSchedule s = exp.schedule(Method::kGroupedGomcds);
+    row.digest = scheduleDigest(s).hex();
+    row.verified = verifySchedule(s, grid, exp.capacity()).ok();
+    row.ms = benchtool::medianRunMs(
+        [&] { (void)exp.schedule(Method::kGroupedGomcds); }, rep);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -582,6 +628,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  const std::vector<GroupedRow> grouped = groupedSection(smoke ? 8 : 16, rep);
+  for (const GroupedRow& r : grouped) {
+    allMatch = allMatch && r.verified;
+    std::cout << "grouped " << r.kernel << " " << r.side << "x" << r.side
+              << " (n=" << r.n << ", data=" << r.data << ", capacity "
+              << r.capacity << "): " << fmt(r.ms) << " ms, digest "
+              << r.digest << (r.verified ? "" : ", FAILS verifySchedule")
+              << "\n";
+  }
+
   std::filesystem::create_directories(
       std::filesystem::path(outPath).parent_path().empty()
           ? "."
@@ -643,6 +699,17 @@ int main(int argc, char** argv) {
        << (i + 1 < meshMicro.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
+     << "  \"grouped\": [\n";
+  for (std::size_t i = 0; i < grouped.size(); ++i) {
+    const GroupedRow& r = grouped[i];
+    os << "    {\"kernel\": \"" << r.kernel << "\", \"grid\": \"" << r.side
+       << "x" << r.side << "\", \"n\": " << r.n << ", \"data\": " << r.data
+       << ", \"capacity\": " << r.capacity << ", \"ms\": " << fmt(r.ms)
+       << ", \"digest\": \"" << r.digest << "\", \"verified\": "
+       << (r.verified ? "true" : "false") << "}"
+       << (i + 1 < grouped.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n"
      << "  \"kernel_micro\": [\n";
   for (std::size_t i = 0; i < micro.size(); ++i) {
     const MicroRow& r = micro[i];
@@ -656,7 +723,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << outPath << "\n";
 
   if (!allMatch) {
-    std::cerr << "error: schedules or relaxed values diverge\n";
+    std::cerr << "error: schedules or relaxed values diverge, or a grouped "
+                 "schedule fails verification\n";
     return 1;
   }
   return 0;

@@ -1,13 +1,16 @@
 #include "core/grouping.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "core/data_order.hpp"
-#include "cost/center_list.hpp"
+#include "core/gomcds_detail.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
+#include "graph/simd/simd_kernels.hpp"
+#include "obs/obs.hpp"
 #include "pim/memory.hpp"
 
 namespace pimsched {
@@ -15,17 +18,25 @@ namespace pimsched {
 WindowCostPrefix::WindowCostPrefix(const WindowedRefs& refs, DataId d,
                                    const CostModel& model)
     : numWindows_(refs.numWindows()), numProcs_(refs.numProcs()) {
-  prefix_.assign(static_cast<std::size_t>(numWindows_ + 1) *
-                     static_cast<std::size_t>(numProcs_),
-                 0);
+  const std::size_t m = static_cast<std::size_t>(numProcs_);
+  prefix_.resize(static_cast<std::size_t>(numWindows_ + 1) * m);
+  std::fill_n(prefix_.begin(), m, 0);
   weightPrefix_.assign(static_cast<std::size_t>(numWindows_ + 1), 0);
+  std::vector<Cost> costs;
   for (WindowId w = 0; w < numWindows_; ++w) {
-    const std::vector<Cost> costs = centerCosts(model, refs.refs(d, w));
-    for (ProcId p = 0; p < numProcs_; ++p) {
-      prefix_[static_cast<std::size_t>(w + 1) *
-                  static_cast<std::size_t>(numProcs_) +
-              static_cast<std::size_t>(p)] =
-          at(w, p) + costs[static_cast<std::size_t>(p)];
+    separableCenterCostsInto(model, refs.refs(d, w), costs);
+    const Cost* prev = prefix_.data() + index(w, 0);
+    Cost* row = prefix_.data() + index(w + 1, 0);
+    for (std::size_t p = 0; p < m; ++p) {
+      // Rows before the first infinite term count zero, which is what the
+      // lazily zero-filled count table holds for them.
+      const bool infinite = costs[p] >= kInfiniteCost;
+      if (infinite && infinite_.empty()) infinite_.assign(prefix_.size(), 0);
+      row[p] = prev[p] + (infinite ? 0 : costs[p]);
+      if (!infinite_.empty()) {
+        infinite_[index(w + 1, 0) + p] =
+            infinite_[index(w, 0) + p] + (infinite ? 1 : 0);
+      }
     }
     weightPrefix_[static_cast<std::size_t>(w + 1)] =
         weightPrefix_[static_cast<std::size_t>(w)] +
@@ -48,15 +59,12 @@ Cost groupingCost(const DataGrouping& grouping,
   Cost total = 0;
   const int g = grouping.numGroups();
   for (int i = 0; i < g; ++i) {
-    const WindowId begin = grouping.starts[static_cast<std::size_t>(i)];
-    const WindowId end = (i + 1 < g)
-                             ? grouping.starts[static_cast<std::size_t>(i + 1)]
-                             : prefix.numWindows();
-    total += prefix.segment(begin, end,
-                            grouping.centers[static_cast<std::size_t>(i)]);
+    const auto [begin, end] = grouping.range(i, prefix.numWindows());
+    const ProcId c = grouping.centers[static_cast<std::size_t>(i)];
+    total = satAdd(total, prefix.segment(begin, end, c));
     if (i > 0) {
-      total += model.moveCost(grouping.centers[static_cast<std::size_t>(i - 1)],
-                              grouping.centers[static_cast<std::size_t>(i)]);
+      const ProcId prev = grouping.centers[static_cast<std::size_t>(i - 1)];
+      total = satAdd(total, model.moveCost(prev, c));
     }
   }
   return total;
@@ -73,10 +81,7 @@ void adoptNeighborCentersForEmptyGroups(DataGrouping& g,
   const int n = g.numGroups();
   int firstNonEmpty = -1;
   for (int i = 0; i < n; ++i) {
-    const WindowId begin = g.starts[static_cast<std::size_t>(i)];
-    const WindowId end = (i + 1 < n)
-                             ? g.starts[static_cast<std::size_t>(i + 1)]
-                             : prefix.numWindows();
+    const auto [begin, end] = g.range(i, prefix.numWindows());
     if (prefix.segmentWeight(begin, end) > 0) {
       firstNonEmpty = i;
       break;
@@ -88,10 +93,7 @@ void adoptNeighborCentersForEmptyGroups(DataGrouping& g,
         g.centers[static_cast<std::size_t>(i + 1)];
   }
   for (int i = firstNonEmpty + 1; i < n; ++i) {
-    const WindowId begin = g.starts[static_cast<std::size_t>(i)];
-    const WindowId end = (i + 1 < n)
-                             ? g.starts[static_cast<std::size_t>(i + 1)]
-                             : prefix.numWindows();
+    const auto [begin, end] = g.range(i, prefix.numWindows());
     if (prefix.segmentWeight(begin, end) == 0) {
       g.centers[static_cast<std::size_t>(i)] =
           g.centers[static_cast<std::size_t>(i - 1)];
@@ -108,10 +110,7 @@ DataGrouping withRecomputedCenters(std::vector<WindowId> starts,
   const int n = g.numGroups();
   g.centers.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const WindowId begin = g.starts[static_cast<std::size_t>(i)];
-    const WindowId end = (i + 1 < n)
-                             ? g.starts[static_cast<std::size_t>(i + 1)]
-                             : prefix.numWindows();
+    const auto [begin, end] = g.range(i, prefix.numWindows());
     g.centers[static_cast<std::size_t>(i)] =
         prefix.bestSegmentCenter(begin, end).proc;
   }
@@ -238,203 +237,276 @@ DataGrouping optimalGrouping(const WindowCostPrefix& prefix,
 
 namespace {
 
-/// Capacity-aware variant of the greedy grouper used by
-/// scheduleGroupedLomcds: group centers are restricted to processors with
-/// a free slot in every window of the group (given the occupancy left by
-/// previously scheduled data), so Algorithm 3's merge decisions are made
-/// against the costs that will actually be realised.
+/// Capacity-aware variant of the greedy grouper used by both grouped
+/// schedulers: group centers are restricted to processors with a free slot
+/// in every window of the group (given the occupancy left by previously
+/// scheduled data), so Algorithm 3's merge decisions are made against the
+/// costs that will actually be realised.
+///
+/// One instance serves a whole scheduling call and owns its per-window
+/// occupancy (with the model's fault capacity limits, so dead processors
+/// hold nothing), mirrored as a W x P byte table of full slots. Occupancy
+/// does not change while one datum is grouped, so a segment's center is a
+/// pure function of its window range and is memoized per datum in a
+/// (W+1)^2 table.
 class CapacityAwareGrouper {
  public:
-  CapacityAwareGrouper(const WindowCostPrefix& prefix, const CostModel& model,
-                       const std::vector<OccupancyMap>& occupancy)
-      : prefix_(prefix), model_(model), occupancy_(occupancy) {}
-
-  /// First processor of the segment's ascending-cost list with room in
-  /// every window of [begin, end); kNoProc when none exists.
-  [[nodiscard]] ProcId availableSegmentCenter(WindowId begin,
-                                              WindowId end) const {
-    const int m = prefix_.numProcs();
-    std::vector<Cost> costs(static_cast<std::size_t>(m));
-    for (ProcId p = 0; p < m; ++p) {
-      costs[static_cast<std::size_t>(p)] = prefix_.segment(begin, end, p);
+  CapacityAwareGrouper(const CostModel& model, int numWindows,
+                       std::int64_t capacity)
+      : model_(model),
+        numProcs_(static_cast<std::size_t>(model.grid().size())),
+        beta_(model.params().hopCost * model.params().moveVolume),
+        occupancy_(static_cast<std::size_t>(numWindows),
+                   OccupancyMap(model.grid(), capacity)),
+        full_(static_cast<std::size_t>(numWindows) * numProcs_) {
+    for (WindowId w = 0; w < numWindows; ++w) {
+      OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
+      if (const FaultMap* faults = model.faults()) {
+        applyFaultCapacity(occ, *faults);
+      }
+      for (ProcId p = 0; p < static_cast<ProcId>(numProcs_); ++p) {
+        full_[slot(w, p)] = !occ.hasRoom(p);
+      }
     }
-    const CenterList list(costs);
-    for (const ProcId p : list.order()) {
-      if (roomEverywhere(p, begin, end)) return p;
+    // Never-referenced data settle near processor 0, or near the first
+    // processor the model allows when 0 is dead.
+    while (anchor_ + 1 < model.grid().size() &&
+           model.centerForbidden(anchor_)) {
+      ++anchor_;
     }
-    return kNoProc;
   }
 
   [[nodiscard]] bool roomEverywhere(ProcId p, WindowId begin,
                                     WindowId end) const {
     for (WindowId w = begin; w < end; ++w) {
-      if (!occupancy_[static_cast<std::size_t>(w)].hasRoom(p)) return false;
+      if (full_[slot(w, p)] != 0) return false;
     }
     return true;
   }
 
-  /// Centers for a set of group starts; empty groups stay at a neighbour's
-  /// center when it has room, otherwise take the nearest available
-  /// processor. Returns nullopt if any group has no feasible center.
-  [[nodiscard]] std::optional<DataGrouping> withCenters(
-      std::vector<WindowId> starts) const {
-    DataGrouping g;
-    g.starts = std::move(starts);
+  /// Sets row[p] to kInfiniteCost for every processor p that lacks room in
+  /// some window of [begin, end).
+  void maskFull(WindowId begin, WindowId end, Cost* row) const {
+    for (WindowId w = begin; w < end; ++w) {
+      simd::active().maskInf(full_.data() + slot(w, 0), row, numProcs_);
+    }
+  }
+
+  /// Claims one slot on p in window w (the caller checked room).
+  void claim(ProcId p, WindowId w) {
+    OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
+    occ.tryPlace(p);
+    full_[slot(w, p)] = !occ.hasRoom(p);
+  }
+
+  /// Starts grouping the datum `prefix` describes; the occupancy must not
+  /// change until the next call.
+  void start(const WindowCostPrefix& prefix) {
+    prefix_ = &prefix;
+    memo_.assign(static_cast<std::size_t>(prefix.numWindows() + 1) *
+                     static_cast<std::size_t>(prefix.numWindows() + 1),
+                 kUnknown);
+  }
+
+  /// Greedy Algorithm 3 for the current datum against realised (capacity-
+  /// restricted) costs, written into `out`. False when some group has no
+  /// feasible center.
+  [[nodiscard]] bool run(DataGrouping& out) {
+    const WindowCostPrefix& prefix = *prefix_;
+    const int W = prefix.numWindows();
+    out.starts.resize(static_cast<std::size_t>(W));
+    std::iota(out.starts.begin(), out.starts.end(), 0);
+    if (!withCenters(out)) return false;
+    if (W <= 1) return true;
+    Cost currentCost = groupingCost(out, prefix, model_);
+
+    // `out` holds confirmed groups, then the group under construction
+    // starting at out.starts[confirmed] and covering [.., j), then one
+    // singleton per window from j on. The proposal merges window j into
+    // the group under construction.
+    std::size_t confirmed = 0;
+    for (WindowId j = 1; j < W; ++j) {
+      candidate_.starts.assign(
+          out.starts.begin(),
+          out.starts.begin() + static_cast<std::ptrdiff_t>(confirmed + 1));
+      for (WindowId w = j + 1; w < W; ++w) candidate_.starts.push_back(w);
+      if (withCenters(candidate_)) {
+        const Cost candidateCost = groupingCost(candidate_, prefix, model_);
+        if (candidateCost <= currentCost) {
+          std::swap(out, candidate_);
+          currentCost = candidateCost;
+          continue;
+        }
+      }
+      ++confirmed;  // window j starts the next group under construction
+    }
+    return true;
+  }
+
+  /// Smallest (key(p), p) over processors with a finite key and room in
+  /// every window of [begin, end); kNoProc when none exists. Equals the
+  /// first such processor of the stable ascending-key order (the paper's
+  /// processor list), without sorting. Room is checked only for
+  /// processors that would improve the running best.
+  template <class KeyFn>
+  [[nodiscard]] ProcId argminWithRoom(WindowId begin, WindowId end,
+                                      const KeyFn& key) const {
+    ProcId best = kNoProc;
+    Cost bestKey = kInfiniteCost;
+    for (ProcId p = 0; p < prefix_->numProcs(); ++p) {
+      const Cost k = key(p);
+      if (k < bestKey && roomEverywhere(p, begin, end)) {
+        best = p;
+        bestKey = k;
+      }
+    }
+    return best;
+  }
+
+  /// First processor of the segment's ascending-cost list with room in
+  /// every window of [begin, end); kNoProc when none exists. Memoized.
+  [[nodiscard]] ProcId segmentCenter(WindowId begin, WindowId end) {
+    ProcId& center =
+        memo_[static_cast<std::size_t>(begin) *
+                  static_cast<std::size_t>(prefix_->numWindows() + 1) +
+              static_cast<std::size_t>(end)];
+    if (center == kUnknown) {
+      center = argminWithRoom(begin, end, [&](ProcId p) {
+        return prefix_->segment(begin, end, p);
+      });
+    }
+    return center;
+  }
+
+ private:
+  static constexpr ProcId kUnknown = -2;
+
+  [[nodiscard]] std::size_t slot(WindowId w, ProcId p) const {
+    return static_cast<std::size_t>(w) * numProcs_ +
+           static_cast<std::size_t>(p);
+  }
+
+  /// First processor of the ascending list of moveCost(from, .) with room
+  /// in every window of the empty group [begin, end). With beta > 0 only
+  /// `from` itself is at distance 0, so when it qualifies it is the
+  /// answer; with beta == 0 every cost ties and the scan picks the
+  /// smallest qualifying id. A finite move reaches an alive processor,
+  /// which serves an empty group for 0, so no segment check is needed.
+  [[nodiscard]] ProcId nearestAvailable(ProcId from, WindowId begin,
+                                        WindowId end) const {
+    if (beta_ > 0 && model_.moveCost(from, from) == 0 &&
+        roomEverywhere(from, begin, end)) {
+      return from;
+    }
+    return argminWithRoom(begin, end, [&](ProcId p) {
+      return model_.moveCost(from, p);
+    });
+  }
+
+  /// Centers for g.starts; empty groups stay at a neighbour's center when
+  /// it has room, otherwise take the nearest available processor. False if
+  /// any group has no feasible center.
+  [[nodiscard]] bool withCenters(DataGrouping& g) {
     const int n = g.numGroups();
+    const auto range = [&](int i) { return g.range(i, prefix_->numWindows()); };
     g.centers.assign(static_cast<std::size_t>(n), kNoProc);
     for (int i = 0; i < n; ++i) {
-      const auto [begin, end] = groupRange(g, i);
-      if (prefix_.segmentWeight(begin, end) > 0) {
-        g.centers[static_cast<std::size_t>(i)] =
-            availableSegmentCenter(begin, end);
-        if (g.centers[static_cast<std::size_t>(i)] == kNoProc) {
-          return std::nullopt;
-        }
+      const auto [begin, end] = range(i);
+      if (prefix_->segmentWeight(begin, end) > 0) {
+        g.centers[static_cast<std::size_t>(i)] = segmentCenter(begin, end);
+        if (g.centers[static_cast<std::size_t>(i)] == kNoProc) return false;
       }
     }
     // Empty groups adopt the nearest feasible neighbour center: forward
     // pass from the previous group, then a backward pass for a leading
     // run of empty groups.
-    for (int i = 0; i < n; ++i) {
-      if (g.centers[static_cast<std::size_t>(i)] != kNoProc) continue;
-      const ProcId neighbor =
-          (i > 0) ? g.centers[static_cast<std::size_t>(i - 1)] : kNoProc;
-      if (neighbor != kNoProc) {
-        g.centers[static_cast<std::size_t>(i)] =
-            nearestAvailable(neighbor, g, i);
-        if (g.centers[static_cast<std::size_t>(i)] == kNoProc) {
-          return std::nullopt;
-        }
-      }
+    for (int i = 1; i < n; ++i) {
+      ProcId& c = g.centers[static_cast<std::size_t>(i)];
+      const ProcId neighbor = g.centers[static_cast<std::size_t>(i - 1)];
+      if (c != kNoProc || neighbor == kNoProc) continue;
+      const auto [begin, end] = range(i);
+      c = nearestAvailable(neighbor, begin, end);
+      if (c == kNoProc) return false;
     }
     for (int i = n - 1; i >= 0; --i) {
-      if (g.centers[static_cast<std::size_t>(i)] != kNoProc) continue;
-      const ProcId neighbor = (i + 1 < n)
-                                  ? g.centers[static_cast<std::size_t>(i + 1)]
-                                  : static_cast<ProcId>(0);
-      g.centers[static_cast<std::size_t>(i)] =
-          nearestAvailable(neighbor == kNoProc ? 0 : neighbor, g, i);
-      if (g.centers[static_cast<std::size_t>(i)] == kNoProc) {
-        return std::nullopt;
-      }
+      ProcId& c = g.centers[static_cast<std::size_t>(i)];
+      if (c != kNoProc) continue;
+      const ProcId neighbor =
+          i + 1 < n ? g.centers[static_cast<std::size_t>(i + 1)] : anchor_;
+      const auto [begin, end] = range(i);
+      c = nearestAvailable(neighbor, begin, end);
+      if (c == kNoProc) return false;
     }
-    return g;
+    return true;
   }
 
-  /// Greedy Algorithm 3 against realised (capacity-restricted) costs.
-  [[nodiscard]] std::optional<DataGrouping> run() const {
-    const int W = prefix_.numWindows();
-    std::vector<WindowId> singleton;
-    for (WindowId w = 0; w < W; ++w) singleton.push_back(w);
-    std::optional<DataGrouping> current = withCenters(std::move(singleton));
-    if (!current.has_value()) return std::nullopt;
-    Cost currentCost = groupingCost(*current, prefix_, model_);
-    if (W <= 1) return current;
-
-    std::vector<WindowId> confirmed;
-    WindowId start = 0;
-    for (WindowId j = 1; j < W; ++j) {
-      std::vector<WindowId> proposal = confirmed;
-      proposal.push_back(start);
-      for (WindowId w = j + 1; w < W; ++w) proposal.push_back(w);
-      const std::optional<DataGrouping> candidate =
-          withCenters(std::move(proposal));
-      if (candidate.has_value()) {
-        const Cost candidateCost =
-            groupingCost(*candidate, prefix_, model_);
-        if (candidateCost <= currentCost) {
-          current = candidate;
-          currentCost = candidateCost;
-          continue;
-        }
-      }
-      confirmed.push_back(start);
-      start = j;
-    }
-    return current;
-  }
-
- private:
-  [[nodiscard]] std::pair<WindowId, WindowId> groupRange(
-      const DataGrouping& g, int i) const {
-    const WindowId begin = g.starts[static_cast<std::size_t>(i)];
-    const WindowId end =
-        (i + 1 < g.numGroups()) ? g.starts[static_cast<std::size_t>(i + 1)]
-                                : static_cast<WindowId>(prefix_.numWindows());
-    return {begin, end};
-  }
-
-  [[nodiscard]] ProcId nearestAvailable(ProcId from, const DataGrouping& g,
-                                        int i) const {
-    const auto [begin, end] = groupRange(g, i);
-    const int m = prefix_.numProcs();
-    std::vector<Cost> costs(static_cast<std::size_t>(m));
-    for (ProcId p = 0; p < m; ++p) {
-      costs[static_cast<std::size_t>(p)] = model_.moveCost(from, p);
-    }
-    const CenterList list(costs);
-    for (const ProcId p : list.order()) {
-      if (roomEverywhere(p, begin, end)) return p;
-    }
-    return kNoProc;
-  }
-
-  const WindowCostPrefix& prefix_;
   const CostModel& model_;
-  const std::vector<OccupancyMap>& occupancy_;
+  std::size_t numProcs_;
+  Cost beta_;
+  std::vector<OccupancyMap> occupancy_;
+  std::vector<unsigned char> full_;  ///< [w * P + p]: no room on p in w
+  ProcId anchor_ = 0;
+  const WindowCostPrefix* prefix_ = nullptr;
+  std::vector<ProcId> memo_;  ///< [begin * (W + 1) + end] -> segment center
+  DataGrouping candidate_;
 };
+
+/// Claims group i's center in every window of the group and records it.
+void placeGroup(const DataGrouping& g, int i, ProcId c, DataId d,
+                CapacityAwareGrouper& grouper, DataSchedule& schedule) {
+  const auto [begin, end] = g.range(i, schedule.numWindows());
+  for (WindowId w = begin; w < end; ++w) {
+    grouper.claim(c, w);
+    schedule.setCenter(d, w, c);
+  }
+}
 
 }  // namespace
 
 DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
                                    const CostModel& model,
                                    const SchedulerOptions& options) {
-  const Grid& grid = model.grid();
+  PIMSCHED_SCOPED_TIMER("sched.grouped_gomcds");
   const int W = refs.numWindows();
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
+  const std::size_t m = static_cast<std::size_t>(model.grid().size());
   DataSchedule schedule(refs.numData(), W);
-  std::vector<OccupancyMap> occupancy(
-      static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
+  CapacityAwareGrouper grouper(model, W, options.capacity);
+  const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
+  LayeredDagScratch scratch;
+  LayeredPath path;
+  CostBuffer nodeCosts;
+  DataGrouping grouping;
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
     const WindowCostPrefix prefix(refs, d, model);
-    const CapacityAwareGrouper grouper(prefix, model, occupancy);
-    const std::optional<DataGrouping> grouping = grouper.run();
-    if (!grouping.has_value()) {
+    grouper.start(prefix);
+    if (!grouper.run(grouping)) {
       throw std::runtime_error(
           "scheduleGroupedGomcds: capacity infeasible for a datum");
     }
-    const int g = grouping->numGroups();
-    const auto groupEnd = [&](int i) -> WindowId {
-      return (i + 1 < g) ? grouping->starts[static_cast<std::size_t>(i + 1)]
-                         : static_cast<WindowId>(W);
-    };
+    const int g = grouping.numGroups();
 
     // GOMCDS DP over groups: a node is (group, center); serving is the
     // merged segment's cost; a node is forbidden when the center lacks
     // room in any window of the group.
-    const auto nodeCost = [&](int i, int p) -> Cost {
-      const WindowId begin = grouping->starts[static_cast<std::size_t>(i)];
-      const WindowId end = groupEnd(i);
-      if (!grouper.roomEverywhere(static_cast<ProcId>(p), begin, end)) {
-        return kInfiniteCost;
+    nodeCosts.resize(static_cast<std::size_t>(g) * m);
+    for (int i = 0; i < g; ++i) {
+      const auto [begin, end] = grouping.range(i, W);
+      Cost* row = nodeCosts.data() + static_cast<std::size_t>(i) * m;
+      for (ProcId p = 0; p < static_cast<ProcId>(m); ++p) {
+        row[p] = prefix.segment(begin, end, p);
       }
-      return prefix.segment(begin, end, static_cast<ProcId>(p));
-    };
-    const LayeredPath path =
-        LayeredDagSolver::solveManhattan(grid, g, nodeCost, beta);
+      grouper.maskFull(begin, end, row);
+    }
+    kernel.solve(g, nodeCosts, scratch, path);
     if (!path.feasible()) {
       throw std::runtime_error(
           "scheduleGroupedGomcds: no feasible center path");
     }
     for (int i = 0; i < g; ++i) {
-      const auto c =
-          static_cast<ProcId>(path.nodes[static_cast<std::size_t>(i)]);
-      for (WindowId w = grouping->starts[static_cast<std::size_t>(i)];
-           w < groupEnd(i); ++w) {
-        occupancy[static_cast<std::size_t>(w)].tryPlace(c);
-        schedule.setCenter(d, w, c);
-      }
+      placeGroup(grouping, i,
+                 static_cast<ProcId>(path.nodes[static_cast<std::size_t>(i)]),
+                 d, grouper, schedule);
     }
   }
   return schedule;
@@ -444,36 +516,27 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
                                    const CostModel& model,
                                    const SchedulerOptions& options,
                                    GroupingMethod method) {
-  const Grid& grid = model.grid();
+  PIMSCHED_SCOPED_TIMER("sched.grouped_lomcds");
   const int W = refs.numWindows();
   DataSchedule schedule(refs.numData(), W);
-  std::vector<OccupancyMap> occupancy(
-      static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
+  CapacityAwareGrouper grouper(model, W, options.capacity);
+  DataGrouping greedy;
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
     const WindowCostPrefix prefix(refs, d, model);
+    grouper.start(prefix);
 
     if (method == GroupingMethod::kGreedy) {
       // Greedy Algorithm 3, evaluated against the capacity actually left
       // by the data scheduled so far; the chosen centers are feasible by
       // construction.
-      const CapacityAwareGrouper grouper(prefix, model, occupancy);
-      const std::optional<DataGrouping> grouping = grouper.run();
-      if (!grouping.has_value()) {
+      if (!grouper.run(greedy)) {
         throw std::runtime_error(
             "scheduleGroupedLomcds: capacity infeasible for a datum");
       }
-      const int g = grouping->numGroups();
-      for (int i = 0; i < g; ++i) {
-        const WindowId begin = grouping->starts[static_cast<std::size_t>(i)];
-        const WindowId end =
-            (i + 1 < g) ? grouping->starts[static_cast<std::size_t>(i + 1)]
-                        : W;
-        const ProcId c = grouping->centers[static_cast<std::size_t>(i)];
-        for (WindowId w = begin; w < end; ++w) {
-          occupancy[static_cast<std::size_t>(w)].tryPlace(c);
-          schedule.setCenter(d, w, c);
-        }
+      for (int i = 0; i < greedy.numGroups(); ++i) {
+        placeGroup(greedy, i, greedy.centers[static_cast<std::size_t>(i)], d,
+                   grouper, schedule);
       }
       continue;
     }
@@ -483,42 +546,18 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
     const DataGrouping grouping = optimalGrouping(prefix, model);
     const int g = grouping.numGroups();
     for (int i = 0; i < g; ++i) {
-      const WindowId begin = grouping.starts[static_cast<std::size_t>(i)];
-      const WindowId end =
-          (i + 1 < g) ? grouping.starts[static_cast<std::size_t>(i + 1)] : W;
+      const auto [begin, end] = grouping.range(i, W);
 
       // The grouping's own center first (it already encodes stay-put for
       // empty groups); then fall back down the merged-segment processor
       // list to the best center with room in every window of the group.
-      std::vector<Cost> segCosts(static_cast<std::size_t>(grid.size()));
-      for (ProcId p = 0; p < grid.size(); ++p) {
-        segCosts[static_cast<std::size_t>(p)] = prefix.segment(begin, end, p);
-      }
-      const CenterList list(segCosts);
-      std::vector<ProcId> candidates;
-      candidates.reserve(list.order().size() + 1);
-      candidates.push_back(grouping.centers[static_cast<std::size_t>(i)]);
-      candidates.insert(candidates.end(), list.order().begin(),
-                        list.order().end());
-      ProcId placed = kNoProc;
-      for (const ProcId cand : candidates) {
-        bool roomEverywhere = true;
-        for (WindowId w = begin; w < end; ++w) {
-          if (!occupancy[static_cast<std::size_t>(w)].hasRoom(cand)) {
-            roomEverywhere = false;
-            break;
-          }
-        }
-        if (roomEverywhere) {
-          placed = cand;
-          break;
-        }
-      }
+      const ProcId own = grouping.centers[static_cast<std::size_t>(i)];
+      const ProcId placed = prefix.segment(begin, end, own) < kInfiniteCost &&
+                                    grouper.roomEverywhere(own, begin, end)
+                                ? own
+                                : grouper.segmentCenter(begin, end);
       if (placed != kNoProc) {
-        for (WindowId w = begin; w < end; ++w) {
-          occupancy[static_cast<std::size_t>(w)].tryPlace(placed);
-          schedule.setCenter(d, w, placed);
-        }
+        placeGroup(grouping, i, placed, d, grouper, schedule);
         continue;
       }
       // No single processor has room across the whole group: degrade
@@ -529,19 +568,16 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       const ProcId intended =
           grouping.centers[static_cast<std::size_t>(i)];
       for (WindowId w = begin; w < end; ++w) {
-        std::vector<Cost> costs(static_cast<std::size_t>(grid.size()));
-        for (ProcId p = 0; p < grid.size(); ++p) {
-          costs[static_cast<std::size_t>(p)] =
-              prefix.segment(w, w + 1, p) + model.moveCost(intended, p);
-        }
-        const CenterList perWindow(costs);
         const ProcId fallback =
-            perWindow.firstAvailable(occupancy[static_cast<std::size_t>(w)]);
+            grouper.argminWithRoom(w, w + 1, [&](ProcId p) {
+              return satAdd(prefix.segment(w, w + 1, p),
+                            model.moveCost(intended, p));
+            });
         if (fallback == kNoProc) {
           throw std::runtime_error(
               "scheduleGroupedLomcds: capacity infeasible for a group");
         }
-        occupancy[static_cast<std::size_t>(w)].tryPlace(fallback);
+        grouper.claim(fallback, w);
         schedule.setCenter(d, w, fallback);
       }
     }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -14,6 +16,12 @@ namespace pimsched {
 /// serving windows [b, e) of one datum from processor p, in O(1) after an
 /// O(numWindows * numProcs) prefix build. This is what makes Algorithm 3's
 /// repeated regrouping cheap.
+///
+/// On a faulted mesh a window can price p at kInfiniteCost (p dead, or cut
+/// off from a referencing processor). Those terms are not summed — a few
+/// of them would overflow int64 — but counted: segment() saturates to
+/// kInfiniteCost whenever [b, e) holds one. The count table is only built
+/// once such a term appears, so healthy meshes pay nothing for it.
 class WindowCostPrefix {
  public:
   WindowCostPrefix(const WindowedRefs& refs, DataId d, const CostModel& model);
@@ -22,6 +30,10 @@ class WindowCostPrefix {
   [[nodiscard]] int numProcs() const { return numProcs_; }
 
   [[nodiscard]] Cost segment(WindowId begin, WindowId end, ProcId p) const {
+    if (!infinite_.empty() &&
+        infinite_[index(end, p)] != infinite_[index(begin, p)]) {
+      return kInfiniteCost;
+    }
     return at(end, p) - at(begin, p);
   }
 
@@ -36,16 +48,21 @@ class WindowCostPrefix {
                                              WindowId end) const;
 
  private:
+  [[nodiscard]] std::size_t index(WindowId w, ProcId p) const {
+    return static_cast<std::size_t>(w) * static_cast<std::size_t>(numProcs_) +
+           static_cast<std::size_t>(p);
+  }
   [[nodiscard]] Cost at(WindowId w, ProcId p) const {
-    return prefix_[static_cast<std::size_t>(w) *
-                       static_cast<std::size_t>(numProcs_) +
-                   static_cast<std::size_t>(p)];
+    return prefix_[index(w, p)];
   }
 
   int numWindows_;
   int numProcs_;
   std::vector<Cost> prefix_;        ///< (numWindows + 1) x numProcs
   std::vector<Cost> weightPrefix_;  ///< numWindows + 1
+  /// (numWindows + 1) x numProcs prefix count of kInfiniteCost terms;
+  /// empty while there are none.
+  std::vector<std::int32_t> infinite_;
 };
 
 /// A partition of one datum's windows into consecutive groups, each with a
@@ -57,10 +74,20 @@ struct DataGrouping {
   [[nodiscard]] int numGroups() const {
     return static_cast<int>(starts.size());
   }
+
+  /// Windows [begin, end) of group i when the datum has numWindows.
+  [[nodiscard]] std::pair<WindowId, WindowId> range(int i,
+                                                    int numWindows) const {
+    const auto at = [this](int k) {
+      return starts[static_cast<std::size_t>(k)];
+    };
+    return {at(i), i + 1 < numGroups() ? at(i + 1) : numWindows};
+  }
 };
 
 /// Total cost of a grouping: serving every group from its center plus
-/// movement between consecutive group centers (the paper's COST(T)).
+/// movement between consecutive group centers (the paper's COST(T)),
+/// saturating at kInfiniteCost.
 [[nodiscard]] Cost groupingCost(const DataGrouping& grouping,
                                 const WindowCostPrefix& prefix,
                                 const CostModel& model);
@@ -90,7 +117,9 @@ enum class GroupingMethod { kGreedy, kOptimalDp };
 /// Applies per-datum window grouping and materialises the result as a full
 /// schedule (each window of a group gets the group's center), honouring the
 /// capacity constraint per window with the processor-list fallback. This is
-/// the configuration behind the paper's Table 2.
+/// the configuration behind the paper's Table 2. On a fault-aware model the
+/// fault capacity limits apply and no group is centered on a processor the
+/// model prices at kInfiniteCost (dead or unreachable).
 [[nodiscard]] DataSchedule scheduleGroupedLomcds(
     const WindowedRefs& refs, const CostModel& model,
     const SchedulerOptions& options = {},
@@ -102,6 +131,8 @@ enum class GroupingMethod { kGreedy, kOptimalDp };
 /// between groups. Never worse than scheduleGroupedLomcds on the same
 /// groups; never better than plain GOMCDS (coarser decisions). The
 /// practical payoff is speed: the DP runs over groups instead of windows.
+/// On a faulted mesh the DP prices movement by fault-aware hop distance
+/// (the masked mesh kernel GOMCDS uses) and never picks a forbidden center.
 [[nodiscard]] DataSchedule scheduleGroupedGomcds(
     const WindowedRefs& refs, const CostModel& model,
     const SchedulerOptions& options = {});

@@ -1,6 +1,7 @@
 #include "core/online.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -24,40 +25,44 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
 
+  const std::size_t m = static_cast<std::size_t>(grid.size());
+  std::vector<Cost> serve;  // W x P serving costs of one datum
+  std::vector<Cost> row;
+  LayeredDagScratch scratch;
+  LayeredPath path;
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    // Serving costs per window are reused across horizons.
-    std::vector<std::vector<Cost>> serve(static_cast<std::size_t>(W));
+    serve.resize(static_cast<std::size_t>(W) * m);
     for (WindowId w = 0; w < W; ++w) {
-      serve[static_cast<std::size_t>(w)] =
-          centerCosts(model, refs.refs(d, w));
+      separableCenterCostsInto(model, refs.refs(d, w), row);
+      std::copy(row.begin(), row.end(),
+                serve.begin() + static_cast<std::ptrdiff_t>(w) *
+                                    static_cast<std::ptrdiff_t>(m));
     }
 
     ProcId prev = kNoProc;
     for (WindowId w = 0; w < W; ++w) {
       const int horizon =
           std::min<int>(W - w, options.lookahead + 1);
-      // Layer l of the horizon DP is window w + l; the committed previous
-      // center enters as a movement term on layer 0. Capacity: only the
-      // window being committed must have room — future windows' slots are
-      // not reserved (they will be re-checked when committed), matching
-      // an online system that cannot reserve the future.
-      const auto nodeCost = [&](int l, int p) -> Cost {
-        const WindowId win = w + static_cast<WindowId>(l);
-        Cost c = serve[static_cast<std::size_t>(win)]
-                      [static_cast<std::size_t>(p)];
-        if (l == 0) {
-          if (!occupancy[static_cast<std::size_t>(win)].hasRoom(
-                  static_cast<ProcId>(p))) {
-            return kInfiniteCost;
-          }
-          if (prev != kNoProc) {
-            c = satAdd(c, model.moveCost(prev, static_cast<ProcId>(p)));
-          }
+      // Layer l of the horizon DP is window w + l, read from the serve
+      // table in place; row w is never read again, so it takes layer 0's
+      // node costs: the committed previous center enters as a movement
+      // term. Capacity: only the window being committed must have room —
+      // future windows' slots are not reserved (they will be re-checked
+      // when committed), matching an online system that cannot reserve
+      // the future.
+      Cost* first = serve.data() + static_cast<std::size_t>(w) * m;
+      const OccupancyMap& occ = occupancy[static_cast<std::size_t>(w)];
+      for (ProcId p = 0; p < static_cast<ProcId>(m); ++p) {
+        if (!occ.hasRoom(p)) {
+          first[p] = kInfiniteCost;
+        } else if (prev != kNoProc) {
+          first[p] = satAdd(first[p], model.moveCost(prev, p));
         }
-        return c;
-      };
-      const LayeredPath path =
-          LayeredDagSolver::solveManhattan(grid, horizon, nodeCost, beta);
+      }
+      LayeredDagSolver::solveManhattanFlatInto(
+          grid, horizon,
+          std::span<const Cost>(first, static_cast<std::size_t>(horizon) * m),
+          beta, scratch, path);
       if (!path.feasible()) {
         throw std::runtime_error(
             "scheduleOnline: capacity infeasible (window full)");

@@ -13,7 +13,7 @@ namespace pimsched {
 
 namespace {
 
-/// Backward path reconstruction shared by both solvers: given the dp table
+/// Backward path reconstruction shared by every kernel: given the dp table
 /// (dp[w * N + p] = best cost of a prefix ending with node p in layer w),
 /// walk from the best final node to the front, picking at each step the
 /// smallest predecessor q that attains dp[w][p] == dp[w-1][q] + trans(q,p) +
@@ -320,10 +320,9 @@ void solveLayered(int numLayers, int numNodes, std::span<const Cost> nodeCosts,
     throw std::invalid_argument(
         "LayeredDagSolver: retained dp table too small for resume");
   }
-  // Counters only here — the per-solve scoped timer lives in the
-  // std::function wrappers. The flat kernels are called per datum from the
-  // parallel scheduler, where the timer's clock reads and shared atomic
-  // read-modify-writes measurably serialized the plan phase.
+  // Counters only, no scoped timer: the flat kernels are called per datum
+  // from the parallel scheduler, where a timer's clock reads and shared
+  // atomic read-modify-writes measurably serialized the plan phase.
   PIMSCHED_COUNTER_ADD("solver.runs", 1);
   PIMSCHED_COUNTER_ADD("solver.relaxed_layers",
                        numLayers - std::max(fromLayer, 1));
@@ -425,7 +424,7 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
   // out at beta * (R + C), which the sweep guard above bounds below
   // (INT64_MAX - kInfiniteCost) / 2, so `prev + t` with prev < kInfiniteCost
   // cannot overflow; for huge beta fall back to the saturating reference
-  // scan (beta * manhattan matches the old callback exactly there).
+  // scan (beta * manhattan, compared with saturating adds).
   const int R = grid.rows();
   const int C = grid.cols();
   const Cost steps = 2 * static_cast<Cost>(R + C) + 2;
@@ -535,58 +534,6 @@ LayeredPath LayeredDagSolver::solveManhattanFlat(
   LayeredDagScratch scratch;
   LayeredPath out;
   solveManhattanFlatInto(grid, numLayers, nodeCosts, beta, scratch, out);
-  return out;
-}
-
-LayeredPath LayeredDagSolver::solve(int numLayers, int numNodes,
-                                    const NodeCostFn& nodeCost,
-                                    const TransCostFn& transCost) {
-  if (numLayers < 1 || numNodes < 1) {
-    throw std::invalid_argument("LayeredDagSolver: empty problem");
-  }
-  PIMSCHED_SCOPED_TIMER("solver.layered_dag");
-  const std::size_t n = static_cast<std::size_t>(numNodes);
-  LayeredDagScratch scratch;
-  scratch.nodeCosts.resize(static_cast<std::size_t>(numLayers) * n);
-  for (int w = 0; w < numLayers; ++w) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.nodeCosts[static_cast<std::size_t>(w) * n +
-                        static_cast<std::size_t>(p)] = nodeCost(w, p);
-    }
-  }
-  scratch.trans.resize(n * n);
-  for (int q = 0; q < numNodes; ++q) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.trans[static_cast<std::size_t>(q) * n +
-                    static_cast<std::size_t>(p)] = transCost(q, p);
-    }
-  }
-  LayeredPath out;
-  solveFlatInto(numLayers, numNodes, scratch.nodeCosts, scratch.trans, scratch,
-                out);
-  return out;
-}
-
-LayeredPath LayeredDagSolver::solveManhattan(const Grid& grid, int numLayers,
-                                             const NodeCostFn& nodeCost,
-                                             Cost beta) {
-  const int numNodes = grid.size();
-  if (numLayers < 1) {
-    throw std::invalid_argument("LayeredDagSolver: empty problem");
-  }
-  PIMSCHED_SCOPED_TIMER("solver.layered_dag");
-  const std::size_t n = static_cast<std::size_t>(numNodes);
-  LayeredDagScratch scratch;
-  scratch.nodeCosts.resize(static_cast<std::size_t>(numLayers) * n);
-  for (int w = 0; w < numLayers; ++w) {
-    for (int p = 0; p < numNodes; ++p) {
-      scratch.nodeCosts[static_cast<std::size_t>(w) * n +
-                        static_cast<std::size_t>(p)] = nodeCost(w, p);
-    }
-  }
-  LayeredPath out;
-  solveManhattanFlatInto(grid, numLayers, scratch.nodeCosts, beta, scratch,
-                         out);
   return out;
 }
 

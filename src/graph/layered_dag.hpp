@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -28,16 +27,13 @@ struct LayeredPath {
 };
 
 /// Reusable scratch for the flat solver kernels: grow-only buffers that hold
-/// the dp table and one relaxed layer, plus staging room the std::function
-/// wrappers use to materialize their callbacks. Hand one instance per thread
-/// (see workerScratch in util/thread_pool.hpp) and steady-state solves make
-/// zero heap allocations. Buffers are CostBuffer (64-byte aligned, see
+/// the dp table and one relaxed layer. Hand one instance per thread (see
+/// workerScratch in util/thread_pool.hpp) and steady-state solves make zero
+/// heap allocations. Buffers are CostBuffer (64-byte aligned, see
 /// util/aligned.hpp) so the SIMD sweeps start on cache-line boundaries.
 struct LayeredDagScratch {
-  CostBuffer dp;         ///< numLayers x numNodes dp table
-  CostBuffer relaxed;    ///< one min-plus-relaxed layer
-  CostBuffer nodeCosts;  ///< staging for wrapper-materialized node costs
-  CostBuffer trans;      ///< staging for wrapper-materialized transitions
+  CostBuffer dp;       ///< numLayers x numNodes dp table
+  CostBuffer relaxed;  ///< one min-plus-relaxed layer
 };
 
 /// Memoized predecessor cache for the warm-start (resume) solvers: a
@@ -70,31 +66,12 @@ using LayeredParentCache = std::vector<std::int32_t>;
 /// run their inner passes branch-free with a single final clamp.
 class LayeredDagSolver {
  public:
-  using NodeCostFn = std::function<Cost(int layer, int node)>;
-  using TransCostFn = std::function<Cost(int prevNode, int node)>;
-
-  /// Generic O(numLayers * numNodes^2) relaxation — the literal cost-graph.
-  /// Thin wrapper over solveFlat: materializes both callbacks into tables.
-  [[nodiscard]] static LayeredPath solve(int numLayers, int numNodes,
-                                         const NodeCostFn& nodeCost,
-                                         const TransCostFn& transCost);
-
-  /// Fast path for transition cost beta * manhattan(prev, node): each
-  /// min-plus step is a two-pass L1 distance transform over the grid,
-  /// giving O(numLayers * numNodes) total. Identical result (and path) to
-  /// solve() with that transition. Thin wrapper over solveManhattanFlat.
-  [[nodiscard]] static LayeredPath solveManhattan(const Grid& grid,
-                                                  int numLayers,
-                                                  const NodeCostFn& nodeCost,
-                                                  Cost beta);
-
-  // --- flat, callback-free kernels ---------------------------------------
   // nodeCosts is a row-major numLayers x numNodes table (nodeCosts[w * N + p]
   // = cost of node p in layer w); transCosts is a row-major numNodes x
   // numNodes table indexed by source (transCosts[q * N + p] = cost of the
   // q -> p transition — rows by source, since fault-aware distances can be
-  // asymmetric). Results are bit-identical to the callback overloads,
-  // including tie-breaks.
+  // asymmetric). Every kernel produces the same dp table and path for the
+  // same transitions, including tie-breaks.
 
   /// Generic flat solve against a precomputed transition table.
   [[nodiscard]] static LayeredPath solveFlat(int numLayers, int numNodes,
@@ -184,8 +161,8 @@ class LayeredDagSolver {
                                       LayeredParentCache* parents = nullptr);
 };
 
-/// The L1 (chamfer) min-plus convolution used by solveManhattan, exposed for
-/// testing: out[p] = min over q of in[q] + beta * manhattan(p, q).
+/// The L1 (chamfer) min-plus convolution used by solveManhattanFlat, exposed
+/// for testing: out[p] = min over q of in[q] + beta * manhattan(p, q).
 [[nodiscard]] std::vector<Cost> manhattanMinPlus(const Grid& grid,
                                                  const std::vector<Cost>& in,
                                                  Cost beta);

@@ -71,6 +71,30 @@ LayeredPath referenceSolve(int numLayers, int numNodes,
   return out;
 }
 
+/// Materializes a node-cost callback into the row-major numLayers x
+/// numNodes table the flat kernels take.
+std::vector<Cost> nodeTableOf(int numLayers, int numNodes,
+                              const std::function<Cost(int, int)>& nodeCost) {
+  std::vector<Cost> t;
+  for (int w = 0; w < numLayers; ++w) {
+    for (int p = 0; p < numNodes; ++p) t.push_back(nodeCost(w, p));
+  }
+  return t;
+}
+
+/// The literal cost-graph solve of callback costs: both callbacks
+/// materialized into tables for the generic flat kernel.
+LayeredPath solveTables(int numLayers, int numNodes,
+                        const std::function<Cost(int, int)>& nodeCost,
+                        const std::function<Cost(int, int)>& transCost) {
+  std::vector<Cost> trans;
+  for (int q = 0; q < numNodes; ++q) {
+    for (int p = 0; p < numNodes; ++p) trans.push_back(transCost(q, p));
+  }
+  return LayeredDagSolver::solveFlat(
+      numLayers, numNodes, nodeTableOf(numLayers, numNodes, nodeCost), trans);
+}
+
 /// Random node-cost table with forbidden (kInfiniteCost) entries mixed in.
 std::vector<Cost> randomNodeTable(testutil::Rng& rng, int layers, int nodes,
                                   Cost maxCost = 40) {
@@ -135,7 +159,7 @@ TEST(ManhattanMinPlus, AllInfiniteStaysInfinite) {
 TEST(LayeredDagSolver, SingleLayerPicksMinNode) {
   const auto nodeCost = [](int, int n) -> Cost { return (n == 2) ? 1 : 5; };
   const auto trans = [](int, int) -> Cost { return 0; };
-  const LayeredPath path = LayeredDagSolver::solve(1, 4, nodeCost, trans);
+  const LayeredPath path = solveTables(1, 4, nodeCost, trans);
   ASSERT_TRUE(path.feasible());
   EXPECT_EQ(path.total, 1);
   EXPECT_EQ(path.nodes, (std::vector<int>{2}));
@@ -149,7 +173,7 @@ TEST(LayeredDagSolver, TradesNodeCostAgainstTransition) {
     return n == 0 ? 3 : 0;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 10; };
-  const LayeredPath path = LayeredDagSolver::solve(2, 2, nodeCost, trans);
+  const LayeredPath path = solveTables(2, 2, nodeCost, trans);
   EXPECT_EQ(path.total, 3);  // stay at node 0: 0 + 3
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 0}));
 }
@@ -160,7 +184,7 @@ TEST(LayeredDagSolver, SwitchesWhenWorthIt) {
     return n == 0 ? 100 : 0;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 1; };
-  const LayeredPath path = LayeredDagSolver::solve(2, 2, nodeCost, trans);
+  const LayeredPath path = solveTables(2, 2, nodeCost, trans);
   EXPECT_EQ(path.total, 1);
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 1}));
 }
@@ -170,7 +194,7 @@ TEST(LayeredDagSolver, InfeasibleWhenLayerFullyForbidden) {
     return layer == 1 ? kInfiniteCost : 0;
   };
   const auto trans = [](int, int) -> Cost { return 0; };
-  const LayeredPath path = LayeredDagSolver::solve(3, 2, nodeCost, trans);
+  const LayeredPath path = solveTables(3, 2, nodeCost, trans);
   EXPECT_FALSE(path.feasible());
   EXPECT_TRUE(path.nodes.empty());
 }
@@ -182,7 +206,7 @@ TEST(LayeredDagSolver, RoutesAroundForbiddenNodes) {
     return n == 0 ? 0 : 2;
   };
   const auto trans = [](int a, int b) -> Cost { return a == b ? 0 : 1; };
-  const LayeredPath path = LayeredDagSolver::solve(3, 2, nodeCost, trans);
+  const LayeredPath path = solveTables(3, 2, nodeCost, trans);
   ASSERT_TRUE(path.feasible());
   EXPECT_EQ(path.nodes, (std::vector<int>{0, 1, 0}));
   EXPECT_EQ(path.total, 0 + 1 + 2 + 1 + 0);
@@ -214,10 +238,9 @@ TEST_P(EngineEquivalence, ChamferMatchesNaive) {
       return beta * g.manhattan(static_cast<ProcId>(a),
                                 static_cast<ProcId>(b));
     };
-    const LayeredPath naive =
-        LayeredDagSolver::solve(layers, g.size(), nodeCost, trans);
-    const LayeredPath fast =
-        LayeredDagSolver::solveManhattan(g, layers, nodeCost, beta);
+    const LayeredPath naive = solveTables(layers, g.size(), nodeCost, trans);
+    const LayeredPath fast = LayeredDagSolver::solveManhattanFlat(
+        g, layers, nodeTableOf(layers, g.size(), nodeCost), beta);
     ASSERT_EQ(naive.total, fast.total);
     ASSERT_EQ(naive.nodes, fast.nodes);
   }
@@ -237,6 +260,8 @@ INSTANTIATE_TEST_SUITE_P(
 // (the fault-aware regime, where trans(q,p) != trans(p,q)).
 TEST(FlatSolver, TableKernelMatchesReferenceOnRandomInstances) {
   testutil::Rng rng(101);
+  LayeredDagScratch scratch;
+  LayeredPath reused;
   for (int trial = 0; trial < 40; ++trial) {
     const int nodes = static_cast<int>(rng.range(1, 9));
     const int layers = static_cast<int>(rng.range(1, 8));
@@ -262,12 +287,12 @@ TEST(FlatSolver, TableKernelMatchesReferenceOnRandomInstances) {
         LayeredDagSolver::solveFlat(layers, nodes, nodeTable, trans);
     ASSERT_EQ(flat.total, expect.total) << "trial " << trial;
     ASSERT_EQ(flat.nodes, expect.nodes) << "trial " << trial;
-    // The std::function overload must stay a thin wrapper over the same
-    // kernel: identical output again.
-    const LayeredPath wrapped =
-        LayeredDagSolver::solve(layers, nodes, nodeCost, transCost);
-    ASSERT_EQ(wrapped.total, expect.total) << "trial " << trial;
-    ASSERT_EQ(wrapped.nodes, expect.nodes) << "trial " << trial;
+    // The allocation-free entry point, on a scratch left dirty by earlier
+    // trials, must give identical output again.
+    LayeredDagSolver::solveFlatInto(layers, nodes, nodeTable, trans, scratch,
+                                    reused);
+    ASSERT_EQ(reused.total, expect.total) << "trial " << trial;
+    ASSERT_EQ(reused.nodes, expect.nodes) << "trial " << trial;
   }
 }
 
@@ -276,6 +301,8 @@ TEST(FlatSolver, TableKernelMatchesReferenceOnRandomInstances) {
 // with trans(q, p) = beta * manhattan(q, p) — the fault-free regime.
 TEST(FlatSolver, ManhattanKernelMatchesReferenceOnRandomInstances) {
   testutil::Rng rng(202);
+  LayeredDagScratch scratch;
+  LayeredPath reused;
   for (const auto& [rows, cols] : {std::pair{1, 1}, {1, 6}, {4, 4}, {3, 5}}) {
     const Grid g(rows, cols);
     for (const Cost beta : {Cost{0}, Cost{1}, Cost{3}}) {
@@ -300,10 +327,10 @@ TEST(FlatSolver, ManhattanKernelMatchesReferenceOnRandomInstances) {
             << rows << "x" << cols << " beta " << beta << " trial " << trial;
         ASSERT_EQ(flat.nodes, expect.nodes)
             << rows << "x" << cols << " beta " << beta << " trial " << trial;
-        const LayeredPath wrapped =
-            LayeredDagSolver::solveManhattan(g, layers, nodeCost, beta);
-        ASSERT_EQ(wrapped.total, expect.total);
-        ASSERT_EQ(wrapped.nodes, expect.nodes);
+        LayeredDagSolver::solveManhattanFlatInto(g, layers, nodeTable, beta,
+                                                 scratch, reused);
+        ASSERT_EQ(reused.total, expect.total);
+        ASSERT_EQ(reused.nodes, expect.nodes);
       }
     }
   }
