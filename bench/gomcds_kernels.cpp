@@ -1,6 +1,8 @@
 // gomcds_kernels — flat-kernel GOMCDS sweep: grid sizes 4x4 -> 64x64 on a
 // matmul trace, comparing the frozen pre-flat callback solver against the
-// flat solver with subproblem dedup off and on, plus faulted-mesh points
+// flat solver at the paper's capacity and, with unlimited capacity (the
+// static forbidden set, where subproblem dedup shares whole solves),
+// against the flat solver with dedup, plus faulted-mesh points
 // (3% dead processors and dead links) comparing the mesh-sweep engine
 // against the dense transition-table engine (GomcdsEngine::kNaive), plus a
 // `grouped` section timing grouped GOMCDS (Algorithm 3 + the group DP) on
@@ -208,7 +210,8 @@ struct Point {
   double callbackMs = 0;
   double flatMs = 0;
   double flatScalarMs = 0;
-  double flatDedupMs = 0;
+  double callbackUncappedMs = 0;  ///< callback at unlimited capacity
+  double flatDedupMs = 0;         ///< flat + dedup at unlimited capacity
   int dedupClasses = 0;
   bool match = false;
 };
@@ -371,7 +374,7 @@ FaultedPoint faultedPoint(int side, int n,
   pt.dedupClasses = countDedupClasses(exp.refs());
 
   const auto run = [&](GomcdsEngine engine) {
-    return scheduleGomcds(exp.refs(), exp.costModel(), opts, engine);
+    return scheduleGomcds(exp.refs(), exp.costModel(), opts, 1, engine);
   };
   const simd::Tier dispatched = simd::activeTier();
   const DataSchedule dense = run(GomcdsEngine::kNaive);
@@ -527,9 +530,8 @@ int main(int argc, char** argv) {
     PipelineConfig cfg;
     cfg.numWindows = 8;
     const Experiment exp(trace, grid, cfg);
-    SchedulerOptions flatOpts{exp.capacity(), cfg.order};
-    SchedulerOptions noDedupOpts = flatOpts;
-    noDedupOpts.dedup = false;
+    const SchedulerOptions flatOpts{exp.capacity(), cfg.order};
+    const SchedulerOptions uncappedOpts{-1, cfg.order};
 
     Point pt;
     pt.side = side;
@@ -546,30 +548,39 @@ int main(int argc, char** argv) {
     const DataSchedule base =
         scheduleCallback(exp.refs(), exp.costModel(), flatOpts);
     const DataSchedule flat =
-        scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts);
-    const DataSchedule dedup =
         scheduleGomcds(exp.refs(), exp.costModel(), flatOpts);
     simd::forceTier(simd::Tier::kScalar);
     const DataSchedule flatScalar =
-        scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts);
+        scheduleGomcds(exp.refs(), exp.costModel(), flatOpts);
     simd::forceTier(dispatched);
-    pt.match = sameSchedule(base, flat) && sameSchedule(base, dedup) &&
-               sameSchedule(base, flatScalar);
+    const DataSchedule uncapped =
+        scheduleCallback(exp.refs(), exp.costModel(), uncappedOpts);
+    const DataSchedule dedup =
+        scheduleGomcds(exp.refs(), exp.costModel(), uncappedOpts);
+    pt.match = sameSchedule(base, flat) && sameSchedule(base, flatScalar) &&
+               sameSchedule(uncapped, dedup);
     allMatch = allMatch && pt.match;
 
     pt.callbackMs = benchtool::medianRunMs(
         [&] { (void)scheduleCallback(exp.refs(), exp.costModel(), flatOpts); },
         rep);
     pt.flatMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts); },
+        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), flatOpts); },
         rep);
     simd::forceTier(simd::Tier::kScalar);
     pt.flatScalarMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), noDedupOpts); },
+        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), flatOpts); },
         rep);
     simd::forceTier(dispatched);
+    pt.callbackUncappedMs = benchtool::medianRunMs(
+        [&] {
+          (void)scheduleCallback(exp.refs(), exp.costModel(), uncappedOpts);
+        },
+        rep);
     pt.flatDedupMs = benchtool::medianRunMs(
-        [&] { (void)scheduleGomcds(exp.refs(), exp.costModel(), flatOpts); },
+        [&] {
+          (void)scheduleGomcds(exp.refs(), exp.costModel(), uncappedOpts);
+        },
         rep);
     points.push_back(pt);
 
@@ -578,8 +589,10 @@ int main(int argc, char** argv) {
               << fmt(pt.callbackMs) << " ms, flat " << fmt(pt.flatMs)
               << " ms (scalar " << fmt(pt.flatScalarMs) << " ms, simd "
               << fmt(pt.flatMs > 0 ? pt.flatScalarMs / pt.flatMs : 0)
-              << "x), flat+dedup " << fmt(pt.flatDedupMs) << " ms ("
-              << fmt(pt.flatDedupMs > 0 ? pt.callbackMs / pt.flatDedupMs : 0)
+              << "x); uncapped: callback " << fmt(pt.callbackUncappedMs)
+              << " ms, flat+dedup " << fmt(pt.flatDedupMs) << " ms ("
+              << fmt(pt.flatDedupMs > 0 ? pt.callbackUncappedMs / pt.flatDedupMs
+                                        : 0)
               << "x), schedules " << (pt.match ? "match" : "DIVERGE") << "\n";
   }
 
@@ -662,13 +675,14 @@ int main(int argc, char** argv) {
        << ", \"capacity\": " << p.capacity << ", \"callback_ms\": "
        << fmt(p.callbackMs) << ", \"flat_ms\": " << fmt(p.flatMs)
        << ", \"flat_scalar_ms\": " << fmt(p.flatScalarMs)
+       << ", \"callback_uncapped_ms\": " << fmt(p.callbackUncappedMs)
        << ", \"flat_dedup_ms\": " << fmt(p.flatDedupMs)
        << ", \"speedup_flat\": "
        << fmt(p.flatMs > 0 ? p.callbackMs / p.flatMs : 0)
        << ", \"speedup_simd_vs_scalar\": "
        << fmt(p.flatMs > 0 ? p.flatScalarMs / p.flatMs : 0)
        << ", \"speedup_flat_dedup\": "
-       << fmt(p.flatDedupMs > 0 ? p.callbackMs / p.flatDedupMs : 0)
+       << fmt(p.flatDedupMs > 0 ? p.callbackUncappedMs / p.flatDedupMs : 0)
        << ", \"dedup_classes\": " << p.dedupClasses << ", \"dedup_data\": "
        << (static_cast<std::int64_t>(p.data) - p.dedupClasses)
        << ", \"faulted\": false, \"schedules_match\": "

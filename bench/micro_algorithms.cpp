@@ -102,7 +102,7 @@ void BM_GomcdsChamfer(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scheduleGomcds(refs, model, {}, GomcdsEngine::kChamfer));
+        scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kChamfer));
   }
 }
 BENCHMARK(BM_GomcdsChamfer)->Arg(8)->Arg(16)->Arg(32);
@@ -113,7 +113,7 @@ void BM_GomcdsNaive(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scheduleGomcds(refs, model, {}, GomcdsEngine::kNaive));
+        scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
   }
 }
 BENCHMARK(BM_GomcdsNaive)->Arg(8)->Arg(16)->Arg(32);
@@ -124,7 +124,7 @@ void BM_GomcdsParallel(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, 32);
   const auto threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduleGomcdsParallel(refs, model, {}, threads));
+    benchmark::DoNotOptimize(scheduleGomcds(refs, model, {}, threads));
   }
 }
 BENCHMARK(BM_GomcdsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

@@ -8,7 +8,7 @@
 //
 // --smoke shrinks the workload to seconds-on-one-core size for CI; the
 // JSON shape is identical. Every run's schedule is checked center by
-// center against the sequential engine's. Each sweep point also records
+// center against the one-thread run's. Each sweep point also records
 // the GOMCDS layered-DAG solves per datum and the stale plans the
 // committing thread re-solved (counters gomcds.flat.solves and
 // sched.gomcds.conflicts). Each thread count runs --warmup unmeasured
@@ -68,7 +68,7 @@ struct CacheRow {
 };
 
 /// One full-pipeline run at the given thread count; exits 1 unless its
-/// schedule equals `reference` (the sequential engine's) center by center.
+/// schedule equals `reference` (the one-thread run's) center by center.
 SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
                        const SchedulerOptions& opts, unsigned threads,
                        const DataSchedule& reference) {
@@ -80,8 +80,7 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
   const std::int64_t conflicts0 =
       registry.counterValue("sched.gomcds.conflicts");
   auto t0 = Clock::now();
-  const DataSchedule schedule =
-      scheduleGomcdsParallel(refs, model, opts, threads);
+  const DataSchedule schedule = scheduleGomcds(refs, model, opts, threads);
   point.scheduleMs = msSince(t0);
   point.solvesPerDatum =
       static_cast<double>(registry.counterValue("gomcds.flat.solves") -
@@ -94,7 +93,7 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
       if (schedule.center(d, w) != reference.center(d, w)) {
         std::cerr << "error: " << threads << "-thread schedule places datum "
                   << d << " on " << schedule.center(d, w) << " in window "
-                  << w << ", sequential on " << reference.center(d, w)
+                  << w << ", one thread on " << reference.center(d, w)
                   << "\n";
         std::exit(1);
       }
@@ -121,7 +120,7 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
   return point;
 }
 
-/// Cache reuse rate of one sequential GOMCDS run, from the obs counters.
+/// Cache reuse rate of one one-thread GOMCDS run, from the obs counters.
 CacheRow cacheReuse(const std::string& name, const WindowedRefs& refs,
                     const CostModel& model, const SchedulerOptions& opts) {
   obs::Registry& registry = obs::Registry::instance();
@@ -196,7 +195,7 @@ int main(int argc, char** argv) {
     if (threadCounts.empty()) threadCounts = {1};
   }
 
-  // Reference: the sequential engine's schedule every configuration must
+  // Reference: the one-thread schedule every configuration must
   // reproduce.
   const DataSchedule seqSchedule =
       scheduleGomcds(exp.refs(), exp.costModel(), opts);
@@ -308,7 +307,7 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << outPath << "\n";
 
   // Scaling regression gate: a multi-core host that cannot reach 1.5x at
-  // ANY swept thread count means the parallel engine re-serialized (lock
+  // ANY swept thread count means the GOMCDS engine re-serialized (lock
   // convoy, false sharing, barrier) — fail the run so CI goes red instead
   // of archiving a quietly flat sweep. Single-core hosts stay warn-only:
   // there is no parallelism to measure (results carry degraded: true).

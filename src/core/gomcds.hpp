@@ -25,37 +25,32 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// exactly.
 ///
 /// Capacity is handled in the spirit of the paper's processor list: data
-/// are scheduled sequentially and a (window, processor) slot that is full
-/// becomes a forbidden node for later data.
+/// are scheduled in visit order (options.order) and a (window, processor)
+/// slot that is full becomes a forbidden node for later data.
 ///
-/// Serving-cost tables are memoized per call (cost/cost_cache.hpp): data
-/// with identical per-window reference strings — common in matmul/LU
-/// traces — share one table instead of recomputing it.
+/// Under a static forbidden set (unlimited capacity, no alive processor
+/// with a fault capacity limit) paths cannot conflict: data with identical
+/// per-window reference strings — common in matmul/LU traces — form one
+/// class, each class is solved once (fanned out over `threads`), then one
+/// pass commits in visit order. Under capacity pressure the data are taken
+/// in lookahead windows of 32 x executors in visit order: executors build
+/// each datum's serve table and solve it against the forbidden set as of
+/// the window start, then the calling thread commits the window in visit
+/// order, re-solving any plan that lost a slot to an earlier commit of the
+/// same window. With one executor — threads = 1, or a call from inside a
+/// pool worker, where parallelFor runs inline — the window is one datum:
+/// every solve sees the live forbidden set, so each datum costs exactly one
+/// solve and none is repaired.
+///
+/// The schedule is the same for every thread count: a planned path that
+/// still fits the commit-time forbidden set (a superset of the planning
+/// one) is still the cost- and tie-break-minimal path, and a repair is the
+/// solve against the live set itself. threads = 0 uses hardware
+/// concurrency; helper workers come from the shared ThreadPool
+/// (util/thread_pool.hpp).
 [[nodiscard]] DataSchedule scheduleGomcds(
     const WindowedRefs& refs, const CostModel& model,
-    const SchedulerOptions& options = {},
+    const SchedulerOptions& options = {}, unsigned threads = 1,
     GomcdsEngine engine = GomcdsEngine::kChamfer);
-
-/// Multi-threaded GOMCDS, bit-identical to scheduleGomcds(refs, model,
-/// options) for any options, capacity included. Under a static forbidden
-/// set (unlimited capacity, no alive processor with a fault capacity
-/// limit) paths cannot conflict: one solve per equivalence class, fanned
-/// out, then one commit pass. Under capacity pressure the data are taken
-/// in lookahead windows of 32 x threads in visit order: workers build each
-/// datum's serve table once and solve it against the forbidden set as of
-/// the window start, then the calling thread commits the window in visit
-/// order, re-solving inline any plan that lost a slot to an earlier commit
-/// of the same window. Each datum costs one speculative solve and at most
-/// one repair.
-///
-/// Equality to the sequential engine holds because a planned path that
-/// stays feasible under the (larger) commit-time forbidden set is still
-/// the cost- and tie-break-minimal path the sequential scheduler would
-/// pick, and a repair is the sequential solve itself. threads = 0 uses
-/// hardware concurrency; helper workers come from the shared ThreadPool
-/// (util/thread_pool.hpp).
-[[nodiscard]] DataSchedule scheduleGomcdsParallel(
-    const WindowedRefs& refs, const CostModel& model,
-    const SchedulerOptions& options, unsigned threads = 0);
 
 }  // namespace pimsched

@@ -1,6 +1,6 @@
 #pragma once
 
-// Internal machinery shared by the cold GOMCDS engines (core/gomcds.cpp)
+// Internal machinery shared by the cold GOMCDS engine (core/gomcds.cpp)
 // and the incremental warm-start solver (core/incremental.cpp). Not part of
 // the public scheduling API — include only from core/ implementation files
 // and tests that need the injectable-signature seams.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/gomcds.hpp"
+#include "core/schedule.hpp"
 #include "core/scheduler_options.hpp"
 #include "cost/cost_model.hpp"
 #include "graph/layered_dag.hpp"
@@ -23,16 +24,11 @@
 
 namespace pimsched::detail {
 
-[[noreturn]] void throwGomcdsInfeasible(const CostModel& model);
-[[noreturn]] void throwGomcdsSlotDisagreement(DataId d, ProcId p, WindowId w,
-                                              const OccupancyMap& occ);
-
 /// Per-thread arena for the flat solve path: every buffer is grow-only, so
 /// after the first datum on a thread the steady-state loop performs zero
 /// heap allocations per datum.
 struct GomcdsScratch {
   LayeredDagScratch dag;  ///< dp + relaxed layers of the flat solver
-  LayeredPath path;       ///< reused per-datum solution
   CostBuffer serve;       ///< flat W x P node-cost table fed to the solver
 };
 
@@ -40,15 +36,13 @@ struct GomcdsScratch {
 /// are placed: capacity is unlimited and no *alive* processor carries a
 /// fault capacity limit (dead processors are already forbidden through
 /// their infinite serving cost). With a static forbidden set, data of the
-/// same equivalence class share one solved path, not just cost tables.
+/// same equivalence class share one solved path.
 [[nodiscard]] bool staticForbiddenSet(const CostModel& model,
                                       const SchedulerOptions& options);
 
 /// Equivalence classes of data whose windowed reference strings are
-/// byte-identical — they pose the same per-datum DAG subproblem, so the
-/// serving-cost tables (and, under a static forbidden set, the solved
-/// path) are computed once per class. With dedup disabled every datum is
-/// its own (singleton) class.
+/// byte-identical — they pose the same per-datum DAG subproblem, so under
+/// a static forbidden set one solve per class serves every member.
 struct DedupClasses {
   std::vector<int> classOf;  ///< datum -> class index
   std::vector<DataId> rep;   ///< class -> representative (lowest-id) datum
@@ -92,9 +86,45 @@ DedupClasses buildEquivalenceClasses(DataId n, const SigFn& sig,
 
 /// The production class computation: FNV-1a whole-datum signatures
 /// prescreen, WindowedRefs::sameRefs confirms. Emits the gomcds.dedup.*
-/// counters. With dedup disabled every datum is its own singleton class.
-[[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs,
-                                               bool enabled);
+/// counters.
+[[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs);
+
+/// Occupancy and visit-order commit of one GOMCDS call, shared by the
+/// engine and the incremental solver: every window's OccupancyMap (the
+/// capacity option plus fault capacity limits), the data in visit order,
+/// the schedule being filled and, when the forbidden set can grow, the
+/// W x P full-slot mirror (full[w * P + p] == !occupancy[w].hasRoom(p))
+/// that masked solves read.
+class GomcdsPlacement {
+ public:
+  GomcdsPlacement(const WindowedRefs& refs, const CostModel& model,
+                  const SchedulerOptions& options, bool trackFull);
+
+  /// The data in the visit order of options.order.
+  [[nodiscard]] const std::vector<DataId>& order() const { return order_; }
+
+  /// True when every (window, center) slot of the feasible `path` still
+  /// has room.
+  [[nodiscard]] bool fits(const LayeredPath& path) const;
+
+  /// Sets every entry of the flat W x P table whose slot is full to
+  /// kInfiniteCost (requires trackFull).
+  void mask(CostBuffer& costs) const;
+
+  /// Places datum d on `path`: throws the infeasibility error for a path
+  /// without a finite cost and a logic error if a slot on it is full.
+  void commit(DataId d, const LayeredPath& path);
+
+  /// The finished schedule (counter sched.gomcds.data += data).
+  [[nodiscard]] DataSchedule finish();
+
+ private:
+  const CostModel* model_;
+  std::vector<DataId> order_;
+  std::vector<OccupancyMap> occupancy_;
+  std::vector<char> full_;
+  DataSchedule schedule_;
+};
 
 /// The per-datum layered-DAG kernel of one scheduling call, chosen from
 /// the model and the engine: the chamfer distance transform on a healthy

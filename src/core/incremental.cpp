@@ -8,12 +8,10 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
 #include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
-#include "pim/memory.hpp"
 
 namespace pimsched {
 
@@ -51,7 +49,6 @@ std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
   f.mix(static_cast<std::uint64_t>(model.params().moveVolume));
   f.mix(static_cast<std::uint64_t>(options.capacity));
   f.mix(static_cast<std::uint64_t>(options.order == DataOrder::kByWeightDesc));
-  f.mix(static_cast<std::uint64_t>(options.dedup));
   f.mix(static_cast<std::uint64_t>(engine == GomcdsEngine::kNaive));
   f.mix(static_cast<std::uint64_t>(model.faultAware()));
   if (const FaultMap* faults = model.faults()) {
@@ -149,27 +146,13 @@ bool sameSuffix(const WindowedRefs& refs, DataId a, DataId b, int from) {
 detail::DedupClasses warmClasses(const WindowedRefs& refs,
                                  const WindowedRefs& prev,
                                  const std::vector<int>& prevClassOf,
-                                 std::size_t numPrevClasses, bool dedup,
+                                 std::size_t numPrevClasses,
                                  std::vector<int>& classFrom) {
   const DataId n = refs.numData();
   const int W = refs.numWindows();
   detail::DedupClasses out;
   out.classOf.resize(static_cast<std::size_t>(n));
   classFrom.clear();
-
-  if (!dedup) {
-    // Mirror the cold classing's disabled branch: singleton per datum.
-    out.rep.resize(static_cast<std::size_t>(n));
-    out.size.assign(static_cast<std::size_t>(n), 1);
-    classFrom.resize(static_cast<std::size_t>(n));
-    for (DataId d = 0; d < n; ++d) {
-      out.classOf[static_cast<std::size_t>(d)] = d;
-      out.rep[static_cast<std::size_t>(d)] = d;
-      classFrom[static_cast<std::size_t>(d)] =
-          firstChangedWindowDirect(refs, prev, d);
-    }
-    return out;
-  }
 
   std::vector<int> prevSize(numPrevClasses, 0);
   for (DataId d = 0; d < n; ++d) {
@@ -272,7 +255,7 @@ DataSchedule IncrementalSolver::coldFall(const WindowedRefs& refs,
   invalidate();
   stats_ = Stats{};
   PIMSCHED_COUNTER_ADD("gomcds.incremental.cold_falls", 1);
-  return scheduleGomcds(refs, model, options, engine);
+  return scheduleGomcds(refs, model, options, 1, engine);
 }
 
 DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
@@ -288,10 +271,8 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
   }
 
   PIMSCHED_SCOPED_TIMER("sched.gomcds_incremental");
-  const Grid& grid = model.grid();
   const int W = refs.numWindows();
-  const int P = grid.size();
-  const std::size_t pn = static_cast<std::size_t>(P);
+  const std::size_t pn = static_cast<std::size_t>(model.grid().size());
 
   const std::uint64_t fp = solveFingerprint(refs, model, options, engine);
   const bool warm = retainedValid_ && fp == fingerprint_ && prevRefs_ &&
@@ -309,8 +290,8 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
     std::vector<int> classFrom;
     const detail::DedupClasses classes =
         warm ? warmClasses(refs, *prevRefs_, prevClassOf_,
-                           prevStates_.size(), options.dedup, classFrom)
-             : detail::computeDedupClasses(refs, options.dedup);
+                           prevStates_.size(), classFrom)
+             : detail::computeDedupClasses(refs);
     std::vector<std::shared_ptr<ClassState>> newStates(classes.rep.size());
 
     // How many new classes reuse each previous class: a uniquely-claimed
@@ -398,29 +379,14 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
       PIMSCHED_COUNTER_ADD("gomcds.incremental.cold_falls", 1);
     }
 
-    // Placement mirrors the sequential cold engine's static-mask branch
-    // exactly: visit order, feasibility checks, occupancy accounting.
-    DataSchedule schedule(refs.numData(), W);
-    std::vector<OccupancyMap> occupancy(
-        static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-    if (const FaultMap* faults = model.faults()) {
-      for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
-    }
-    for (const DataId d : dataVisitOrder(refs, options.order)) {
+    // The cold engine's static-set commit: visit order, feasibility
+    // checks, occupancy accounting.
+    detail::GomcdsPlacement placement(refs, model, options, false);
+    for (const DataId d : placement.order()) {
       const int cls = classes.classOf[static_cast<std::size_t>(d)];
-      const LayeredPath& path = newStates[static_cast<std::size_t>(cls)]->path;
-      if (!path.feasible()) detail::throwGomcdsInfeasible(model);
-      for (WindowId w = 0; w < W; ++w) {
-        const auto p =
-            static_cast<ProcId>(path.nodes[static_cast<std::size_t>(w)]);
-        if (!occupancy[static_cast<std::size_t>(w)].tryPlace(p)) {
-          detail::throwGomcdsSlotDisagreement(
-              d, p, w, occupancy[static_cast<std::size_t>(w)]);
-        }
-        schedule.setCenter(d, w, p);
-      }
-      PIMSCHED_COUNTER_ADD("sched.gomcds.data", 1);
+      placement.commit(d, newStates[static_cast<std::size_t>(cls)]->path);
     }
+    DataSchedule schedule = placement.finish();
 
     prevRefs_.emplace(refs);
     prevClassOf_ = classes.classOf;

@@ -74,7 +74,7 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// datum's path is a deterministic function of its own reference string,
 /// so a split costs duplicate solves but cannot change any schedule cell.
 ///
-/// The result is bit-identical to scheduleGomcds(refs, model, options,
+/// The result is bit-identical to scheduleGomcds(refs, model, options, 1,
 /// engine) on every call — warm-start is purely a speed/memory trade. The
 /// solver falls back to a cold solve (counter gomcds.incremental.cold_falls)
 /// whenever reuse would be unsound or unprofitable: no retained state, a

@@ -154,10 +154,7 @@ DataSchedule Experiment::schedule(Method m) const {
     case Method::kLomcds:
       return scheduleLomcds(refs_, model_, opts);
     case Method::kGomcds:
-      return config_.threads == 1
-                 ? scheduleGomcds(refs_, model_, opts)
-                 : scheduleGomcdsParallel(refs_, model_, opts,
-                                          config_.threads);
+      return scheduleGomcds(refs_, model_, opts, config_.threads);
     case Method::kGroupedLomcds:
       return scheduleGroupedLomcds(refs_, model_, opts,
                                    GroupingMethod::kGreedy);

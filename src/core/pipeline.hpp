@@ -70,7 +70,7 @@ struct PipelineConfig {
   /// bench/grouping_ablation).
   DataOrder order = DataOrder::kByWeightDesc;
 
-  /// Worker threads for the parallel paths (GOMCDS plan/commit scheduling
+  /// Worker threads for the parallel paths (GOMCDS lookahead scheduling
   /// and schedule evaluation): 1 = sequential (default), 0 = hardware
   /// concurrency, N = at most N concurrent workers. Results are identical
   /// for every value.

@@ -127,12 +127,14 @@ void ThreadPool::workerLoop(unsigned self) {
 void parallelFor(std::int64_t n, unsigned threads,
                  const std::function<void(std::int64_t)>& body) {
   if (n <= 0) return;
-  ThreadPool& pool = ThreadPool::global();
-  if (threads == 0) threads = pool.workers() + 1;
-  if (threads <= 1 || n == 1 || pool.insidePool()) {
+  // threads == 1 and n == 1 short-circuit before ThreadPool::global(), so
+  // a single-threaded caller never constructs the pool.
+  if (threads == 1 || n == 1 || ThreadPool::global().insidePool()) {
     for (std::int64_t i = 0; i < n; ++i) body(i);
     return;
   }
+  ThreadPool& pool = ThreadPool::global();
+  if (threads == 0) threads = pool.workers() + 1;
   PIMSCHED_COUNTER_ADD("pool.parallel_for", 1);
 
   // Shared chunk dispenser: every executor (helpers + caller) pulls the

@@ -14,6 +14,7 @@
 #include "core/verify.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
+#include "gomcds_reference.hpp"
 #include "sim/replay.hpp"
 #include "test_util.hpp"
 
@@ -187,10 +188,11 @@ TEST(FaultSched, ReplayHopVolumeMatchesAnalyticCostUnderFaults) {
 }
 
 TEST(FaultSched, GomcdsDedupIdenticalUnderFaults) {
-  // Dedup must stay bit-identical on faulted meshes too — both in the
-  // static-mask regime (dead processors only: infinite serving cost keeps
-  // the forbidden set fixed) and the dynamic one (an alive processor with
-  // a reduced capacity limit forces per-datum masked solves).
+  // The engine must match the literal per-datum reference on faulted
+  // meshes too — both in the static-mask regime (dead processors only:
+  // infinite serving cost keeps the forbidden set fixed, and dedup classes
+  // share solves) and the dynamic one (an alive processor with a reduced
+  // capacity limit forces per-datum masked solves).
   const Grid grid(4, 4);
   const ReferenceTrace trace = makeTrace(131, grid);
   PipelineConfig cfg;
@@ -204,16 +206,15 @@ TEST(FaultSched, GomcdsDedupIdenticalUnderFaults) {
   for (const FaultMap* faults : {&deadOnly, &limited}) {
     const Experiment exp(trace, grid, *faults, cfg);
     for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
-      SchedulerOptions on{capacity, cfg.order};
-      SchedulerOptions off = on;
-      off.dedup = false;
+      const SchedulerOptions on{capacity, cfg.order};
       const DataSchedule a = scheduleGomcds(exp.refs(), exp.costModel(), on);
-      const DataSchedule b = scheduleGomcds(exp.refs(), exp.costModel(), off);
+      const DataSchedule b =
+          testutil::referenceGomcds(exp.refs(), exp.costModel(), on);
       const DataSchedule c =
-          scheduleGomcdsParallel(exp.refs(), exp.costModel(), on, 4);
+          scheduleGomcds(exp.refs(), exp.costModel(), on, 4);
       for (DataId d = 0; d < a.numData(); ++d) {
         for (WindowId w = 0; w < a.numWindows(); ++w) {
-          ASSERT_EQ(a.center(d, w), b.center(d, w)) << "dedup off diverged";
+          ASSERT_EQ(a.center(d, w), b.center(d, w)) << "reference diverged";
           ASSERT_EQ(a.center(d, w), c.center(d, w)) << "parallel diverged";
         }
       }
@@ -282,8 +283,8 @@ void expectSame(const DataSchedule& a, const DataSchedule& b,
 }
 
 // The faulted fast path (mesh sweeps) against the dense cost-graph oracle
-// (kNaive), and the toggles that route through it: thread counts and
-// dedup. Every schedule must be bit-identical, with and without capacity
+// (kNaive) and the literal per-datum reference, across thread counts.
+// Every schedule must be bit-identical, with and without capacity
 // pressure.
 TEST(FaultSched, MeshEngineMatchesDenseOracleAcrossToggles) {
   Rng rng(1401);
@@ -300,22 +301,20 @@ TEST(FaultSched, MeshEngineMatchesDenseOracleAcrossToggles) {
       for (const std::int64_t capacity :
            {std::int64_t{-1}, exp.capacity()}) {
         const SchedulerOptions on{capacity, cfg.order};
-        SchedulerOptions off = on;
-        off.dedup = false;
         const std::string at = std::to_string(rows) + "x" +
                                std::to_string(cols) + " trial " +
                                std::to_string(trial) + " capacity " +
                                std::to_string(capacity);
         const DataSchedule oracle = scheduleGomcds(
-            exp.refs(), exp.costModel(), on, GomcdsEngine::kNaive);
+            exp.refs(), exp.costModel(), on, 1, GomcdsEngine::kNaive);
         expectSame(scheduleGomcds(exp.refs(), exp.costModel(), on), oracle,
                    at + " mesh");
-        expectSame(scheduleGomcds(exp.refs(), exp.costModel(), off), oracle,
-                   at + " mesh, dedup off");
-        for (const unsigned threads : {1u, 2u, 4u}) {
-          expectSame(scheduleGomcdsParallel(exp.refs(), exp.costModel(), on,
-                                            threads),
-                     oracle, at + " parallel " + std::to_string(threads));
+        expectSame(testutil::referenceGomcds(exp.refs(), exp.costModel(), on),
+                   oracle, at + " reference");
+        for (const unsigned threads : {2u, 3u, 4u, 0u}) {
+          expectSame(
+              scheduleGomcds(exp.refs(), exp.costModel(), on, threads),
+              oracle, at + " threads " + std::to_string(threads));
         }
       }
     }

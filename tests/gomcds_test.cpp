@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+
 #include "core/evaluator.hpp"
 #include "core/exhaustive.hpp"
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/scds.hpp"
 #include "fault/fault_map.hpp"
+#include "gomcds_reference.hpp"
 #include "kernels/benchmarks.hpp"
 #include "obs/obs.hpp"
 #include "test_util.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pimsched {
 namespace {
@@ -95,9 +101,9 @@ TEST(Gomcds, NaiveEngineProducesIdenticalSchedule) {
   SchedulerOptions opts;
   opts.capacity = 4;
   const DataSchedule fast =
-      scheduleGomcds(refs, model, opts, GomcdsEngine::kChamfer);
+      scheduleGomcds(refs, model, opts, 1, GomcdsEngine::kChamfer);
   const DataSchedule naive =
-      scheduleGomcds(refs, model, opts, GomcdsEngine::kNaive);
+      scheduleGomcds(refs, model, opts, 1, GomcdsEngine::kNaive);
   for (DataId d = 0; d < refs.numData(); ++d) {
     for (WindowId w = 0; w < refs.numWindows(); ++w) {
       ASSERT_EQ(fast.center(d, w), naive.center(d, w));
@@ -182,9 +188,9 @@ void expectIdenticalSchedules(const DataSchedule& a, const DataSchedule& b,
 
 TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
   // Matmul rows share reference strings, so the dedup layer collapses them
-  // into equivalence classes; the schedule must stay bit-identical to a
-  // run with dedup disabled, with and without capacity pressure, for both
-  // the sequential and the parallel engine.
+  // into equivalence classes under the static forbidden set; the schedule
+  // must stay bit-identical to the literal per-datum reference, with and
+  // without capacity pressure, at one and at four threads.
   const Grid g(4, 4);
   const ReferenceTrace t =
       makePaperBenchmark(PaperBenchmark::kMatSquare, g, 8);
@@ -192,17 +198,15 @@ TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
   cfg.numWindows = 8;
   const Experiment exp(t, g, cfg);
   for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
-    SchedulerOptions on{capacity, cfg.order};
-    SchedulerOptions off = on;
-    off.dedup = false;
+    const SchedulerOptions on{capacity, cfg.order};
     const DataSchedule withDedup =
         scheduleGomcds(exp.refs(), exp.costModel(), on);
     const DataSchedule without =
-        scheduleGomcds(exp.refs(), exp.costModel(), off);
+        testutil::referenceGomcds(exp.refs(), exp.costModel(), on);
     expectIdenticalSchedules(withDedup, without,
                              capacity < 0 ? "uncapacitated" : "capacitated");
     const DataSchedule parallel =
-        scheduleGomcdsParallel(exp.refs(), exp.costModel(), on, 4);
+        scheduleGomcds(exp.refs(), exp.costModel(), on, 4);
     expectIdenticalSchedules(withDedup, parallel,
                              capacity < 0 ? "parallel uncap" : "parallel cap");
   }
@@ -241,7 +245,7 @@ TEST(Gomcds, DedupCountersTrackClassesAndTransTableBuiltOnce) {
   // The naive engine materializes the transition matrix exactly once per
   // call — the per-datum transition-lambda path is gone.
   registry.reset();
-  (void)scheduleGomcds(exp.refs(), exp.costModel(), SchedulerOptions{},
+  (void)scheduleGomcds(exp.refs(), exp.costModel(), SchedulerOptions{}, 1,
                        GomcdsEngine::kNaive);
   EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
   registry.reset();
@@ -260,14 +264,14 @@ TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
   const Experiment exp(t, g, faults, cfg);
   SchedulerOptions opts{exp.capacity(), cfg.order};
 
-  // The mesh sweeps relax the faulted layers; no P x P table is built by
-  // the sequential or the parallel engine, whatever the capacity regime.
+  // The mesh sweeps relax the faulted layers; no P x P table is built at
+  // one thread or two, whatever the capacity regime.
   obs::Registry& registry = obs::Registry::instance();
   for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
     opts.capacity = capacity;
     registry.reset();
     (void)scheduleGomcds(exp.refs(), exp.costModel(), opts);
-    (void)scheduleGomcdsParallel(exp.refs(), exp.costModel(), opts, 2);
+    (void)scheduleGomcds(exp.refs(), exp.costModel(), opts, 2);
     EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 0);
     EXPECT_GE(registry.counterValue("solver.mesh_sweeps"),
               registry.counterValue("solver.relaxed_layers"));
@@ -275,17 +279,18 @@ TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
 
   // kNaive stays the dense oracle: one table per call.
   registry.reset();
-  (void)scheduleGomcds(exp.refs(), exp.costModel(), opts,
+  (void)scheduleGomcds(exp.refs(), exp.costModel(), opts, 1,
                        GomcdsEngine::kNaive);
   EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
   EXPECT_EQ(registry.counterValue("solver.mesh_sweeps"), 0);
   registry.reset();
 }
 
-// Under capacity the parallel engine solves each datum once against the
-// forbidden set of its lookahead-window start and re-solves only the plans
-// that went stale: solves = data + conflicts <= 2 x data. Each serve table
-// is built once per class, even when its plan is repaired.
+// Under capacity each datum is solved once against the forbidden set of
+// its lookahead-window start, and only the plans that went stale are
+// re-solved: solves = data + conflicts <= 2 x data. One executor has a
+// one-datum window, so it never re-solves. Every datum builds its own
+// serve table through the cache (no dedup under capacity).
 TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(8, 8);
@@ -296,27 +301,63 @@ TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
   const std::int64_t n = refs.numData();
   const std::int64_t tight = (n + g.size() - 1) / g.size();
   obs::Registry& registry = obs::Registry::instance();
-  for (const bool dedup : {false, true}) {
-    SchedulerOptions opts{tight, DataOrder::kByWeightDesc};
-    opts.dedup = dedup;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      registry.reset();
-      (void)scheduleGomcdsParallel(refs, model, opts, threads);
-      const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
-      const std::int64_t conflicts =
-          registry.counterValue("sched.gomcds.conflicts");
+  const SchedulerOptions opts{tight, DataOrder::kByWeightDesc};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    registry.reset();
+    (void)scheduleGomcds(refs, model, opts, threads);
+    const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
+    const std::int64_t conflicts =
+        registry.counterValue("sched.gomcds.conflicts");
+    if (threads == 1) {
+      EXPECT_EQ(conflicts, 0);
+    } else {
       EXPECT_GT(conflicts, 0) << "threads=" << threads;  // repairs ran
-      EXPECT_EQ(solves, n + conflicts) << "threads=" << threads;
-      EXPECT_LE(solves, 2 * n) << "threads=" << threads;
-      EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n);
-      const std::int64_t tables =
-          dedup ? registry.counterValue("gomcds.dedup.classes") : n;
-      EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
-                    registry.counterValue("cost.center_cache.miss"),
-                tables * refs.numWindows())
-          << "threads=" << threads << " dedup=" << dedup;
     }
+    EXPECT_EQ(solves, n + conflicts) << "threads=" << threads;
+    EXPECT_LE(solves, 2 * n) << "threads=" << threads;
+    EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n);
+    EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
+                  registry.counterValue("cost.center_cache.miss"),
+              n * refs.numWindows())
+        << "threads=" << threads;
   }
+  registry.reset();
+}
+
+// A call from inside a pool worker runs parallelFor inline, so however
+// many threads it asks for it has one executor: one solve per datum and
+// no stale plans, like threads = 1.
+TEST(Gomcds, NestedCallSolvesEachDatumOnce) {
+  PIMSCHED_OBS_TEST_GUARD();
+  const Grid g(8, 8);
+  const CostModel model(g);
+  testutil::Rng rng(1412);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 21, 21, 30, 60);
+  const WindowedRefs refs = refsFromTrace(t, g, 6);
+  const std::int64_t n = refs.numData();
+  const SchedulerOptions opts{(n + g.size() - 1) / g.size(),
+                              DataOrder::kByWeightDesc};
+  const DataSchedule direct = scheduleGomcds(refs, model, opts, 4);
+
+  obs::Registry& registry = obs::Registry::instance();
+  registry.reset();
+  std::optional<DataSchedule> nested;
+  std::mutex m;
+  std::condition_variable cv;
+  bool done = false;
+  ThreadPool::global().submit([&] {
+    nested.emplace(scheduleGomcds(refs, model, opts, 4));
+    const std::lock_guard<std::mutex> lock(m);
+    done = true;
+    cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(m);
+  cv.wait(lock, [&] { return done; });
+
+  EXPECT_EQ(registry.counterValue("gomcds.flat.solves"), n);
+  EXPECT_EQ(registry.counterValue("sched.gomcds.conflicts"), 0);
+  ASSERT_TRUE(nested.has_value());
+  expectIdenticalSchedules(*nested, direct, "nested");
   registry.reset();
 }
 

@@ -15,6 +15,7 @@
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "fault/fault_trace.hpp"
+#include "gomcds_reference.hpp"
 #include "graph/layered_dag.hpp"
 #include "obs/obs.hpp"
 #include "test_util.hpp"
@@ -173,7 +174,7 @@ TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
     const DataSchedule warm = solver.solve(refs, model);
     expectSameSchedule(warm, scheduleGomcds(refs, model));
     expectSameSchedule(
-        warm, scheduleGomcds(refs, model, {}, GomcdsEngine::kNaive));
+        warm, scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
     if (stream > 0 && warmPathOn()) {
       EXPECT_FALSE(solver.lastStats().cold);
       EXPECT_GT(solver.lastStats().reusedLayers, 0);
@@ -194,13 +195,12 @@ TEST(Incremental, BitIdenticalWithDedupOffAndWeightOrder) {
   testutil::Rng rng(903);
   StreamWorkload work(rng, g, 10, 5, 25);
   SchedulerOptions options;
-  options.dedup = false;
   options.order = DataOrder::kByWeightDesc;
   IncrementalSolver solver;
   for (int stream = 0; stream < 4; ++stream) {
     const WindowedRefs refs = work.refs(g);
     expectSameSchedule(solver.solve(refs, model, options),
-                       scheduleGomcds(refs, model, options));
+                       testutil::referenceGomcds(refs, model, options));
     work.churnTail(rng, 2, 25);
   }
 }

@@ -229,7 +229,7 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
 
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
-  (void)scheduleGomcdsParallel(refs, model, {}, 4);
+  (void)scheduleGomcds(refs, model, {}, 4);
   // The totals must equal the whole problem regardless of how the pool
   // split the plan phase: every (datum, window) table went through the
   // cache exactly once (hit or miss), and each miss is one evaluation.
@@ -243,7 +243,7 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
             registry.counterValue("cost.center_cache.miss"));
   EXPECT_EQ(registry.counterValue("solver.runs"), refs.numData());
 
-  // And the totals match a sequential run of the same problem: the cache
+  // And the totals match a one-thread run of the same problem: the cache
   // is deterministic, so hit/miss splits are identical too.
   const std::int64_t parallelMisses =
       registry.counterValue("cost.center_cache.miss");

@@ -7,7 +7,9 @@
 
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
+#include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
+#include "gomcds_reference.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -37,10 +39,9 @@ TEST(ParallelGomcds, BitIdenticalToSequential) {
   for (int trial = 0; trial < 4; ++trial) {
     const ReferenceTrace t = testutil::randomTrace(rng, g, 5, 5, 16, 30);
     const WindowedRefs refs = refsFromTrace(t, g, 8);
-    const DataSchedule seq = scheduleGomcds(refs, model);
-    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-      const DataSchedule par =
-          scheduleGomcdsParallel(refs, model, {}, threads);
+    const DataSchedule seq = testutil::referenceGomcds(refs, model);
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+      const DataSchedule par = scheduleGomcds(refs, model, {}, threads);
       for (DataId d = 0; d < refs.numData(); ++d) {
         for (WindowId w = 0; w < refs.numWindows(); ++w) {
           ASSERT_EQ(par.center(d, w), seq.center(d, w))
@@ -61,16 +62,16 @@ TEST(ParallelGomcds, MoreThreadsThanDataIsFine) {
   t.add(0, 3, 1, 2);
   t.finalize();
   const WindowedRefs refs(t, WindowPartition::whole(1), g);
-  const DataSchedule s = scheduleGomcdsParallel(refs, model, {}, 16);
+  const DataSchedule s = scheduleGomcds(refs, model, {}, 16);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.center(0, 0), 0);
   EXPECT_EQ(s.center(1, 0), 3);
 }
 
 TEST(ParallelGomcds, BitIdenticalToSequentialWithCapacity) {
-  // The plan/commit engine must honor the capacity constraint and still
-  // reproduce the sequential schedule exactly, for every thread count and
-  // both visit orders.
+  // The engine must honor the capacity constraint and still reproduce the
+  // literal sequential reference exactly, for every thread count and both
+  // visit orders.
   const Grid g(4, 4);
   const CostModel model(g);
   testutil::Rng rng(293);
@@ -84,10 +85,9 @@ TEST(ParallelGomcds, BitIdenticalToSequentialWithCapacity) {
           (refs.numData() + g.size() - 1) / g.size();
       for (const std::int64_t cap : {tight, tight + 1}) {
         const SchedulerOptions opts{cap, order};
-        const DataSchedule seq = scheduleGomcds(refs, model, opts);
-        for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-          const DataSchedule par =
-              scheduleGomcdsParallel(refs, model, opts, threads);
+        const DataSchedule seq = testutil::referenceGomcds(refs, model, opts);
+        for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+          const DataSchedule par = scheduleGomcds(refs, model, opts, threads);
           for (DataId d = 0; d < refs.numData(); ++d) {
             for (WindowId w = 0; w < refs.numWindows(); ++w) {
               ASSERT_EQ(par.center(d, w), seq.center(d, w))
@@ -124,18 +124,20 @@ TEST(ParallelGomcds, InfeasibleCapacityThrowsLikeSequential) {
     for (const DataOrder order :
          {DataOrder::kById, DataOrder::kByWeightDesc}) {
       const SchedulerOptions opts{c.capacity, order};
+      const std::string kind = testutil::thrownKind(
+          [&] { return testutil::referenceGomcds(refs, model, opts); });
+      ASSERT_EQ(kind, "runtime");
       std::string expected;
-      try {
-        (void)scheduleGomcds(refs, model, opts);
-        FAIL() << "sequential engine placed an infeasible instance";
-      } catch (const std::runtime_error& e) {
-        expected = e.what();
-      }
-      for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+        EXPECT_EQ(testutil::thrownKind([&] {
+                    return scheduleGomcds(refs, model, opts, threads);
+                  }),
+                  kind)
+            << "threads=" << threads;
         try {
-          (void)scheduleGomcdsParallel(refs, model, opts, threads);
-          FAIL() << "threads=" << threads << " placed an infeasible instance";
+          (void)scheduleGomcds(refs, model, opts, threads);
         } catch (const std::runtime_error& e) {
+          if (expected.empty()) expected = e.what();
           EXPECT_EQ(std::string(e.what()), expected)
               << "threads=" << threads;
         }
@@ -151,19 +153,19 @@ TEST(ParallelGomcds, CostEqualsSequentialOptimal) {
   const ReferenceTrace t = testutil::randomTrace(rng, g, 6, 6, 20, 40);
   const WindowedRefs refs = refsFromTrace(t, g, 10);
   const Cost seq =
-      evaluateSchedule(scheduleGomcds(refs, model), refs, model)
+      evaluateSchedule(testutil::referenceGomcds(refs, model), refs, model)
           .aggregate.total();
   const Cost par =
-      evaluateSchedule(scheduleGomcdsParallel(refs, model, {}), refs, model)
+      evaluateSchedule(scheduleGomcds(refs, model, {}, 0), refs, model)
           .aggregate.total();
   EXPECT_EQ(seq, par);
 }
 
 // The capacity-constrained engine speculates over lookahead windows of
-// 32 x threads data. 441 data span at least four windows at 1 to 4
-// threads and are a multiple of none of those window sizes, so full
-// windows, the short last window and speculation against a forbidden set
-// that earlier windows filled are all exercised.
+// 32 x threads data (one datum at one thread). 441 data span at least four
+// windows at 2 to 4 threads and are a multiple of none of those window
+// sizes, so full windows, the short last window and speculation against a
+// forbidden set that earlier windows filled are all exercised.
 TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
   const Grid g(8, 8);
   const CostModel model(g);
@@ -174,21 +176,16 @@ TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
   const std::int64_t tight = (refs.numData() + g.size() - 1) / g.size();
   for (const DataOrder order : {DataOrder::kById, DataOrder::kByWeightDesc}) {
     for (const std::int64_t cap : {tight, tight + 1}) {
-      for (const bool dedup : {true, false}) {
-        SchedulerOptions opts{cap, order};
-        opts.dedup = dedup;
-        const DataSchedule seq = scheduleGomcds(refs, model, opts);
-        for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
-          const std::string at =
-              "threads=" + std::to_string(threads) +
-              " cap=" + std::to_string(cap) +
-              " order=" + std::to_string(static_cast<int>(order)) +
-              " dedup=" + std::to_string(dedup);
-          const DataSchedule par =
-              scheduleGomcdsParallel(refs, model, opts, threads);
-          expectSameSchedule(par, seq, at);
-          ASSERT_TRUE(par.respectsCapacity(g, cap)) << at;
-        }
+      const SchedulerOptions opts{cap, order};
+      const DataSchedule seq = testutil::referenceGomcds(refs, model, opts);
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+        const std::string at =
+            "threads=" + std::to_string(threads) +
+            " cap=" + std::to_string(cap) +
+            " order=" + std::to_string(static_cast<int>(order));
+        const DataSchedule par = scheduleGomcds(refs, model, opts, threads);
+        expectSameSchedule(par, seq, at);
+        ASSERT_TRUE(par.respectsCapacity(g, cap)) << at;
       }
     }
   }
@@ -196,7 +193,7 @@ TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
 
 // Per-processor fault capacity limits make the forbidden set dynamic even
 // without a global capacity, so both regimes run the faulted mesh kernel
-// through the lookahead-window path.
+// through the lookahead-window path, in both visit orders.
 TEST(ParallelGomcds, FaultedCapacityLimitsAcrossLookaheadWindows) {
   const Grid g(8, 8);
   FaultMap faults(g);
@@ -214,18 +211,60 @@ TEST(ParallelGomcds, FaultedCapacityLimitsAcrossLookaheadWindows) {
   cfg.numWindows = 6;
   const Experiment exp(t, g, faults, cfg);
   ASSERT_EQ(exp.refs().numData(), 441);
-  for (const std::int64_t cap : {std::int64_t{-1}, exp.capacity()}) {
-    for (const bool dedup : {true, false}) {
-      SchedulerOptions opts{cap, cfg.order};
-      opts.dedup = dedup;
+  for (const DataOrder order : {DataOrder::kById, DataOrder::kByWeightDesc}) {
+    for (const std::int64_t cap : {std::int64_t{-1}, exp.capacity()}) {
+      const SchedulerOptions opts{cap, order};
       const DataSchedule seq =
-          scheduleGomcds(exp.refs(), exp.costModel(), opts);
+          testutil::referenceGomcds(exp.refs(), exp.costModel(), opts);
       for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
         expectSameSchedule(
-            scheduleGomcdsParallel(exp.refs(), exp.costModel(), opts, threads),
-            seq,
-            "threads=" + std::to_string(threads) + " cap=" +
-                std::to_string(cap) + " dedup=" + std::to_string(dedup));
+            scheduleGomcds(exp.refs(), exp.costModel(), opts, threads), seq,
+            "threads=" + std::to_string(threads) +
+                " cap=" + std::to_string(cap) +
+                " order=" + std::to_string(static_cast<int>(order)));
+      }
+    }
+  }
+}
+
+// Faults that cut the mesh make a datum referenced on both sides
+// unplaceable: every thread count throws UnreachableError, like the
+// reference. A fault capacity limit that leaves too few slots throws the
+// plain capacity error instead.
+TEST(ParallelGomcds, FaultedInfeasibleThrowsLikeReference) {
+  const Grid g(1, 5);
+  DataSpace ds;
+  ds.addArray("A", 1, 4);
+  ReferenceTrace t(ds);
+  t.add(0, 0, 0, 1);
+  t.add(0, 4, 0, 1);
+  t.add(0, 1, 1, 2);
+  t.add(1, 3, 2, 1);
+  t.add(1, 0, 3, 1);
+  t.finalize();
+  FaultMap cut(g);
+  cut.killProc(2);
+  FaultMap limited(g);
+  for (const ProcId p : {0, 1, 2, 3, 4}) {
+    limited.limitCapacity(p, p == 0 ? 1 : 0);  // one slot in the whole mesh
+  }
+  for (const FaultMap* faults : {&cut, &limited}) {
+    const DistanceMap distances(g, *faults);
+    const CostModel model(g, distances);
+    const WindowedRefs refs =
+        WindowedRefs(t, WindowPartition::evenCount(t.numSteps(), 2), g)
+            .withProcsMasked(faults->deadProcMask());
+    for (const std::int64_t cap : {std::int64_t{-1}, std::int64_t{2}}) {
+      const SchedulerOptions opts{cap, DataOrder::kById};
+      const std::string kind = testutil::thrownKind(
+          [&] { return testutil::referenceGomcds(refs, model, opts); });
+      ASSERT_EQ(kind, faults == &cut ? "unreachable" : "runtime");
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 0u}) {
+        EXPECT_EQ(testutil::thrownKind([&] {
+                    return scheduleGomcds(refs, model, opts, threads);
+                  }),
+                  kind)
+            << "threads=" << threads << " cap=" << cap;
       }
     }
   }
