@@ -182,9 +182,9 @@ PhaseB runPhaseB(bool smoke) {
   config.policy = FleetPolicy::kCost;
   config.policyFromEnv = false;
   config.concurrencyPerArray = 1;
-  // Fairness is the measurement: no result cache (identical jobs must all
-  // be scheduled, not answered from memory) and aging pushed out of reach
-  // so the contended-dispatch split reflects the 4:1 stride weights alone.
+  // Fairness is the measurement: no result cache (every job must be
+  // scheduled, not answered from memory) and aging pushed out of reach so
+  // the contended-dispatch split reflects the 4:1 stride weights alone.
   config.cacheEnabled = false;
   config.agingMs = 3'600'000;
   config.maxQueueDepth = 4096;
@@ -207,13 +207,20 @@ PhaseB runPhaseB(bool smoke) {
   std::shared_future<void> release = releasePromise.get_future().share();
   config.onJobAttempt = [release](int) { release.wait(); };
   const Grid grid(4, 4);
-  ReferenceTrace trace = makePaperBenchmark(PaperBenchmark::kMatSquare, grid,
-                                            smoke ? 8 : 10);
-  trace.finalize();
+  const ReferenceTrace base = makePaperBenchmark(PaperBenchmark::kMatSquare,
+                                                 grid, smoke ? 8 : 10);
 
   fleet::FleetService service(std::move(config));
   std::map<std::string, std::vector<serve::JobId>> ids;
   for (int i = 0; i < perTenant; ++i) {
+    // A per-job weight nonce keeps every job of a tenant distinct:
+    // identical in-flight jobs of one tenant would coalesce into one run.
+    ReferenceTrace trace(base.dataSpace());
+    for (const Access& ref : base.accesses()) {
+      trace.add(ref.step, ref.proc, ref.data,
+                ref.weight + (ref.step == 0 && ref.data == 0 ? i : 0));
+    }
+    trace.finalize();
     for (const char* tenant : {"alpha", "beta"}) {
       JobRequest req;
       req.trace = trace;

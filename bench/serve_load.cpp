@@ -26,8 +26,8 @@
 // from the stats verb's "fleet" extras. --arrays N asserts the daemon
 // serves exactly N arrays. --starve-ms MS fails the run when any
 // request's latency exceeded MS (a starvation bound). The coalescing
-// storm is skipped automatically when --tenants/--arrays is given — the
-// fleet path trades coalescing for multi-array placement.
+// storm runs against fleet daemons too: its submits carry no tenant, so
+// they form one coalescing group whatever --tenants says.
 //
 // --chaos (fleet daemons only) turns the run into a live fault-drift
 // drill. A seeded injector thread flips interior-processor faults on and
@@ -368,9 +368,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // The fleet path has no cross-submission coalescing (placement spans
-  // arrays instead), so the storm's exactly-one-run gate does not apply.
-  if (tenants > 0 || expectArrays > 0 || chaos) storm = false;
+  // A --chaos run measures fault drift instead of coalescing.
+  if (chaos) storm = false;
   if (chaos && !outGiven) outPath = "results/bench_chaos.json";
   if (endpoint.socketPath.empty() && endpoint.tcpPort < 0) {
     std::cerr << "error: need --socket PATH or --tcp HOST:PORT (a live "

@@ -1,55 +1,55 @@
-// pimsched_served — the persistent scheduling daemon. Wraps a sharded
-// pool of scheduling services (bounded priority queues + content-addressed
-// LRU result caches over the shared thread pool, jobs routed to shards by
-// consistent hash of their content digest) behind the NDJSON protocol on a
-// Unix socket and/or a TCP listener, so repeated schedule requests reuse
-// warm state instead of paying a full pimsched_cli process start per
-// trace. See docs/serving.md.
+// pimsched_served — the persistent scheduling daemon. Wraps one job
+// engine (fleet::FleetService: tenant-aware priority queues, in-flight
+// coalescing and a content-addressed LRU result cache over the shared
+// thread pool) behind the NDJSON protocol on a Unix socket and/or a TCP
+// listener, so repeated schedule requests reuse warm state instead of
+// paying a full pimsched_cli process start per trace. Without --fleet the
+// engine serves one healthy array that hosts any grid shape. See
+// docs/serving.md.
 //
 //   pimsched_served [--socket PATH] [--tcp [HOST:]PORT] [options]
 //     --socket PATH       Unix socket to listen on
 //     --tcp [HOST:]PORT   TCP endpoint (default host 127.0.0.1; port 0
 //                         binds an ephemeral port, printed on startup)
-//     --shards N          worker shards; identical jobs always land on
-//                         the same shard               (default 4)
 //     --io-threads N      connection-handler pool size (default 8)
-//     --queue N           queued-job bound per shard; submissions past it
-//                         are rejected with a reason   (default 64)
-//     --concurrency N     jobs run at once per shard   (default 2)
-//     --cache-entries N   result-cache entries per shard (default 1024)
+//     --queue N           queued-job bound of the whole daemon;
+//                         submissions past it are rejected with a reason
+//                                                  (default 256)
+//     --concurrency N     jobs run at once per array (default 8 without
+//                         --fleet, 1 per array with it)
+//     --cache-entries N   result-cache entries (default 4096 without
+//                         --fleet, 1024 with it)
 //     --no-cache          disable the result cache
 //     --max-frame BYTES   per-request frame size bound (default 4 MiB)
 //     --no-trace-files    reject trace_file submissions (inline only)
-//
-// Fleet mode (mutually exclusive with --shards) serves a set of PIM
-// arrays with tenant-aware fair admission — see docs/fleet.md:
-//     --fleet SPEC        fleet topology: ';'-separated
-//                         [NAME=]RxC[:FAULT[+FAULT...]] entries
-//     --fleet-policy P    array selector: cost | roundrobin | leastloaded
-//                         (default cost; PIMSCHED_FLEET_POLICY overrides)
 //     --tenant-weight T=W fair-share weight of tenant T (repeatable;
 //                         unlisted tenants get weight 1)
-//     --tenant-quota N    queued jobs allowed per tenant   (default 64)
+//     --tenant-quota N    queued jobs allowed per tenant (default: the
+//                         --queue bound without --fleet, 64 with it)
 //     --aging-ms MS       one priority level gained per MS queued
 //                         (default 1000; 0 disables aging)
 //     --aging-limit N     aging boost cap in levels        (default 8)
 //     --drain-threshold N batch jobs start while the serve backlog is
 //                         <= N                             (default 0)
+//
+// Fleet mode serves a set of named PIM arrays — see docs/fleet.md:
+//     --fleet SPEC        fleet topology: ';'-separated
+//                         [NAME=]RxC[:FAULT[+FAULT...]] entries
+//     --fleet-policy P    array selector: cost | roundrobin | leastloaded
+//                         (default cost; PIMSCHED_FLEET_POLICY overrides)
 //     --health-cooldown-ms MS
 //                         a quarantined array is re-admitted only after
 //                         MS of quiet with acceptable facts (default
 //                         2000; hysteresis against flapping arrays)
 //     --no-fault-inject   reject the fault-inject / heal admin verbs
-// In fleet mode --queue bounds the fleet-wide queue and --concurrency is
-// per array. Live fault drift: the fault-inject and heal verbs change an
+// Live fault drift: the fault-inject and heal verbs change a fleet
 // array's fault state at runtime; the fleet migrates queued work,
 // reconciles in-flight results and invalidates stale cache entries — see
-// docs/fault-tolerance.md.
+// docs/fault-tolerance.md. Without --fleet they answer ok:false.
 //
 // At least one of --socket / --tcp is required; both may be given, and
-// the two endpoints serve the same shard pool (a job submitted over TCP
-// is cache-hit and coalesce-visible to Unix-socket clients and vice
-// versa).
+// the two endpoints serve the same engine (a job submitted over TCP is
+// cache-hit and coalesce-visible to Unix-socket clients and vice versa).
 //
 // SIGTERM / SIGINT (or a client `shutdown` verb) drain gracefully: every
 // accepted job finishes, waiting clients get their replies, and the
@@ -58,12 +58,10 @@
 #include <csignal>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "fleet/fleet_service.hpp"
 #include "serve/server.hpp"
-#include "serve/sharded.hpp"
 
 namespace {
 
@@ -75,8 +73,7 @@ void onSignal(int) {
 
 void printUsage(std::ostream& os) {
   os << "usage: pimsched_served [--socket PATH] [--tcp [HOST:]PORT]\n"
-        "       [--shards N] [--io-threads N] [--queue N] "
-        "[--concurrency N]\n"
+        "       [--io-threads N] [--queue N] [--concurrency N]\n"
         "       [--cache-entries N] [--no-cache] [--max-frame BYTES] "
         "[--no-trace-files]\n"
         "       [--fleet SPEC] [--fleet-policy cost|roundrobin|leastloaded]\n"
@@ -89,13 +86,13 @@ void printUsage(std::ostream& os) {
 
 int main(int argc, char** argv) {
   using namespace pimsched::serve;
+  using pimsched::fleet::FleetService;
 
-  ShardedService::Config serviceConfig;
-  pimsched::fleet::FleetService::Config fleetConfig;
+  FleetService::Config config;
   std::string fleetSpec;
-  bool shardsGiven = false;
-  bool queueGiven = false;
   bool concurrencyGiven = false;
+  bool cacheEntriesGiven = false;
+  bool tenantQuotaGiven = false;
   SocketServer::Options serverOptions;
   std::string parseError;
 
@@ -123,33 +120,27 @@ int main(int argc, char** argv) {
         if (serverOptions.tcpPort < 0 || serverOptions.tcpPort > 65535) {
           parseError = "TCP port out of range";
         }
-      } else if (arg == "--shards") {
-        serviceConfig.shards = static_cast<unsigned>(std::stoul(value()));
-        if (serviceConfig.shards == 0) serviceConfig.shards = 1;
-        shardsGiven = true;
       } else if (arg == "--io-threads") {
         serverOptions.ioThreads =
             static_cast<unsigned>(std::stoul(value()));
       } else if (arg == "--queue") {
-        serviceConfig.shard.maxQueueDepth = std::stoul(value());
-        queueGiven = true;
+        config.maxQueueDepth = std::stoul(value());
       } else if (arg == "--concurrency") {
-        serviceConfig.shard.concurrency =
+        config.concurrencyPerArray =
             static_cast<unsigned>(std::stoul(value()));
         concurrencyGiven = true;
       } else if (arg == "--cache-entries") {
-        serviceConfig.shard.maxCacheEntries = std::stoul(value());
-        fleetConfig.maxCacheEntries = serviceConfig.shard.maxCacheEntries;
+        config.maxCacheEntries = std::stoul(value());
+        cacheEntriesGiven = true;
       } else if (arg == "--no-cache") {
-        serviceConfig.shard.cacheEnabled = false;
-        fleetConfig.cacheEnabled = false;
+        config.cacheEnabled = false;
       } else if (arg == "--fleet") {
         fleetSpec = value();
       } else if (arg == "--fleet-policy") {
         const std::string name = value();
         const auto policy = pimsched::fleet::fleetPolicyFromString(name);
         if (policy.has_value()) {
-          fleetConfig.policy = *policy;
+          config.policy = *policy;
         } else {
           parseError = "unknown fleet policy '" + name + "'";
         }
@@ -161,20 +152,21 @@ int main(int argc, char** argv) {
           weight = std::stod(pair.substr(eq + 1));
         }
         if (weight > 0) {
-          fleetConfig.tenantWeights[pair.substr(0, eq)] = weight;
+          config.tenantWeights[pair.substr(0, eq)] = weight;
         } else {
           parseError = "--tenant-weight expects NAME=W with W > 0";
         }
       } else if (arg == "--tenant-quota") {
-        fleetConfig.tenantQueueDepth = std::stoul(value());
+        config.tenantQueueDepth = std::stoul(value());
+        tenantQuotaGiven = true;
       } else if (arg == "--aging-ms") {
-        fleetConfig.agingMs = std::stoll(value());
+        config.agingMs = std::stoll(value());
       } else if (arg == "--aging-limit") {
-        fleetConfig.agingLimit = std::stoi(value());
+        config.agingLimit = std::stoi(value());
       } else if (arg == "--drain-threshold") {
-        fleetConfig.drainThreshold = std::stoul(value());
+        config.drainThreshold = std::stoul(value());
       } else if (arg == "--health-cooldown-ms") {
-        fleetConfig.health.cooldownNs = std::stoll(value()) * 1'000'000;
+        config.health.cooldownNs = std::stoll(value()) * 1'000'000;
       } else if (arg == "--max-frame") {
         serverOptions.protocol.maxFrameBytes = std::stoul(value());
       } else if (arg == "--no-trace-files") {
@@ -192,9 +184,6 @@ int main(int argc, char** argv) {
       serverOptions.tcpPort < 0) {
     parseError = "need at least one of --socket PATH / --tcp PORT";
   }
-  if (parseError.empty() && !fleetSpec.empty() && shardsGiven) {
-    parseError = "--fleet and --shards are mutually exclusive";
-  }
   if (!parseError.empty()) {
     std::cerr << "error: " << parseError << "\n\n";
     printUsage(std::cerr);
@@ -202,23 +191,17 @@ int main(int argc, char** argv) {
   }
 
   try {
-    std::unique_ptr<JobService> service;
     if (fleetSpec.empty()) {
-      service = std::make_unique<ShardedService>(serviceConfig);
+      // One array runs everything: its slots, cache and queue are the
+      // whole daemon's, and the default tenant may fill the whole queue.
+      if (!concurrencyGiven) config.concurrencyPerArray = 8;
+      if (!cacheEntriesGiven) config.maxCacheEntries = 4096;
+      if (!tenantQuotaGiven) config.tenantQueueDepth = config.maxQueueDepth;
     } else {
-      fleetConfig.arrays = pimsched::fleet::parseFleetSpec(fleetSpec);
-      // --queue / --concurrency carry their sharded meanings over:
-      // fleet-wide queue bound, jobs in flight per array.
-      if (queueGiven) {
-        fleetConfig.maxQueueDepth = serviceConfig.shard.maxQueueDepth;
-      }
-      if (concurrencyGiven) {
-        fleetConfig.concurrencyPerArray = serviceConfig.shard.concurrency;
-      }
-      service = std::make_unique<pimsched::fleet::FleetService>(
-          std::move(fleetConfig));
+      config.arrays = pimsched::fleet::parseFleetSpec(fleetSpec);
     }
-    SocketServer server(*service, serverOptions);
+    FleetService service(config);
+    SocketServer server(service, serverOptions);
     server.start();
 
     gServer = &server;
@@ -234,24 +217,19 @@ int main(int argc, char** argv) {
                 << "tcp:" << serverOptions.tcpBindAddress << ":"
                 << server.tcpPort();
     }
-    if (const auto* fleetService =
-            dynamic_cast<const pimsched::fleet::FleetService*>(
-                service.get())) {
-      std::cout << " (fleet of " << fleetService->fleet().size()
-                << " arrays, policy "
-                << pimsched::fleet::toString(fleetService->policy()) << ")"
-                << std::endl;
-    } else {
-      std::cout << " (shards " << service->stats().shards << ", queue "
-                << serviceConfig.shard.maxQueueDepth
-                << "/shard, concurrency "
-                << serviceConfig.shard.concurrency << "/shard, cache "
-                << (serviceConfig.shard.cacheEnabled
-                        ? std::to_string(
-                              serviceConfig.shard.maxCacheEntries) +
-                              " entries/shard"
+    if (fleetSpec.empty()) {
+      std::cout << " (one any-shape array, queue " << config.maxQueueDepth
+                << ", concurrency " << config.concurrencyPerArray
+                << ", cache "
+                << (config.cacheEnabled
+                        ? std::to_string(config.maxCacheEntries) + " entries"
                         : std::string("off"))
                 << ")" << std::endl;
+    } else {
+      std::cout << " (fleet of " << service.fleet().size()
+                << " arrays, policy "
+                << pimsched::fleet::toString(service.policy()) << ")"
+                << std::endl;
     }
     const int rc = server.run();
     gServer = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "cost/center_costs.hpp"
 #include "fault/fault_trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -119,6 +120,7 @@ std::vector<ArraySpec> parseFleetSpec(const std::string& spec) {
 
 ArrayState::ArrayState(ArraySpec spec, std::vector<std::string> injected)
     : spec_(std::move(spec)), injected_(std::move(injected)) {
+  if (spec_.rows == 0 && spec_.cols == 0) return;  // the any-shape array
   grid_ = std::make_unique<Grid>(spec_.rows, spec_.cols);
   faults_ = std::make_unique<FaultMap>(*grid_);
   for (const std::string& one : spec_.faults) {
@@ -140,7 +142,6 @@ ArrayState::ArrayState(ArraySpec spec, std::vector<std::string> injected)
     canonical_.clear();
     model_ = std::make_unique<CostModel>(*grid_);
   }
-  cache_ = std::make_unique<CenterCostCache>(*model_);
   if (!canonical_.empty()) {
     DigestBuilder b;
     b.str("pimfleet-array");
@@ -165,7 +166,7 @@ Cost ArrayState::estimateCost(std::span<const ProcWeight> refs,
     refs = refsScratch_;
   }
   if (refs.empty()) return 0;
-  cache_->costsInto(refs, scratch);
+  separableCenterCostsInto(*model_, refs, scratch);
   Cost best = kInfiniteCost;
   for (ProcId p = 0; p < grid_->size(); ++p) {
     if (model_->centerForbidden(p)) continue;
@@ -186,13 +187,19 @@ std::int64_t ArrayState::capacitySlots(std::int64_t perProc) const {
 
 ArrayFleet::ArrayFleet(const std::vector<ArraySpec>& specs) {
   if (specs.empty()) {
-    throw std::invalid_argument("ArrayFleet: at least one array required");
+    arrays_.push_back(
+        std::make_unique<ArrayState>(ArraySpec{"default", 0, 0, {}}));
+    return;
   }
   arrays_.reserve(specs.size());
   for (const ArraySpec& spec : specs) {
     if (!validName(spec.name)) {
       throw std::invalid_argument("ArrayFleet: bad array name \"" +
                                   spec.name + "\"");
+    }
+    if (spec.rows < 1 || spec.cols < 1) {
+      throw std::invalid_argument("ArrayFleet: array \"" + spec.name +
+                                  "\" needs a grid of at least 1x1");
     }
     if (find(spec.name) >= 0) {
       throw std::invalid_argument("ArrayFleet: duplicate array name \"" +
@@ -221,7 +228,8 @@ std::vector<std::size_t> ArrayFleet::eligibleFor(int rows, int cols) const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
     const ArrayState& a = *arrays_[i];
-    if (a.rows() == rows && a.cols() == cols && a.aliveProcs() > 0) {
+    if (a.anyShape() ||
+        (a.rows() == rows && a.cols() == cols && a.aliveProcs() > 0)) {
       out.push_back(i);
     }
   }

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "cost/cost_cache.hpp"
 #include "cost/cost_model.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
@@ -41,13 +40,20 @@ struct ArraySpec {
 /// violation.
 [[nodiscard]] std::vector<ArraySpec> parseFleetSpec(const std::string& spec);
 
-/// The live state of one array: its grid, fault map, fault-aware cost
-/// model and a serving-cost cache for selector estimates. Built from an
-/// ArraySpec plus the faults injected at runtime (live drift); the
-/// members are heap-allocated so the self-referencing
-/// Grid/FaultMap/DistanceMap/CostModel chain stays valid if the
-/// ArrayState is moved. An ArrayState is immutable once built — drift
-/// replaces the whole state atomically (ArrayFleet::drift).
+/// The live state of one array: its grid, fault map and fault-aware cost
+/// model for selector estimates. Built from an ArraySpec plus the faults
+/// injected at runtime (live drift); the members are heap-allocated so
+/// the self-referencing Grid/FaultMap/DistanceMap/CostModel chain stays
+/// valid if the ArrayState is moved. An ArrayState is immutable once
+/// built — drift replaces the whole state atomically (ArrayFleet::drift).
+///
+/// A spec of shape 0x0 is the *any-shape* array: one healthy array that
+/// hosts jobs of every grid shape, with no grid, faults or cost model of
+/// its own (each job builds its grid from the request, exactly like the
+/// plain executeJobRequest path). It is what an ArrayFleet built from no
+/// specs holds; it is always the only candidate, so it is never priced
+/// (estimateCost / capacitySlots must not be called on it) and never
+/// drifts.
 class ArrayState {
  public:
   /// `injected` are live-drift fault specs layered on top of the boot
@@ -61,17 +67,19 @@ class ArrayState {
   [[nodiscard]] const std::string& name() const { return spec_.name; }
   [[nodiscard]] int rows() const { return spec_.rows; }
   [[nodiscard]] int cols() const { return spec_.cols; }
-  [[nodiscard]] const Grid& grid() const { return *grid_; }
-  [[nodiscard]] const FaultMap& faults() const { return *faults_; }
-  /// Fault-aware when the array has any effective fault, plain Manhattan
-  /// otherwise — matching what executeJobRequest builds for jobs placed
-  /// here.
-  [[nodiscard]] const CostModel& model() const { return *model_; }
+  [[nodiscard]] bool anyShape() const { return grid_ == nullptr; }
 
   [[nodiscard]] bool healthy() const { return canonical_.empty(); }
-  [[nodiscard]] int aliveProcs() const { return faults_->aliveProcCount(); }
-  [[nodiscard]] int deadProcs() const { return faults_->deadProcCount(); }
-  [[nodiscard]] int deadLinks() const { return faults_->deadLinkCount(); }
+  /// Processor counts; all 0 for the any-shape array.
+  [[nodiscard]] int aliveProcs() const {
+    return anyShape() ? 0 : faults_->aliveProcCount();
+  }
+  [[nodiscard]] int deadProcs() const {
+    return anyShape() ? 0 : faults_->deadProcCount();
+  }
+  [[nodiscard]] int deadLinks() const {
+    return anyShape() ? 0 : faults_->deadLinkCount();
+  }
   /// True when the alive sub-mesh is partitioned (some alive pair cannot
   /// communicate) — such an array can still serve jobs whose references
   /// stay inside one component, but the selector deprioritizes it.
@@ -102,7 +110,9 @@ class ArrayState {
 
   /// Estimated serving cost of an aggregated whole-trace reference string
   /// on this array: the cheapest alive center, priced by the array's
-  /// (fault-aware) cost model through a per-array CenterCostCache.
+  /// (fault-aware) cost model — fault-aware when the array has any
+  /// effective fault, plain Manhattan otherwise, matching what
+  /// executeJobRequest builds for jobs placed here.
   /// References issued by this array's dead processors are dropped first,
   /// mirroring the pipeline's fault semantics. kInfiniteCost when no
   /// alive center can reach every surviving referenced processor.
@@ -122,7 +132,6 @@ class ArrayState {
   std::unique_ptr<FaultMap> faults_;
   std::unique_ptr<DistanceMap> distances_;  ///< null when healthy
   std::unique_ptr<CostModel> model_;
-  std::unique_ptr<CenterCostCache> cache_;
   std::vector<std::string> canonical_;
   std::string signature_;
   /// Reusable buffer for dead-proc-filtered reference strings.
@@ -137,6 +146,7 @@ class ArrayState {
 /// lock. Per-array load lives in FleetService.
 class ArrayFleet {
  public:
+  /// An empty spec list builds the one any-shape array, named "default".
   explicit ArrayFleet(const std::vector<ArraySpec>& specs);
 
   [[nodiscard]] std::size_t size() const { return arrays_.size(); }
@@ -149,7 +159,8 @@ class ArrayFleet {
   [[nodiscard]] int find(const std::string& name) const;
 
   /// Indices of arrays that can host a rows x cols job: exact shape match
-  /// with at least one alive processor. Deterministic (ascending index).
+  /// with at least one alive processor, or the any-shape array.
+  /// Deterministic (ascending index).
   [[nodiscard]] std::vector<std::size_t> eligibleFor(int rows,
                                                      int cols) const;
 

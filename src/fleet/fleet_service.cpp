@@ -45,6 +45,19 @@ ArrayFacts factsOf(const ArrayState& a) {
 /// to fail for good (first run + requeues onto other arrays).
 constexpr int kMaxDriftAttempts = 4;
 
+/// Arrays whose shape can host a rows x cols job, whatever their health.
+/// Read from the immutable configured topology, so it needs no lock; an
+/// empty topology is the one any-shape array. A job with a single match
+/// has no placement to choose: the selector and its input are skipped.
+std::size_t shapeMatches(const std::vector<ArraySpec>& arrays, int rows,
+                         int cols) {
+  if (arrays.empty()) return 1;
+  return static_cast<std::size_t>(
+      std::count_if(arrays.begin(), arrays.end(), [&](const ArraySpec& a) {
+        return a.rows == rows && a.cols == cols;
+      }));
+}
+
 }  // namespace
 
 std::vector<ProcWeight> aggregateTraceRefs(const ReferenceTrace& trace) {
@@ -108,12 +121,6 @@ FleetService::Tenant& FleetService::tenantLocked(const std::string& name) {
   return tenants_.emplace(name, std::move(t)).first->second;
 }
 
-SubmitOutcome FleetService::submit(JobRequest request) {
-  if (!request.trace.finalized()) request.trace.finalize();
-  const Digest digest = serve::jobDigest(request);
-  return submitWithDigest(std::move(request), digest);
-}
-
 serve::StreamOutcome FleetService::submitStream(serve::StreamRequest request) {
   if (!request.job.trace.finalized()) request.job.trace.finalize();
   serve::StreamPin pin;
@@ -156,11 +163,15 @@ bool FleetService::closeStream(const std::string& session) {
   return streams_.close(session);
 }
 
-SubmitOutcome FleetService::submitWithDigest(JobRequest request,
-                                             const Digest& digest) {
+SubmitOutcome FleetService::submit(JobRequest request) {
   if (!request.trace.finalized()) request.trace.finalize();
-  // Selector input, computed outside the lock like the digest.
-  std::vector<ProcWeight> aggRefs = aggregateTraceRefs(request.trace);
+  const Digest digest = serve::jobDigest(request);
+  // Selector input, computed outside the lock like the digest — and only
+  // when the topology leaves the job a choice of arrays to price.
+  std::vector<ProcWeight> aggRefs;
+  if (shapeMatches(config_.arrays, request.gridRows, request.gridCols) > 1) {
+    aggRefs = aggregateTraceRefs(request.trace);
+  }
   const std::string tenantName = tenantKey(request);
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -245,6 +256,39 @@ SubmitOutcome FleetService::submitWithDigest(JobRequest request,
     PIMSCHED_COUNTER_ADD("fleet.cache.miss", 1);
   }
 
+  // An identical job already queued or running: attach instead of solving
+  // twice. The follower never enters a queue; it resolves (with the exact
+  // same shared JobResult) when the leader reaches a terminal state. The
+  // digest folds in the tenant, so the leader is always this tenant's.
+  if (const auto it = inflight_.find(digest.hex()); it != inflight_.end()) {
+    const std::shared_ptr<Job>& leader = it->second;
+    auto job = std::make_shared<Job>();
+    job->id = nextId_++;
+    job->digest = digest;
+    job->request.priority = request.priority;
+    job->request.tenant = request.tenant;
+    job->submitNs = obs::nowNs();
+    job->coalescedWith = leader->id;
+    leader->followers.push_back(job);
+    jobs_.emplace(job->id, job);
+    ++statAccepted_;
+    ++statCoalesced_;
+    ++tenant.submitted;
+    if (tenant.cSubmitted != nullptr) tenant.cSubmitted->add(1);
+    PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
+    PIMSCHED_COUNTER_ADD("fleet.jobs.coalesced", 1);
+    // A hotter submission drags the whole group forward in the queue.
+    if (leader->state == JobState::kQueued &&
+        request.priority > leader->request.priority) {
+      tenant.queue.erase(std::make_pair(-leader->request.priority,
+                                        leader->id));
+      leader->request.priority = request.priority;
+      tenant.queue.emplace(
+          std::make_pair(-leader->request.priority, leader->id), leader);
+    }
+    return SubmitOutcome{true, job->id, "", false};
+  }
+
   if (queuedServe_ + queuedBatch_ >= config_.maxQueueDepth) {
     ++statRejected_;
     ++tenant.rejected;
@@ -301,6 +345,7 @@ SubmitOutcome FleetService::submitWithDigest(JobRequest request,
     ++queuedServe_;
   }
   planJobLocked(job);
+  inflight_[digest.hex()] = job;
   ++statAccepted_;
   ++tenant.submitted;
   if (tenant.cSubmitted != nullptr) tenant.cSubmitted->add(1);
@@ -383,14 +428,19 @@ void FleetService::planJobLocked(const std::shared_ptr<Job>& job) {
   const std::vector<std::size_t> candidates = admissibleEligibleLocked(
       job->request.gridRows, job->request.gridCols, obs::nowNs());
   if (candidates.empty()) return;  // shape mismatch was rejected at submit
-  const std::int64_t explicitCap =
-      job->request.config.capacity >= 0 ? job->request.config.capacity : -1;
+  int idx = static_cast<int>(candidates.front());
   Cost est = 0;
-  int idx = selector_.select(job->aggRefs, job->request.trace.numData(),
-                             explicitCap, candidates, loads_, &est);
-  if (idx < 0) {
-    idx = static_cast<int>(candidates.front());
-    est = 0;
+  if (shapeMatches(config_.arrays, job->request.gridRows,
+                   job->request.gridCols) > 1) {
+    const std::int64_t explicitCap = job->request.config.capacity >= 0
+                                         ? job->request.config.capacity
+                                         : -1;
+    idx = selector_.select(job->aggRefs, job->request.trace.numData(),
+                           explicitCap, candidates, loads_, &est);
+    if (idx < 0) {
+      idx = static_cast<int>(candidates.front());
+      est = 0;
+    }
   }
   job->plannedArray = idx;
   job->estCost = est;
@@ -563,6 +613,10 @@ bool FleetService::dispatchClassLocked(bool batch, std::int64_t nowNs) {
         std::find(eligible.begin(), eligible.end(),
                   static_cast<std::size_t>(planned)) != eligible.end()) {
       idx = planned;
+    } else if (shapeMatches(config_.arrays, job->request.gridRows,
+                            job->request.gridCols) == 1) {
+      idx = static_cast<int>(eligible.front());  // no choice to price
+      est = 0;
     } else {
       const std::int64_t explicitCap = job->request.config.capacity >= 0
                                            ? job->request.config.capacity
@@ -681,6 +735,53 @@ void FleetService::finishLocked(Job& job, JobState state) {
       break;
     default: break;
   }
+  if (!job.followers.empty()) {
+    if (state == JobState::kDone || state == JobState::kFailed) {
+      // Fan the leader's outcome out to every coalesced follower: one
+      // solve, K identical results (the very same shared JobResult).
+      for (const std::shared_ptr<Job>& follower : job.followers) {
+        follower->result = job.result;
+        follower->error = job.error;
+        follower->errorKind = job.errorKind;
+        follower->attempts = job.attempts;
+        follower->coalescedWith = -1;
+        finishLocked(*follower, state);
+      }
+      job.followers.clear();
+    } else {
+      // The leader was cancelled or expired before running, but its
+      // followers still want the answer: the first follower takes over
+      // the payload (copied before this job releases it below) and the
+      // leader's place in the queue.
+      std::shared_ptr<Job> heir = job.followers.front();
+      job.followers.erase(job.followers.begin());
+      heir->followers = std::move(job.followers);
+      job.followers.clear();
+      for (const std::shared_ptr<Job>& follower : heir->followers) {
+        follower->coalescedWith = heir->id;
+      }
+      heir->coalescedWith = -1;
+      const int heirPriority = heir->request.priority;
+      heir->request = job.request;
+      heir->request.priority = heirPriority;
+      heir->request.deadlineMs = -1;  // followers carry no deadline
+      heir->deadlineNs = -1;
+      heir->aggRefs = job.aggRefs;
+      requeueLocked(heir, tenant);
+      inflight_[heir->digest.hex()] = heir;
+    }
+  }
+  // Terminal jobs stop being a coalescing join point (unless a promoted
+  // heir has just taken the slot over).
+  const auto it = inflight_.find(job.digest.hex());
+  if (it != inflight_.end() && it->second.get() == &job) inflight_.erase(it);
+  // Keep what status() and result() report; release the payload.
+  JobRequest spent;
+  spent.priority = job.request.priority;
+  spent.tenant = std::move(job.request.tenant);
+  job.request = std::move(spent);
+  job.aggRefs = std::vector<ProcWeight>();
+  job.arrayFaults = std::vector<std::string>();
   cv_.notify_all();
 }
 
@@ -793,9 +894,11 @@ void FleetService::runJob(const std::shared_ptr<Job>& job) {
     requeueLocked(job, tenant);
   } else {
     ++arrayFailed_[idx];
-    if (error.kind == "unreachable" || error.kind == "internal") {
+    if (!fleet_.at(idx).anyShape() &&
+        (error.kind == "unreachable" || error.kind == "internal")) {
       // Errors that indict the mesh (not the request's own inputs) feed
-      // the failure-streak quarantine.
+      // the failure-streak quarantine. The any-shape array has no mesh of
+      // its own to indict.
       health_.onJobFailure(idx, obs::nowNs());
     }
     job->error = std::move(error.message);
@@ -838,8 +941,23 @@ bool FleetService::cancel(JobId id) {
   if (it == jobs_.end()) return false;
   const std::shared_ptr<Job>& job = it->second;
   if (job->state != JobState::kQueued) return false;
+  if (job->coalescedWith >= 0) {
+    // A coalesced follower: detach it from its leader; the leader (and
+    // any other followers) are unaffected.
+    const auto leaderIt = jobs_.find(job->coalescedWith);
+    if (leaderIt != jobs_.end()) {
+      auto& followers = leaderIt->second->followers;
+      followers.erase(std::find(followers.begin(), followers.end(), job));
+    }
+    job->coalescedWith = -1;
+    finishLocked(*job, JobState::kCancelled);
+    return true;
+  }
   removeFromQueueLocked(job);
   finishLocked(*job, JobState::kCancelled);
+  // A cancelled leader hands over to its first follower; give the heir a
+  // slot if one is free.
+  dispatchLocked();
   return true;
 }
 
@@ -858,8 +976,8 @@ ServiceStats FleetService::stats() const {
   s.expired = statExpired_;
   s.cacheHits = statCacheHits_;
   s.cacheMisses = statCacheMisses_;
+  s.coalesced = statCoalesced_;
   s.cacheEntries = cache_.size();
-  s.shards = 1;
   return s;
 }
 
@@ -924,8 +1042,10 @@ void FleetService::statsExtra(serve::Json& reply) const {
   for (const ArrayStatsRow& a : s.arrays) {
     serve::Json::Object row;
     row.emplace("name", serve::Json(a.name));
-    row.emplace("grid", serve::Json(std::to_string(a.rows) + "x" +
-                                    std::to_string(a.cols)));
+    row.emplace("grid", serve::Json(a.rows == 0
+                                        ? std::string("any")
+                                        : std::to_string(a.rows) + "x" +
+                                              std::to_string(a.cols)));
     row.emplace("alive_procs", serve::Json(a.aliveProcs));
     row.emplace("dead_procs", serve::Json(a.deadProcs));
     row.emplace("dead_links", serve::Json(a.deadLinks));
@@ -990,6 +1110,12 @@ serve::DriftOutcome FleetService::applyDrift(
     bool heal) {
   serve::DriftOutcome out;
   out.array = array;
+  if (config_.arrays.empty()) {
+    out.error =
+        "the any-shape array cannot drift: fault drift needs named arrays "
+        "(start the daemon with --fleet)";
+    return out;
+  }
 
   std::unique_lock<std::mutex> lock(mutex_);
   int found = -1;
@@ -1009,7 +1135,7 @@ serve::DriftOutcome FleetService::applyDrift(
   // Validate the request and detect no-ops on a probe map before touching
   // anything: a drift that would not change the fault state (heal of an
   // uninjected array, all-duplicate specs) must not bump the epoch — the
-  // single-healthy-array path stays bit-identical to SchedulingService.
+  // single-healthy-array path stays bit-identical to executeJobRequest.
   std::vector<std::string> injected = state.injectedFaults();
   bool changed = false;
   if (heal) {

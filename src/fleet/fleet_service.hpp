@@ -21,10 +21,12 @@
 
 namespace pimsched::fleet {
 
-/// Multi-array, multi-tenant scheduling service: co-schedules a job
-/// stream across a fleet of PIM arrays behind the same JobService
-/// interface as SchedulingService, so it slots into the protocol handler
-/// and daemon unchanged (and can itself be a shard behind ShardedService).
+/// The job engine: co-schedules a job stream across a fleet of PIM arrays
+/// behind the JobService interface the protocol handler and daemon talk
+/// to. A Config with no arrays serves one healthy *any-shape* array (see
+/// ArrayState): every grid shape is accepted, the selector never runs
+/// (the array is the only candidate), and the fault-inject / heal verbs
+/// answer ok == false — the single-array daemon is exactly this.
 ///
 /// Admission is tenant-aware. Each tenant owns a priority queue; dispatch
 /// picks the tenant candidate with the highest *effective* priority —
@@ -43,8 +45,24 @@ namespace pimsched::fleet {
 /// (cost | roundrobin | leastloaded; PIMSCHED_FLEET_POLICY overrides the
 /// configured policy when `policyFromEnv`). A job placed on an array runs
 /// with the array's canonical standing faults merged in front of its own
-/// specs; on a healthy array this is byte-identical to the non-fleet
-/// SchedulingService path.
+/// specs; on a healthy array this is byte-identical to executeJobRequest
+/// on the request alone. The selector (and the whole-trace reference
+/// aggregate it reads) is skipped for a job whose shape only one array of
+/// the topology can host.
+///
+/// Coalescing: a submission whose digest (which folds in the tenant)
+/// matches a job already queued or running does not enqueue a second
+/// solve — it attaches to the in-flight leader as a follower, and every
+/// follower resolves with the leader's very JobResult (or its failure),
+/// including a result reconciled after mid-run drift. A hotter follower
+/// raises a queued leader's priority; a leader cancelled or expired
+/// before it ran hands its payload to its first follower, which takes
+/// its place in the queue. Cancelling a follower only detaches it.
+///
+/// Memory: a job that reaches a terminal state keeps its id, priority,
+/// tenant, digest, status and result, and releases its payload (trace,
+/// reference aggregate, copied array faults), so a long-lived daemon
+/// holds no trace per finished job.
 ///
 /// Batch/serve mode switch (drain-threshold, after the GPGPU-Sim
 /// dyn-thresh DRAM scheduler): requests marked `batch` only start while
@@ -77,8 +95,9 @@ namespace pimsched::fleet {
 /// strand migrated work.
 ///
 /// Counters: fleet.jobs.{accepted,rejected,completed,failed,cancelled,
-/// deadline_missed}, fleet.cache.{hit,miss}, fleet.queue.{enqueued,
-/// dequeued}, fleet.job.retry, fleet.mode.{switches,serve_ns,batch_ns},
+/// deadline_missed,coalesced}, fleet.cache.{hit,miss},
+/// fleet.queue.{enqueued,dequeued}, fleet.job.retry,
+/// fleet.mode.{switches,serve_ns,batch_ns},
 /// fleet.dispatch.{serve,batch}, fleet.health.{drift_events,degraded,
 /// quarantined,readmitted,stale_served}, fleet.rebalance.{requeued,kept,
 /// repaired,resolved,cache_invalidated}, serve.drain.requeued, per-tenant
@@ -87,7 +106,7 @@ namespace pimsched::fleet {
 class FleetService final : public serve::JobService {
  public:
   struct Config {
-    /// The fleet topology; at least one array required.
+    /// The fleet topology; empty = one healthy any-shape array.
     std::vector<ArraySpec> arrays;
     FleetPolicy policy = FleetPolicy::kCost;
     /// Apply the PIMSCHED_FLEET_POLICY environment override when set.
@@ -114,7 +133,10 @@ class FleetService final : public serve::JobService {
     std::size_t drainThreshold = 0;
     /// Health-state thresholds for live fault drift (see health.hpp).
     HealthPolicy health;
-    /// Test hook, as in SchedulingService::Config.
+    /// Test-only hook invoked at the start of every job run with the
+    /// attempt number (0 on the first run, 1 on the retry). Exceptions it
+    /// throws are classified exactly like pipeline errors — tests use it
+    /// to fake transient worker failures.
     std::function<void(int attempt)> onJobAttempt;
     /// Test/telemetry hook invoked (under the service lock — it must not
     /// call back into the service) at every dispatch with the job id, the
@@ -186,10 +208,12 @@ class FleetService final : public serve::JobService {
   FleetService(const FleetService&) = delete;
   FleetService& operator=(const FleetService&) = delete;
 
+  /// Finalizes the trace if needed, content-addresses the job, and either
+  /// answers from the result cache (accepted + cached, job born kDone),
+  /// coalesces it onto an identical in-flight job, enqueues it, or
+  /// rejects it with a reason (no array for the shape, queue or tenant
+  /// quota full, draining).
   serve::SubmitOutcome submit(serve::JobRequest request) override;
-  /// submit() with the digest precomputed (sharded composition).
-  serve::SubmitOutcome submitWithDigest(serve::JobRequest request,
-                                        const Digest& digest);
   /// Streaming sessions pin to a hosting array when created (chosen
   /// deterministically by session name among the health-admissible arrays
   /// of the window's shape) and run every window with that array's
@@ -214,7 +238,7 @@ class FleetService final : public serve::JobService {
   /// invalidates orphaned result-cache entries — all atomically under the
   /// service lock. A request that would not change the fault state (heal
   /// of an uninjected array, all-duplicate specs) is an ok no-op that
-  /// bumps nothing.
+  /// bumps nothing. The any-shape array refuses drift (ok == false).
   serve::DriftOutcome applyDrift(const std::string& array,
                                  const std::vector<std::string>& specs,
                                  bool heal) override;
@@ -248,6 +272,11 @@ class FleetService final : public serve::JobService {
     /// completion means the array drifted mid-run and the result must be
     /// reconciled before it is served.
     std::int64_t faultEpoch = 0;
+    /// Identical-digest submissions riding this (leader) job: they are
+    /// never queued themselves and resolve when the leader does.
+    std::vector<std::shared_ptr<Job>> followers;
+    /// Leader id when this job is a coalesced follower, -1 otherwise.
+    serve::JobId coalescedWith = -1;
   };
 
   struct Tenant {
@@ -299,8 +328,9 @@ class FleetService final : public serve::JobService {
   /// Drops result-cache entries whose fault signature no live array
   /// carries any more; returns how many were invalidated.
   std::int64_t invalidateStaleCacheLocked();
-  /// Puts a job whose run was broken by drift back into its tenant queue
-  /// with a fresh plan (allowed mid-drain — see serve.drain.requeued).
+  /// Puts a job into its tenant queue with a fresh plan: a drift-broken
+  /// or retried run (allowed mid-drain — see serve.drain.requeued) or a
+  /// follower taking over from a cancelled or expired leader.
   void requeueLocked(const std::shared_ptr<Job>& job, Tenant& tenant);
   void dispatchLocked();
   /// Dispatches the best job of the given class; returns false when no
@@ -343,15 +373,17 @@ class FleetService final : public serve::JobService {
   /// signature.
   std::unordered_map<std::string, CacheEntry> cache_;
   std::list<std::string> cacheOrder_;
+  /// Non-terminal leader per digest hex, the coalescing join point.
+  std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
   std::int64_t statAccepted_ = 0, statRejected_ = 0, statCompleted_ = 0,
                statFailed_ = 0, statCancelled_ = 0, statExpired_ = 0,
-               statCacheHits_ = 0, statCacheMisses_ = 0;
+               statCacheHits_ = 0, statCacheMisses_ = 0,
+               statCoalesced_ = 0;
   RebalanceStatsRow rebalance_;
 };
 
 /// Aggregates a finalized trace into its whole-trace per-processor
-/// reference weights (sorted by ProcId) — the selector's input and the
-/// key the per-array cost caches memoize on.
+/// reference weights (sorted by ProcId) — the selector's input.
 [[nodiscard]] std::vector<ProcWeight> aggregateTraceRefs(
     const ReferenceTrace& trace);
 

@@ -13,7 +13,7 @@ namespace pimsched::fleet {
 /// Array-selection policy of the fleet dispatcher.
 enum class FleetPolicy {
   /// Score arrays by estimated serving cost of the job on that array
-  /// (cheapest alive center through the per-array CenterCostCache) plus
+  /// (cheapest alive center under the array's cost model) plus
   /// the array's outstanding estimated work; skip arrays that cannot
   /// serve the job (unreachable references, insufficient residual
   /// capacity). Deterministic tie-breaks: fewer dead processors, then

@@ -381,11 +381,8 @@ std::string ProtocolHandler::handleLine(std::string_view line,
           .set("cache_hits", s.cacheHits)
           .set("cache_misses", s.cacheMisses)
           .set("coalesced", s.coalesced)
-          .set("cache_entries", static_cast<std::int64_t>(s.cacheEntries))
-          .set("shards", static_cast<std::int64_t>(s.shards));
-      // Implementation-specific breakdowns: per-shard queue depths from
-      // the sharded front end, per-array/per-tenant detail from the fleet.
-      service_->statsExtra(reply);
+          .set("cache_entries", static_cast<std::int64_t>(s.cacheEntries));
+      service_->statsExtra(reply);  // per-array / per-tenant breakdowns
       return reply.dump();
     }
 

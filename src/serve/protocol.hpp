@@ -20,8 +20,8 @@ struct ProtocolOptions {
   /// Permit the `shutdown` verb.
   bool allowShutdown = true;
   /// Permit the `fault-inject` / `heal` admin verbs (live fault drift).
-  /// Only fleet services act on them; everything else reports drift as
-  /// unsupported.
+  /// The any-shape array of a daemon started without `--fleet` reports
+  /// drift as unsupported.
   bool allowFaultInject = true;
 };
 
@@ -51,7 +51,7 @@ struct ProtocolOptions {
 ///   cancel    id — replies {ok, cancelled}
 ///   stats     — replies {ok, queue_depth, running, accepted, rejected,
 ///             completed, failed, cancelled, deadline_missed, cache_hits,
-///             cache_misses, coalesced, cache_entries, shards}
+///             cache_misses, coalesced, cache_entries, fleet}
 ///   shutdown  — replies {ok, draining:true}; the transport drains + exits
 ///   fault-inject  array, faults (non-empty array of spec strings) —
 ///             injects live faults into the named fleet array; replies

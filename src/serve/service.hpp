@@ -1,15 +1,10 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <map>
+#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -48,7 +43,6 @@ struct JobRequest {
   /// switch: batch jobs only dispatch while the latency-sensitive serve
   /// backlog is drained below the configured threshold. Not part of the
   /// digest — batching is a dispatch policy, not a different answer.
-  /// Ignored outside FleetService.
   bool batch = false;
 
   /// Higher runs first; FIFO within a priority level.
@@ -152,9 +146,6 @@ struct ServiceStats {
   /// running instead of enqueuing a second solve.
   std::int64_t coalesced = 0;
   std::size_t cacheEntries = 0;
-  /// Worker shards behind these numbers (1 for a plain service; the
-  /// sharded front end reports its shard count and sums the rest).
-  std::size_t shards = 1;
 };
 
 /// Content address of a job: mixes traceDigest, configDigest, the grid
@@ -174,18 +165,17 @@ struct JobError {
   bool transient = false;
 };
 
-/// Classifies the in-flight exception of a failed job run. Shared by
-/// SchedulingService and FleetService so both report the same error_kind
-/// vocabulary and retry policy.
+/// Classifies the in-flight exception of a failed job run into the
+/// error_kind vocabulary and the retry policy.
 [[nodiscard]] JobError classifyJobError(const std::exception_ptr& ep);
 
-/// The scheduling pipeline of one job, shared by every service: build the
-/// grid, apply `arrayFaults` (the hosting array's standing faults, fleet
-/// path only) then the request's own fault specs, schedule, verify against
-/// the fault state when any fault is present, evaluate, serialize. Throws
-/// on failure (classify with classifyJobError). With empty `arrayFaults`
-/// this is byte-for-byte the non-fleet execution path, which is what makes
-/// a single-healthy-array fleet bit-identical to SchedulingService.
+/// The scheduling pipeline of one job: build the grid, apply `arrayFaults`
+/// (the hosting array's standing faults) then the request's own fault
+/// specs, schedule, verify against the fault state when any fault is
+/// present, evaluate, serialize. Throws on failure (classify with
+/// classifyJobError). With empty `arrayFaults` this is the plain
+/// single-array pipeline, which is what makes every healthy array — the
+/// any-shape one included — bit-identical to running the job directly.
 /// Fills eval/scheduleText; digest/wait/run stamps are the caller's.
 [[nodiscard]] std::shared_ptr<JobResult> executeJobRequest(
     const JobRequest& request,
@@ -194,8 +184,8 @@ struct JobError {
 class Json;
 
 /// Result of a live fault-drift request (`fault-inject` / `heal`) against
-/// a named array. Only fleet services support drift; everything else
-/// returns ok == false with a reason.
+/// a named array. The any-shape array of a fleet without configured
+/// arrays cannot drift and returns ok == false with a reason.
 struct DriftOutcome {
   bool ok = false;
   std::string error;        ///< why !ok (unknown array, bad spec, ...)
@@ -212,10 +202,9 @@ struct DriftOutcome {
   std::int64_t cacheInvalidated = 0;
 };
 
-/// The serving surface the protocol layer talks to. SchedulingService is
-/// the single-queue implementation; ShardedService (serve/sharded.hpp)
-/// fans the same interface out over a fixed pool of worker shards with
-/// consistent-hash job routing.
+/// The serving surface the protocol layer talks to. Its one
+/// implementation is fleet::FleetService (fleet/fleet_service.hpp); the
+/// interface keeps the protocol and transport free of the fleet library.
 class JobService {
  public:
   virtual ~JobService() = default;
@@ -226,171 +215,25 @@ class JobService {
       JobId id, bool wait = true) = 0;
   virtual bool cancel(JobId id) = 0;
   [[nodiscard]] virtual ServiceStats stats() const = 0;
-  /// Appends implementation-specific fields to a protocol stats reply —
-  /// per-shard queue depths for the sharded front end, per-array and
-  /// per-tenant breakdowns for the fleet. Default adds nothing.
-  virtual void statsExtra(Json& reply) const;
+  /// Appends implementation-specific fields (per-array and per-tenant
+  /// breakdowns) to a protocol stats reply.
+  virtual void statsExtra(Json& reply) const = 0;
   /// Live fault drift against a named array: `heal` rebuilds the array
   /// from its boot spec, otherwise `specs` are injected on top of its
-  /// current fault state. The fleet service overrides this; the default
-  /// reports drift as unsupported.
+  /// current fault state.
   virtual DriftOutcome applyDrift(const std::string& array,
                                   const std::vector<std::string>& specs,
-                                  bool heal);
+                                  bool heal) = 0;
   /// Streaming submission: solves one window of a long-lived session
   /// synchronously in the caller's thread, with warm solver state keyed by
-  /// the session name (serve/stream.hpp). The default reports streaming as
-  /// unsupported.
-  virtual StreamOutcome submitStream(StreamRequest request);
+  /// the session name (serve/stream.hpp).
+  virtual StreamOutcome submitStream(StreamRequest request) = 0;
   /// Closes a streaming session and drops its warm state; returns whether
-  /// the session existed. Default: false.
-  virtual bool closeStream(const std::string& session);
+  /// the session existed.
+  virtual bool closeStream(const std::string& session) = 0;
   /// Stops accepting submissions and blocks until every accepted job has
   /// reached a terminal state. Idempotent.
   virtual void drain() = 0;
-};
-
-class StreamSessionManager;
-
-/// Persistent scheduling service: a bounded priority job queue feeding up
-/// to `concurrency` jobs concurrently onto the shared util/thread_pool,
-/// fronted by a content-addressed result cache. One service instance is
-/// meant to live for the process (the daemon wraps exactly one), so the
-/// thread pool, the serving cost cache state inside each job run, and the
-/// result cache all survive across requests.
-///
-/// Backpressure: submissions beyond `maxQueueDepth` *queued* (not running)
-/// jobs are rejected with a reason instead of blocking the caller.
-///
-/// Coalescing: a submission whose digest matches a job already queued or
-/// running does not enqueue a second solve — it attaches to the in-flight
-/// job and all attached submissions share one JobResult when it finishes
-/// (serve.jobs.coalesced counts the attachments). The result cache is a
-/// bounded true LRU: a hit promotes the entry to most-recently-used, an
-/// insert past the bound evicts the least-recently-used entry.
-///
-/// Counters (global obs registry): serve.jobs.{accepted,rejected,
-/// completed,failed,cancelled,deadline_missed,coalesced},
-/// serve.cache.{hit,miss}, serve.queue.{enqueued,dequeued},
-/// serve.job.retry; timers serve.job.wait / serve.job.run.
-class SchedulingService : public JobService {
- public:
-  struct Config {
-    /// Queued-job bound; submissions past it are rejected with a reason.
-    std::size_t maxQueueDepth = 64;
-    /// Jobs in flight at once on the shared pool. Per-job parallelism
-    /// (PipelineConfig::threads) degrades to sequential inside a pool
-    /// worker, so throughput comes from cross-job concurrency here.
-    unsigned concurrency = 2;
-    bool cacheEnabled = true;
-    /// Result-cache entry bound; the oldest entry is evicted past it.
-    std::size_t maxCacheEntries = 1024;
-    /// Streaming-session bound: warm per-session solver state beyond this
-    /// is evicted least-recently-used (serve.session.evicted).
-    std::size_t maxStreamSessions = 64;
-    /// Test-only hook invoked at the start of every job run with the
-    /// attempt number (0 on the first run, 1 on the retry). Exceptions it
-    /// throws are classified exactly like pipeline errors — tests use it
-    /// to fake transient worker failures.
-    std::function<void(int attempt)> onJobAttempt;
-  };
-
-  SchedulingService();  ///< all Config defaults
-  explicit SchedulingService(Config config);
-  /// Drains: finishes every queued and running job before returning.
-  ~SchedulingService() override;
-
-  SchedulingService(const SchedulingService&) = delete;
-  SchedulingService& operator=(const SchedulingService&) = delete;
-
-  /// Finalizes the trace if needed, content-addresses the job, and either
-  /// answers from the result cache (accepted + cached, job born kDone),
-  /// coalesces it onto an identical in-flight job, enqueues it, or
-  /// rejects it (queue full / draining).
-  SubmitOutcome submit(JobRequest request) override;
-
-  /// submit() with the content digest already computed — the sharded
-  /// front end hashes the job once for routing and passes it down here so
-  /// the trace is not digested twice.
-  SubmitOutcome submitWithDigest(JobRequest request, const Digest& digest);
-
-  /// One streamed window, solved synchronously with warm per-session
-  /// solver state (serve/stream.hpp; bound by Config::maxStreamSessions).
-  StreamOutcome submitStream(StreamRequest request) override;
-  bool closeStream(const std::string& session) override;
-
-  /// nullopt for an unknown id.
-  [[nodiscard]] std::optional<JobStatus> status(JobId id) const override;
-
-  /// The job's result. wait == true blocks until the job reaches a
-  /// terminal state. Returns nullptr for unknown ids, non-terminal jobs
-  /// (when !wait) and jobs that ended kFailed/kCancelled/kExpired — use
-  /// status() to distinguish.
-  [[nodiscard]] std::shared_ptr<const JobResult> result(
-      JobId id, bool wait = true) override;
-
-  /// Cancels a still-queued job; running or finished jobs return false.
-  /// Cancelling a job with coalesced followers promotes the first
-  /// follower to run in its place rather than failing the whole group.
-  bool cancel(JobId id) override;
-
-  [[nodiscard]] ServiceStats stats() const override;
-
-  /// Stops accepting submissions and blocks until every queued and
-  /// running job has reached a terminal state. Idempotent.
-  void drain() override;
-
- private:
-  struct Job {
-    JobId id = -1;
-    JobRequest request;
-    JobState state = JobState::kQueued;
-    Digest digest;
-    std::string error;
-    std::string errorKind;
-    int attempts = 0;  ///< runs started; transient failures retry once
-    std::shared_ptr<const JobResult> result;
-    std::int64_t submitNs = 0;
-    std::int64_t deadlineNs = -1;  ///< absolute, -1 = none
-    /// Identical-digest submissions riding this (leader) job: they are
-    /// never queued themselves and resolve when the leader does.
-    std::vector<std::shared_ptr<Job>> followers;
-    /// Leader id when this job is a coalesced follower, -1 otherwise.
-    JobId coalescedWith = -1;
-  };
-
-  struct CacheEntry {
-    std::shared_ptr<const JobResult> result;
-    /// Position in cacheOrder_ (front = LRU, back = MRU).
-    std::list<std::string>::iterator order;
-  };
-
-  void maybeDispatchLocked();
-  void runJob(const std::shared_ptr<Job>& job);
-  void finishLocked(Job& job, JobState state);
-  void cacheInsertLocked(const Digest& digest,
-                         std::shared_ptr<const JobResult> result);
-
-  Config config_;
-  /// Warm streaming-session state (owns its own locking; constructed in
-  /// the .cpp so this header does not pull in serve/stream.hpp).
-  std::unique_ptr<StreamSessionManager> streams_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool draining_ = false;
-  unsigned running_ = 0;
-  JobId nextId_ = 1;
-  std::map<JobId, std::shared_ptr<Job>> jobs_;
-  /// Queued jobs ordered by (-priority, id): begin() is the next to run.
-  std::map<std::pair<int, JobId>, std::shared_ptr<Job>> queue_;
-  /// True-LRU result cache keyed by digest hex.
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::list<std::string> cacheOrder_;  ///< front = LRU, back = MRU
-  /// Non-terminal leader per digest hex, the coalescing join point.
-  std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
-  std::int64_t statAccepted_ = 0, statRejected_ = 0, statCompleted_ = 0,
-               statFailed_ = 0, statCancelled_ = 0, statExpired_ = 0,
-               statCacheHits_ = 0, statCacheMisses_ = 0, statCoalesced_ = 0;
 };
 
 }  // namespace pimsched::serve

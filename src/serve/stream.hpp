@@ -27,7 +27,7 @@ namespace pimsched::serve {
 /// Placement of a session chosen by the hosting service when the session
 /// is created or reset: `arrayFaults` are standing faults merged in front
 /// of the request's own specs (the fleet's canonical array faults — empty
-/// for a plain service), `tag` groups sessions for bulk invalidation
+/// on a healthy array), `tag` groups sessions for bulk invalidation
 /// (the fleet tags each session with its hosting array so drift on that
 /// array drops exactly the affected warm state).
 struct StreamPin {

@@ -302,7 +302,7 @@ TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
   // plans spread over the two arrays.
   std::vector<serve::JobId> ids;
   for (int seed = 1; seed <= 8; ++seed) {
-    const SubmitOutcome out = service.submit(makeRequest(4, 6, seed));
+    const SubmitOutcome out = service.submit(makeRequest(4, 5 + seed));
     ASSERT_TRUE(out.accepted) << out.reason;
     ids.push_back(out.id);
   }
@@ -334,7 +334,7 @@ TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
   for (int seed = 1; seed <= 8; ++seed) {
     const auto result = service.result(ids[static_cast<std::size_t>(seed - 1)]);
     ASSERT_NE(result, nullptr) << "job with seed " << seed;
-    const auto fresh = serve::executeJobRequest(makeRequest(4, 6, seed));
+    const auto fresh = serve::executeJobRequest(makeRequest(4, 5 + seed));
     EXPECT_EQ(result->scheduleText, fresh->scheduleText);
     EXPECT_EQ(result->eval.aggregate.serve, fresh->eval.aggregate.serve);
     EXPECT_EQ(result->eval.aggregate.move, fresh->eval.aggregate.move);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 #include "trace/trace.hpp"
@@ -75,22 +77,41 @@ struct DispatchLog {
 struct RunGate {
   std::promise<void> promise;
   std::shared_future<void> future{promise.get_future().share()};
+  std::atomic<int> runs{0};  ///< job runs started (the hook's calls)
 
   auto hook() {
     auto shared = future;
-    return [shared](int) { shared.wait(); };
+    return [this, shared](int) {
+      ++runs;
+      shared.wait();
+    };
   }
   void release() { promise.set_value(); }
 };
 
+/// The daemon's default engine: one healthy any-shape array.
+FleetService::Config anyShape() {
+  FleetService::Config config;
+  config.policyFromEnv = false;
+  return config;
+}
+
+/// Blocks until job `id` has been dispatched (its run parks on a gate).
+void waitUntilRunning(const FleetService& service, serve::JobId id) {
+  while (service.status(id)->state != JobState::kRunning) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Acceptance gate: a fleet of one healthy array is bit-identical to the
-// plain SchedulingService for the same requests.
+// Acceptance gate: the any-shape array, a fleet of one healthy shaped array
+// and the bare pipeline produce bit-identical results for the same
+// requests.
 // ---------------------------------------------------------------------------
 
 TEST(FleetIdentity, SingleHealthyArrayMatchesSchedulingServiceExactly) {
   FleetService fleetService(healthySingleArray());
-  serve::SchedulingService plain;
+  FleetService plain(anyShape());
 
   for (const Method method :
        {Method::kGomcds, Method::kScds, Method::kGroupedGomcds}) {
@@ -111,12 +132,17 @@ TEST(FleetIdentity, SingleHealthyArrayMatchesSchedulingServiceExactly) {
               plainResult->eval.aggregate.serve);
     EXPECT_EQ(fleetResult->eval.aggregate.move,
               plainResult->eval.aggregate.move);
+    // And both are exactly the bare single-array pipeline.
+    const auto direct = serve::executeJobRequest(request);
+    EXPECT_EQ(plainResult->scheduleText, direct->scheduleText);
+    EXPECT_EQ(plainResult->eval.aggregate.serve, direct->eval.aggregate.serve);
+    EXPECT_EQ(plainResult->eval.aggregate.move, direct->eval.aggregate.move);
   }
 }
 
 TEST(FleetIdentity, RequestFaultsBehaveIdenticallyOnAHealthyArray) {
   FleetService fleetService(healthySingleArray());
-  serve::SchedulingService plain;
+  FleetService plain(anyShape());
 
   JobRequest request = makeRequest();
   request.faults = {"proc:5", "link:0-1"};
@@ -139,12 +165,12 @@ TEST(FleetIdentity, RequestFaultsBehaveIdenticallyOnAHealthyArray) {
 
 TEST(FleetIdentity, StandingArrayFaultsEqualRequestFaults) {
   // A job on an array with standing faults must produce exactly what the
-  // non-fleet path produces when the same specs ride on the request.
+  // any-shape array produces when the same specs ride on the request.
   FleetService::Config config;
   config.arrays = parseFleetSpec("hurt=4x4:proc:5+link:0-1");
   config.policyFromEnv = false;
   FleetService fleetService(std::move(config));
-  serve::SchedulingService plain;
+  FleetService plain(anyShape());
 
   const SubmitOutcome viaFleet = fleetService.submit(makeRequest());
   JobRequest withFaults = makeRequest();
@@ -265,7 +291,7 @@ TEST(FleetFairness, StrideSchedulingHonoursFourToOneWeights) {
   for (int i = 0; i < kPerTenant; ++i) {
     for (const char* tenant : {"alpha", "beta"}) {
       JobRequest request = makeRequest(4, 4, Method::kScds);
-      request.trace = makeTrace(4, 4, 2 + i);  // distinct digests
+      request.trace = makeTrace(4, 4 + i);  // distinct digests
       request.tenant = tenant;
       ASSERT_TRUE(fleetService.submit(std::move(request)).accepted);
     }
@@ -591,7 +617,7 @@ TEST(FleetCache, DriftInvalidatesEntriesNoLiveArrayCanServe) {
 
 TEST(FleetIdentity, InjectHealCycleRestoresBitIdenticalResults) {
   FleetService fleetService(healthySingleArray());
-  serve::SchedulingService plain;
+  FleetService plain(anyShape());
 
   ASSERT_TRUE(fleetService.applyDrift("only", {"proc:5"}, false).ok);
   ASSERT_TRUE(fleetService.applyDrift("only", {}, true).ok);
@@ -610,6 +636,193 @@ TEST(FleetIdentity, InjectHealCycleRestoresBitIdenticalResults) {
   EXPECT_EQ(fleetResult->scheduleText, plainResult->scheduleText);
   EXPECT_EQ(fleetResult->eval.aggregate.total(),
             plainResult->eval.aggregate.total());
+}
+
+// ---------------------------------------------------------------------------
+// In-flight coalescing on a multi-array fleet.
+// ---------------------------------------------------------------------------
+
+/// Two healthy arrays, one job at a time each: two distinct blockers fill
+/// both slots, so everything submitted after them stays queued until the
+/// gate opens.
+FleetService::Config twoArrays(RunGate& gate) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("a=4x4;b=4x4");
+  config.policyFromEnv = false;
+  config.onJobAttempt = gate.hook();
+  return config;
+}
+
+void fillBothArrays(FleetService& service) {
+  ASSERT_TRUE(service.submit(makeRequest(4, 8)).accepted);
+  ASSERT_TRUE(service.submit(makeRequest(4, 9)).accepted);
+  ASSERT_EQ(service.stats().running, 2u);
+}
+
+TEST(FleetCoalescing, ConcurrentIdenticalSubmitsCoalesceToOneRun) {
+  RunGate gate;
+  FleetService service(twoArrays(gate));
+#ifndef PIMSCHED_NO_OBS
+  const std::int64_t coalescedBefore =
+      obs::Registry::instance().counterValue("fleet.jobs.coalesced");
+#endif
+  fillBothArrays(service);
+  const SubmitOutcome leader = service.submit(makeRequest());
+  ASSERT_TRUE(leader.accepted);
+  EXPECT_FALSE(leader.cached);
+  constexpr int kFollowers = 3;
+  std::vector<serve::JobId> followers;
+  for (int i = 0; i < kFollowers; ++i) {
+    const SubmitOutcome out = service.submit(makeRequest());
+    ASSERT_TRUE(out.accepted);
+    EXPECT_FALSE(out.cached);  // attached to the in-flight leader instead
+    EXPECT_EQ(service.status(out.id)->state, JobState::kQueued);
+    followers.push_back(out.id);
+  }
+  // Followers never entered a queue: only the leader waits.
+  EXPECT_EQ(service.stats().queueDepth, 1u);
+  gate.release();
+
+  const auto leaderResult = service.result(leader.id);
+  ASSERT_NE(leaderResult, nullptr);
+  for (const serve::JobId id : followers) {
+    const auto result = service.result(id);
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result.get(), leaderResult.get());  // the same object, shared
+    EXPECT_EQ(service.status(id)->state, JobState::kDone);
+  }
+  service.drain();
+  EXPECT_EQ(gate.runs.load(), 3);  // two blockers + leader
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.coalesced, kFollowers);
+  EXPECT_EQ(stats.completed, 3 + kFollowers);
+#ifndef PIMSCHED_NO_OBS
+  EXPECT_EQ(obs::Registry::instance().counterValue("fleet.jobs.coalesced"),
+            coalescedBefore + kFollowers);
+#endif
+}
+
+TEST(FleetCoalescing, IdenticalSubmitStormRunsThePipelineOnce) {
+  // Races submit against completion from real threads: every submit either
+  // leads, coalesces, or hits the cache — the pipeline runs exactly once.
+  std::atomic<int> runs{0};
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("a=4x4;b=4x4;c=8x8");
+  config.policyFromEnv = false;
+  config.onJobAttempt = [&](int) { ++runs; };
+  FleetService service(std::move(config));
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<Cost> totals(kThreads, -1);
+  std::vector<std::thread> storm;
+  storm.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    storm.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const SubmitOutcome out = service.submit(makeRequest());
+      ASSERT_TRUE(out.accepted);
+      const auto result = service.result(out.id);
+      ASSERT_NE(result, nullptr);
+      totals[static_cast<std::size_t>(t)] = result->eval.aggregate.total();
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true, std::memory_order_release);
+  for (std::thread& s : storm) s.join();
+
+  EXPECT_EQ(runs.load(), 1);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(totals[t], totals[0]);
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, kThreads);
+  EXPECT_EQ(1 + stats.coalesced + stats.cacheHits, kThreads);
+  EXPECT_EQ(stats.cacheMisses - stats.coalesced, 1);
+}
+
+TEST(FleetCoalescing, CancelledLeaderPromotesAFollower) {
+  // Cancelling a queued leader must not strand its followers: the first
+  // follower takes over its payload, is placed, and produces the result.
+  RunGate gate;
+  FleetService::Config config = twoArrays(gate);
+  config.cacheEnabled = false;
+  FleetService service(std::move(config));
+  fillBothArrays(service);
+  const SubmitOutcome leader = service.submit(makeRequest());
+  const SubmitOutcome follower = service.submit(makeRequest());
+  const SubmitOutcome second = service.submit(makeRequest());
+  ASSERT_TRUE(leader.accepted);
+  ASSERT_TRUE(follower.accepted);
+  ASSERT_TRUE(second.accepted);
+
+  EXPECT_TRUE(service.cancel(leader.id));
+  EXPECT_EQ(service.status(leader.id)->state, JobState::kCancelled);
+  EXPECT_EQ(service.status(follower.id)->state, JobState::kQueued);
+  EXPECT_EQ(service.stats().queueDepth, 1u);  // the heir took its place
+  gate.release();
+
+  EXPECT_EQ(service.result(leader.id), nullptr);
+  const auto result = service.result(follower.id);
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->scheduleText,
+            serve::executeJobRequest(makeRequest())->scheduleText);
+  EXPECT_EQ(service.result(second.id).get(), result.get());
+  EXPECT_EQ(service.status(follower.id)->state, JobState::kDone);
+  service.drain();
+  EXPECT_EQ(gate.runs.load(), 3);  // two blockers + the heir
+  EXPECT_EQ(service.stats().cancelled, 1);
+}
+
+TEST(FleetCoalescing, CancelDetachesAFollowerWithoutKillingTheLeader) {
+  RunGate gate;
+  FleetService::Config config = twoArrays(gate);
+  config.cacheEnabled = false;
+  FleetService service(std::move(config));
+  fillBothArrays(service);
+  const SubmitOutcome leader = service.submit(makeRequest());
+  const SubmitOutcome follower = service.submit(makeRequest());
+  ASSERT_TRUE(leader.accepted);
+  ASSERT_TRUE(follower.accepted);
+
+  EXPECT_TRUE(service.cancel(follower.id));
+  EXPECT_EQ(service.status(follower.id)->state, JobState::kCancelled);
+  EXPECT_EQ(service.status(leader.id)->state, JobState::kQueued);
+  gate.release();
+
+  EXPECT_EQ(service.result(follower.id), nullptr);
+  ASSERT_NE(service.result(leader.id), nullptr);
+  EXPECT_EQ(service.status(leader.id)->state, JobState::kDone);
+}
+
+TEST(FleetCoalescing, FollowersOfADriftedLeaderGetTheReconciledResult) {
+  RunGate gate;
+  FleetService::Config config = healthySingleArray();
+  config.onJobAttempt = gate.hook();
+  FleetService service(std::move(config));
+
+  const SubmitOutcome leader = service.submit(makeRequest());
+  ASSERT_TRUE(leader.accepted);
+  waitUntilRunning(service, leader.id);
+  const SubmitOutcome follower = service.submit(makeRequest());
+  ASSERT_TRUE(follower.accepted);
+  EXPECT_EQ(service.stats().coalesced, 1);
+  // Kill the interior block under the running leader: its healthy-mesh
+  // schedule is repaired, and the follower must see the repaired answer.
+  ASSERT_TRUE(service
+                  .applyDrift("only", {"proc:5", "proc:6", "proc:9", "proc:10"},
+                              false)
+                  .ok);
+  gate.release();
+
+  const auto leaderResult = service.result(leader.id);
+  ASSERT_NE(leaderResult, nullptr);
+  EXPECT_TRUE(leaderResult->repaired);
+  const auto followerResult = service.result(follower.id);
+  EXPECT_EQ(followerResult.get(), leaderResult.get());
+  EXPECT_EQ(service.status(follower.id)->state, JobState::kDone);
+  EXPECT_EQ(service.fleetStats().rebalance.staleServed, 0);
+  EXPECT_EQ(gate.runs.load(), 1);
 }
 
 }  // namespace

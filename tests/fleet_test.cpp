@@ -130,6 +130,16 @@ TEST(FleetRegistry, LookupAndShapeEligibility) {
   EXPECT_EQ(eligible[0], 0u);
   EXPECT_EQ(eligible[1], 2u);
   EXPECT_TRUE(fleet.eligibleFor(2, 2).empty());
+
+  // No specs: the one any-shape array, eligible for every shape. A 0x0
+  // spec among shaped ones would be a second any-shape array: rejected.
+  const ArrayFleet anyShape({});
+  ASSERT_EQ(anyShape.size(), 1u);
+  EXPECT_TRUE(anyShape.at(0).anyShape());
+  EXPECT_EQ(anyShape.eligibleFor(2, 2), std::vector<std::size_t>{0});
+  EXPECT_EQ(anyShape.eligibleFor(16, 8), std::vector<std::size_t>{0});
+  EXPECT_THROW(ArrayFleet({ArraySpec{"a", 4, 4, {}}, ArraySpec{"z", 0, 0, {}}}),
+               std::invalid_argument);
 }
 
 TEST(FleetRegistry, FullyDeadArrayIsNeverEligible) {

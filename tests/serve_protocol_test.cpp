@@ -5,11 +5,15 @@
 #include <sstream>
 #include <string>
 
+#include "fleet/fleet_service.hpp"
 #include "serve/json.hpp"
 #include "trace/trace_io.hpp"
 
 namespace pimsched::serve {
 namespace {
+
+/// The daemon's default engine: one healthy any-shape array.
+using Engine = fleet::FleetService;
 
 // ---------------------------------------------------------------- Json --
 
@@ -132,7 +136,7 @@ std::string expectError(ProtocolHandler& handler, const std::string& line) {
 }
 
 TEST(Protocol, SubmitStatusResultCancelStatsWork) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   const Json reply = call(handler, submitRequest().dump());
@@ -172,7 +176,7 @@ TEST(Protocol, SubmitStatusResultCancelStatsWork) {
 }
 
 TEST(Protocol, ResubmitReportsTheCacheHit) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   (void)call(handler, submitRequest().dump());
   const Json second = call(handler, submitRequest().dump());
@@ -184,7 +188,7 @@ TEST(Protocol, ResubmitReportsTheCacheHit) {
 }
 
 TEST(Protocol, MalformedJsonGetsAStructuredErrorReply) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   EXPECT_NE(expectError(handler, "this is not json").find("parse error"),
             std::string::npos);
@@ -196,7 +200,7 @@ TEST(Protocol, MalformedJsonGetsAStructuredErrorReply) {
 }
 
 TEST(Protocol, NonObjectRequestsAreRejected) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   EXPECT_NE(expectError(handler, "42").find("object"), std::string::npos);
   (void)expectError(handler, "[1,2]");
@@ -204,7 +208,7 @@ TEST(Protocol, NonObjectRequestsAreRejected) {
 }
 
 TEST(Protocol, OversizedFramesAreRejectedWithTheLimit) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolOptions options;
   options.maxFrameBytes = 64;
   ProtocolHandler handler(service, options);
@@ -219,7 +223,7 @@ TEST(Protocol, OversizedFramesAreRejectedWithTheLimit) {
 }
 
 TEST(Protocol, UnknownVerbsAndMissingFieldsAreRejected) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   EXPECT_NE(expectError(handler, R"({"verb":"frobnicate"})")
                 .find("unknown verb"),
@@ -233,7 +237,7 @@ TEST(Protocol, UnknownVerbsAndMissingFieldsAreRejected) {
 }
 
 TEST(Protocol, SubmitValidationNamesTheBadField) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   const std::string trace = sampleTraceText();
 
@@ -288,7 +292,7 @@ TEST(Protocol, SubmitValidationNamesTheBadField) {
 }
 
 TEST(Protocol, TenantFieldIsValidatedAndFoldedIntoTheDigest) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   Json plain = submitRequest();
@@ -326,15 +330,15 @@ TEST(Protocol, TenantFieldIsValidatedAndFoldedIntoTheDigest) {
 }
 
 TEST(Protocol, BatchFlagIsAcceptedAndDoesNotChangeTheDigest) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   Json plain = submitRequest();
   const Json first = call(handler, plain.dump());
   EXPECT_TRUE(first.find("ok")->asBool());
 
-  // Batch marks a dispatch class, not different work: outside a fleet the
-  // flag is inert and the cached answer still matches.
+  // Batch marks a dispatch class, not different work: the cached answer
+  // still matches.
   Json batched = submitRequest();
   batched.set("batch", true);
   const Json second = call(handler, batched.dump());
@@ -350,7 +354,7 @@ TEST(Protocol, BatchFlagIsAcceptedAndDoesNotChangeTheDigest) {
 }
 
 TEST(Protocol, OversizedGridsAreAProtocolErrorNotAnAllocation) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   Json hugeProduct = submitRequest();
@@ -370,7 +374,7 @@ TEST(Protocol, OversizedGridsAreAProtocolErrorNotAnAllocation) {
 }
 
 TEST(Protocol, FaultSpecsAreValidatedAtSubmitTime) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   // A valid fault list is accepted and the faulted job completes.
@@ -402,7 +406,7 @@ TEST(Protocol, FaultSpecsAreValidatedAtSubmitTime) {
 }
 
 TEST(Protocol, UnreachableJobsReportTheErrorKind) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   // killing the middle row of the 3x3 grid partitions the sample trace's
   // references, so the job fails as unreachable rather than crashing.
@@ -425,7 +429,7 @@ TEST(Protocol, UnreachableJobsReportTheErrorKind) {
 }
 
 TEST(Protocol, BadFaultSpecsPointAtTheOffendingToken) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   // The parse error names the bad token and its character offset, so a
   // client staring at a long spec learns which operand is wrong.
@@ -443,7 +447,7 @@ TEST(Protocol, BadFaultSpecsPointAtTheOffendingToken) {
 }
 
 TEST(Protocol, FaultDriftVerbsValidateTheirFields) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
 
   Json noArray;
@@ -463,7 +467,7 @@ TEST(Protocol, FaultDriftVerbsValidateTheirFields) {
   EXPECT_NE(expectError(handler, notStrings.dump()).find("spec strings"),
             std::string::npos);
 
-  // A non-fleet service reports drift as unsupported — structured, not a
+  // The any-shape array reports drift as unsupported — structured, not a
   // crash, and retrying verbatim cannot succeed.
   Json inject;
   inject.set("verb", "fault-inject")
@@ -482,7 +486,7 @@ TEST(Protocol, FaultDriftVerbsValidateTheirFields) {
 }
 
 TEST(Protocol, FaultDriftVerbsCanBeDisabled) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolOptions options;
   options.allowFaultInject = false;
   ProtocolHandler handler(service, options);
@@ -499,7 +503,7 @@ TEST(Protocol, FaultDriftVerbsCanBeDisabled) {
 }
 
 TEST(Protocol, TraceFileSubmissionsCanBeDisabled) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolOptions options;
   options.allowTraceFiles = false;
   ProtocolHandler handler(service, options);
@@ -510,7 +514,7 @@ TEST(Protocol, TraceFileSubmissionsCanBeDisabled) {
 }
 
 TEST(Protocol, ShutdownSetsTheFlagOnlyWhenAllowed) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   ProtocolHandler handler(service);
   bool shutdown = false;
   const Json reply = call(handler, R"({"verb":"shutdown"})", &shutdown);

@@ -16,11 +16,15 @@
 #include <string>
 #include <thread>
 
+#include "fleet/fleet_service.hpp"
 #include "serve/json.hpp"
 #include "trace/trace_io.hpp"
 
 namespace pimsched::serve {
 namespace {
+
+/// The daemon's default engine: one healthy any-shape array.
+using Engine = fleet::FleetService;
 
 std::string uniqueSocketPath(const std::string& tag) {
   // Keep it short: sockaddr_un caps the path at ~107 bytes.
@@ -161,7 +165,7 @@ class ServerFixture {
     return exitCode;
   }
 
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   std::unique_ptr<SocketServer> server;
   std::thread runner;
   int exitCode = -1;
@@ -258,7 +262,7 @@ TEST(SocketServer, RefusesToStartOnALiveSocket) {
   ServerFixture fixture("claimed");
   SocketServer::Options options;
   options.socketPath = fixture.server->socketPath();
-  SchedulingService other;
+  Engine other{Engine::Config{}};
   SocketServer second(other, options);
   EXPECT_THROW(second.start(), std::runtime_error);
 }
@@ -295,7 +299,7 @@ TEST(SocketServer, TcpAndUnixEndpointsServeTheSameService) {
 }
 
 TEST(SocketServer, TcpOnlyServerNeedsNoSocketFile) {
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   SocketServer::Options options;
   options.socketPath.clear();
   options.tcpPort = 0;
@@ -343,7 +347,7 @@ TEST(SocketServer, StartReplacesAStaleSocketFile) {
     ::close(fd);
   }
   ASSERT_EQ(::access(path.c_str(), F_OK), 0);
-  SchedulingService service;
+  Engine service{Engine::Config{}};
   SocketServer::Options options;
   options.socketPath = path;
   SocketServer server(service, options);

@@ -1,10 +1,16 @@
+// The SchedulingService suite pins the daemon's default job engine: a
+// FleetService with no configured arrays, which serves one healthy array
+// that hosts any grid shape.
+
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -12,12 +18,24 @@
 
 #include "core/pipeline.hpp"
 #include "core/schedule_io.hpp"
+#include "fleet/fleet_service.hpp"
 #include "obs/obs.hpp"
 #include "pim/grid.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pimsched::serve {
 namespace {
+
+using fleet::FleetService;
+
+/// The engine configuration every test starts from: no arrays (the
+/// any-shape array), two jobs in flight.
+FleetService::Config engineConfig() {
+  FleetService::Config config;
+  config.concurrencyPerArray = 2;
+  config.policyFromEnv = false;
+  return config;
+}
 
 /// A small but non-trivial trace: every datum of an n x n array referenced
 /// by a drifting processor across `steps` steps.
@@ -117,7 +135,7 @@ TEST(JobDigest, ContentFieldsChangeItSchedulingKnobsDoNot) {
 
 TEST(SchedulingService, ResultMatchesDirectPipelineEvaluation) {
   const JobRequest request = makeRequest();
-  SchedulingService service;
+  FleetService service(engineConfig());
   const SubmitOutcome outcome = service.submit(request);
   ASSERT_TRUE(outcome.accepted) << outcome.reason;
   EXPECT_FALSE(outcome.cached);
@@ -146,7 +164,7 @@ TEST(SchedulingService, ResultMatchesDirectPipelineEvaluation) {
 }
 
 TEST(SchedulingService, ResubmitIsServedFromTheResultCache) {
-  SchedulingService service;
+  FleetService service(engineConfig());
   const SubmitOutcome first = service.submit(makeRequest());
   ASSERT_TRUE(first.accepted);
   const auto firstResult = service.result(first.id);
@@ -174,10 +192,10 @@ TEST(SchedulingService, ResubmitIsServedFromTheResultCache) {
 }
 
 TEST(SchedulingService, BackpressureRejectsWithAReason) {
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.maxQueueDepth = 0;  // nothing may wait in the queue
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
   const SubmitOutcome outcome = service.submit(makeRequest());
   EXPECT_FALSE(outcome.accepted);
   EXPECT_EQ(outcome.id, -1);
@@ -187,10 +205,10 @@ TEST(SchedulingService, BackpressureRejectsWithAReason) {
 }
 
 TEST(SchedulingService, HigherPriorityJobsJumpTheQueue) {
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
 
   // Occupy the single slot, then queue a low- and a high-priority job
   // while the pool gate guarantees the blocker has not finished.
@@ -219,10 +237,10 @@ TEST(SchedulingService, HigherPriorityJobsJumpTheQueue) {
 }
 
 TEST(SchedulingService, ExpiredDeadlineIsReportedNotRun) {
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
 
   PoolGate gate;
   const SubmitOutcome blocker = service.submit(makeRequest(4, 8));
@@ -243,10 +261,10 @@ TEST(SchedulingService, ExpiredDeadlineIsReportedNotRun) {
 }
 
 TEST(SchedulingService, CancelHitsQueuedJobsOnly) {
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
 
   PoolGate gate;
   const SubmitOutcome blocker = service.submit(makeRequest(4, 8));
@@ -273,7 +291,7 @@ TEST(SchedulingService, PipelineFailureBecomesAFailedJobWithDetail) {
   JobRequest bad;
   bad.trace = ReferenceTrace(DataSpace::singleSquare(2));
   bad.trace.finalize();  // zero steps: the pipeline rejects it
-  SchedulingService service;
+  FleetService service(engineConfig());
   const SubmitOutcome outcome = service.submit(bad);
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(service.result(outcome.id), nullptr);
@@ -289,7 +307,7 @@ TEST(SchedulingService, PipelineFailureBecomesAFailedJobWithDetail) {
 TEST(SchedulingService, FaultedJobCompletesWithAFaultCleanSchedule) {
   JobRequest request = makeRequest();
   request.faults = {"proc:5", "link:0-1"};
-  SchedulingService service;
+  FleetService service(engineConfig());
   const SubmitOutcome outcome = service.submit(request);
   ASSERT_TRUE(outcome.accepted) << outcome.reason;
   const auto result = service.result(outcome.id);
@@ -323,7 +341,7 @@ TEST(JobDigest, FaultSpecsAreContentFields) {
 
   // No cache aliasing: the healthy result must not answer the faulted
   // request.
-  SchedulingService service;
+  FleetService service(engineConfig());
   ASSERT_NE(service.result(service.submit(base).id), nullptr);
   const SubmitOutcome second = service.submit(faulted);
   ASSERT_TRUE(second.accepted);
@@ -335,7 +353,7 @@ TEST(SchedulingService, UnreachableFaultsFailWithKindAndNoRetry) {
   // partitions it, so some datum is referenced from both sides of the cut.
   JobRequest request = makeRequest();
   request.faults = {"row:1"};
-  SchedulingService service;
+  FleetService service(engineConfig());
   const SubmitOutcome outcome = service.submit(request);
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(service.result(outcome.id), nullptr);
@@ -349,12 +367,12 @@ TEST(SchedulingService, UnreachableFaultsFailWithKindAndNoRetry) {
 
 TEST(SchedulingService, TransientWorkerFailureIsRetriedOnce) {
   std::atomic<int> attemptsSeen{0};
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.onJobAttempt = [&](int attempt) {
     ++attemptsSeen;
     if (attempt == 0) throw std::runtime_error("injected transient fault");
   };
-  SchedulingService service(config);
+  FleetService service(config);
   const SubmitOutcome outcome = service.submit(makeRequest());
   ASSERT_TRUE(outcome.accepted);
   const auto result = service.result(outcome.id);
@@ -368,11 +386,11 @@ TEST(SchedulingService, TransientWorkerFailureIsRetriedOnce) {
 }
 
 TEST(SchedulingService, SecondTransientFailureIsFinal) {
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.onJobAttempt = [](int) {
     throw std::runtime_error("worker keeps crashing");
   };
-  SchedulingService service(config);
+  FleetService service(config);
   const SubmitOutcome outcome = service.submit(makeRequest());
   ASSERT_TRUE(outcome.accepted);
   EXPECT_EQ(service.result(outcome.id), nullptr);
@@ -386,15 +404,16 @@ TEST(SchedulingService, SecondTransientFailureIsFinal) {
 }
 
 TEST(SchedulingService, UnknownIdsAreDistinguishable) {
-  SchedulingService service;
+  FleetService service(engineConfig());
   EXPECT_FALSE(service.status(1).has_value());
   EXPECT_EQ(service.result(1, /*wait=*/true), nullptr);
+  EXPECT_FALSE(service.cancel(1));
 }
 
 TEST(SchedulingService, DrainFinishesEverythingAndThenRejects) {
-  SchedulingService::Config config;
-  config.concurrency = 2;
-  SchedulingService service(config);
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 2;
+  FleetService service(config);
   std::vector<JobId> ids;
   for (int i = 0; i < 6; ++i) {
     const SubmitOutcome outcome = service.submit(makeRequest(4, 5 + i));
@@ -405,6 +424,7 @@ TEST(SchedulingService, DrainFinishesEverythingAndThenRejects) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.queueDepth, 0u);
   EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(std::set<JobId>(ids.begin(), ids.end()).size(), ids.size());
   for (const JobId id : ids) {
     EXPECT_EQ(service.status(id)->state, JobState::kDone) << "id " << id;
   }
@@ -415,9 +435,9 @@ TEST(SchedulingService, DrainFinishesEverythingAndThenRejects) {
 }
 
 TEST(SchedulingService, CacheEvictsOldestEntryPastTheBound) {
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.maxCacheEntries = 1;
-  SchedulingService service(config);
+  FleetService service(config);
   const JobRequest a = makeRequest(4, 5);
   const JobRequest b = makeRequest(4, 6);
   ASSERT_NE(service.result(service.submit(a).id), nullptr);
@@ -432,9 +452,9 @@ TEST(SchedulingService, CacheEvictsOldestEntryPastTheBound) {
 }
 
 TEST(SchedulingService, DisabledCacheNeverServesCachedResults) {
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
   ASSERT_NE(service.result(service.submit(makeRequest()).id), nullptr);
   const SubmitOutcome second = service.submit(makeRequest());
   ASSERT_TRUE(second.accepted);
@@ -450,10 +470,10 @@ TEST(SchedulingService, HundredsOfConcurrentSubmissionsAllGetAnAnswer) {
   // The e2e acceptance bar: >= 100 concurrent submissions of mixed
   // kernels, every one either rejected with a reason or driven to a
   // terminal state — nothing dropped without a reply.
-  SchedulingService::Config config;
-  config.concurrency = 4;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 4;
   config.maxQueueDepth = 16;  // small enough that backpressure triggers
-  SchedulingService service(config);
+  FleetService service(config);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 15;
@@ -506,9 +526,9 @@ TEST(SchedulingService, HundredsOfConcurrentSubmissionsAllGetAnAnswer) {
 TEST(SchedulingService, CacheHitPromotesEntryToMostRecentlyUsed) {
   // True-LRU pin: a hit must save an entry from eviction. Under the old
   // FIFO order, `a` would be the next victim regardless of the hit.
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.maxCacheEntries = 2;
-  SchedulingService service(config);
+  FleetService service(config);
   const JobRequest a = makeRequest(4, 5);
   const JobRequest b = makeRequest(4, 6);
   const JobRequest c = makeRequest(4, 7);
@@ -526,9 +546,9 @@ TEST(SchedulingService, RepeatedCacheHitsNeverDuplicateRecencyEntries) {
   // If hits appended duplicate recency entries, the first eviction after
   // five hits on `a` would pop a stale duplicate of `a` and drop it from
   // the cache even though it is the most recently used key.
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.maxCacheEntries = 2;
-  SchedulingService service(config);
+  FleetService service(config);
   const JobRequest a = makeRequest(4, 5);
   const JobRequest b = makeRequest(4, 6);
   ASSERT_NE(service.result(service.submit(a).id), nullptr);
@@ -549,13 +569,13 @@ TEST(SchedulingService, ConcurrentIdenticalSubmitsCoalesceToOneRun) {
   // K identical submits while the first is still in flight: exactly one
   // pipeline run, every waiter fanned the same result object.
   std::atomic<int> runs{0};
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.onJobAttempt = [&](int) { ++runs; };
-  SchedulingService service(config);
+  FleetService service(config);
 #ifndef PIMSCHED_NO_OBS
   const std::int64_t coalescedBefore =
-      obs::Registry::instance().counterValue("serve.jobs.coalesced");
+      obs::Registry::instance().counterValue("fleet.jobs.coalesced");
 #endif
 
   PoolGate gate;
@@ -590,7 +610,7 @@ TEST(SchedulingService, ConcurrentIdenticalSubmitsCoalesceToOneRun) {
   EXPECT_EQ(stats.coalesced, kFollowers);
   EXPECT_EQ(stats.completed, 2 + kFollowers);
 #ifndef PIMSCHED_NO_OBS
-  EXPECT_EQ(obs::Registry::instance().counterValue("serve.jobs.coalesced"),
+  EXPECT_EQ(obs::Registry::instance().counterValue("fleet.jobs.coalesced"),
             coalescedBefore + kFollowers);
 #endif
 }
@@ -599,9 +619,9 @@ TEST(SchedulingService, IdenticalSubmitStormRunsThePipelineOnce) {
   // Races submit against completion from real threads: every submit either
   // leads, coalesces, or hits the cache — the pipeline runs exactly once.
   std::atomic<int> runs{0};
-  SchedulingService::Config config;
+  FleetService::Config config = engineConfig();
   config.onJobAttempt = [&](int) { ++runs; };
-  SchedulingService service(config);
+  FleetService service(config);
 
   constexpr int kThreads = 8;
   std::atomic<int> ready{0};
@@ -635,10 +655,10 @@ TEST(SchedulingService, IdenticalSubmitStormRunsThePipelineOnce) {
 TEST(SchedulingService, CancelledLeaderPromotesAFollower) {
   // Cancelling a queued leader must not strand its followers: the first
   // follower is promoted to a queued job and still produces the result.
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
 
   PoolGate gate;
   const SubmitOutcome blocker = service.submit(makeRequest(4, 8));
@@ -661,10 +681,10 @@ TEST(SchedulingService, CancelledLeaderPromotesAFollower) {
 }
 
 TEST(SchedulingService, CancelDetachesAFollowerWithoutKillingTheLeader) {
-  SchedulingService::Config config;
-  config.concurrency = 1;
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
   config.cacheEnabled = false;
-  SchedulingService service(config);
+  FleetService service(config);
 
   PoolGate gate;
   const SubmitOutcome blocker = service.submit(makeRequest(4, 8));
@@ -682,6 +702,209 @@ TEST(SchedulingService, CancelDetachesAFollowerWithoutKillingTheLeader) {
   EXPECT_EQ(service.result(follower.id), nullptr);
   ASSERT_NE(service.result(leader.id), nullptr);
   EXPECT_EQ(service.status(leader.id)->state, JobState::kDone);
+}
+
+TEST(SchedulingService, HostsEveryGridShapeSideBySide) {
+  // The any-shape array takes each job's grid from the request, so 4x4
+  // and 8x8 jobs share one engine, and each matches the plain pipeline.
+  FleetService service(engineConfig());
+  JobRequest small = makeRequest();
+  JobRequest large = makeRequest(8, 6);
+  large.gridRows = 8;
+  large.gridCols = 8;
+  const SubmitOutcome smallOut = service.submit(small);
+  const SubmitOutcome largeOut = service.submit(large);
+  ASSERT_TRUE(smallOut.accepted) << smallOut.reason;
+  ASSERT_TRUE(largeOut.accepted) << largeOut.reason;
+  const auto smallResult = service.result(smallOut.id);
+  const auto largeResult = service.result(largeOut.id);
+  ASSERT_NE(smallResult, nullptr);
+  ASSERT_NE(largeResult, nullptr);
+  EXPECT_EQ(smallResult->scheduleText, executeJobRequest(small)->scheduleText);
+  EXPECT_EQ(largeResult->scheduleText, executeJobRequest(large)->scheduleText);
+  EXPECT_NE(smallResult->digest, largeResult->digest);
+}
+
+TEST(SchedulingService, DriftVerbsReturnAStructuredErrorAndChangeNothing) {
+  FleetService service(engineConfig());
+  ASSERT_NE(service.result(service.submit(makeRequest()).id), nullptr);
+
+  const DriftOutcome inject = service.applyDrift("default", {"proc:5"}, false);
+  EXPECT_FALSE(inject.ok);
+  EXPECT_NE(inject.error.find("--fleet"), std::string::npos) << inject.error;
+  const DriftOutcome heal = service.applyDrift("default", {}, true);
+  EXPECT_FALSE(heal.ok);
+  EXPECT_FALSE(heal.error.empty());
+
+  // No epoch bump, no health change, no invalidation: the cached healthy
+  // answer still serves the same job.
+  const FleetService::FleetStats stats = service.fleetStats();
+  ASSERT_EQ(stats.arrays.size(), 1u);
+  EXPECT_EQ(stats.arrays[0].driftEpoch, 0);
+  EXPECT_EQ(stats.arrays[0].health, "healthy");
+  EXPECT_EQ(stats.rebalance.driftEvents, 0);
+  EXPECT_EQ(stats.rebalance.cacheInvalidated, 0);
+  EXPECT_TRUE(service.submit(makeRequest()).cached);
+}
+
+TEST(SchedulingService, IdenticalJobsFromTwoTenantsNeverCoalesce) {
+  std::atomic<int> runs{0};
+  FleetService::Config config = engineConfig();
+  config.concurrencyPerArray = 1;
+  config.onJobAttempt = [&](int) { ++runs; };
+  FleetService service(config);
+
+  PoolGate gate;
+  ASSERT_TRUE(service.submit(makeRequest(4, 8)).accepted);  // blocker
+  JobRequest alpha = makeRequest();
+  alpha.tenant = "alpha";
+  JobRequest beta = makeRequest();
+  beta.tenant = "beta";
+  const SubmitOutcome first = service.submit(alpha);
+  const SubmitOutcome second = service.submit(beta);
+  const SubmitOutcome again = service.submit(alpha);  // alpha's follower
+  ASSERT_TRUE(first.accepted);
+  ASSERT_TRUE(second.accepted);
+  ASSERT_TRUE(again.accepted);
+  EXPECT_EQ(service.stats().queueDepth, 2u);  // one leader per tenant
+  EXPECT_EQ(service.stats().coalesced, 1);
+  gate.release();
+
+  const auto alphaResult = service.result(first.id);
+  const auto betaResult = service.result(second.id);
+  ASSERT_NE(alphaResult, nullptr);
+  ASSERT_NE(betaResult, nullptr);
+  EXPECT_NE(alphaResult.get(), betaResult.get());
+  EXPECT_EQ(service.result(again.id).get(), alphaResult.get());
+  EXPECT_EQ(alphaResult->scheduleText, betaResult->scheduleText);
+  EXPECT_EQ(runs.load(), 3);  // blocker + one run per tenant
+}
+
+TEST(SchedulingService, FinishedJobsReleaseTheirTrace) {
+  // A terminal job keeps its status and result, not its request: heap in
+  // use after many large-trace jobs grows by far less than their traces.
+  const auto heapInUse = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  constexpr int kSteps = 2000;  // 4x4 data: a large trace, a tiny result
+  const std::size_t before = heapInUse();
+  const ReferenceTrace probe = makeTrace(4, kSteps);
+  const std::size_t traceBytes = heapInUse() - before;
+  if (heapInUse() < before || traceBytes < 100'000) {
+    // Sanitizer allocators replace malloc; mallinfo2 cannot see them.
+    GTEST_SKIP() << "mallinfo2 does not track this allocator's heap";
+  }
+
+  FleetService service(engineConfig());
+  ASSERT_NE(service.result(service.submit(makeRequest()).id), nullptr);
+  constexpr int kJobs = 50;
+  const std::size_t baseline = heapInUse();
+  for (int i = 0; i < kJobs; ++i) {
+    JobRequest request;
+    request.trace = makeTrace(4, kSteps + i);  // distinct digests
+    request.config.numWindows = 3;
+    request.method = Method::kScds;
+    const SubmitOutcome out = service.submit(std::move(request));
+    ASSERT_TRUE(out.accepted) << out.reason;
+    ASSERT_NE(service.result(out.id), nullptr);
+  }
+  const std::size_t after = heapInUse();
+  const std::size_t growth = after > baseline ? after - baseline : 0;
+  EXPECT_LT(growth, traceBytes * kJobs / 10)
+      << "heap grew " << growth << " bytes over " << kJobs
+      << " jobs; one trace is " << traceBytes << " bytes";
+}
+
+// ---------------------------------------------------------------------------
+// The ShardedService suite: what the daemon's old sharded front end
+// guaranteed, pinned on the one engine that replaced it.
+// ---------------------------------------------------------------------------
+
+TEST(ShardedService, IdenticalJobsShareOneShardAndItsCache) {
+  FleetService service(engineConfig());
+  const JobRequest request = makeRequest();
+  const SubmitOutcome first = service.submit(request);
+  ASSERT_TRUE(first.accepted);
+  ASSERT_NE(service.result(first.id), nullptr);
+  const SubmitOutcome second = service.submit(request);
+  ASSERT_TRUE(second.accepted);
+  EXPECT_TRUE(second.cached);  // one engine, so the cache is effective
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cacheHits, 1);
+  EXPECT_EQ(stats.cacheMisses, 1);
+}
+
+TEST(ShardedService, StatsAggregateAcrossShardsAndReportPoolSize) {
+  FleetService service(engineConfig());
+  std::vector<JobId> ids;
+  for (int i = 0; i < 8; ++i) {
+    const SubmitOutcome out = service.submit(makeRequest(4, 4 + i));
+    ASSERT_TRUE(out.accepted);
+    ids.push_back(out.id);
+  }
+  for (const JobId id : ids) ASSERT_NE(service.result(id), nullptr);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.accepted, 8);
+  EXPECT_EQ(stats.completed, 8);
+  EXPECT_EQ(stats.failed, 0);
+  // The pool behind the engine is the one any-shape array.
+  EXPECT_EQ(service.fleetStats().arrays.size(), 1u);
+}
+
+TEST(ShardedService, CoalescingWorksThroughTheShardRouter) {
+  // The stats-only form of the storm invariant, as serve_load checks it:
+  // one leader ran, everyone else coalesced or hit the cache.
+  FleetService service(engineConfig());
+
+  constexpr int kThreads = 6;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<Cost> totals(kThreads, -1);
+  std::vector<std::thread> storm;
+  storm.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    storm.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const SubmitOutcome out = service.submit(makeRequest());
+      ASSERT_TRUE(out.accepted);
+      const auto result = service.result(out.id);
+      ASSERT_NE(result, nullptr);
+      totals[static_cast<std::size_t>(t)] = result->eval.aggregate.total();
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go.store(true, std::memory_order_release);
+  for (std::thread& s : storm) s.join();
+
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(totals[t], totals[0]);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, kThreads);
+  EXPECT_EQ(stats.cacheMisses - stats.coalesced, 1);
+  EXPECT_EQ(1 + stats.coalesced + stats.cacheHits, kThreads);
+}
+
+TEST(ShardedService, DrainFinishesEveryShardThenRejects) {
+  FleetService::Config config;  // the daemon's defaults
+  config.policyFromEnv = false;
+  FleetService service(config);
+  std::vector<JobId> ids;
+  for (int i = 0; i < 6; ++i) {
+    const SubmitOutcome out = service.submit(makeRequest(4, 4 + i));
+    ASSERT_TRUE(out.accepted);
+    ids.push_back(out.id);
+  }
+  service.drain();
+  for (const JobId id : ids) {
+    EXPECT_EQ(service.status(id)->state, JobState::kDone) << "id " << id;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queueDepth, 0u);
+  EXPECT_EQ(stats.running, 0u);
+  const SubmitOutcome late = service.submit(makeRequest());
+  EXPECT_FALSE(late.accepted);
+  service.drain();  // idempotent
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "core/pipeline.hpp"
 #include "fleet/fleet_service.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded.hpp"
 
 namespace pimsched::serve {
 namespace {
@@ -21,6 +20,10 @@ namespace {
 /// on what the toggle actually resolves to. Identity expectations never
 /// are.
 bool warmPathOn() { return incrementalEnabled(SchedulerOptions{}); }
+
+/// The daemon's default engine, the one-shot submit path windows are
+/// compared against.
+using OneShot = fleet::FleetService;
 
 /// One streaming window: the shared prefix plus a per-window tail step, so
 /// consecutive windows of a session share everything but the suffix.
@@ -76,7 +79,7 @@ TEST(StreamSessionManagerTest, SecondWindowOfUnchangedTraceIsWarm) {
 
 TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
   StreamSessionManager manager;
-  SchedulingService oneShot;
+  OneShot oneShot{OneShot::Config{}};
   for (int tail = 1; tail <= 4; ++tail) {
     const StreamOutcome window =
         manager.submit(makeStreamRequest("s", tail));
@@ -99,7 +102,7 @@ TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
 
 TEST(StreamSessionManagerTest, FaultedWindowsMatchTheOneShotSubmitPath) {
   StreamSessionManager manager;
-  SchedulingService oneShot;
+  OneShot oneShot{OneShot::Config{}};
   for (int tail = 1; tail <= 3; ++tail) {
     StreamRequest request = makeStreamRequest("faulted", tail);
     request.job.faults = {"proc:5", "link:2-3"};
@@ -181,7 +184,7 @@ TEST(StreamSessionManagerTest, ConfigChangeResetsTheSessionInPlace) {
   EXPECT_FALSE(out.incremental);  // warm state was dropped
 
   // And the reset session matches a fresh one-shot solve of the new shape.
-  SchedulingService oneShot;
+  OneShot oneShot{OneShot::Config{}};
   StreamRequest fresh = makeStreamRequest("s");
   fresh.job.config.numWindows = 5;
   const SubmitOutcome submitted = oneShot.submit(fresh.job);
@@ -207,48 +210,30 @@ TEST(StreamSessionManagerTest, InvalidateByTagDropsOnlyMatchingSessions) {
 }
 
 // ---------------------------------------------------------------------------
-// Service integration: default unsupported, scheduling, sharded, fleet.
+// Service integration: the default engine and named fleet arrays.
 // ---------------------------------------------------------------------------
 
-TEST(StreamServiceTest, BaseJobServiceReportsStreamingUnsupported) {
-  class Minimal final : public JobService {
-   public:
-    SubmitOutcome submit(JobRequest) override { return {}; }
-    std::optional<JobStatus> status(JobId) const override { return {}; }
-    std::shared_ptr<const JobResult> result(JobId, bool) override {
-      return nullptr;
-    }
-    bool cancel(JobId) override { return false; }
-    ServiceStats stats() const override { return {}; }
-    void drain() override {}
-  };
-  Minimal service;
-  const StreamOutcome out =
-      service.submitStream(makeStreamRequest("s"));
-  EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.errorKind, "invalid");
-  EXPECT_FALSE(service.closeStream("s"));
-}
-
 TEST(StreamServiceTest, SchedulingServiceStreamsAndEvicts) {
-  SchedulingService::Config config;
-  config.maxStreamSessions = 1;
-  SchedulingService service(config);
+  fleet::FleetService service{fleet::FleetService::Config{}};
   ASSERT_TRUE(service.submitStream(makeStreamRequest("a")).ok);
-  ASSERT_TRUE(service.submitStream(makeStreamRequest("b")).ok);  // evicts a
+  // The session manager's bound (64) evicts the least recently used.
+  for (int i = 0; i < 64; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    ASSERT_TRUE(service.submitStream(makeStreamRequest(name)).ok);
+  }
   const StreamOutcome a = service.submitStream(makeStreamRequest("a"));
   ASSERT_TRUE(a.ok);
   EXPECT_EQ(a.window, 0);
   EXPECT_TRUE(a.reset);
   EXPECT_TRUE(service.closeStream("a"));
+  EXPECT_FALSE(service.closeStream("a"));
 }
 
 TEST(StreamServiceTest, ShardedRoutingIsStickyPerSessionName) {
-  ShardedService::Config config;
-  config.shards = 4;
-  ShardedService service(config);
+  fleet::FleetService service{fleet::FleetService::Config{}};
   // The window counter advancing proves every submit reached the same
-  // shard-local session even as the trace (and so the job digest) changes.
+  // session even as the trace (and so the job digest) changes.
   for (int tail = 1; tail <= 6; ++tail) {
     const StreamOutcome out =
         service.submitStream(makeStreamRequest("sticky", tail));
@@ -264,7 +249,7 @@ TEST(StreamFleetTest, FleetStreamsMatchTheOneShotPath) {
   config.arrays = fleet::parseFleetSpec("only=4x4");
   config.policyFromEnv = false;
   fleet::FleetService fleet(std::move(config));
-  SchedulingService oneShot;
+  OneShot oneShot{OneShot::Config{}};
   for (int tail = 1; tail <= 3; ++tail) {
     const StreamOutcome window =
         fleet.submitStream(makeStreamRequest("s", tail));
@@ -313,7 +298,7 @@ TEST(StreamFleetTest, DriftOnTheHostingArrayInvalidatesTheSession) {
   EXPECT_EQ(after.window, 0);
   EXPECT_TRUE(after.reset);
 
-  SchedulingService oneShot;
+  OneShot oneShot{OneShot::Config{}};
   StreamRequest fresh = makeStreamRequest("s", 3);
   fresh.job.faults = {"proc:5"};
   const SubmitOutcome submitted = oneShot.submit(fresh.job);
