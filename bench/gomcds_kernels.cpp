@@ -37,7 +37,7 @@
 #include "core/pipeline.hpp"
 #include "core/schedule_io.hpp"
 #include "core/verify.hpp"
-#include "cost/cost_cache.hpp"
+#include "cost/serve_tables.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
@@ -137,18 +137,18 @@ DataSchedule scheduleCallback(const WindowedRefs& refs, const CostModel& model,
   const Cost beta = model.params().hopCost * model.params().moveVolume;
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-  CenterCostCache cache(model);
-  std::vector<std::vector<Cost>> serve(static_cast<std::size_t>(W));
+  ServeTables tables(refs, model);
+  CostBuffer serve;
+  const std::size_t P = static_cast<std::size_t>(grid.size());
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    for (WindowId w = 0; w < W; ++w) {
-      cache.costsInto(refs.refs(d, w), serve[static_cast<std::size_t>(w)]);
-    }
+    tables.datumInto(d, serve);
     const auto nodeCost = [&](int w, int p) -> Cost {
       if (!occupancy[static_cast<std::size_t>(w)].hasRoom(
               static_cast<ProcId>(p))) {
         return kInfiniteCost;
       }
-      return serve[static_cast<std::size_t>(w)][static_cast<std::size_t>(p)];
+      return serve[static_cast<std::size_t>(w) * P +
+                   static_cast<std::size_t>(p)];
     };
     const LayeredPath path = cbSolveManhattan(grid, W, nodeCost, beta);
     if (!path.feasible()) {

@@ -1,10 +1,14 @@
 #include "core/exhaustive.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "cost/center_costs.hpp"
+#include "cost/serve_tables.hpp"
+#include "fault/fault_map.hpp"
+#include "graph/layered_dag.hpp"
+#include "util/aligned.hpp"
 
 namespace pimsched {
 
@@ -24,26 +28,27 @@ DataSchedule scheduleExhaustive(const WindowedRefs& refs,
   }
 
   DataSchedule schedule(refs.numData(), W);
+  ServeTables tables(refs, model);
+  CostBuffer serve;  // W x P serving costs of one datum
   std::vector<ProcId> seq(static_cast<std::size_t>(W), 0);
+  std::vector<ProcId> bestSeq;
   for (DataId d = 0; d < refs.numData(); ++d) {
-    // Precompute serving costs once per datum.
-    std::vector<std::vector<Cost>> serve(static_cast<std::size_t>(W));
-    for (WindowId w = 0; w < W; ++w) {
-      serve[static_cast<std::size_t>(w)] =
-          centerCosts(model, refs.refs(d, w));
-    }
-
+    tables.datumInto(d, serve);
     Cost best = kInfiniteCost;
-    std::vector<ProcId> bestSeq;
+    bestSeq.clear();
     std::fill(seq.begin(), seq.end(), 0);
     while (true) {
+      // Saturating: a dead or cut-off center costs kInfiniteCost, and a
+      // few such terms would overflow a plain sum into a negative total.
       Cost total = 0;
       for (WindowId w = 0; w < W; ++w) {
-        total += serve[static_cast<std::size_t>(w)]
-                      [static_cast<std::size_t>(seq[static_cast<std::size_t>(w)])];
+        const ProcId p = seq[static_cast<std::size_t>(w)];
+        total = satAdd(total, serve[static_cast<std::size_t>(w) *
+                                        static_cast<std::size_t>(m) +
+                                    static_cast<std::size_t>(p)]);
         if (w > 0) {
-          total += model.moveCost(seq[static_cast<std::size_t>(w - 1)],
-                                  seq[static_cast<std::size_t>(w)]);
+          total = satAdd(
+              total, model.moveCost(seq[static_cast<std::size_t>(w - 1)], p));
         }
       }
       if (total < best) {
@@ -57,6 +62,11 @@ DataSchedule scheduleExhaustive(const WindowedRefs& refs,
         --w;
       }
       if (w < 0) break;
+    }
+    if (bestSeq.empty()) {
+      throw UnreachableError(
+          "scheduleExhaustive: no finite-cost center sequence for datum " +
+          std::to_string(d));
     }
     for (WindowId w = 0; w < W; ++w) {
       schedule.setCenter(d, w, bestSeq[static_cast<std::size_t>(w)]);

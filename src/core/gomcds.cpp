@@ -11,7 +11,7 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
-#include "cost/cost_cache.hpp"
+#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/simd/simd_kernels.hpp"
@@ -188,24 +188,12 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
                             GomcdsEngine engine) {
   PIMSCHED_SCOPED_TIMER("sched.gomcds");
   const int W = refs.numWindows();
-  const std::size_t P = static_cast<std::size_t>(refs.numProcs());
   const bool staticMask = detail::staticForbiddenSet(model, options);
   detail::GomcdsPlacement placement(refs, model, options, !staticMask);
   const std::vector<DataId>& order = placement.order();
   const std::size_t n = order.size();
   const detail::LayerKernel kernel(model, engine);
-  CenterCostCache cache(model);
-
-  // Datum d's flat W x P serving-cost table, each window row written in
-  // place by the cost cache.
-  const auto serveInto = [&](DataId d, CostBuffer& out) {
-    out.resize(static_cast<std::size_t>(W) * P);
-    for (WindowId w = 0; w < W; ++w) {
-      cache.costsInto(
-          refs.refs(d, w),
-          std::span<Cost>(out.data() + static_cast<std::size_t>(w) * P, P));
-    }
-  };
+  ServeTables tables(refs, model);
 
   if (staticMask) {
     // The forbidden set never changes, so every member of a dedup class
@@ -217,8 +205,8 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
                 [&](std::int64_t k) {
                   detail::GomcdsScratch& scratch =
                       workerScratch<detail::GomcdsScratch>();
-                  serveInto(classes.rep[static_cast<std::size_t>(k)],
-                            scratch.serve);
+                  tables.datumInto(classes.rep[static_cast<std::size_t>(k)],
+                                   scratch.serve);
                   kernel.solve(W, scratch.serve, scratch.dag,
                                paths[static_cast<std::size_t>(k)]);
                 });
@@ -256,7 +244,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   std::size_t begin = 0;
   const std::function<void(std::int64_t)> speculate = [&](std::int64_t k) {
     Slot& slot = slots[static_cast<std::size_t>(k)];
-    serveInto(order[begin + static_cast<std::size_t>(k)], slot.serve);
+    tables.datumInto(order[begin + static_cast<std::size_t>(k)], slot.serve);
     placement.mask(slot.serve);
     kernel.solve(W, slot.serve, workerScratch<detail::GomcdsScratch>().dag,
                  slot.path);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -15,24 +16,24 @@
 
 namespace pimsched {
 
-WindowCostPrefix::WindowCostPrefix(const WindowedRefs& refs, DataId d,
-                                   const CostModel& model)
-    : numWindows_(refs.numWindows()), numProcs_(refs.numProcs()) {
+WindowCostPrefix::WindowCostPrefix(ServeTables& tables, DataId d)
+    : numWindows_(tables.refs().numWindows()),
+      numProcs_(tables.refs().numProcs()) {
   const std::size_t m = static_cast<std::size_t>(numProcs_);
   prefix_.resize(static_cast<std::size_t>(numWindows_ + 1) * m);
   std::fill_n(prefix_.begin(), m, 0);
   weightPrefix_.assign(static_cast<std::size_t>(numWindows_ + 1), 0);
-  std::vector<Cost> costs;
   for (WindowId w = 0; w < numWindows_; ++w) {
-    separableCenterCostsInto(model, refs.refs(d, w), costs);
+    // The window's costs land in its prefix row, then accumulate in place.
     const Cost* prev = prefix_.data() + index(w, 0);
     Cost* row = prefix_.data() + index(w + 1, 0);
+    tables.rowInto(d, w, std::span<Cost>(row, m));
     for (std::size_t p = 0; p < m; ++p) {
       // Rows before the first infinite term count zero, which is what the
       // lazily zero-filled count table holds for them.
-      const bool infinite = costs[p] >= kInfiniteCost;
+      const bool infinite = row[p] >= kInfiniteCost;
       if (infinite && infinite_.empty()) infinite_.assign(prefix_.size(), 0);
-      row[p] = prev[p] + (infinite ? 0 : costs[p]);
+      row[p] = prev[p] + (infinite ? 0 : row[p]);
       if (!infinite_.empty()) {
         infinite_[index(w + 1, 0) + p] =
             infinite_[index(w, 0) + p] + (infinite ? 1 : 0);
@@ -40,7 +41,7 @@ WindowCostPrefix::WindowCostPrefix(const WindowedRefs& refs, DataId d,
     }
     weightPrefix_[static_cast<std::size_t>(w + 1)] =
         weightPrefix_[static_cast<std::size_t>(w)] +
-        refs.windowWeight(d, w);
+        tables.refs().windowWeight(d, w);
   }
 }
 
@@ -476,9 +477,10 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
   LayeredPath path;
   CostBuffer nodeCosts;
   DataGrouping grouping;
+  ServeTables tables(refs, model);
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const WindowCostPrefix prefix(refs, d, model);
+    const WindowCostPrefix prefix(tables, d);
     grouper.start(prefix);
     if (!grouper.run(grouping)) {
       throw std::runtime_error(
@@ -521,9 +523,10 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
   DataSchedule schedule(refs.numData(), W);
   CapacityAwareGrouper grouper(model, W, options.capacity);
   DataGrouping greedy;
+  ServeTables tables(refs, model);
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const WindowCostPrefix prefix(refs, d, model);
+    const WindowCostPrefix prefix(tables, d);
     grouper.start(prefix);
 
     if (method == GroupingMethod::kGreedy) {

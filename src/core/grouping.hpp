@@ -8,6 +8,7 @@
 #include "core/scheduler_options.hpp"
 #include "cost/center_costs.hpp"
 #include "cost/cost_model.hpp"
+#include "cost/serve_tables.hpp"
 #include "trace/windowed_refs.hpp"
 
 namespace pimsched {
@@ -24,7 +25,8 @@ namespace pimsched {
 /// once such a term appears, so healthy meshes pay nothing for it.
 class WindowCostPrefix {
  public:
-  WindowCostPrefix(const WindowedRefs& refs, DataId d, const CostModel& model);
+  /// Built from datum d's window rows of the call's serving-cost tables.
+  WindowCostPrefix(ServeTables& tables, DataId d);
 
   [[nodiscard]] int numWindows() const { return numWindows_; }
   [[nodiscard]] int numProcs() const { return numProcs_; }

@@ -351,10 +351,10 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
       // byte-identical to what a cold solve would compute (same refs, same
       // model, same deterministic cost function), which is what makes the
       // resumed dp — and therefore the reconstructed path — bit-identical.
-      // Computed directly rather than through a CenterCostCache: the churn
+      // Computed directly rather than through a ServeTables: the churn
       // rows of one stream step rarely repeat within the step, so the
-      // cache's per-row hash + shard lock + insert would cost more than
-      // the separable computation itself.
+      // memo's per-row hash + shard lock + insert costs more than the
+      // separable computation itself (docs/performance.md).
       for (WindowId w = from; w < W; ++w) {
         separableCenterCostsInto(model, refs.refs(rep, w), rowBuf);
         std::copy(rowBuf.begin(), rowBuf.end(),

@@ -4,8 +4,8 @@
 #include <string>
 
 #include "core/data_order.hpp"
-#include "cost/center_costs.hpp"
 #include "cost/center_list.hpp"
+#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
@@ -19,6 +19,8 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
   const Grid& grid = model.grid();
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
 
+  ServeTables tables(refs, model);
+  std::vector<Cost> costs(static_cast<std::size_t>(grid.size()));
   // Buffered locally and merged once on exit to keep the placement loop
   // free of atomic traffic.
   std::int64_t placements = 0;
@@ -28,14 +30,11 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
       applyFaultCapacity(occupancy, *faults);
     }
     for (const DataId d : order) {
-      const std::span<const ProcWeight> rs = refs.refs(d, w);
-      std::vector<Cost> costs;
-      if (!rs.empty()) {
-        costs = centerCosts(model, rs);
+      if (!refs.refs(d, w).empty()) {
+        tables.rowInto(d, w, costs);
       } else if (w > 0) {
         // Unreferenced: prefer staying put; otherwise the cheapest move.
         const ProcId prev = schedule.center(d, w - 1);
-        costs.resize(static_cast<std::size_t>(grid.size()));
         for (ProcId p = 0; p < grid.size(); ++p) {
           costs[static_cast<std::size_t>(p)] = model.moveCost(prev, p);
         }
@@ -43,13 +42,9 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
         // First window, no references: any processor does — except dead
         // ones, which cost zero like everything else here and so must be
         // forbidden explicitly.
-        costs.assign(static_cast<std::size_t>(grid.size()), 0);
-        if (model.faultAware()) {
-          for (ProcId p = 0; p < grid.size(); ++p) {
-            if (model.centerForbidden(p)) {
-              costs[static_cast<std::size_t>(p)] = kInfiniteCost;
-            }
-          }
+        for (ProcId p = 0; p < grid.size(); ++p) {
+          costs[static_cast<std::size_t>(p)] =
+              model.centerForbidden(p) ? kInfiniteCost : 0;
         }
       }
       const CenterList list(costs);

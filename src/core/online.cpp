@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "core/data_order.hpp"
-#include "cost/center_costs.hpp"
+#include "core/gomcds_detail.hpp"
+#include "cost/serve_tables.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "pim/memory.hpp"
+#include "util/aligned.hpp"
 
 namespace pimsched {
 
@@ -19,25 +22,24 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   }
   const Grid& grid = model.grid();
   const int W = refs.numWindows();
-  const Cost beta = model.params().hopCost * model.params().moveVolume;
   DataSchedule schedule(refs.numData(), W);
 
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
+  if (const FaultMap* faults = model.faults()) {
+    for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
+  }
 
   const std::size_t m = static_cast<std::size_t>(grid.size());
-  std::vector<Cost> serve;  // W x P serving costs of one datum
-  std::vector<Cost> row;
+  ServeTables tables(refs, model);
+  // Chamfer on a healthy mesh, the fault-aware mesh sweeps on a faulted
+  // one: in-horizon movement is priced like GOMCDS prices it.
+  const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
+  CostBuffer serve;  // W x P serving costs of one datum
   LayeredDagScratch scratch;
   LayeredPath path;
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    serve.resize(static_cast<std::size_t>(W) * m);
-    for (WindowId w = 0; w < W; ++w) {
-      separableCenterCostsInto(model, refs.refs(d, w), row);
-      std::copy(row.begin(), row.end(),
-                serve.begin() + static_cast<std::ptrdiff_t>(w) *
-                                    static_cast<std::ptrdiff_t>(m));
-    }
+    tables.datumInto(d, serve);
 
     ProcId prev = kNoProc;
     for (WindowId w = 0; w < W; ++w) {
@@ -59,10 +61,10 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
           first[p] = satAdd(first[p], model.moveCost(prev, p));
         }
       }
-      LayeredDagSolver::solveManhattanFlatInto(
-          grid, horizon,
+      kernel.solve(
+          horizon,
           std::span<const Cost>(first, static_cast<std::size_t>(horizon) * m),
-          beta, scratch, path);
+          scratch, path);
       if (!path.feasible()) {
         throw std::runtime_error(
             "scheduleOnline: capacity infeasible (window full)");

@@ -17,7 +17,11 @@ namespace pimsched {
 ///  * lookahead = 0   — movement-aware greedy: each window picks
 ///    argmin_p move(prev, p) + serve(w, p). (Plain LOMCDS is the same
 ///    minus the movement term.)
-///  * lookahead >= numWindows - 1 — identical total cost to GOMCDS.
+///  * lookahead >= numWindows - 1 — identical total cost to GOMCDS at
+///    unlimited capacity, on healthy and faulted meshes alike.
+///
+/// On a fault-aware model the fault capacity limits apply, and movement is
+/// priced by fault-aware hop distance, as in GOMCDS.
 struct OnlineOptions {
   int lookahead = 1;
   std::int64_t capacity = -1;

@@ -6,6 +6,7 @@
 #include "core/data_order.hpp"
 #include "cost/center_list.hpp"
 #include "cost/kmedian.hpp"
+#include "cost/serve_tables.hpp"
 #include "pim/memory.hpp"
 
 namespace pimsched {
@@ -26,14 +27,14 @@ ReplicatedSchedule scheduleReplicated(const WindowedRefs& refs,
   ReplicatedSchedule schedule(refs.numData());
   OccupancyMap occupancy(model.grid(), options.capacity);
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
+  ServeTables tables(refs, model);
+  std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
 
   // Phase 1: every datum gets its primary copy (the SCDS placement with
   // the capacity fallback) before any replica may claim a slot — replicas
   // are strictly optional and must not starve later primaries.
   for (const DataId d : order) {
-    const std::vector<ProcWeight> merged =
-        refs.mergedRefs(d, 0, refs.numWindows());
-    const std::vector<Cost> costs = centerCosts(model, merged);
+    tables.costsInto(refs.mergedRefs(d, 0, refs.numWindows()), costs);
     const CenterList list(costs);
     const ProcId primary = list.firstAvailable(occupancy);
     if (primary == kNoProc) {

@@ -4,8 +4,8 @@
 #include <string>
 
 #include "core/data_order.hpp"
-#include "cost/center_costs.hpp"
 #include "cost/center_list.hpp"
+#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
@@ -23,13 +23,13 @@ DataSchedule scheduleScds(const WindowedRefs& refs, const CostModel& model,
     applyFaultCapacity(occupancy, *faults);
   }
 
+  ServeTables tables(refs, model);
+  std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
   // Buffered locally and merged once on exit to keep the placement loop
   // free of atomic traffic.
   std::int64_t placements = 0;
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const std::vector<ProcWeight> merged =
-        refs.mergedRefs(d, 0, refs.numWindows());
-    const std::vector<Cost> costs = centerCosts(model, merged);
+    tables.costsInto(refs.mergedRefs(d, 0, refs.numWindows()), costs);
     const CenterList list(costs);
     const ProcId p = list.firstAvailable(occupancy);
     if (p == kNoProc) {

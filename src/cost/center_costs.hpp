@@ -21,8 +21,8 @@ namespace pimsched {
 /// The *Into variants write into a caller-owned buffer (resized to the
 /// grid size), so hot loops reuse one allocation per thread instead of
 /// returning a fresh vector per (datum, window). Every variant counts one
-/// `cost.center_eval_calls`; see CenterCostCache (cost/cost_cache.hpp) for
-/// the memoized front end and its hit/miss counters.
+/// `cost.center_eval_calls`; ServeTables (cost/serve_tables.hpp) is the
+/// per-call memo over separableCenterCostsInto that schedulers read.
 ///
 /// When the model is fault-aware (carries a DistanceMap), every variant
 /// instead prices centers by fault-aware hop distance; dead processors
@@ -37,12 +37,6 @@ namespace pimsched {
 void separableCenterCostsInto(const CostModel& model,
                               std::span<const ProcWeight> refs,
                               std::vector<Cost>& out);
-
-/// separableCenterCosts, the library default.
-[[nodiscard]] inline std::vector<Cost> centerCosts(
-    const CostModel& model, std::span<const ProcWeight> refs) {
-  return separableCenterCosts(model, refs);
-}
 
 /// The minimum-cost center (ties -> smallest ProcId) and its cost.
 struct BestCenter {

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "core/gomcds.hpp"
+#include "core/grouping.hpp"
+#include "core/lomcds.hpp"
 #include "report/obs_report.hpp"
 #include "test_util.hpp"
 
@@ -254,6 +256,42 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
                 registry.counterValue("cost.center_cache.miss"),
             tables);
   EXPECT_EQ(registry.counterValue("cost.center_cache.miss"), parallelMisses);
+  registry.reset();
+}
+
+TEST(Obs, ServeTableLookupsCoverEveryScheduler) {
+  PIMSCHED_OBS_TEST_GUARD();
+  const Grid g(4, 4);
+  const CostModel model(g);
+  testutil::Rng rng(1804);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 6, 6, 24, 12);
+  const WindowedRefs refs(t, WindowPartition::evenCount(t.numSteps(), 8), g);
+  obs::Registry& registry = obs::Registry::instance();
+  const auto lookups = [&] {
+    return registry.counterValue("cost.center_cache.hit") +
+           registry.counterValue("cost.center_cache.miss");
+  };
+
+  // Grouped GOMCDS prices every (datum, window) cell once, through the
+  // window prefix of each datum.
+  registry.reset();
+  (void)scheduleGroupedGomcds(refs, model);
+  EXPECT_EQ(lookups(),
+            static_cast<std::int64_t>(refs.numData()) * refs.numWindows());
+
+  // LOMCDS looks up referenced cells only: an empty window prices
+  // movement from the previous center instead.
+  std::int64_t referenced = 0;
+  for (DataId d = 0; d < refs.numData(); ++d) {
+    for (WindowId w = 0; w < refs.numWindows(); ++w) {
+      referenced += refs.refs(d, w).empty() ? 0 : 1;
+    }
+  }
+  ASSERT_LT(referenced,
+            static_cast<std::int64_t>(refs.numData()) * refs.numWindows());
+  registry.reset();
+  (void)scheduleLomcds(refs, model);
+  EXPECT_EQ(lookups(), referenced);
   registry.reset();
 }
 

@@ -5,6 +5,8 @@
 #include "core/evaluator.hpp"
 #include "core/gomcds.hpp"
 #include "core/lomcds.hpp"
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -154,6 +156,61 @@ TEST(Online, RejectsNegativeLookahead) {
   opts.lookahead = -1;
   EXPECT_THROW((void)scheduleOnline(refs, model, opts),
                std::invalid_argument);
+}
+
+TEST(Online, HonoursZeroSlotFaultCapacity) {
+  // 1x3 with processor 1 limited to zero slots: a datum read only by
+  // processor 1 must live elsewhere, where GOMCDS and LOMCDS put it.
+  const Grid g(1, 3);
+  FaultMap faults(g);
+  faults.limitCapacity(1, 0);
+  const DistanceMap distances(g, faults);
+  const CostModel model(g, distances);
+  ReferenceTrace t(DataSpace::singleSquare(1));
+  for (StepId s = 0; s < 4; ++s) t.add(s, 1, 0, 1);
+  t.finalize();
+  const WindowedRefs refs(t, WindowPartition::perStep(4), g);
+  const DataSchedule gomcds = scheduleGomcds(refs, model);
+  const DataSchedule lomcds = scheduleLomcds(refs, model);
+  for (const int lookahead : {0, 1, 3}) {
+    OnlineOptions opts;
+    opts.lookahead = lookahead;
+    const DataSchedule online = scheduleOnline(refs, model, opts);
+    for (WindowId w = 0; w < 4; ++w) {
+      EXPECT_EQ(online.center(0, w), 0) << "lookahead " << lookahead;
+      EXPECT_EQ(gomcds.center(0, w), 0);
+      EXPECT_EQ(lomcds.center(0, w), 0);
+    }
+  }
+}
+
+TEST(Online, FullLookaheadEqualsGomcdsOnFaultedMesh) {
+  // In-horizon movement must be priced by fault-aware hop distance, as
+  // GOMCDS prices it; Manhattan pricing makes full lookahead lose.
+  const Grid g(4, 4);
+  FaultMap faults(g);
+  faults.killProc(5);
+  faults.killProc(10);
+  faults.killLink(1, 2);
+  faults.killLink(13, 14);
+  faults.killLink(7, 11);
+  const DistanceMap distances(g, faults);
+  const CostModel model(g, distances);
+  testutil::Rng rng(1803);
+  for (int trial = 0; trial < 8; ++trial) {
+    const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 12, 20);
+    const WindowedRefs refs =
+        refsFromTrace(t, g, 6).withProcsMasked(faults.deadProcMask());
+    OnlineOptions opts;
+    opts.lookahead = refs.numWindows();
+    const Cost online =
+        evaluateSchedule(scheduleOnline(refs, model, opts), refs, model)
+            .aggregate.total();
+    const Cost gomcds =
+        evaluateSchedule(scheduleGomcds(refs, model), refs, model)
+            .aggregate.total();
+    EXPECT_EQ(online, gomcds) << "trial " << trial;
+  }
 }
 
 }  // namespace
