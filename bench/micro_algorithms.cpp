@@ -1,6 +1,7 @@
 // Ablation A2 (google-benchmark): microbenchmarks of the algorithmic
 // kernels — separable vs brute-force center-cost evaluation, chamfer vs
-// naive GOMCDS relaxation, and end-to-end scheduler timing vs problem size.
+// naive GOMCDS relaxation, trace windowing, and end-to-end scheduler timing
+// vs problem size.
 
 #include <benchmark/benchmark.h>
 
@@ -75,6 +76,53 @@ WindowedRefs benchRefs(const Grid& grid, int n) {
                                  static_cast<int>(trace.numSteps())),
       grid);
 }
+
+/// A stream-churn-shaped trace: 32x32 data over 16 steps, the data in
+/// groups of 16 that share a reference string of two or three processors
+/// of the grid per step, plus one step-0 access per datum.
+ReferenceTrace streamShapedTrace(const Grid& grid) {
+  constexpr int kSide = 32, kGroup = 16, kSteps = 16;
+  ReferenceTrace trace(DataSpace::singleSquare(kSide));
+  std::uint64_t state = 4242;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((state >> 33) % bound);
+  };
+  for (DataId d = 0; d < kSide * kSide; ++d) trace.add(0, 0, d, 1);
+  for (StepId s = 0; s < kSteps; ++s) {
+    for (DataId g = 0; g < kSide * kSide; g += kGroup) {
+      const int refs = 2 + (next(4) == 0 ? 1 : 0);
+      for (int i = 0; i < refs; ++i) {
+        const ProcId p = next(static_cast<std::uint64_t>(grid.size()));
+        const Cost w = 1 + next(7);
+        for (DataId d = g; d < g + kGroup; ++d) trace.add(s, p, d, w);
+      }
+    }
+  }
+  trace.finalize();
+  return trace;
+}
+
+/// Trace to WindowedRefs alone: the windowing layer every job runs before
+/// its scheduler. Arg 0: matrix square (n = 40) on a 16x16 grid in the
+/// default 8 windows, a batch-paper job. Arg 1: the stream-churn-shaped
+/// trace on a 32x32 grid in 16 one-step windows, one stream step.
+void BM_WindowedRefsBuild(benchmark::State& state) {
+  const bool stream = state.range(0) == 1;
+  const Grid grid = stream ? Grid(32, 32) : Grid(16, 16);
+  const ReferenceTrace trace =
+      stream ? streamShapedTrace(grid)
+             : makePaperBenchmark(PaperBenchmark::kMatSquare, grid, 40);
+  const WindowPartition windows =
+      WindowPartition::evenCount(trace.numSteps(), stream ? 16 : 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(WindowedRefs(trace, windows, grid));
+  }
+  state.SetLabel(stream ? "stream-churn 32x32" : "matsquare n=40 16x16");
+  state.counters["accesses"] =
+      static_cast<double>(trace.accesses().size());
+}
+BENCHMARK(BM_WindowedRefsBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Scds(benchmark::State& state) {
   const Grid grid(4, 4);

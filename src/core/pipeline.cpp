@@ -205,9 +205,12 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
           ? *config_.explicitWindows
           : WindowPartition::evenCount(trace.numSteps(), config_.numWindows);
   WindowedRefs baseRefs(trace, windows, grid_);
-  const WindowedRefs refs =
-      faultAware_ ? baseRefs.withProcsMasked(faults_.deadProcMask())
-                  : baseRefs;
+  // Only a fault-aware session needs a second, masked copy.
+  std::optional<WindowedRefs> masked;
+  if (faultAware_) {
+    masked.emplace(baseRefs.withProcsMasked(faults_.deadProcMask()));
+  }
+  const WindowedRefs& refs = masked.has_value() ? *masked : baseRefs;
   const CostModel model =
       faultAware_ ? CostModel(grid_, *distances_, config_.costParams)
                   : CostModel(grid_, config_.costParams);

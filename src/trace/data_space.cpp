@@ -1,13 +1,25 @@
 #include "trace/data_space.hpp"
 
+#include <cstdint>
+#include <limits>
+
 namespace pimsched {
 
 int DataSpace::addArray(std::string name, int rows, int cols) {
   if (rows < 1 || cols < 1) {
     throw std::invalid_argument("DataSpace::addArray: dims must be >= 1");
   }
+  // Every element needs a DataId: the array, and the id range after it,
+  // must fit 32 bits.
+  const std::int64_t size =
+      static_cast<std::int64_t>(rows) * static_cast<std::int64_t>(cols);
+  constexpr std::int64_t kMaxIds = std::numeric_limits<DataId>::max();
+  if (size > kMaxIds - nextId_) {
+    throw std::invalid_argument(
+        "DataSpace::addArray: array sizes exceed the 32-bit data id range");
+  }
   arrays_.push_back(ArrayInfo{std::move(name), rows, cols, nextId_});
-  nextId_ += static_cast<DataId>(rows) * static_cast<DataId>(cols);
+  nextId_ += static_cast<DataId>(size);
   return static_cast<int>(arrays_.size()) - 1;
 }
 

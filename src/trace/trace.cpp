@@ -1,12 +1,17 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace pimsched {
 
 void ReferenceTrace::add(StepId step, ProcId proc, DataId data, Cost weight) {
   if (step < 0) throw std::invalid_argument("Access step must be >= 0");
+  // numSteps() is the largest step + 1, which must fit a StepId too.
+  if (step == std::numeric_limits<StepId>::max()) {
+    throw std::invalid_argument("Access step must be < 2147483647");
+  }
   if (proc < 0) throw std::invalid_argument("Access proc must be >= 0");
   if (data < 0 || data >= dataSpace_.numData()) {
     throw std::invalid_argument("Access data id out of DataSpace range");

@@ -17,6 +17,14 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kHiSeedXor = 0x9e3779b97f4a7c15ull;
 constexpr unsigned char kHiByteXor = 0x5c;
 
+/// True if anything but whitespace follows the fields already read: a
+/// record has exactly its fields ("3.9" is not the weight 3, "2x" is not
+/// the size 2).
+bool hasTrailingToken(std::istringstream& ls) {
+  std::string extra;
+  return static_cast<bool>(ls >> extra);
+}
+
 }  // namespace
 
 std::string Digest::hex() const {
@@ -139,7 +147,7 @@ ReferenceTrace loadTrace(std::istream& is) {
       }
       std::string name;
       int rows = 0, cols = 0;
-      if (!(ls >> name >> rows >> cols)) {
+      if (!(ls >> name >> rows >> cols) || hasTrailingToken(ls)) {
         throw std::runtime_error("loadTrace: malformed array line " +
                                  std::to_string(lineNo));
       }
@@ -150,7 +158,7 @@ ReferenceTrace loadTrace(std::istream& is) {
       ProcId proc = 0;
       DataId data = 0;
       Cost weight = 0;
-      if (!(ls >> step >> proc >> data >> weight)) {
+      if (!(ls >> step >> proc >> data >> weight) || hasTrailingToken(ls)) {
         throw std::runtime_error("loadTrace: malformed access line " +
                                  std::to_string(lineNo));
       }

@@ -18,54 +18,70 @@ WindowedRefs::WindowedRefs(const ReferenceTrace& trace,
         "WindowedRefs: window partition does not match trace step count");
   }
 
-  // Tag each access with its window, then bucket by (data, window, proc).
-  struct Tagged {
-    DataId data;
-    WindowId window;
-    ProcId proc;
-    Cost weight;
-  };
-  std::vector<Tagged> tagged;
-  tagged.reserve(trace.accesses().size());
-  for (const Access& a : trace.accesses()) {
-    if (a.proc >= numProcs_) {
-      throw std::invalid_argument(
-          "WindowedRefs: access references a processor outside the grid");
+  // A counting sort over (datum, window) cells. finalize() sorted the
+  // accesses by step, so a window cursor that only moves forward finds
+  // each access's window (the empty trace never reads a window).
+  const std::vector<Access>& accesses = trace.accesses();
+  const auto forEachCell = [&](auto&& visit) {
+    WindowId w = -1;
+    StepId windowEnd = 0;
+    for (const Access& a : accesses) {
+      while (a.step >= windowEnd) windowEnd = windows.window(++w).end;
+      visit(a, cellIndex(a.data, w));
     }
-    tagged.push_back(Tagged{a.data, windows.windowOf(a.step), a.proc,
-                            a.weight});
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const Tagged& a, const Tagged& b) {
-              if (a.data != b.data) return a.data < b.data;
-              if (a.window != b.window) return a.window < b.window;
-              return a.proc < b.proc;
-            });
-
+  };
   const std::size_t numCells = static_cast<std::size_t>(numData_) *
                                static_cast<std::size_t>(numWindows_);
   offsets_.assign(numCells + 1, 0);
   dataWeight_.assign(static_cast<std::size_t>(numData_), 0);
-  entries_.reserve(tagged.size());
 
-  std::size_t i = 0;
-  for (std::size_t cell = 0; cell < numCells; ++cell) {
-    offsets_[cell] = entries_.size();
-    const DataId d = static_cast<DataId>(cell / static_cast<std::size_t>(numWindows_));
-    const WindowId w = static_cast<WindowId>(cell % static_cast<std::size_t>(numWindows_));
-    while (i < tagged.size() && tagged[i].data == d &&
-           tagged[i].window == w) {
-      if (!entries_.empty() && entries_.size() > offsets_[cell] &&
-          entries_.back().proc == tagged[i].proc) {
-        entries_.back().weight += tagged[i].weight;
-      } else {
-        entries_.push_back(ProcWeight{tagged[i].proc, tagged[i].weight});
-      }
-      dataWeight_[static_cast<std::size_t>(d)] += tagged[i].weight;
-      ++i;
+  // Count into offsets_[cell + 1], then turn the counts into cell starts
+  // kept one slot to the right: the scatter advances offsets_[cell + 1]
+  // from the cell's start to its end, so no cursor array is needed.
+  forEachCell([&](const Access& a, std::size_t cell) {
+    if (a.proc >= numProcs_) {
+      throw std::invalid_argument(
+          "WindowedRefs: access references a processor outside the grid");
     }
+    ++offsets_[cell + 1];
+    dataWeight_[static_cast<std::size_t>(a.data)] += a.weight;
+  });
+  std::size_t start = 0;
+  for (std::size_t cell = 0; cell < numCells; ++cell) {
+    const std::size_t count = offsets_[cell + 1];
+    offsets_[cell + 1] = start;
+    start += count;
   }
-  offsets_[numCells] = entries_.size();
+  entries_.resize(accesses.size());
+  forEachCell([&](const Access& a, std::size_t cell) {
+    entries_[offsets_[cell + 1]++] = ProcWeight{a.proc, a.weight};
+  });
+
+  // Each cell now lists its entries in (step, proc) order: sorted and
+  // duplicate-free when they come from one step. Sort the few multi-step
+  // cells that are not, merge repeated processors, and compact forward.
+  const auto byProc = [](const ProcWeight& a, const ProcWeight& b) {
+    return a.proc < b.proc;
+  };
+  std::size_t out = 0;
+  std::size_t begin = 0;
+  for (std::size_t cell = 0; cell < numCells; ++cell) {
+    const std::size_t end = offsets_[cell + 1];
+    const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = entries_.begin() + static_cast<std::ptrdiff_t>(end);
+    if (!std::is_sorted(first, last, byProc)) std::sort(first, last, byProc);
+    const std::size_t cellStart = out;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (out > cellStart && entries_[out - 1].proc == entries_[i].proc) {
+        entries_[out - 1].weight += entries_[i].weight;
+      } else {
+        entries_[out++] = entries_[i];
+      }
+    }
+    offsets_[cell + 1] = out;
+    begin = end;
+  }
+  entries_.resize(out);
 }
 
 WindowedRefs WindowedRefs::withProcsMasked(

@@ -291,6 +291,23 @@ TEST(Protocol, SubmitValidationNamesTheBadField) {
   (void)trace;
 }
 
+TEST(Protocol, OverflowingTraceIdsGetTheTraceLoadError) {
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  // A step whose step count overflows, and an array whose element ids do.
+  for (const char* text :
+       {"pimtrace v1\narray A 2 2\naccess 2147483647 0 0 1\n",
+        "pimtrace v1\narray A 65536 65536\n"}) {
+    Json request = submitRequest();
+    request.set("trace", text);
+    const std::string error = expectError(handler, request.dump());
+    EXPECT_NE(error.find("cannot load trace"), std::string::npos) << error;
+  }
+  EXPECT_EQ(service.stats().accepted, 0);
+  // The handler still serves well-formed work afterwards.
+  EXPECT_TRUE(call(handler, submitRequest().dump()).find("ok")->asBool());
+}
+
 TEST(Protocol, TenantFieldIsValidatedAndFoldedIntoTheDigest) {
   Engine service{Engine::Config{}};
   ProtocolHandler handler(service);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace pimsched {
 namespace {
@@ -62,6 +63,33 @@ TEST(TraceIo, RejectsUnknownRecord) {
 TEST(TraceIo, RejectsMalformedAccess) {
   std::stringstream ss("pimtrace v1\narray A 2 2\naccess 0 1\n");
   EXPECT_THROW(loadTrace(ss), std::runtime_error);
+}
+
+/// Asserts loadTrace rejects `text` with an error naming `message`.
+void expectRejected(const std::string& text, const std::string& message) {
+  std::stringstream ss(text);
+  try {
+    (void)loadTrace(ss);
+    FAIL() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceIo, RejectsFractionalWeight) {
+  expectRejected("pimtrace v1\narray A 2 2\naccess 0 1 2 3.9\n",
+                 "malformed access line 3");
+}
+
+TEST(TraceIo, RejectsExtraAccessField) {
+  expectRejected("pimtrace v1\narray A 2 2\naccess 0 1 2 3 77\n",
+                 "malformed access line 3");
+}
+
+TEST(TraceIo, RejectsTrailingJunkOnArray) {
+  expectRejected("pimtrace v1\narray A 2 2x\naccess 0 1 2 3\n",
+                 "malformed array line 2");
 }
 
 TEST(TraceIo, RejectsArrayAfterAccess) {

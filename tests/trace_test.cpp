@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace pimsched {
@@ -64,6 +65,28 @@ TEST(ReferenceTrace, RejectsInvalidAccesses) {
   EXPECT_THROW(t.add(0, 0, 4, 1), std::invalid_argument);   // data out of range
   EXPECT_THROW(t.add(0, 0, -1, 1), std::invalid_argument);
   EXPECT_THROW(t.add(0, 0, 0, 0), std::invalid_argument);   // zero weight
+}
+
+TEST(ReferenceTrace, RejectsStepWhoseCountOverflows) {
+  // numSteps() = largest step + 1 must fit a StepId.
+  ReferenceTrace t(DataSpace::singleSquare(2));
+  EXPECT_THROW(t.add(std::numeric_limits<StepId>::max(), 0, 0, 1),
+               std::invalid_argument);
+  t.add(std::numeric_limits<StepId>::max() - 1, 0, 0, 1);
+  t.finalize();
+  EXPECT_EQ(t.numSteps(), std::numeric_limits<StepId>::max());
+}
+
+TEST(ReferenceTrace, RejectsArraysBeyondTheDataIdRange) {
+  DataSpace single;
+  EXPECT_THROW(single.addArray("A", 65536, 65536), std::invalid_argument);
+  EXPECT_EQ(single.numArrays(), 0);
+  // Each array fits on its own; together they overflow the id range.
+  DataSpace pair;
+  pair.addArray("A", 32768, 65535);
+  EXPECT_THROW(pair.addArray("B", 2, 32768), std::invalid_argument);
+  EXPECT_EQ(pair.numArrays(), 1);
+  EXPECT_EQ(pair.numData(), 32768 * 65535);
 }
 
 TEST(ReferenceTrace, AddAfterFinalizeUnfinalizes) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -156,6 +159,215 @@ TEST(WindowedRefs, RefsSignatureSeparatesWeightAndProcessor) {
   EXPECT_NE(refs.refsSignature(0), refs.refsSignature(1));
   EXPECT_NE(refs.refsSignature(0), refs.refsSignature(2));
   EXPECT_EQ(refs.refsSignature(0), refs.refsSignature(3));
+}
+
+// ------------------------------------------- sort-based oracle --
+
+/// WindowedRefs contents as plain per-cell vectors.
+struct OracleRefs {
+  int numWindows = 0;
+  std::vector<std::vector<ProcWeight>> cells;  ///< index d * numWindows + w
+  std::vector<Cost> dataWeight;
+};
+
+/// The comparison-sort build WindowedRefs used before its counting sort,
+/// frozen as the differential oracle: tag every access with its window
+/// (binary search), sort the tagged copy by (datum, window, proc), and
+/// merge each run of equal processors.
+OracleRefs sortBasedRefs(const ReferenceTrace& trace,
+                         const WindowPartition& windows) {
+  struct Tagged {
+    DataId data;
+    WindowId window;
+    ProcId proc;
+    Cost weight;
+  };
+  std::vector<Tagged> tagged;
+  for (const Access& a : trace.accesses()) {
+    tagged.push_back(Tagged{a.data, windows.windowOf(a.step), a.proc,
+                            a.weight});
+  }
+  std::sort(tagged.begin(), tagged.end(),
+            [](const Tagged& a, const Tagged& b) {
+              if (a.data != b.data) return a.data < b.data;
+              if (a.window != b.window) return a.window < b.window;
+              return a.proc < b.proc;
+            });
+  OracleRefs out;
+  out.numWindows = windows.numWindows();
+  out.cells.resize(static_cast<std::size_t>(trace.numData()) *
+                   static_cast<std::size_t>(out.numWindows));
+  out.dataWeight.assign(static_cast<std::size_t>(trace.numData()), 0);
+  for (const Tagged& t : tagged) {
+    std::vector<ProcWeight>& cell =
+        out.cells[static_cast<std::size_t>(t.data) *
+                      static_cast<std::size_t>(out.numWindows) +
+                  static_cast<std::size_t>(t.window)];
+    if (!cell.empty() && cell.back().proc == t.proc) {
+      cell.back().weight += t.weight;
+    } else {
+      cell.push_back(ProcWeight{t.proc, t.weight});
+    }
+    out.dataWeight[static_cast<std::size_t>(t.data)] += t.weight;
+  }
+  return out;
+}
+
+/// The oracle with every reference issued by a masked processor dropped.
+OracleRefs maskedOracle(OracleRefs oracle, const std::vector<char>& dead) {
+  std::fill(oracle.dataWeight.begin(), oracle.dataWeight.end(), 0);
+  for (std::size_t c = 0; c < oracle.cells.size(); ++c) {
+    std::erase_if(oracle.cells[c], [&](const ProcWeight& pw) {
+      return dead[static_cast<std::size_t>(pw.proc)] != 0;
+    });
+    for (const ProcWeight& pw : oracle.cells[c]) {
+      oracle.dataWeight[c / static_cast<std::size_t>(oracle.numWindows)] +=
+          pw.weight;
+    }
+  }
+  return oracle;
+}
+
+void expectMatchesOracle(const WindowedRefs& refs, const OracleRefs& oracle) {
+  ASSERT_EQ(static_cast<std::size_t>(refs.numData()),
+            oracle.dataWeight.size());
+  ASSERT_EQ(refs.numWindows(), oracle.numWindows);
+  for (DataId d = 0; d < refs.numData(); ++d) {
+    EXPECT_EQ(refs.dataWeight(d),
+              oracle.dataWeight[static_cast<std::size_t>(d)])
+        << "datum " << d;
+    for (WindowId w = 0; w < refs.numWindows(); ++w) {
+      const std::span<const ProcWeight> got = refs.refs(d, w);
+      const std::vector<ProcWeight>& want =
+          oracle.cells[static_cast<std::size_t>(d) *
+                           static_cast<std::size_t>(oracle.numWindows) +
+                       static_cast<std::size_t>(w)];
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "datum " << d << " window " << w;
+    }
+  }
+}
+
+/// The partitions a trace of numSteps steps is checked under: one window
+/// per step, one window for everything, fixed-size and near-even windows,
+/// and uneven explicit starts.
+std::vector<WindowPartition> partitionsFor(testutil::Rng& rng,
+                                           StepId numSteps) {
+  std::vector<WindowPartition> out{
+      WindowPartition::perStep(numSteps), WindowPartition::whole(numSteps),
+      WindowPartition::fixedSize(numSteps,
+                                 static_cast<StepId>(rng.range(2, 5))),
+      WindowPartition::evenCount(numSteps, static_cast<int>(rng.range(2, 6)))};
+  std::vector<StepId> starts{0};
+  for (StepId s = 1; s < numSteps; ++s) {
+    if (rng.below(3) == 0) starts.push_back(s);
+  }
+  out.emplace_back(std::move(starts), numSteps);
+  return out;
+}
+
+/// A random finalized trace over a dataRows x dataCols array that leaves
+/// about a third of its steps without any access (the last step always has
+/// one, so numSteps is as asked) and most data unreferenced.
+ReferenceTrace sparseTrace(testutil::Rng& rng, const Grid& grid, int dataRows,
+                           int dataCols, StepId numSteps) {
+  DataSpace ds;
+  ds.addArray("A", dataRows, dataCols);
+  ReferenceTrace trace(ds);
+  const DataId hot = std::max<DataId>(1, ds.numData() / 4);
+  for (StepId s = 0; s < numSteps; ++s) {
+    if (s + 1 < numSteps && rng.below(3) == 0) continue;
+    const int count = static_cast<int>(rng.range(1, 6));
+    for (int i = 0; i < count; ++i) {
+      trace.add(s,
+                static_cast<ProcId>(
+                    rng.below(static_cast<std::uint64_t>(grid.size()))),
+                static_cast<DataId>(rng.below(static_cast<std::uint64_t>(hot))),
+                rng.range(1, 9));
+    }
+  }
+  trace.finalize();
+  return trace;
+}
+
+TEST(WindowedRefs, CountingSortMatchesSortBasedOracle) {
+  testutil::Rng rng(2024);
+  const Grid grids[] = {Grid(1, 2), Grid(2, 2), Grid(3, 3), Grid(2, 5),
+                        Grid(4, 4)};
+  for (int round = 0; round < 60; ++round) {
+    const Grid& grid = grids[round % 5];
+    const StepId numSteps = static_cast<StepId>(rng.range(1, 24));
+    const int rows = static_cast<int>(rng.range(1, 8));
+    const int cols = static_cast<int>(rng.range(1, 8));
+    const ReferenceTrace trace =
+        round % 2 == 0
+            ? testutil::randomTrace(rng, grid, rows, cols, numSteps,
+                                    static_cast<int>(rng.range(1, 30)))
+            : sparseTrace(rng, grid, rows, cols, numSteps);
+    for (const WindowPartition& windows : partitionsFor(rng, numSteps)) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                   std::to_string(windows.numWindows()) + " windows");
+      expectMatchesOracle(WindowedRefs(trace, windows, grid),
+                          sortBasedRefs(trace, windows));
+    }
+  }
+}
+
+TEST(WindowedRefs, MultiStepCellsOutOfProcOrderAreSortedAndMerged) {
+  // Two processors and many steps per window: every cell sees the same
+  // processor in several steps, and some list a later step's smaller
+  // processor after an earlier step's larger one. Count those cells so
+  // the test proves it reaches the per-cell sort.
+  testutil::Rng rng(77);
+  const Grid grid(1, 2);
+  int unsortedCells = 0;
+  for (int round = 0; round < 10; ++round) {
+    const ReferenceTrace trace = testutil::randomTrace(rng, grid, 2, 3, 16, 6);
+    const WindowPartition windows = WindowPartition::fixedSize(16, 4);
+    for (DataId d = 0; d < trace.numData(); ++d) {
+      for (WindowId w = 0; w < windows.numWindows(); ++w) {
+        ProcId last = -1;
+        for (const Access& a : trace.accesses()) {
+          if (a.data != d || windows.windowOf(a.step) != w) continue;
+          if (a.proc < last) {
+            ++unsortedCells;
+            break;
+          }
+          last = a.proc;
+        }
+      }
+    }
+    expectMatchesOracle(WindowedRefs(trace, windows, grid),
+                        sortBasedRefs(trace, windows));
+  }
+  EXPECT_GT(unsortedCells, 0);
+}
+
+TEST(WindowedRefs, EmptyTraceUnderWholeZero) {
+  const Grid grid(2, 2);
+  ReferenceTrace t(DataSpace::singleSquare(2));
+  t.finalize();
+  const WindowPartition windows = WindowPartition::whole(0);
+  const WindowedRefs refs(t, windows, grid);
+  EXPECT_EQ(refs.numData(), 4);
+  EXPECT_EQ(refs.numWindows(), 0);
+  for (DataId d = 0; d < refs.numData(); ++d) EXPECT_TRUE(refs.unreferenced(d));
+  expectMatchesOracle(refs, sortBasedRefs(t, windows));
+}
+
+TEST(WindowedRefs, MaskedCopyMatchesMaskedOracle) {
+  testutil::Rng rng(5);
+  const Grid grid(3, 3);
+  for (int round = 0; round < 10; ++round) {
+    const ReferenceTrace trace = testutil::randomTrace(rng, grid, 4, 5, 12, 15);
+    std::vector<char> dead(static_cast<std::size_t>(grid.size()), 0);
+    for (char& p : dead) p = rng.below(3) == 0 ? 1 : 0;
+    for (const WindowPartition& windows : partitionsFor(rng, 12)) {
+      const WindowedRefs refs(trace, windows, grid);
+      expectMatchesOracle(refs.withProcsMasked(dead),
+                          maskedOracle(sortBasedRefs(trace, windows), dead));
+    }
+  }
 }
 
 }  // namespace
