@@ -180,7 +180,6 @@ PhaseB runPhaseB(bool smoke) {
   fleet::FleetService::Config config;
   config.arrays = benchFleet();
   config.policy = FleetPolicy::kCost;
-  config.policyFromEnv = false;
   config.concurrencyPerArray = 1;
   // Fairness is the measurement: no result cache (every job must be
   // scheduled, not answered from memory) and aging pushed out of reach so

@@ -36,7 +36,7 @@
 //     --fleet SPEC        fleet topology: ';'-separated
 //                         [NAME=]RxC[:FAULT[+FAULT...]] entries
 //     --fleet-policy P    array selector: cost | roundrobin | leastloaded
-//                         (default cost; PIMSCHED_FLEET_POLICY overrides)
+//                         (default cost)
 //     --health-cooldown-ms MS
 //                         a quarantined array is re-admitted only after
 //                         MS of quiet with acceptable facts (default

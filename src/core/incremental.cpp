@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <span>
-#include <string_view>
 #include <unordered_set>
 
 #include "core/gomcds_detail.hpp"
@@ -220,15 +218,6 @@ int firstChangedWindow(const WindowedRefs& now, const WindowedRefs& prev,
       [&](int w) { return now.sameRefsAs(prev, d, w, d, w); });
 }
 
-bool incrementalEnabled(const SchedulerOptions& options) {
-  if (!options.incremental) return false;
-  if (const char* env = std::getenv("PIMSCHED_INCREMENTAL")) {
-    const std::string_view v(env);
-    if (v == "0" || v == "off" || v == "false") return false;
-  }
-  return true;
-}
-
 void IncrementalSolver::invalidate() {
   retainedValid_ = false;
   prevRefs_.reset();
@@ -265,8 +254,7 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
   // Retention requires a static forbidden set: under capacity pressure the
   // mask grows between data, so per-class dp tables and paths from one
   // datum are unsound for the next — cold solve, retain nothing.
-  if (!incrementalEnabled(options) ||
-      !detail::staticForbiddenSet(model, options) || refs.numWindows() < 1) {
+  if (!detail::staticForbiddenSet(model, options) || refs.numWindows() < 1) {
     return coldFall(refs, model, options, engine);
   }
 

@@ -46,12 +46,6 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 [[nodiscard]] int firstChangedWindow(const WindowedRefs& now,
                                      const WindowedRefs& prev, DataId d);
 
-/// Resolves the effective incremental toggle: SchedulerOptions::incremental
-/// gated by the PIMSCHED_INCREMENTAL environment variable ("0"/"off"/
-/// "false" force-disables the warm path process-wide; anything else, or
-/// unset, defers to the option).
-[[nodiscard]] bool incrementalEnabled(const SchedulerOptions& options);
-
 /// Warm-start GOMCDS solver for long-running streams whose traces evolve at
 /// the tail. Each solve() retains the per-equivalence-class serving-cost
 /// tables, dp tables, predecessor caches, and solved paths; the next
@@ -78,9 +72,9 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// engine) on every call — warm-start is purely a speed/memory trade. The
 /// solver falls back to a cold solve (counter gomcds.incremental.cold_falls)
 /// whenever reuse would be unsound or unprofitable: no retained state, a
-/// changed model/options/shape fingerprint, a capacity-constrained solve
-/// (the forbidden set then grows per datum, so per-class paths cannot be
-/// shared), or the incremental toggle off.
+/// changed model/options/shape fingerprint, no windows, or a capacity-
+/// constrained solve (the forbidden set then grows per datum, so per-class
+/// paths cannot be shared).
 ///
 /// Not thread-safe: one IncrementalSolver per stream, externally
 /// serialized. Memory: retains O(numClasses * numWindows * numProcs) costs

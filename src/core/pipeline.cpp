@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/verify.hpp"
 #include "fault/fault_trace.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
@@ -131,40 +132,41 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
   resolveCapacity(capacity_, trace.numData(), faults_->aliveProcCount());
 }
 
-DataSchedule Experiment::schedule(Method m) const {
-  const SchedulerOptions opts{capacity_, config_.order};
+DataSchedule scheduleMethod(Method m, const WindowedRefs& refs,
+                            const CostModel& model, const DataSpace& space,
+                            const SchedulerOptions& options,
+                            unsigned threads) {
+  const auto baseline = [&](BaselineKind kind) {
+    return baselineSchedule(kind, space, model.grid(), refs.numWindows());
+  };
   switch (m) {
-    case Method::kRowWise:
-      return baselineSchedule(BaselineKind::kRowWise, *space_, *grid_,
-                              refs_.numWindows());
-    case Method::kColWise:
-      return baselineSchedule(BaselineKind::kColWise, *space_, *grid_,
-                              refs_.numWindows());
-    case Method::kBlock2D:
-      return baselineSchedule(BaselineKind::kBlock2D, *space_, *grid_,
-                              refs_.numWindows());
-    case Method::kCyclic2D:
-      return baselineSchedule(BaselineKind::kCyclic2D, *space_, *grid_,
-                              refs_.numWindows());
-    case Method::kRandom:
-      return baselineSchedule(BaselineKind::kRandom, *space_, *grid_,
-                              refs_.numWindows());
+    case Method::kRowWise: return baseline(BaselineKind::kRowWise);
+    case Method::kColWise: return baseline(BaselineKind::kColWise);
+    case Method::kBlock2D: return baseline(BaselineKind::kBlock2D);
+    case Method::kCyclic2D: return baseline(BaselineKind::kCyclic2D);
+    case Method::kRandom: return baseline(BaselineKind::kRandom);
     case Method::kScds:
-      return scheduleScds(refs_, model_, opts);
+      return scheduleScds(refs, model, options);
     case Method::kLomcds:
-      return scheduleLomcds(refs_, model_, opts);
+      return scheduleLomcds(refs, model, options);
     case Method::kGomcds:
-      return scheduleGomcds(refs_, model_, opts, config_.threads);
+      return scheduleGomcds(refs, model, options, threads);
     case Method::kGroupedLomcds:
-      return scheduleGroupedLomcds(refs_, model_, opts,
+      return scheduleGroupedLomcds(refs, model, options,
                                    GroupingMethod::kGreedy);
     case Method::kGroupedGomcds:
-      return scheduleGroupedGomcds(refs_, model_, opts);
+      return scheduleGroupedGomcds(refs, model, options);
     case Method::kGroupedOptimal:
-      return scheduleGroupedLomcds(refs_, model_, opts,
+      return scheduleGroupedLomcds(refs, model, options,
                                    GroupingMethod::kOptimalDp);
   }
-  throw std::invalid_argument("Experiment::schedule: unknown method");
+  throw std::invalid_argument("scheduleMethod: unknown method");
+}
+
+DataSchedule Experiment::schedule(Method m) const {
+  return scheduleMethod(m, refs_, model_, *space_,
+                        SchedulerOptions{capacity_, config_.order},
+                        config_.threads);
 }
 
 EvalResult Experiment::evaluate(Method m) const {
@@ -177,17 +179,16 @@ StreamSession::StreamSession(int gridRows, int gridCols,
     : grid_(gridRows, gridCols),
       config_(config),
       method_(method),
-      faults_(grid_) {
-  if (!faultSpecs.empty()) {
-    for (const std::string& spec : faultSpecs) {
-      if (!applyFaultSpec(faults_, spec)) {
-        throw std::invalid_argument("StreamSession: bad fault spec \"" +
-                                    spec + "\"");
-      }
-    }
-    faultAware_ = true;
-    distances_.emplace(grid_, faults_);
-  }
+      faults_(grid_),
+      faultAware_(!faultSpecs.empty()),
+      model_(grid_, config.costParams) {
+  if (!faultAware_) return;
+  // A spec that changes nothing (a repeat, a processor inside an already
+  // dead row) is fine, exactly as on the one-shot path; a malformed spec
+  // throws from applyFaultSpec.
+  for (const std::string& spec : faultSpecs) applyFaultSpec(faults_, spec);
+  distances_.emplace(grid_, faults_);
+  model_ = CostModel(grid_, *distances_, config_.costParams);
 }
 
 StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
@@ -204,37 +205,22 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
       config_.explicitWindows.has_value()
           ? *config_.explicitWindows
           : WindowPartition::evenCount(trace.numSteps(), config_.numWindows);
-  WindowedRefs baseRefs(trace, windows, grid_);
-  // Only a fault-aware session needs a second, masked copy.
-  std::optional<WindowedRefs> masked;
-  if (faultAware_) {
-    masked.emplace(baseRefs.withProcsMasked(faults_.deadProcMask()));
-  }
-  const WindowedRefs& refs = masked.has_value() ? *masked : baseRefs;
-  const CostModel model =
-      faultAware_ ? CostModel(grid_, *distances_, config_.costParams)
-                  : CostModel(grid_, config_.costParams);
+  WindowedRefs refs(trace, windows, grid_);
+  if (faultAware_) refs = refs.withProcsMasked(faults_.deadProcMask());
   std::int64_t capacity = config_.capacity;
   resolveCapacity(capacity, trace.numData(),
                   faultAware_ ? faults_.aliveProcCount() : grid_.size());
+  const SchedulerOptions opts{capacity, config_.order};
 
+  // GOMCDS is the warm path: identical to scheduleGomcds on every step,
+  // reusing every dp row before the first changed window of each class.
   const bool warmPath = method_ == Method::kGomcds;
-  DataSchedule schedule = [&]() -> DataSchedule {
-    if (warmPath) {
-      // The warm path: identical to scheduleGomcds on every step, reusing
-      // every dp row before the first changed window of each class.
-      const SchedulerOptions opts{capacity, config_.order};
-      return solver_.solve(refs, model, opts);
-    }
-    // Any other method is supported but never warm: one cold Experiment
-    // per revision.
-    PipelineConfig stepConfig = config_;
-    stepConfig.capacity = capacity;
-    return faultAware_
-               ? Experiment(trace, grid_, faults_, stepConfig).schedule(method_)
-               : Experiment(trace, grid_, stepConfig).schedule(method_);
-  }();
-  EvalResult eval = evaluateSchedule(schedule, refs, model, config_.threads);
+  DataSchedule schedule =
+      warmPath ? solver_.solve(refs, model_, opts)
+               : scheduleMethod(method_, refs, model_, trace.dataSpace(), opts,
+                                config_.threads);
+  if (faultAware_) requireFaultFeasible(schedule, refs, model_);
+  EvalResult eval = evaluateSchedule(schedule, refs, model_, config_.threads);
   StreamStepResult out{std::move(schedule), std::move(eval)};
   if (warmPath) {
     const IncrementalSolver::Stats& stats = solver_.lastStats();
@@ -242,58 +228,8 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
     out.reusedLayers = stats.reusedLayers;
     out.relaxedLayers = stats.relaxedLayers;
   }
-
-  lastSchedule_ = out.schedule;
-  lastBaseRefs_ = std::move(baseRefs);
-  lastCapacity_ = capacity;
-  ++steps_;
   PIMSCHED_COUNTER_ADD("stream.steps", 1);
   if (out.incremental) PIMSCHED_COUNTER_ADD("stream.warm_steps", 1);
-  return out;
-}
-
-void StreamSession::applyDrift(const std::vector<std::string>& specs,
-                               bool heal) {
-  if (heal) faults_.clear();
-  for (const std::string& spec : specs) {
-    if (!applyFaultSpec(faults_, spec)) {
-      throw std::invalid_argument("StreamSession: bad fault spec \"" + spec +
-                                  "\"");
-    }
-  }
-  faultAware_ = true;
-  distances_.emplace(grid_, faults_);
-  // One epoch invalidation covers both the solver's warm state and any
-  // caller-side warm assumptions (the fingerprint would catch the model
-  // change anyway; dropping state now frees the memory immediately).
-  solver_.invalidate();
-  ++driftEpoch_;
-  PIMSCHED_COUNTER_ADD("stream.drift", 1);
-}
-
-StreamRepairResult StreamSession::repairLast(WindowId faultWindow) {
-  if (!lastSchedule_.has_value() || !lastBaseRefs_.has_value()) {
-    throw std::logic_error("StreamSession: no schedule to repair yet");
-  }
-  if (!faultAware_) {
-    // Repair under a fault-oblivious model is the identity; normalize
-    // through an (empty) fault-aware model so the RepairResult fields are
-    // meaningful either way.
-    faultAware_ = true;
-    distances_.emplace(grid_, faults_);
-  }
-  const WindowedRefs refs =
-      lastBaseRefs_->withProcsMasked(faults_.deadProcMask());
-  const CostModel model(grid_, *distances_, config_.costParams);
-  RepairOptions options;
-  options.faultWindow = faultWindow;
-  options.capacity = lastCapacity_;
-  StreamRepairResult out{repairSchedule(*lastSchedule_, refs, model, options),
-                         {}};
-  out.eval = evaluateSchedule(out.repair.schedule, refs, model,
-                              config_.threads);
-  lastSchedule_ = out.repair.schedule;
-  PIMSCHED_COUNTER_ADD("stream.repairs", 1);
   return out;
 }
 

@@ -11,7 +11,6 @@
 #include "core/grouping.hpp"
 #include "core/incremental.hpp"
 #include "core/lomcds.hpp"
-#include "core/repair.hpp"
 #include "core/scds.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
@@ -77,6 +76,17 @@ struct PipelineConfig {
   unsigned threads = 1;
 };
 
+/// Runs one scheduling method over already-windowed references: the
+/// baselines place `space` on `model.grid()`, every other method solves
+/// `refs` under `model` with `options` (capacity and data order).
+/// `threads` parallelizes GOMCDS only; results are identical for every
+/// value. Experiment::schedule and StreamSession::step both dispatch here.
+[[nodiscard]] DataSchedule scheduleMethod(Method m, const WindowedRefs& refs,
+                                          const CostModel& model,
+                                          const DataSpace& space,
+                                          const SchedulerOptions& options,
+                                          unsigned threads = 1);
+
 /// Binds a trace to a grid + config and runs any Method on it. Windowing,
 /// reference aggregation and capacity resolution happen once in the
 /// constructor; schedules and costs are computed per call.
@@ -112,7 +122,8 @@ class Experiment {
     return faults_.has_value() ? &*faults_ : nullptr;
   }
 
-  /// Builds the schedule a method produces.
+  /// Builds the schedule a method produces (scheduleMethod over this
+  /// experiment's refs, model and resolved capacity).
   [[nodiscard]] DataSchedule schedule(Method m) const;
 
   /// Schedule + evaluation in one step.
@@ -141,36 +152,28 @@ struct StreamStepResult {
   std::int64_t relaxedLayers = 0;  ///< per-class dp rows re-relaxed
 };
 
-/// Result of StreamSession::repairLast: the repaired previous schedule plus
-/// its evaluation under the post-drift model.
-struct StreamRepairResult {
-  RepairResult repair;
-  EvalResult eval;
-};
-
 /// A long-lived scheduling session over an evolving trace — the streaming
 /// window API of the pipeline. Where an Experiment binds one immutable
-/// trace, a StreamSession persists the grid, fault state, distance map,
-/// and an IncrementalSolver across successive trace revisions: each step()
-/// re-solves the full problem, but the solver reuses every per-class dp
-/// row up to the first changed window, so steady-state steps whose traces
-/// evolve only at the tail cost a fraction of a cold solve. Results are
-/// bit-identical to a fresh Experiment::schedule on every step.
+/// trace, a StreamSession fixes the grid, fault state, distance map and
+/// cost model when it opens and keeps an IncrementalSolver across
+/// successive trace revisions: each step() windows the new revision once
+/// and re-solves the full problem, but the solver reuses every per-class
+/// dp row up to the first changed window, so steady-state steps whose
+/// traces evolve only at the tail cost a fraction of a cold solve. Results
+/// are bit-identical to a fresh Experiment::schedule on every step.
 ///
-/// Fault drift and trace drift flow through the same entry point:
-/// applyDrift mutates the session's fault state, rebuilds distances,
-/// and epoch-invalidates the warm solver state (the next step runs cold
-/// under the new model); repairLast additionally runs core/repair over the
-/// last emitted schedule so serving callers can hand back a prefix-
-/// preserving repaired schedule without waiting for the next trace
-/// revision.
+/// The fault state never changes after construction: a caller whose
+/// topology drifts drops the session and opens a new one (the serving
+/// layer does exactly that through StreamSessionManager::invalidateByTag).
 ///
 /// Not thread-safe: one StreamSession per stream, externally serialized.
 class StreamSession {
  public:
-  /// `faultSpecs` seed the session's fault state (applyFaultSpec syntax);
-  /// an empty list starts a fault-oblivious session, which turns fault-
-  /// aware on the first applyDrift.
+  /// `faultSpecs` fix the session's fault state (applyFaultSpec syntax,
+  /// applied in order; a spec that changes nothing is accepted, a
+  /// malformed one throws std::invalid_argument). A non-empty list makes
+  /// the session fault-aware, exactly like a fault-aware Experiment; an
+  /// empty list opens a fault-oblivious session.
   StreamSession(int gridRows, int gridCols, PipelineConfig config = {},
                 Method method = Method::kGomcds,
                 const std::vector<std::string>& faultSpecs = {});
@@ -179,35 +182,15 @@ class StreamSession {
   StreamSession& operator=(const StreamSession&) = delete;
 
   /// Schedules the next revision of the evolving trace. Method kGomcds
-  /// runs through the retained IncrementalSolver; every other method cold-
-  /// solves via a per-step Experiment (supported, never warm).
+  /// runs through the retained IncrementalSolver; every other method
+  /// solves cold through scheduleMethod (supported, never warm). A
+  /// fault-aware session refuses a schedule that violates its fault
+  /// state (a fault-oblivious method placing data on a dead processor)
+  /// with UnreachableError, as the one-shot serving path does.
   [[nodiscard]] StreamStepResult step(const ReferenceTrace& trace);
-
-  /// Applies fault drift: `heal` first resets the fault state, then every
-  /// spec is applied in order (applyFaultSpec syntax; throws
-  /// std::invalid_argument on a bad spec, leaving already-applied specs in
-  /// place like the fleet's drift path). Rebuilds distances, marks the
-  /// session fault-aware, and epoch-invalidates all warm solver state.
-  void applyDrift(const std::vector<std::string>& specs, bool heal);
-
-  /// True once step() has produced a schedule repairLast can start from.
-  [[nodiscard]] bool hasSchedule() const { return lastSchedule_.has_value(); }
-
-  /// Repairs the last emitted schedule under the current (post-drift)
-  /// fault state: windows before `faultWindow` are preserved bit-identical,
-  /// later cells are re-centered only where faults broke them. The repaired
-  /// schedule replaces the retained one. Throws std::logic_error when no
-  /// schedule has been emitted yet.
-  [[nodiscard]] StreamRepairResult repairLast(WindowId faultWindow = 0);
 
   [[nodiscard]] const Grid& grid() const { return grid_; }
   [[nodiscard]] const FaultMap& faults() const { return faults_; }
-  [[nodiscard]] bool faultAware() const { return faultAware_; }
-  [[nodiscard]] Method method() const { return method_; }
-  [[nodiscard]] std::int64_t steps() const { return steps_; }
-  /// Bumped by every applyDrift — serving layers surface this so clients
-  /// can see warm state was invalidated.
-  [[nodiscard]] std::uint64_t driftEpoch() const { return driftEpoch_; }
   /// Bytes of warm solver state retained between steps.
   [[nodiscard]] std::size_t retainedBytes() const {
     return solver_.retainedBytes();
@@ -217,15 +200,11 @@ class StreamSession {
   Grid grid_;
   PipelineConfig config_;
   Method method_;
-  FaultMap faults_;  ///< built over grid_; empty until specs/drift arrive
-  bool faultAware_ = false;
-  std::optional<DistanceMap> distances_;  ///< rebuilt on every drift
+  FaultMap faults_;  ///< built over grid_; empty on a fault-oblivious session
+  const bool faultAware_;
+  std::optional<DistanceMap> distances_;  ///< built over faults_ when aware
+  CostModel model_;  ///< points at distances_ when fault-aware
   IncrementalSolver solver_;
-  std::optional<DataSchedule> lastSchedule_;
-  std::optional<WindowedRefs> lastBaseRefs_;  ///< unmasked refs of last step
-  std::int64_t lastCapacity_ = -1;
-  std::int64_t steps_ = 0;
-  std::uint64_t driftEpoch_ = 0;
 };
 
 /// Percentage improvement of `cost` over `base` (the paper's "%"

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "fault/fault_map.hpp"
+
 namespace pimsched {
 
 VerifyReport verifySchedule(const DataSchedule& schedule, const Grid& grid,
@@ -77,6 +79,17 @@ VerifyReport verifyScheduleFaults(const DataSchedule& schedule,
     }
   }
   return report;
+}
+
+void requireFaultFeasible(const DataSchedule& schedule,
+                          const WindowedRefs& refs, const CostModel& model) {
+  const VerifyReport report = verifyScheduleFaults(schedule, refs, model);
+  if (!report.ok()) {
+    throw UnreachableError(
+        "schedule violates the fault state (" +
+        std::to_string(report.issues.size()) + " issue(s), first: " +
+        report.issues.front().detail + ")");
+  }
 }
 
 ScheduleDiff diffSchedules(const DataSchedule& a, const DataSchedule& b) {

@@ -50,6 +50,13 @@ struct VerifyReport {
                                                 const WindowedRefs& refs,
                                                 const CostModel& model);
 
+/// Throws UnreachableError naming the first verifyScheduleFaults issue,
+/// if any. Fault-oblivious methods (the baselines) can legally return data
+/// on dead processors; this is the check every serving path runs before
+/// handing out a schedule computed against a faulted topology.
+void requireFaultFeasible(const DataSchedule& schedule,
+                          const WindowedRefs& refs, const CostModel& model);
+
 /// Differences between two schedules over the same shape: how many
 /// (datum, window) cells differ and how the migration behaviour changes.
 struct ScheduleDiff {

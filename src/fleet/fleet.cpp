@@ -5,6 +5,7 @@
 
 #include "cost/center_costs.hpp"
 #include "fault/fault_trace.hpp"
+#include "serve/protocol.hpp"
 #include "trace/trace_io.hpp"
 
 namespace pimsched::fleet {
@@ -42,10 +43,8 @@ void parseShape(const std::string& entry, const std::string& shape,
     badFleetSpec(entry, "expected RxC shape");
   }
   if (*rows < 1 || *cols < 1) badFleetSpec(entry, "grid must be at least 1x1");
-  constexpr std::int64_t kMaxGridSide = 4096;
-  constexpr std::int64_t kMaxGridProcs = 1 << 20;
-  if (*rows > kMaxGridSide || *cols > kMaxGridSide ||
-      static_cast<std::int64_t>(*rows) * *cols > kMaxGridProcs) {
+  if (*rows > serve::kMaxGridSide || *cols > serve::kMaxGridSide ||
+      static_cast<std::int64_t>(*rows) * *cols > serve::kMaxGridProcs) {
     badFleetSpec(entry, "grid too large");
   }
 }

@@ -79,9 +79,7 @@ std::vector<ProcWeight> aggregateTraceRefs(const ReferenceTrace& trace) {
 FleetService::FleetService(Config config)
     : config_(std::move(config)),
       fleet_(config_.arrays),
-      selector_(fleet_, config_.policyFromEnv
-                            ? fleetPolicyFromEnv(config_.policy)
-                            : config_.policy) {
+      selector_(fleet_, config_.policy) {
   if (config_.concurrencyPerArray == 0) config_.concurrencyPerArray = 1;
   if (config_.defaultTenantWeight <= 0) config_.defaultTenantWeight = 1.0;
   loads_.resize(fleet_.size());

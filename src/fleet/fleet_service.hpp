@@ -42,13 +42,12 @@ namespace pimsched::fleet {
 /// `maxQueueDepth`.
 ///
 /// Array placement per dispatched job goes through ArraySelector
-/// (cost | roundrobin | leastloaded; PIMSCHED_FLEET_POLICY overrides the
-/// configured policy when `policyFromEnv`). A job placed on an array runs
-/// with the array's canonical standing faults merged in front of its own
-/// specs; on a healthy array this is byte-identical to executeJobRequest
-/// on the request alone. The selector (and the whole-trace reference
-/// aggregate it reads) is skipped for a job whose shape only one array of
-/// the topology can host.
+/// (cost | roundrobin | leastloaded, from Config::policy). A job placed on
+/// an array runs with the array's canonical standing faults merged in
+/// front of its own specs; on a healthy array this is byte-identical to
+/// executeJobRequest on the request alone. The selector (and the
+/// whole-trace reference aggregate it reads) is skipped for a job whose
+/// shape only one array of the topology can host.
 ///
 /// Coalescing: a submission whose digest (which folds in the tenant)
 /// matches a job already queued or running does not enqueue a second
@@ -109,8 +108,6 @@ class FleetService final : public serve::JobService {
     /// The fleet topology; empty = one healthy any-shape array.
     std::vector<ArraySpec> arrays;
     FleetPolicy policy = FleetPolicy::kCost;
-    /// Apply the PIMSCHED_FLEET_POLICY environment override when set.
-    bool policyFromEnv = true;
     /// Jobs in flight at once per array.
     unsigned concurrencyPerArray = 1;
     /// Fleet-wide queued-job bound; submissions past it are rejected.

@@ -1,7 +1,5 @@
 #include "fleet/selector.hpp"
 
-#include <cstdlib>
-
 namespace pimsched::fleet {
 
 const char* toString(FleetPolicy policy) {
@@ -18,13 +16,6 @@ std::optional<FleetPolicy> fleetPolicyFromString(std::string_view name) {
   if (name == "roundrobin") return FleetPolicy::kRoundRobin;
   if (name == "leastloaded") return FleetPolicy::kLeastLoaded;
   return std::nullopt;
-}
-
-FleetPolicy fleetPolicyFromEnv(FleetPolicy fallback) {
-  const char* env = std::getenv("PIMSCHED_FLEET_POLICY");
-  if (env == nullptr) return fallback;
-  const auto parsed = fleetPolicyFromString(env);
-  return parsed.has_value() ? *parsed : fallback;
 }
 
 int ArraySelector::select(std::span<const ProcWeight> refs,

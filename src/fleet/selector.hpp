@@ -29,11 +29,6 @@ enum class FleetPolicy {
 [[nodiscard]] std::optional<FleetPolicy> fleetPolicyFromString(
     std::string_view name);
 
-/// Resolves the effective policy: the PIMSCHED_FLEET_POLICY environment
-/// variable ("cost" | "roundrobin" | "leastloaded") when set and valid,
-/// `fallback` otherwise.
-[[nodiscard]] FleetPolicy fleetPolicyFromEnv(FleetPolicy fallback);
-
 /// Per-array load snapshot the dispatcher feeds the selector.
 struct ArrayLoad {
   std::size_t queued = 0;   ///< queued jobs planned onto the array

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -116,8 +117,6 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
   // Bound the grid before the Grid constructor ever sees it so a hostile
   // "1000000x1000000" submission is a structured protocol error, not an
   // attempted multi-terabyte allocation inside a worker.
-  constexpr std::int64_t kMaxGridSide = 4096;
-  constexpr std::int64_t kMaxGridProcs = 1 << 20;
   if (job.gridRows > kMaxGridSide || job.gridCols > kMaxGridSide ||
       static_cast<std::int64_t>(job.gridRows) * job.gridCols > kMaxGridProcs) {
     throw RequestError(
@@ -164,6 +163,16 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
   } else {
     job.config.explicitWindows =
         WindowPartition::perStep(job.trace.numSteps());
+  }
+  // WindowPartition::evenCount clamps the window count to the step count.
+  const std::int64_t steps = std::max<std::int64_t>(job.trace.numSteps(), 1);
+  const std::int64_t numWindows =
+      windows > 0 ? std::min(windows, steps) : steps;
+  if (job.trace.numData() > kMaxTraceCells / numWindows) {
+    throw RequestError(
+        "trace too large (" + std::to_string(job.trace.numData()) +
+        " data x " + std::to_string(numWindows) + " windows exceeds " +
+        std::to_string(kMaxTraceCells) + " cells)");
   }
 
   if (const Json* cap = request.find("capacity"); cap != nullptr) {

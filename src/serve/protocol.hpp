@@ -1,12 +1,23 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "serve/service.hpp"
 
 namespace pimsched::serve {
+
+/// Size bounds of a submitted job, checked before anything is built so an
+/// oversized request is a structured `invalid` error rather than an
+/// attempted multi-gigabyte allocation inside a worker. The fleet spec
+/// parser holds array shapes to the same grid bounds.
+inline constexpr std::int64_t kMaxGridSide = 4096;
+inline constexpr std::int64_t kMaxGridProcs = std::int64_t{1} << 20;
+/// Bound on numData x numWindows: the (datum, window) cells WindowedRefs
+/// allocates for one job (a one-access trace may declare 2^31 data).
+inline constexpr std::int64_t kMaxTraceCells = std::int64_t{1} << 24;
 
 struct ProtocolOptions {
   /// Requests longer than this are rejected with a structured error (the
@@ -28,8 +39,9 @@ struct ProtocolOptions {
 /// The serving wire protocol: newline-delimited JSON request objects, one
 /// JSON reply object per request. Verbs (the `verb` member):
 ///
-///   submit    trace | trace_file, grid "RxC" (sides <= 4096, <= 2^20
-///             processors), method, windows, capacity ("paper" |
+///   submit    trace | trace_file (data x windows <= 2^24 cells), grid
+///             "RxC" (sides <= 4096, <= 2^20 processors), method, windows,
+///             capacity ("paper" |
 ///             "unlimited" | N), threads, priority, deadline_ms, faults
 ///             (array of fault spec strings, validated against the grid at
 ///             submit time), wait — replies {ok, id, cached[, result

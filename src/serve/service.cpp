@@ -91,16 +91,7 @@ std::shared_ptr<JobResult> executeJobRequest(
   }
   DataSchedule schedule = exp->schedule(req.method);
   if (faults.has_value()) {
-    // Fault-oblivious methods (the baselines) can legally return here
-    // with data on dead processors; refuse to serve such a schedule.
-    const VerifyReport report =
-        verifyScheduleFaults(schedule, exp->refs(), exp->costModel());
-    if (!report.ok()) {
-      throw UnreachableError(
-          "schedule violates the fault state (" +
-          std::to_string(report.issues.size()) + " issue(s), first: " +
-          report.issues.front().detail + ")");
-    }
+    requireFaultFeasible(schedule, exp->refs(), exp->costModel());
   }
   auto result = std::make_shared<JobResult>();
   result->eval = evaluateSchedule(schedule, exp->refs(), exp->costModel(),

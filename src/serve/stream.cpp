@@ -6,7 +6,6 @@
 
 #include "core/pipeline.hpp"
 #include "core/schedule_io.hpp"
-#include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
 
 namespace pimsched::serve {
@@ -45,7 +44,6 @@ struct StreamSessionManager::Entry {
   std::mutex mutex;
   Digest compat;
   std::string tag;
-  std::vector<std::string> arrayFaults;
   std::unique_ptr<StreamSession> session;
   std::int64_t windows = 0;
 };
@@ -107,29 +105,11 @@ StreamOutcome StreamSessionManager::submit(StreamRequest request,
           request.job.method, specs);
       entry->compat = compat;
       entry->tag = pin.tag;
-      entry->arrayFaults = pin.arrayFaults;
       entry->windows = 0;
       out.reset = true;
     }
 
     StreamStepResult step = entry->session->step(request.job.trace);
-    if (entry->session->faultAware()) {
-      // Parity with executeJobRequest: a fault-oblivious method (the
-      // baselines) can legally return data on dead processors; refuse to
-      // serve such a schedule.
-      const FaultMap& faults = entry->session->faults();
-      for (DataId d = 0; d < step.schedule.numData(); ++d) {
-        for (WindowId w = 0; w < step.schedule.numWindows(); ++w) {
-          if (faults.procDead(step.schedule.center(d, w))) {
-            throw UnreachableError(
-                "schedule violates the fault state (datum " +
-                std::to_string(d) + " window " + std::to_string(w) +
-                " on dead processor " +
-                std::to_string(step.schedule.center(d, w)) + ")");
-          }
-        }
-      }
-    }
 
     auto result = std::make_shared<JobResult>();
     result->eval = std::move(step.eval);
@@ -199,17 +179,6 @@ std::int64_t StreamSessionManager::invalidateByTag(const std::string& tag) {
       ++it;
     }
   }
-  return dropped;
-}
-
-std::int64_t StreamSessionManager::invalidateAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto dropped = static_cast<std::int64_t>(sessions_.size());
-  for (std::int64_t i = 0; i < dropped; ++i) {
-    PIMSCHED_COUNTER_ADD("serve.session.invalidated", 1);
-  }
-  sessions_.clear();
-  order_.clear();
   return dropped;
 }
 

@@ -65,9 +65,6 @@ class StreamSessionManager {
   /// the tagged array); returns how many were invalidated.
   std::int64_t invalidateByTag(const std::string& tag);
 
-  /// Drops every session; returns how many were invalidated.
-  std::int64_t invalidateAll();
-
   [[nodiscard]] std::size_t size() const;
 
  private:

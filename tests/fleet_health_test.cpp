@@ -291,7 +291,6 @@ TEST(Rebalancer, PropagatesWhenEvenTheResolveIsInfeasible) {
 TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("a=4x4;b=4x4");
-  config.policyFromEnv = false;
   config.policy = FleetPolicy::kLeastLoaded;  // deterministic spreading
   config.concurrencyPerArray = 1;
   RunGate gate;
@@ -345,7 +344,6 @@ TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
 TEST(FleetDrift, MidRunDriftIsRepairedInPreferenceToAResolve) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   RunGate gate;
   config.onJobAttempt = gate.hook();
   FleetService service(config);
@@ -385,7 +383,6 @@ TEST(FleetDrift, MidRunDriftIsRepairedInPreferenceToAResolve) {
 TEST(FleetDrift, NoOpDriftBumpsNothing) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   FleetService service(config);
 
   // Healing a healthy array changes nothing.
@@ -422,7 +419,6 @@ TEST(FleetDrift, NoOpDriftBumpsNothing) {
 TEST(FleetDriftProtocol, InjectAndHealRoundTripOverTheWire) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("a=4x4;b=4x4");
-  config.policyFromEnv = false;
   FleetService service(config);
   serve::ProtocolHandler handler(service);
 

@@ -49,7 +49,6 @@ JobRequest makeRequest(int n = 4, int steps = 6,
 FleetService::Config healthySingleArray() {
   FleetService::Config config;
   config.arrays = parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   return config;
 }
 
@@ -92,7 +91,6 @@ struct RunGate {
 /// The daemon's default engine: one healthy any-shape array.
 FleetService::Config anyShape() {
   FleetService::Config config;
-  config.policyFromEnv = false;
   return config;
 }
 
@@ -168,7 +166,6 @@ TEST(FleetIdentity, StandingArrayFaultsEqualRequestFaults) {
   // any-shape array produces when the same specs ride on the request.
   FleetService::Config config;
   config.arrays = parseFleetSpec("hurt=4x4:proc:5+link:0-1");
-  config.policyFromEnv = false;
   FleetService fleetService(std::move(config));
   FleetService plain(anyShape());
 
@@ -205,7 +202,6 @@ TEST(FleetService, CostPolicyRoutesAroundTheFaultedArray) {
   DispatchLog log;
   FleetService::Config config;
   config.arrays = parseFleetSpec("bad=4x4:proc:5+proc:6+proc:9;good=4x4");
-  config.policyFromEnv = false;
   config.onDispatch = log.hook();
   FleetService fleetService(std::move(config));
 
@@ -472,7 +468,6 @@ TEST(FleetCache, FaultedArrayResultsAreKeyedByTheirSignature) {
   // different key entirely).
   FleetService::Config config;
   config.arrays = parseFleetSpec("hurt=4x4:proc:5");
-  config.policyFromEnv = false;
   FleetService fleetService(std::move(config));
 
   const SubmitOutcome first = fleetService.submit(makeRequest());
@@ -542,7 +537,6 @@ TEST(FleetService, DrainFinishesEverythingThenRejects) {
 TEST(FleetService, StatsExtraEmitsTheFleetBreakdown) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("a=4x4;b=4x4:proc:5");
-  config.policyFromEnv = false;
   FleetService fleetService(std::move(config));
 
   JobRequest request = makeRequest();
@@ -648,7 +642,6 @@ TEST(FleetIdentity, InjectHealCycleRestoresBitIdenticalResults) {
 FleetService::Config twoArrays(RunGate& gate) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("a=4x4;b=4x4");
-  config.policyFromEnv = false;
   config.onJobAttempt = gate.hook();
   return config;
 }
@@ -708,7 +701,6 @@ TEST(FleetCoalescing, IdenticalSubmitStormRunsThePipelineOnce) {
   std::atomic<int> runs{0};
   FleetService::Config config;
   config.arrays = parseFleetSpec("a=4x4;b=4x4;c=8x8");
-  config.policyFromEnv = false;
   config.onJobAttempt = [&](int) { ++runs; };
   FleetService service(std::move(config));
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -172,18 +171,6 @@ TEST(FleetPolicyNames, RoundTripAndRejectUnknown) {
     EXPECT_EQ(*back, p);
   }
   EXPECT_FALSE(fleetPolicyFromString("fastest").has_value());
-}
-
-TEST(FleetPolicyNames, EnvOverrideWinsOnlyWhenValid) {
-  ::unsetenv("PIMSCHED_FLEET_POLICY");
-  EXPECT_EQ(fleetPolicyFromEnv(FleetPolicy::kCost), FleetPolicy::kCost);
-  ::setenv("PIMSCHED_FLEET_POLICY", "leastloaded", 1);
-  EXPECT_EQ(fleetPolicyFromEnv(FleetPolicy::kCost),
-            FleetPolicy::kLeastLoaded);
-  ::setenv("PIMSCHED_FLEET_POLICY", "bogus", 1);
-  EXPECT_EQ(fleetPolicyFromEnv(FleetPolicy::kRoundRobin),
-            FleetPolicy::kRoundRobin);
-  ::unsetenv("PIMSCHED_FLEET_POLICY");
 }
 
 TEST(FleetSelector, RoundRobinRotatesOverTheEligibleSet) {

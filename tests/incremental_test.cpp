@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,11 +19,6 @@
 
 namespace pimsched {
 namespace {
-
-// The identity assertions below must hold with the warm path on AND off
-// (the CI matrix runs this suite under PIMSCHED_INCREMENTAL=0 and =1);
-// warm-expectations are therefore gated on the effective toggle.
-bool warmPathOn() { return incrementalEnabled(SchedulerOptions{}); }
 
 void expectSameSchedule(const DataSchedule& a, const DataSchedule& b) {
   ASSERT_EQ(a.numData(), b.numData());
@@ -115,7 +107,7 @@ TEST(Incremental, BitIdenticalToColdOnEveryPrefixHealthy) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold) << "stream step " << stream;
       EXPECT_GT(solver.lastStats().reusedLayers, 0);
     }
@@ -140,7 +132,7 @@ TEST(Incremental, BitIdenticalWithStableFaults) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold);
     }
     work.churnTail(rng, 1, 30);
@@ -175,7 +167,7 @@ TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
     expectSameSchedule(warm, scheduleGomcds(refs, model));
     expectSameSchedule(
         warm, scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold);
       EXPECT_GT(solver.lastStats().reusedLayers, 0);
     }
@@ -269,36 +261,12 @@ TEST(Incremental, InvalidateDropsRetainedState) {
   IncrementalSolver solver;
   const WindowedRefs refs = work.refs(g);
   (void)solver.solve(refs, model);
-  if (warmPathOn()) {
-    EXPECT_GT(solver.retainedBytes(), 0u);
-  }
+  EXPECT_GT(solver.retainedBytes(), 0u);
   solver.invalidate();
   EXPECT_EQ(solver.retainedBytes(), 0u);
   const DataSchedule after = solver.solve(refs, model);
   EXPECT_TRUE(solver.lastStats().cold);
   expectSameSchedule(after, scheduleGomcds(refs, model));
-}
-
-TEST(Incremental, EnvToggleForcesColdPath) {
-  const char* prev = std::getenv("PIMSCHED_INCREMENTAL");
-  const std::optional<std::string> stash =
-      prev ? std::optional<std::string>(prev) : std::nullopt;
-  setenv("PIMSCHED_INCREMENTAL", "0", 1);
-  const Grid g(3, 3);
-  const CostModel model(g);
-  testutil::Rng rng(908);
-  StreamWorkload work(rng, g, 6, 4, 15);
-  IncrementalSolver solver;
-  const WindowedRefs refs = work.refs(g);
-  (void)solver.solve(refs, model);
-  const DataSchedule second = solver.solve(refs, model);
-  EXPECT_TRUE(solver.lastStats().cold);
-  expectSameSchedule(second, scheduleGomcds(refs, model));
-  if (stash.has_value()) {
-    setenv("PIMSCHED_INCREMENTAL", stash->c_str(), 1);
-  } else {
-    unsetenv("PIMSCHED_INCREMENTAL");
-  }
 }
 
 TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
@@ -333,7 +301,7 @@ TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
     const DataSchedule warm = solver.solve(refs, model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
-    if (step > 0 && warmPathOn()) {
+    if (step > 0) {
       EXPECT_FALSE(solver.lastStats().cold) << "step " << step;
       EXPECT_GT(solver.lastStats().reusedLayers, 0) << "step " << step;
     }
@@ -565,7 +533,7 @@ TEST(StreamSession, MatchesFreshExperimentOnEveryStep) {
     expectSameSchedule(got.schedule, fresh.schedule(Method::kGomcds));
     EXPECT_EQ(got.eval.aggregate.total(),
               fresh.evaluate(Method::kGomcds).aggregate.total());
-    if (stream > 0 && warmPathOn()) {
+    if (stream > 0) {
       EXPECT_TRUE(got.incremental) << "stream step " << stream;
     }
     work.churnTail(rng, 2, 35);
@@ -591,56 +559,6 @@ TEST(StreamSession, FaultedSessionMatchesFaultedExperiment) {
   }
 }
 
-TEST(StreamSession, DriftInvalidatesWarmStateAndStaysIdentical) {
-  const Grid g(4, 4);
-  testutil::Rng rng(913);
-  StreamWorkload work(rng, g, 10, 5, 25);
-  StreamSession session(4, 4, streamConfig(5));
-  (void)session.step(work.trace());
-  EXPECT_EQ(session.driftEpoch(), 0u);
-  session.applyDrift({"proc:5"}, false);
-  EXPECT_EQ(session.driftEpoch(), 1u);
-  EXPECT_TRUE(session.faultAware());
-
-  const ReferenceTrace trace = work.trace();
-  const StreamStepResult got = session.step(trace);
-  EXPECT_FALSE(got.incremental);  // epoch invalidation: cold under new model
-  const Experiment fresh(trace, session.grid(), session.faults(),
-                         streamConfig(5));
-  expectSameSchedule(got.schedule, fresh.schedule(Method::kGomcds));
-
-  // Second post-drift step goes warm again under the (now stable) faults.
-  const StreamStepResult next = session.step(trace);
-  if (warmPathOn()) {
-    EXPECT_TRUE(next.incremental);
-  }
-  expectSameSchedule(next.schedule, fresh.schedule(Method::kGomcds));
-}
-
-TEST(StreamSession, RepairLastPreservesPrefixAfterDrift) {
-  const Grid g(4, 4);
-  testutil::Rng rng(914);
-  StreamWorkload work(rng, g, 8, 4, 30);
-  StreamSession session(4, 4, streamConfig(4));
-  const StreamStepResult before = session.step(work.trace());
-
-  // Kill the center most data sit on in the last window to force repairs.
-  const ProcId victim = before.schedule.center(0, 3);
-  session.applyDrift({"proc:" + std::to_string(victim)}, false);
-  const StreamRepairResult repaired = session.repairLast(2);
-  for (DataId d = 0; d < before.schedule.numData(); ++d) {
-    for (WindowId w = 0; w < 2; ++w) {
-      EXPECT_EQ(repaired.repair.schedule.center(d, w),
-                before.schedule.center(d, w));
-    }
-  }
-  for (DataId d = 0; d < repaired.repair.schedule.numData(); ++d) {
-    for (WindowId w = 2; w < 4; ++w) {
-      EXPECT_NE(repaired.repair.schedule.center(d, w), victim);
-    }
-  }
-}
-
 TEST(StreamSession, NonGomcdsMethodsAreSupportedButNeverWarm) {
   const Grid g(3, 3);
   testutil::Rng rng(915);
@@ -653,11 +571,6 @@ TEST(StreamSession, NonGomcdsMethodsAreSupportedButNeverWarm) {
     const Experiment fresh(trace, session.grid(), streamConfig(4));
     expectSameSchedule(got.schedule, fresh.schedule(Method::kLomcds));
   }
-}
-
-TEST(StreamSession, RepairWithoutScheduleThrows) {
-  StreamSession session(3, 3, streamConfig(4));
-  EXPECT_THROW((void)session.repairLast(), std::logic_error);
 }
 
 }  // namespace

@@ -308,6 +308,27 @@ TEST(Protocol, OverflowingTraceIdsGetTheTraceLoadError) {
   EXPECT_TRUE(call(handler, submitRequest().dump()).find("ok")->asBool());
 }
 
+TEST(Protocol, OversizedTracesAreAProtocolErrorNotAnAllocation) {
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  // 46340^2 data ids fit 32 bits, so this three-line trace loads; one
+  // window over it would still be ~2.1e9 (datum, window) cells.
+  const char* text = "pimtrace v1\narray A 46340 46340\naccess 0 0 0 1\n";
+  for (const char* verb : {"submit", "submit-stream"}) {
+    Json request = submitRequest();
+    request.set("verb", verb).set("session", "s").set("trace", text);
+    const Json reply = call(handler, request.dump());
+    EXPECT_FALSE(reply.find("ok")->asBool()) << reply.dump();
+    EXPECT_EQ(reply.find("error_kind")->asString(), "invalid");
+    EXPECT_NE(reply.find("error")->asString().find("trace too large"),
+              std::string::npos)
+        << reply.dump();
+  }
+  EXPECT_EQ(service.stats().accepted, 0);
+  // The handler still serves well-formed work afterwards.
+  EXPECT_TRUE(call(handler, submitRequest().dump()).find("ok")->asBool());
+}
+
 TEST(Protocol, TenantFieldIsValidatedAndFoldedIntoTheDigest) {
   Engine service{Engine::Config{}};
   ProtocolHandler handler(service);

@@ -33,7 +33,6 @@ using fleet::FleetService;
 FleetService::Config engineConfig() {
   FleetService::Config config;
   config.concurrencyPerArray = 2;
-  config.policyFromEnv = false;
   return config;
 }
 
@@ -887,7 +886,6 @@ TEST(ShardedService, CoalescingWorksThroughTheShardRouter) {
 
 TEST(ShardedService, DrainFinishesEveryShardThenRejects) {
   FleetService::Config config;  // the daemon's defaults
-  config.policyFromEnv = false;
   FleetService service(config);
   std::vector<JobId> ids;
   for (int i = 0; i < 6; ++i) {

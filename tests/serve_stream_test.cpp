@@ -7,19 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "core/incremental.hpp"
 #include "core/pipeline.hpp"
 #include "fleet/fleet_service.hpp"
 #include "serve/service.hpp"
 
 namespace pimsched::serve {
 namespace {
-
-/// The CI matrix runs every test under PIMSCHED_INCREMENTAL=0 and =1, so
-/// warm-path expectations (incremental flags, reuse counts) must be gated
-/// on what the toggle actually resolves to. Identity expectations never
-/// are.
-bool warmPathOn() { return incrementalEnabled(SchedulerOptions{}); }
 
 /// The daemon's default engine, the one-shot submit path windows are
 /// compared against.
@@ -68,13 +61,9 @@ TEST(StreamSessionManagerTest, SecondWindowOfUnchangedTraceIsWarm) {
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.window, 1);
   EXPECT_FALSE(second.reset);
-  if (warmPathOn()) {
-    EXPECT_TRUE(second.incremental);
-    EXPECT_GT(second.reusedLayers, 0);
-    EXPECT_EQ(second.relaxedLayers, 0);
-  } else {
-    EXPECT_FALSE(second.incremental);
-  }
+  EXPECT_TRUE(second.incremental);
+  EXPECT_GT(second.reusedLayers, 0);
+  EXPECT_EQ(second.relaxedLayers, 0);
 }
 
 TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
@@ -117,6 +106,70 @@ TEST(StreamSessionManagerTest, FaultedWindowsMatchTheOneShotSubmitPath) {
     EXPECT_EQ(window.result->scheduleText, expected->scheduleText)
         << "tail " << tail;
   }
+}
+
+TEST(StreamSessionManagerTest, RedundantFaultSpecsAreAcceptedLikeSubmit) {
+  // A spec that changes nothing (a repeat, a processor inside an already
+  // dead row) is a no-op on the one-shot path; a session accepts it too
+  // and answers the same schedule.
+  const std::vector<std::vector<std::string>> cases = {
+      {"proc:5", "proc:5"}, {"row:0", "proc:1"}};
+  StreamSessionManager manager;
+  OneShot oneShot{OneShot::Config{}};
+  for (const std::vector<std::string>& faults : cases) {
+    StreamRequest request = makeStreamRequest("redundant");
+    request.job.faults = faults;
+    const StreamOutcome window = manager.submit(request);
+    ASSERT_TRUE(window.ok) << faults.front() << ": " << window.error;
+    ASSERT_NE(window.result, nullptr);
+
+    const SubmitOutcome submitted = oneShot.submit(request.job);
+    ASSERT_TRUE(submitted.accepted) << submitted.reason;
+    const auto expected = oneShot.result(submitted.id);
+    ASSERT_NE(expected, nullptr);
+    EXPECT_EQ(window.result->scheduleText, expected->scheduleText)
+        << faults.front();
+    EXPECT_EQ(window.result->eval.aggregate.total(),
+              expected->eval.aggregate.total());
+  }
+
+  // Row 1 cuts this trace's referencing processors apart: the redundant
+  // proc:5 must not turn that into a spec error, both paths refuse the
+  // job as unreachable.
+  StreamRequest cut = makeStreamRequest("cut");
+  cut.job.faults = {"row:1", "proc:5"};
+  const StreamOutcome window = manager.submit(cut);
+  EXPECT_FALSE(window.ok);
+  EXPECT_EQ(window.errorKind, "unreachable") << window.error;
+  const SubmitOutcome submitted = oneShot.submit(cut.job);
+  ASSERT_TRUE(submitted.accepted) << submitted.reason;
+  EXPECT_EQ(oneShot.result(submitted.id), nullptr);
+  const std::optional<JobStatus> status = oneShot.status(submitted.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->errorKind, window.errorKind);
+}
+
+TEST(StreamSessionManagerTest, DeadCenterOfAFaultObliviousMethodIsUnreachable) {
+  // Row-wise places datum 5 on processor 5 whatever the faults: with
+  // processor 5 dead, a window must be refused exactly as a submit is.
+  StreamRequest request = makeStreamRequest("rowwise");
+  request.job.method = Method::kRowWise;
+  request.job.faults = {"proc:5"};
+  StreamSessionManager manager;
+  const StreamOutcome window = manager.submit(request);
+  EXPECT_FALSE(window.ok);
+  EXPECT_EQ(window.errorKind, "unreachable") << window.error;
+  EXPECT_EQ(window.result, nullptr);
+
+  OneShot oneShot{OneShot::Config{}};
+  const SubmitOutcome submitted = oneShot.submit(request.job);
+  ASSERT_TRUE(submitted.accepted) << submitted.reason;
+  EXPECT_EQ(oneShot.result(submitted.id), nullptr);
+  const std::optional<JobStatus> status = oneShot.status(submitted.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->errorKind, window.errorKind);
+  EXPECT_EQ(status->error, window.error);
 }
 
 TEST(StreamSessionManagerTest, InvalidSessionNamesAreRejected) {
@@ -247,7 +300,6 @@ TEST(StreamServiceTest, ShardedRoutingIsStickyPerSessionName) {
 TEST(StreamFleetTest, FleetStreamsMatchTheOneShotPath) {
   fleet::FleetService::Config config;
   config.arrays = fleet::parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   fleet::FleetService fleet(std::move(config));
   OneShot oneShot{OneShot::Config{}};
   for (int tail = 1; tail <= 3; ++tail) {
@@ -266,10 +318,26 @@ TEST(StreamFleetTest, FleetStreamsMatchTheOneShotPath) {
   EXPECT_TRUE(fleet.closeStream("s"));
 }
 
+TEST(StreamFleetTest, RequestRepeatingAnArrayFaultMatchesTheOneShotPath) {
+  fleet::FleetService::Config config;
+  config.arrays = fleet::parseFleetSpec("only=4x4:proc:5");
+  fleet::FleetService fleet(std::move(config));
+  StreamRequest request = makeStreamRequest("s");
+  request.job.faults = {"proc:5"};  // already dead on the hosting array
+  const StreamOutcome window = fleet.submitStream(request);
+  ASSERT_TRUE(window.ok) << window.error;
+  ASSERT_NE(window.result, nullptr);
+
+  const SubmitOutcome submitted = fleet.submit(request.job);
+  ASSERT_TRUE(submitted.accepted) << submitted.reason;
+  const auto expected = fleet.result(submitted.id);
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(window.result->scheduleText, expected->scheduleText);
+}
+
 TEST(StreamFleetTest, GridWithNoMatchingArrayIsRejected) {
   fleet::FleetService::Config config;
   config.arrays = fleet::parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   fleet::FleetService fleet(std::move(config));
   StreamRequest request = makeStreamRequest("s");
   request.job.gridRows = 8;
@@ -282,7 +350,6 @@ TEST(StreamFleetTest, GridWithNoMatchingArrayIsRejected) {
 TEST(StreamFleetTest, DriftOnTheHostingArrayInvalidatesTheSession) {
   fleet::FleetService::Config config;
   config.arrays = fleet::parseFleetSpec("only=4x4");
-  config.policyFromEnv = false;
   fleet::FleetService fleet(std::move(config));
   ASSERT_TRUE(fleet.submitStream(makeStreamRequest("s", 1)).ok);
   ASSERT_TRUE(fleet.submitStream(makeStreamRequest("s", 2)).ok);
