@@ -1,12 +1,14 @@
 // Ablation A2 (google-benchmark): microbenchmarks of the algorithmic
 // kernels — separable vs brute-force center-cost evaluation, chamfer vs
-// naive GOMCDS relaxation, trace windowing, and end-to-end scheduler timing
-// vs problem size.
+// naive GOMCDS relaxation, trace text reading, trace windowing, and
+// end-to-end scheduler timing vs problem size.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "core/gomcds.hpp"
 #include "core/grouping.hpp"
@@ -14,6 +16,7 @@
 #include "core/scds.hpp"
 #include "cost/center_costs.hpp"
 #include "kernels/benchmarks.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/windowed_refs.hpp"
 
 namespace {
@@ -123,6 +126,26 @@ void BM_WindowedRefsBuild(benchmark::State& state) {
       static_cast<double>(trace.accesses().size());
 }
 BENCHMARK(BM_WindowedRefsBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/// pimtrace v1 text to a finalized trace: the reader every daemon submit
+/// runs on its inline trace, cache hits included. Arg 0: matrix square
+/// n = 20 on an 8x8 grid (~300 KiB of text). Arg 1: n = 12 on 4x4.
+void BM_LoadTrace(benchmark::State& state) {
+  const bool large = state.range(0) == 0;
+  const Grid grid = large ? Grid(8, 8) : Grid(4, 4);
+  std::ostringstream os;
+  saveTrace(makePaperBenchmark(PaperBenchmark::kMatSquare, grid,
+                               large ? 20 : 12),
+            os);
+  const std::string text = std::move(os).str();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loadTrace(text));
+  }
+  state.SetLabel(large ? "matsquare n=20 8x8" : "matsquare n=12 4x4");
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_LoadTrace)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Scds(benchmark::State& state) {
   const Grid grid(4, 4);

@@ -1,8 +1,9 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/fault_map.hpp"
 #include "fault/fault_trace.hpp"
@@ -39,6 +40,21 @@ std::int64_t intField(const Json& request, const std::string& key,
   } catch (const JsonError&) {
     throw RequestError("field '" + key + "' must be an integer");
   }
+}
+
+/// `value` as the field's C++ type T: a value T cannot hold is a protocol
+/// error, never a silently narrowed one.
+template <typename T>
+T fitField(const std::string& key, std::int64_t value) {
+  if (std::cmp_less(value, std::numeric_limits<T>::min())) {
+    throw RequestError("field '" + key + "' must be >= " +
+                       std::to_string(std::numeric_limits<T>::min()));
+  }
+  if (std::cmp_greater(value, std::numeric_limits<T>::max())) {
+    throw RequestError("field '" + key + "' must be <= " +
+                       std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(value);
 }
 
 bool boolField(const Json& request, const std::string& key, bool fallback) {
@@ -84,8 +100,7 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
   }
   try {
     if (inlineTrace != nullptr) {
-      std::istringstream is(inlineTrace->asString());
-      job.trace = loadTrace(is);
+      job.trace = loadTrace(inlineTrace->asString());
     } else {
       if (!options.allowTraceFiles) {
         throw RequestError("trace_file submissions are disabled; inline "
@@ -159,7 +174,7 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
     throw RequestError("field 'windows' must be a positive window count");
   }
   if (windows > 0) {
-    job.config.numWindows = static_cast<int>(windows);
+    job.config.numWindows = fitField<int>("windows", windows);
   } else {
     job.config.explicitWindows =
         WindowPartition::perStep(job.trace.numSteps());
@@ -191,9 +206,8 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
     }
   }  // default: the paper's capacity rule (PipelineConfig)
 
-  const std::int64_t threads = intField(request, "threads", 1);
-  if (threads < 0) throw RequestError("field 'threads' must be >= 0");
-  job.config.threads = static_cast<unsigned>(threads);
+  job.config.threads =
+      fitField<unsigned>("threads", intField(request, "threads", 1));
 
   job.tenant = stringField(request, "tenant", "");
   constexpr std::size_t kMaxTenantLen = 64;
@@ -212,7 +226,7 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
   }
   job.batch = boolField(request, "batch", false);
 
-  job.priority = static_cast<int>(intField(request, "priority", 0));
+  job.priority = fitField<int>("priority", intField(request, "priority", 0));
   job.deadlineMs = intField(request, "deadline_ms", -1);
   return job;
 }

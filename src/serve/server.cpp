@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -20,6 +21,9 @@ namespace pimsched::serve {
 namespace {
 
 constexpr int kPollMs = 100;
+/// Socket read size. A large inline-trace frame arrives in a few reads
+/// rather than one poll+read pair per 4 KiB.
+constexpr std::size_t kReadBytes = 64 * 1024;
 
 /// write() the whole buffer, riding out EINTR and partial writes. Returns
 /// false when the peer is gone (EPIPE etc.) — the caller just drops the
@@ -259,7 +263,10 @@ void SocketServer::handlerLoop() {
 void SocketServer::handleConnection(int fd) {
   ProtocolHandler handler(*service_, options_.protocol);
   std::string buffer;
-  char chunk[4096];
+  // Bytes of `buffer` already searched for '\n': a frame spread over many
+  // reads is scanned once, not once per read.
+  std::size_t scanned = 0;
+  std::vector<char> chunk(kReadBytes);
   bool open = true;
 
   const auto respond = [&](std::string_view line) {
@@ -282,7 +289,7 @@ void SocketServer::handleConnection(int fd) {
       break;
     }
     if (ready == 0) continue;
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -293,9 +300,9 @@ void SocketServer::handleConnection(int fd) {
       if (!buffer.empty()) respond(buffer);
       break;
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    buffer.append(chunk.data(), static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
+    for (std::size_t nl = buffer.find('\n', scanned);
          nl != std::string::npos && open;
          nl = buffer.find('\n', start)) {
       std::string_view line(buffer.data() + start, nl - start);
@@ -304,6 +311,7 @@ void SocketServer::handleConnection(int fd) {
       start = nl + 1;
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
     if (buffer.size() > options_.protocol.maxFrameBytes) {
       // An unterminated over-long frame can never complete: hand it to the
       // handler (whose size check produces the structured "frame too

@@ -17,18 +17,29 @@ void ReferenceTrace::add(StepId step, ProcId proc, DataId data, Cost weight) {
     throw std::invalid_argument("Access data id out of DataSpace range");
   }
   if (weight <= 0) throw std::invalid_argument("Access weight must be > 0");
+  // Weights are positive, so the total bounds every weight finalize()
+  // merges: keeping it in range keeps those sums in range too.
+  if (weight > std::numeric_limits<Cost>::max() - totalWeight_) {
+    throw std::invalid_argument(
+        "Access weights must sum to at most 9223372036854775807");
+  }
   accesses_.push_back(Access{step, proc, data, weight});
+  totalWeight_ += weight;
   finalized_ = false;
 }
 
 void ReferenceTrace::finalize() {
   if (finalized_) return;
-  std::sort(accesses_.begin(), accesses_.end(),
-            [](const Access& a, const Access& b) {
-              if (a.step != b.step) return a.step < b.step;
-              if (a.data != b.data) return a.data < b.data;
-              return a.proc < b.proc;
-            });
+  const auto byKey = [](const Access& a, const Access& b) {
+    if (a.step != b.step) return a.step < b.step;
+    if (a.data != b.data) return a.data < b.data;
+    return a.proc < b.proc;
+  };
+  // A trace loaded from saveTrace output is already in key order. Equal
+  // keys are merged below, so their relative order never shows.
+  if (!std::is_sorted(accesses_.begin(), accesses_.end(), byKey)) {
+    std::sort(accesses_.begin(), accesses_.end(), byKey);
+  }
   // Merge duplicate (step, data, proc) triples by summing weights.
   std::size_t out = 0;
   for (std::size_t i = 0; i < accesses_.size(); ++i) {
@@ -43,8 +54,6 @@ void ReferenceTrace::finalize() {
   accesses_.resize(out);
 
   numSteps_ = accesses_.empty() ? 0 : accesses_.back().step + 1;
-  totalWeight_ = 0;
-  for (const Access& a : accesses_) totalWeight_ += a.weight;
   finalized_ = true;
 }
 

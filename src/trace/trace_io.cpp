@@ -1,5 +1,7 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -17,13 +19,60 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint64_t kHiSeedXor = 0x9e3779b97f4a7c15ull;
 constexpr unsigned char kHiByteXor = 0x5c;
 
-/// True if anything but whitespace follows the fields already read: a
-/// record has exactly its fields ("3.9" is not the weight 3, "2x" is not
-/// the size 2).
-bool hasTrailingToken(std::istringstream& ls) {
-  std::string extra;
-  return static_cast<bool>(ls >> extra);
+/// The C-locale whitespace set: what operator>> skips between fields.
+constexpr bool isSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
+
+/// A cursor over one record line that reads fields exactly as operator>>
+/// on a std::istringstream of the line does: every read first skips
+/// whitespace, and a number ends at the first character that cannot
+/// continue it (so "1+2" is the two fields 1 and +2).
+class FieldReader {
+ public:
+  explicit FieldReader(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next run of non-whitespace characters; empty at end of line.
+  std::string_view token() {
+    skipSpace();
+    const char* start = p_;
+    while (p_ != end_ && !isSpace(*p_)) ++p_;
+    return {start, static_cast<std::size_t>(p_ - start)};
+  }
+
+  /// A decimal integer with an optional '+' or '-' sign. False when no
+  /// digit follows the sign or the value does not fit T.
+  template <typename T>
+  bool integer(T& out) {
+    skipSpace();
+    const char* p = p_;
+    // from_chars takes '-' but not '+'; "+-5" is no number either.
+    if (p != end_ && *p == '+') {
+      ++p;
+      if (p == end_ || *p < '0' || *p > '9') return false;
+    }
+    const auto [next, ec] = std::from_chars(p, end_, out);
+    if (ec != std::errc()) return false;
+    p_ = next;
+    return true;
+  }
+
+  /// True if only whitespace is left: a record has exactly its fields
+  /// ("3.9" is not the weight 3, "2x" is not the size 2).
+  bool atEnd() {
+    skipSpace();
+    return p_ == end_;
+  }
+
+ private:
+  void skipSpace() {
+    while (p_ != end_ && isSpace(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
 
 }  // namespace
 
@@ -124,53 +173,71 @@ void saveTraceFile(const ReferenceTrace& trace, const std::string& path) {
   saveTrace(trace, os);
 }
 
-ReferenceTrace loadTrace(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || line != kMagic) {
+ReferenceTrace loadTrace(std::string_view text) {
+  std::size_t pos = 0;
+  const auto nextLine = [&] {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    return line;
+  };
+  if (nextLine() != kMagic) {
     throw std::runtime_error("loadTrace: missing 'pimtrace v1' header");
   }
 
   DataSpace ds;
   std::optional<ReferenceTrace> trace;
   int lineNo = 1;
-  while (std::getline(is, line)) {
+  while (pos < text.size()) {
+    const std::string_view line = nextLine();
     ++lineNo;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
+    FieldReader fields(line);
+    const std::string_view kind = fields.token();
     if (kind == "array") {
       if (trace.has_value()) {
         throw std::runtime_error(
             "loadTrace: 'array' after first 'access' (line " +
             std::to_string(lineNo) + ")");
       }
-      std::string name;
+      const std::string_view name = fields.token();
       int rows = 0, cols = 0;
-      if (!(ls >> name >> rows >> cols) || hasTrailingToken(ls)) {
+      if (name.empty() || !fields.integer(rows) || !fields.integer(cols) ||
+          !fields.atEnd()) {
         throw std::runtime_error("loadTrace: malformed array line " +
                                  std::to_string(lineNo));
       }
-      ds.addArray(name, rows, cols);
+      ds.addArray(std::string(name), rows, cols);
     } else if (kind == "access") {
       if (!trace.has_value()) trace.emplace(ds);
       StepId step = 0;
       ProcId proc = 0;
       DataId data = 0;
       Cost weight = 0;
-      if (!(ls >> step >> proc >> data >> weight) || hasTrailingToken(ls)) {
+      if (!fields.integer(step) || !fields.integer(proc) ||
+          !fields.integer(data) || !fields.integer(weight) ||
+          !fields.atEnd()) {
         throw std::runtime_error("loadTrace: malformed access line " +
                                  std::to_string(lineNo));
       }
       trace->add(step, proc, data, weight);
     } else {
-      throw std::runtime_error("loadTrace: unknown record '" + kind +
-                               "' at line " + std::to_string(lineNo));
+      throw std::runtime_error("loadTrace: unknown record '" +
+                               std::string(kind) + "' at line " +
+                               std::to_string(lineNo));
     }
   }
   if (!trace.has_value()) trace.emplace(ds);
   trace->finalize();
   return std::move(*trace);
+}
+
+ReferenceTrace loadTrace(std::istream& is) {
+  // One bulk copy of the rest of the stream. A stream that cannot be read
+  // yields no text, hence the missing-header error.
+  std::ostringstream text;
+  if (is.good()) text << is.rdbuf();
+  return loadTrace(text.view());
 }
 
 ReferenceTrace loadTraceFile(const std::string& path) {

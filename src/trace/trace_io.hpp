@@ -17,10 +17,18 @@ namespace pimsched {
 ///   access <step> <proc> <data> <weight>
 ///
 /// Blank lines and lines starting with '#' are ignored. The loader
-/// finalizes the trace.
+/// finalizes the trace. saveTrace writes a finalized trace's accesses in
+/// their canonical (step, data, proc) order.
 void saveTrace(const ReferenceTrace& trace, std::ostream& os);
 void saveTraceFile(const ReferenceTrace& trace, const std::string& path);
 
+/// The reader: one forward pass over the text, each integer read with
+/// std::from_chars. Fields are separated by the C-locale whitespace set
+/// and take an optional '+' or '-' sign (docs/trace-format.md). Throws
+/// std::runtime_error naming the line on malformed text, and the
+/// DataSpace / ReferenceTrace std::invalid_argument on bad values.
+[[nodiscard]] ReferenceTrace loadTrace(std::string_view text);
+/// Reads the rest of the stream in one bulk copy, then parses it.
 [[nodiscard]] ReferenceTrace loadTrace(std::istream& is);
 [[nodiscard]] ReferenceTrace loadTraceFile(const std::string& path);
 

@@ -308,6 +308,31 @@ TEST(Protocol, OverflowingTraceIdsGetTheTraceLoadError) {
   EXPECT_TRUE(call(handler, submitRequest().dump()).find("ok")->asBool());
 }
 
+TEST(Protocol, WindowsBeyondIntRangeIsAProtocolError) {
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  // 2^32 + 1 and 2^32 used to narrow to 1 and 0 windows; every integer
+  // field that does not fit its C++ type is rejected by name instead.
+  const struct {
+    const char* field;
+    std::int64_t value;
+  } cases[] = {{"windows", 4294967297LL},   {"windows", 4294967296LL},
+               {"windows", 2147483648LL},   {"threads", 4294967296LL},
+               {"priority", 2147483648LL},  {"priority", -2147483649LL}};
+  for (const auto& c : cases) {
+    Json request = submitRequest();
+    request.set(c.field, c.value);
+    const Json reply = call(handler, request.dump());
+    EXPECT_FALSE(reply.find("ok")->asBool()) << reply.dump();
+    EXPECT_EQ(reply.find("error_kind")->asString(), "invalid");
+    EXPECT_NE(reply.find("error")->asString().find(
+                  std::string("field '") + c.field + "' must be"),
+              std::string::npos)
+        << reply.dump();
+  }
+  EXPECT_EQ(service.stats().accepted, 0);
+}
+
 TEST(Protocol, OversizedTracesAreAProtocolErrorNotAnAllocation) {
   Engine service{Engine::Config{}};
   ProtocolHandler handler(service);

@@ -121,10 +121,11 @@ int liveThreadCount() {
   return count;
 }
 
-std::string submitLine(int steps = 4) {
-  ReferenceTrace trace(DataSpace::singleSquare(3));
+std::string submitLine(int steps = 4, int side = 3) {
+  ReferenceTrace trace(DataSpace::singleSquare(side));
+  const int data = side * side;
   for (int s = 0; s < steps; ++s) {
-    for (int d = 0; d < 9; ++d) trace.add(s, (d + s) % 9, d);
+    for (int d = 0; d < data; ++d) trace.add(s, (d + s) % 9, d);
   }
   trace.finalize();
   std::ostringstream os;
@@ -245,6 +246,38 @@ TEST(SocketServer, OversizedFrameIsRejectedAndTheConnectionClosed) {
   // The daemon is not wedged: a fresh connection works.
   Client next(fixture.server->socketPath());
   EXPECT_TRUE(next.request(R"({"verb":"stats"})").find("ok")->asBool());
+}
+
+TEST(SocketServer, SplitAndBatchedFramesGetTheSameReplies) {
+  ServerFixture fixture("framing");
+  // A ~300 KiB submit frame: a 24x24 trace over 30 steps.
+  const std::string big = submitLine(30, 24) + "\n";
+  ASSERT_GT(big.size(), 300u * 1024u);
+  const std::string small = std::string(R"({"verb":"stats"})") + "\n";
+
+  Client whole(fixture.server->socketPath());
+  const Json reference = whole.request(big.substr(0, big.size() - 1));
+  ASSERT_TRUE(reference.find("ok")->asBool()) << reference.dump();
+
+  // The same frame written in 1 KiB pieces.
+  Client pieces(fixture.server->socketPath());
+  for (std::size_t off = 0; off < big.size(); off += 1024) {
+    pieces.sendRaw(big.substr(off, 1024));
+  }
+  const Json split = Json::parse(pieces.readLine());
+  EXPECT_TRUE(split.find("ok")->asBool()) << split.dump();
+  EXPECT_TRUE(split.find("cached")->asBool());
+  EXPECT_EQ(split.find("total")->asInt64(), reference.find("total")->asInt64());
+
+  // Two frames in one write: the big one, then a stats request.
+  Client batched(fixture.server->socketPath());
+  batched.sendRaw(big + small);
+  const Json first = Json::parse(batched.readLine());
+  EXPECT_TRUE(first.find("cached")->asBool()) << first.dump();
+  EXPECT_EQ(first.find("total")->asInt64(), reference.find("total")->asInt64());
+  const Json second = Json::parse(batched.readLine());
+  EXPECT_TRUE(second.find("ok")->asBool()) << second.dump();
+  EXPECT_EQ(second.find("accepted")->asInt64(), 3);
 }
 
 TEST(SocketServer, RequestStopDrainsAndReturnsZero) {
