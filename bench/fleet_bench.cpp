@@ -184,7 +184,7 @@ PhaseB runPhaseB(bool smoke) {
   // Fairness is the measurement: no result cache (every job must be
   // scheduled, not answered from memory) and aging pushed out of reach so
   // the contended-dispatch split reflects the 4:1 stride weights alone.
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   config.agingMs = 3'600'000;
   config.maxQueueDepth = 4096;
   config.tenantQueueDepth = 2048;

@@ -19,7 +19,7 @@
 //                         --fleet, 1 per array with it)
 //     --cache-entries N   result-cache entries (default 4096 without
 //                         --fleet, 1024 with it)
-//     --no-cache          disable the result cache
+//     --no-cache          disable the result cache (--cache-entries 0)
 //     --max-frame BYTES   per-request frame size bound (default 4 MiB)
 //     --no-trace-files    reject trace_file submissions (inline only)
 //     --tenant-weight T=W fair-share weight of tenant T (repeatable;
@@ -133,7 +133,8 @@ int main(int argc, char** argv) {
         config.maxCacheEntries = std::stoul(value());
         cacheEntriesGiven = true;
       } else if (arg == "--no-cache") {
-        config.cacheEnabled = false;
+        config.maxCacheEntries = 0;
+        cacheEntriesGiven = true;
       } else if (arg == "--fleet") {
         fleetSpec = value();
       } else if (arg == "--fleet-policy") {
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
       std::cout << " (one any-shape array, queue " << config.maxQueueDepth
                 << ", concurrency " << config.concurrencyPerArray
                 << ", cache "
-                << (config.cacheEnabled
+                << (config.maxCacheEntries > 0
                         ? std::to_string(config.maxCacheEntries) + " entries"
                         : std::string("off"))
                 << ")" << std::endl;

@@ -15,18 +15,6 @@ namespace pimsched {
 
 namespace {
 
-/// FNV-1a over a stream of u64 values, byte-wise — the same mixing scheme
-/// as WindowedRefs::refsSignature.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-};
-
 /// Content fingerprint of everything the retained solver state depends on:
 /// problem shape, cost parameters, scheduler options, engine, and the full
 /// fault state (dead processors, capacity limits, directed link faults —
@@ -36,26 +24,27 @@ struct Fnv {
 std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
                                const SchedulerOptions& options,
                                GomcdsEngine engine) {
-  Fnv f;
-  f.mix(static_cast<std::uint64_t>(refs.numData()));
-  f.mix(static_cast<std::uint64_t>(refs.numWindows()));
-  f.mix(static_cast<std::uint64_t>(refs.numProcs()));
+  std::uint64_t h = kRowHashSeed;
+  const auto mix = [&h](std::uint64_t v) { rowHashMix(h, v); };
+  mix(static_cast<std::uint64_t>(refs.numData()));
+  mix(static_cast<std::uint64_t>(refs.numWindows()));
+  mix(static_cast<std::uint64_t>(refs.numProcs()));
   const Grid& grid = model.grid();
-  f.mix(static_cast<std::uint64_t>(grid.rows()));
-  f.mix(static_cast<std::uint64_t>(grid.cols()));
-  f.mix(static_cast<std::uint64_t>(model.params().hopCost));
-  f.mix(static_cast<std::uint64_t>(model.params().moveVolume));
-  f.mix(static_cast<std::uint64_t>(options.capacity));
-  f.mix(static_cast<std::uint64_t>(options.order == DataOrder::kByWeightDesc));
-  f.mix(static_cast<std::uint64_t>(engine == GomcdsEngine::kNaive));
-  f.mix(static_cast<std::uint64_t>(model.faultAware()));
+  mix(static_cast<std::uint64_t>(grid.rows()));
+  mix(static_cast<std::uint64_t>(grid.cols()));
+  mix(static_cast<std::uint64_t>(model.params().hopCost));
+  mix(static_cast<std::uint64_t>(model.params().moveVolume));
+  mix(static_cast<std::uint64_t>(options.capacity));
+  mix(static_cast<std::uint64_t>(options.order == DataOrder::kByWeightDesc));
+  mix(static_cast<std::uint64_t>(engine == GomcdsEngine::kNaive));
+  mix(static_cast<std::uint64_t>(model.faultAware()));
   if (const FaultMap* faults = model.faults()) {
     const int R = grid.rows();
     const int C = grid.cols();
     for (ProcId p = 0; p < grid.size(); ++p) {
       std::uint64_t v = faults->procDead(p) ? 1 : 0;
       v |= static_cast<std::uint64_t>(faults->capacityLimit(p) + 1) << 1;
-      f.mix(v);
+      mix(v);
       // Directed link faults toward the right and down neighbours cover
       // every mesh link in both directions.
       const int r = p / C;
@@ -69,10 +58,10 @@ std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
         links |= faults->linkDead(p, p + C) ? 4u : 0u;
         links |= faults->linkDead(p + C, p) ? 8u : 0u;
       }
-      f.mix(links);
+      mix(links);
     }
   }
-  return f.h;
+  return h;
 }
 
 /// First changed window of datum d between two same-shaped generations by
@@ -102,17 +91,14 @@ int firstChangedWindowDirect(const WindowedRefs& now, const WindowedRefs& prev,
 /// for the warm-path suffix classing; a full suffix comparison confirms on
 /// match, so collisions can never merge distinct classes.
 std::uint64_t suffixSignature(const WindowedRefs& refs, DataId d, int from) {
-  Fnv f;
+  std::uint64_t h = kRowHashSeed;
   const int W = refs.numWindows();
   for (int w = from; w < W; ++w) {
     const std::span<const ProcWeight> row = refs.refs(d, w);
-    f.mix(static_cast<std::uint64_t>(row.size()));
-    for (const ProcWeight& pw : row) {
-      f.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(pw.proc)));
-      f.mix(static_cast<std::uint64_t>(pw.weight));
-    }
+    rowHashMix(h, row.size());
+    rowHashMixPairs(h, row);
   }
-  return f.h;
+  return h;
 }
 
 /// True if data a and b have byte-identical reference strings in every

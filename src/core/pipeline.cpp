@@ -1,6 +1,8 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/verify.hpp"
@@ -77,6 +79,19 @@ void resolveCapacity(std::int64_t& capacity, std::int64_t numData,
   }
 }
 
+/// Throws std::invalid_argument unless traceCostsFit.
+void checkCostRange(const ReferenceTrace& trace, const Grid& grid,
+                    const CostParams& params, const char* who) {
+  if (!traceCostsFit(trace, grid.size(), params)) {
+    throw std::invalid_argument(
+        std::string(who) + ": total access weight " +
+        std::to_string(trace.totalWeight()) + " is too large for a " +
+        std::to_string(grid.rows()) + "x" + std::to_string(grid.cols()) +
+        " grid (weight x hopCost x (procs - 1) must be below " +
+        std::to_string(kInfiniteCost) + ")");
+  }
+}
+
 const FaultMap& checkFaultGrid(const FaultMap& faults, const Grid& grid) {
   if (&faults.grid() != &grid) {
     throw std::invalid_argument(
@@ -86,6 +101,15 @@ const FaultMap& checkFaultGrid(const FaultMap& faults, const Grid& grid) {
 }
 
 }  // namespace
+
+bool traceCostsFit(const ReferenceTrace& trace, int procs,
+                   const CostParams& params) {
+  const Cost hop = std::max<Cost>(params.hopCost, 1);
+  const Cost hops = std::max<Cost>(procs - 1, 1);
+  Cost bound = 0;
+  return !__builtin_mul_overflow(trace.totalWeight(), hop, &bound) &&
+         !__builtin_mul_overflow(bound, hops, &bound) && bound < kInfiniteCost;
+}
 
 Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
                        PipelineConfig config)
@@ -103,6 +127,7 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
     throw std::invalid_argument(
         "Experiment: trace has no steps (nothing to schedule)");
   }
+  checkCostRange(trace, grid, config.costParams, "Experiment");
   resolveCapacity(capacity_, trace.numData(), grid.size());
 }
 
@@ -125,6 +150,7 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
     throw std::invalid_argument(
         "Experiment: trace has no steps (nothing to schedule)");
   }
+  checkCostRange(trace, grid, config.costParams, "Experiment");
   if (faults_->aliveProcCount() == 0) {
     throw UnreachableError("Experiment: every processor is dead (" +
                            faults_->summary() + ")");
@@ -197,6 +223,7 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
     throw std::invalid_argument(
         "StreamSession: trace has no steps (nothing to schedule)");
   }
+  checkCostRange(trace, grid_, config_.costParams, "StreamSession");
   if (faultAware_ && faults_.aliveProcCount() == 0) {
     throw UnreachableError("StreamSession: every processor is dead (" +
                            faults_.summary() + ")");

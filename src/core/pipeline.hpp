@@ -87,6 +87,15 @@ struct PipelineConfig {
                                           const SchedulerOptions& options,
                                           unsigned threads = 1);
 
+/// True when every serving cost of `trace` on a `procs`-processor grid
+/// stays below kInfiniteCost: totalWeight * max(hopCost, 1) *
+/// max(procs - 1, 1) < kInfiniteCost. Every serve or move distance,
+/// Manhattan or fault detour, is at most procs - 1 hops, so the bound
+/// covers every serving-cost sum. Experiment and StreamSession::step
+/// reject a trace that fails it with std::invalid_argument.
+[[nodiscard]] bool traceCostsFit(const ReferenceTrace& trace, int procs,
+                                 const CostParams& params);
+
 /// Binds a trace to a grid + config and runs any Method on it. Windowing,
 /// reference aggregation and capacity resolution happen once in the
 /// constructor; schedules and costs are computed per call.

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
@@ -33,16 +35,21 @@ struct CostParams {
 /// A distance of kInfiniteCost (dead or unreachable endpoint) saturates:
 /// serveCost/moveCost return kInfiniteCost rather than overflowing, and
 /// such placements are forbidden rather than merely expensive.
+///
+/// Both constructors throw std::invalid_argument unless hopCost and
+/// moveVolume are nonnegative and the per-hop move cost beta = hopCost *
+/// moveVolume is at most maxChamferBeta(grid) — the bound under which the
+/// GOMCDS chamfer solver's branch-free sweeps cannot overflow.
 class CostModel {
  public:
   explicit CostModel(const Grid& grid, CostParams params = {})
-      : grid_(&grid), params_(params) {}
+      : grid_(&grid), params_(checked(grid, params)) {}
 
   /// Fault-aware model. `distances` must outlive the model and be built
   /// over the same grid.
   CostModel(const Grid& grid, const DistanceMap& distances,
             CostParams params = {})
-      : grid_(&grid), distances_(&distances), params_(params) {
+      : grid_(&grid), distances_(&distances), params_(checked(grid, params)) {
     assert(&distances.grid() == &grid &&
            "DistanceMap must be built over the model's grid");
   }
@@ -95,6 +102,23 @@ class CostModel {
   }
 
  private:
+  static CostParams checked(const Grid& grid, CostParams params) {
+    if (params.hopCost < 0 || params.moveVolume < 0) {
+      throw std::invalid_argument(
+          "CostModel: hopCost and moveVolume must be >= 0");
+    }
+    Cost beta = 0;
+    if (__builtin_mul_overflow(params.hopCost, params.moveVolume, &beta) ||
+        beta > maxChamferBeta(grid)) {
+      throw std::invalid_argument(
+          "CostModel: hopCost * moveVolume must be <= " +
+          std::to_string(maxChamferBeta(grid)) + " on a " +
+          std::to_string(grid.rows()) + "x" + std::to_string(grid.cols()) +
+          " grid");
+    }
+    return params;
+  }
+
   const Grid* grid_;
   const DistanceMap* distances_ = nullptr;
   CostParams params_;

@@ -8,17 +8,8 @@
 namespace pimsched {
 
 std::uint64_t referenceStringHash(std::span<const ProcWeight> refs) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFFu;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  for (const ProcWeight& pw : refs) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(pw.proc)));
-    mix(static_cast<std::uint64_t>(pw.weight));
-  }
+  std::uint64_t h = kRowHashSeed;
+  rowHashMixPairs(h, refs);
   return h;
 }
 

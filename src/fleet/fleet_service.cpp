@@ -165,9 +165,13 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   if (!request.trace.finalized()) request.trace.finalize();
   const Digest digest = serve::jobDigest(request);
   // Selector input, computed outside the lock like the digest — and only
-  // when the topology leaves the job a choice of arrays to price.
+  // when the topology leaves the job a choice of arrays to price, and the
+  // trace's costs fit (one that does not is placed unpriced and fails as
+  // invalid when its Experiment rejects it).
   std::vector<ProcWeight> aggRefs;
-  if (shapeMatches(config_.arrays, request.gridRows, request.gridCols) > 1) {
+  if (shapeMatches(config_.arrays, request.gridRows, request.gridCols) > 1 &&
+      traceCostsFit(request.trace, request.gridRows * request.gridCols,
+                    request.config.costParams)) {
     aggRefs = aggregateTraceRefs(request.trace);
   }
   const std::string tenantName = tenantKey(request);
@@ -201,7 +205,7 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   const std::vector<std::size_t> admissible = admissibleEligibleLocked(
       request.gridRows, request.gridCols, obs::nowNs());
 
-  if (config_.cacheEnabled) {
+  if (config_.maxCacheEntries > 0) {
     // Probe the fault signatures of the currently admissible arrays,
     // healthy ("") first: a hit under signature S is the exact answer the
     // fleet would produce by running the job on an array in state S.
@@ -692,7 +696,7 @@ void FleetService::dispatchLocked() {
 
 void FleetService::cacheInsertLocked(
     const std::string& key, std::shared_ptr<const JobResult> result) {
-  if (!config_.cacheEnabled || config_.maxCacheEntries == 0) return;
+  if (config_.maxCacheEntries == 0) return;
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     it->second.result = std::move(result);

@@ -115,7 +115,8 @@ class FleetService final : public serve::JobService {
     /// Per-tenant queued-job quota; a tenant at its quota is rejected
     /// with a structured reason while other tenants keep submitting.
     std::size_t tenantQueueDepth = 64;
-    bool cacheEnabled = true;
+    /// Result-cache bound (LRU entries); 0 turns the cache off: no
+    /// probe, no insert, no miss count.
     std::size_t maxCacheEntries = 1024;
     /// Weighted fair shares: tenant name -> weight (> 0). Unlisted
     /// tenants get `defaultTenantWeight`.

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "graph/mesh_links.hpp"
 #include "graph/simd/simd_kernels.hpp"
@@ -66,39 +67,6 @@ void reconstructFlat(int numLayers, int numNodes, const Cost* dp,
   }
 }
 
-/// The saturating per-step chamfer sweeps, kept as the fallback when beta is
-/// so large that the branch-free variant's deferred clamp could overflow.
-///
-/// Split per row like the branch-free variant: relax from the finished
-/// neighbouring row (vectorized satAddMinRow), then the serial in-row scan.
-/// Equivalent to the interleaved per-cell formulation: with F the
-/// interleaved forward value and G this one, both satisfy the identical
-/// recurrence min(v, F(r-1,c) saturating-plus beta, F(r,c-1) saturating-plus
-/// beta) by induction over (r, c), so every cell matches bit-for-bit. The
-/// in-row scans stay scalar on purpose — a log-step scan would collapse
-/// chains of satAdd into k*beta jumps, which differs once values approach
-/// kInfiniteCost.
-void minPlusSaturating(const Grid& grid, Cost beta, Cost* h) {
-  const auto& k = simd::active();
-  const int R = grid.rows();
-  const int C = grid.cols();
-  const std::size_t cs = static_cast<std::size_t>(C);
-  for (int r = 0; r < R; ++r) {
-    Cost* row = h + static_cast<std::size_t>(r) * cs;
-    if (r > 0) k.satAddMinRow(row - cs, beta, row, cs);
-    for (int c = 1; c < C; ++c) {
-      row[c] = std::min(row[c], satAdd(row[c - 1], beta));
-    }
-  }
-  for (int r = R - 1; r >= 0; --r) {
-    Cost* row = h + static_cast<std::size_t>(r) * cs;
-    if (r + 1 < R) k.satAddMinRow(row + cs, beta, row, cs);
-    for (int c = C - 2; c >= 0; --c) {
-      row[c] = std::min(row[c], satAdd(row[c + 1], beta));
-    }
-  }
-}
-
 /// Prepares a predecessor cache for a resume solve: entries for the
 /// re-relaxed layers [fromLayer, numLayers) are dropped (their dp/node-cost
 /// rows are about to change); a wrong-sized cache is rebuilt empty, which
@@ -118,6 +86,20 @@ std::int32_t* resetParentCache(LayeredParentCache* parents, int fromLayer,
               parents->end(), -1);
   }
   return parents->data();
+}
+
+/// The chamfer entry points' beta precondition: 0 <= beta <=
+/// maxChamferBeta(grid), which keeps the branch-free sweeps' drift above
+/// kInfiniteCost from overflowing before the deferred clamp.
+void checkChamferBeta(const Grid& grid, Cost beta, const char* who) {
+  if (beta < 0) throw std::invalid_argument(std::string(who) + ": beta < 0");
+  if (beta > maxChamferBeta(grid)) {
+    throw std::invalid_argument(
+        std::string(who) + ": beta " + std::to_string(beta) +
+        " exceeds the bound " + std::to_string(maxChamferBeta(grid)) +
+        " of a " + std::to_string(grid.rows()) + "x" +
+        std::to_string(grid.cols()) + " grid");
+  }
 }
 
 /// One Gauss-Seidel iteration of the faulted-mesh relax over the R x C
@@ -193,21 +175,12 @@ void manhattanMinPlusInto(const Grid& grid, std::span<const Cost> in,
   if (in.size() != n || out.size() != n) {
     throw std::invalid_argument("manhattanMinPlus: size mismatch");
   }
-  if (beta < 0) throw std::invalid_argument("manhattanMinPlus: beta < 0");
+  checkChamferBeta(grid, beta, "manhattanMinPlus");
   Cost* h = out.data();
   if (h != in.data()) std::copy(in.begin(), in.end(), h);
 
   const int R = grid.rows();
   const int C = grid.cols();
-  // The branch-free sweeps let forbidden (kInfiniteCost) cells drift up to
-  // 2*(R+C) beta-steps above kInfiniteCost before the final clamp; fall back
-  // to the saturating per-step variant when that headroom could overflow.
-  const Cost steps = 2 * static_cast<Cost>(R + C) + 2;
-  if (beta > 0 && beta > (INT64_MAX - kInfiniteCost) / steps) {
-    minPlusSaturating(grid, beta, h);
-    return;
-  }
-
   // The L1 transform is separable — a vertical relax stage plus in-row
   // scans — and runs strip by strip (4 rows at a time) so a strip is still
   // cache-resident across both stages; the vector tiers additionally fuse
@@ -421,64 +394,44 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
   // Chamfer scan, division-free: the layer's node splits into (row, col)
   // once, then every candidate's transition is two |delta| multiplies — no
   // Grid::manhattan (two integer divisions) per candidate. Transitions top
-  // out at beta * (R + C), which the sweep guard above bounds below
-  // (INT64_MAX - kInfiniteCost) / 2, so `prev + t` with prev < kInfiniteCost
-  // cannot overflow; for huge beta fall back to the saturating reference
-  // scan (beta * manhattan, compared with saturating adds).
+  // out at beta * (R + C), which the beta bound keeps below
+  // (INT64_MAX - kInfiniteCost) / 2, so `prev + t` with prev <
+  // kInfiniteCost cannot overflow.
+  //
+  // Per candidate row, the whole-row transition part rowT is constant and
+  // the in-row part colT[qc] = beta * |qc - cc| depends only on cc, so it
+  // is staged once per reconstruction step (into scratch.relaxed, idle by
+  // now) and the scan becomes one findPredecessor per row with the rowT
+  // folded into the probe: pr[qc] + colT == need - rowT and colT < kInf -
+  // rowT are exact rearrangements of the original conditions (rowT and
+  // colT are each below INT64_MAX - kInfiniteCost here, so nothing wraps).
+  checkChamferBeta(grid, beta, "LayeredDagSolver");
   const int R = grid.rows();
   const int C = grid.cols();
-  const Cost steps = 2 * static_cast<Cost>(R + C) + 2;
-  if (beta == 0 || beta <= (INT64_MAX - kInfiniteCost) / steps) {
-    // Per candidate row, the whole-row transition part rowT is constant and
-    // the in-row part colT[qc] = beta * |qc - cc| depends only on cc, so it
-    // is staged once per reconstruction step (into scratch.relaxed, idle by
-    // now) and the scan becomes one findPredecessor per row with the rowT
-    // folded into the probe: pr[qc] + colT == need - rowT and colT < kInf -
-    // rowT are exact rearrangements of the original conditions (rowT and
-    // colT are each below INT64_MAX - kInfiniteCost here, so nothing wraps).
-    const auto& k = simd::active();
-    solveLayered(
-        numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out,
-        parents, relax,
-        [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
-          Cost* colT = scratch.relaxed.data();
-          const Cost need = target - own;
-          const int cr = cur / C;
-          const int cc = cur % C;
-          for (int qc = 0; qc < C; ++qc) {
-            colT[qc] = beta * static_cast<Cost>(qc > cc ? qc - cc : cc - qc);
-          }
-          for (int qr = 0; qr < R; ++qr) {
-            const Cost rowT =
-                beta * static_cast<Cost>(qr > cr ? qr - cr : cr - qr);
-            if (rowT >= kInfiniteCost) continue;
-            const Cost* pr =
-                prevRow + static_cast<std::size_t>(qr) *
-                              static_cast<std::size_t>(C);
-            const std::ptrdiff_t qc =
-                k.findPredecessor(pr, colT, need - rowT, kInfiniteCost - rowT,
-                                  static_cast<std::size_t>(C));
-            if (qc >= 0) return qr * C + static_cast<int>(qc);
-          }
-          return -1;
-        });
-  } else {
-    solveLayered(
-        numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out,
-        parents, relax,
-        [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
-          for (int q = 0; q < numNodes; ++q) {
-            const Cost t =
-                beta * grid.manhattan(static_cast<ProcId>(q),
-                                      static_cast<ProcId>(cur));
-            if (satAdd(satAdd(prevRow[static_cast<std::size_t>(q)], t), own) ==
-                target) {
-              return q;
-            }
-          }
-          return -1;
-        });
-  }
+  const auto& k = simd::active();
+  solveLayered(
+      numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out, parents,
+      relax, [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
+        Cost* colT = scratch.relaxed.data();
+        const Cost need = target - own;
+        const int cr = cur / C;
+        const int cc = cur % C;
+        for (int qc = 0; qc < C; ++qc) {
+          colT[qc] = beta * static_cast<Cost>(qc > cc ? qc - cc : cc - qc);
+        }
+        for (int qr = 0; qr < R; ++qr) {
+          const Cost rowT =
+              beta * static_cast<Cost>(qr > cr ? qr - cr : cr - qr);
+          if (rowT >= kInfiniteCost) continue;
+          const Cost* pr = prevRow + static_cast<std::size_t>(qr) *
+                                         static_cast<std::size_t>(C);
+          const std::ptrdiff_t qc =
+              k.findPredecessor(pr, colT, need - rowT, kInfiniteCost - rowT,
+                                static_cast<std::size_t>(C));
+          if (qc >= 0) return qr * C + static_cast<int>(qc);
+        }
+        return -1;
+      });
 }
 
 void LayeredDagSolver::solveMeshFlatInto(const MeshLinks& links, int numLayers,

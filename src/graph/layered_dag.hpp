@@ -111,6 +111,8 @@ class LayeredDagSolver {
                                   LayeredParentCache* parents = nullptr);
 
   /// Chamfer flat solve for transition cost beta * manhattan(prev, node).
+  /// Requires 0 <= beta <= maxChamferBeta(grid) (pim/grid.hpp); any other
+  /// beta throws std::invalid_argument, as do the Into/Resume variants.
   [[nodiscard]] static LayeredPath solveManhattanFlat(
       const Grid& grid, int numLayers, std::span<const Cost> nodeCosts,
       Cost beta);
@@ -172,7 +174,9 @@ class LayeredDagSolver {
 /// overlap is undefined. The two sweeps are branch-free (raw adds with one
 /// final clamp to kInfiniteCost) and run through the dispatched SIMD
 /// kernels (graph/simd/simd_kernels.hpp) — bit-identical across tiers;
-/// inputs must follow the solver cost contract above.
+/// inputs must follow the solver cost contract above. A beta outside
+/// [0, maxChamferBeta(grid)] throws std::invalid_argument: within it the
+/// drift above kInfiniteCost before the clamp cannot overflow.
 void manhattanMinPlusInto(const Grid& grid, std::span<const Cost> in,
                           Cost beta, std::span<Cost> out);
 

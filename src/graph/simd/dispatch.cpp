@@ -17,8 +17,6 @@ const Kernels* tierTable(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return detail::avx2Kernels();
-    case Tier::kSse2:
-      return detail::sse2Kernels();
     case Tier::kScalar:
       return &detail::scalarKernels();
   }
@@ -30,8 +28,6 @@ bool cpuSupports(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Tier::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
     case Tier::kScalar:
       return true;
   }
@@ -39,8 +35,9 @@ bool cpuSupports(Tier t) {
   return t == Tier::kScalar;
 }
 
-/// PIMSCHED_SIMD override, or kAvx2+1 when unset/unrecognized (an
-/// unrecognized name warns; resolution then proceeds as if unset).
+/// The PIMSCHED_SIMD override; *present stays false when it is unset or
+/// unrecognized (an unrecognized name warns; resolution then proceeds as
+/// if unset).
 Tier envOverride(bool* present) {
   *present = false;
   const char* raw = std::getenv("PIMSCHED_SIMD");
@@ -49,16 +46,12 @@ Tier envOverride(bool* present) {
     *present = true;
     return Tier::kScalar;
   }
-  if (std::strcmp(raw, "sse2") == 0) {
-    *present = true;
-    return Tier::kSse2;
-  }
   if (std::strcmp(raw, "avx2") == 0) {
     *present = true;
     return Tier::kAvx2;
   }
   std::fprintf(stderr,
-               "pimsched: PIMSCHED_SIMD=%s is not scalar|sse2|avx2; "
+               "pimsched: PIMSCHED_SIMD=%s is not scalar|avx2; "
                "using CPU detection\n",
                raw);
   return Tier::kScalar;
@@ -127,8 +120,6 @@ const char* tierName(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kScalar:
       return "scalar";
   }

@@ -13,7 +13,7 @@
 /// chamferForwardStripAvx2); every relax consumes already-relaxed operands
 /// only, so results are bit-identical to the scalar tier. Candidate
 /// magnitudes are bounded exactly as in the sequential formulation, which
-/// the caller's overflow guard keeps below INT64_MAX.
+/// the beta bound (maxChamferBeta) keeps below INT64_MAX.
 namespace pimsched::simd::detail {
 
 namespace {
@@ -42,6 +42,7 @@ void minPlusRowAvx2(const Cost* row, Cost add, Cost* acc, std::size_t n) {
   }
 }
 
+/// Vertical stage of the short chamfer strips (the scalar addMinRow).
 void addMinRowAvx2(const Cost* src, Cost beta, Cost* dst, std::size_t n) {
   const __m256i vBeta = _mm256_set1_epi64x(beta);
   std::size_t i = 0;
@@ -55,32 +56,6 @@ void addMinRowAvx2(const Cost* src, Cost beta, Cost* dst, std::size_t n) {
   }
   for (; i < n; ++i) {
     const Cost cand = src[i] + beta;
-    dst[i] = cand < dst[i] ? cand : dst[i];
-  }
-}
-
-void satAddMinRowAvx2(const Cost* src, Cost beta, Cost* dst, std::size_t n) {
-  if (beta >= kInfiniteCost) {
-    // Every candidate saturates to kInf; dst <= kInf by precondition, so
-    // the pass is the identity.
-    return;
-  }
-  const __m256i vBeta = _mm256_set1_epi64x(beta);
-  const __m256i vInf = infVec();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    // src <= kInf so src + beta cannot wrap; infinite lanes become kInf.
-    const __m256i fin = _mm256_cmpgt_epi64(vInf, s);
-    const __m256i cand =
-        _mm256_blendv_epi8(vInf, _mm256_add_epi64(s, vBeta), fin);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), min64(d, cand));
-  }
-  for (; i < n; ++i) {
-    const Cost cand = src[i] >= kInfiniteCost ? kInfiniteCost : src[i] + beta;
     dst[i] = cand < dst[i] ? cand : dst[i];
   }
 }
@@ -376,9 +351,8 @@ std::ptrdiff_t findPredecessorAvx2(const Cost* prev, const Cost* trans,
 
 const Kernels* avx2Kernels() {
   static const Kernels k{
-      minPlusRowAvx2,         addMinRowAvx2,           satAddMinRowAvx2,
-      chamferForwardStripAvx2, chamferBackwardStripAvx2,
-      combineLayerAvx2,       clampInfAvx2,            maskInfAvx2,
+      minPlusRowAvx2,   chamferForwardStripAvx2, chamferBackwardStripAvx2,
+      combineLayerAvx2, clampInfAvx2,            maskInfAvx2,
       findPredecessorAvx2,
   };
   return &k;

@@ -3,13 +3,12 @@
 #include "graph/simd/simd_kernels.hpp"
 
 /// Internal linkage between the per-tier translation units and the
-/// dispatcher. The SSE2/AVX2 providers return nullptr when the build (or
-/// target architecture) cannot produce that tier, so dispatch.cpp can fall
-/// back without preprocessor conditionals of its own.
+/// dispatcher. The AVX2 provider returns nullptr when the build cannot
+/// produce that tier, so dispatch.cpp can fall back without preprocessor
+/// conditionals of its own.
 namespace pimsched::simd::detail {
 
 [[nodiscard]] const Kernels& scalarKernels();
-[[nodiscard]] const Kernels* sse2Kernels();  ///< nullptr off x86
 [[nodiscard]] const Kernels* avx2Kernels();  ///< nullptr without AVX2 codegen
 
 }  // namespace pimsched::simd::detail

@@ -15,19 +15,11 @@ void minPlusRowScalar(const Cost* row, Cost add, Cost* acc, std::size_t n) {
   }
 }
 
+/// dst[i] = min(dst[i], src[i] + beta): the vertical stage of the chamfer
+/// strips (values may drift past kInfiniteCost; the solver clamps later).
 void addMinRowScalar(const Cost* src, Cost beta, Cost* dst, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const Cost cand = src[i] + beta;
-    dst[i] = cand < dst[i] ? cand : dst[i];
-  }
-}
-
-void satAddMinRowScalar(const Cost* src, Cost beta, Cost* dst,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Cost cand = (src[i] >= kInfiniteCost || beta >= kInfiniteCost)
-                          ? kInfiniteCost
-                          : src[i] + beta;
     dst[i] = cand < dst[i] ? cand : dst[i];
   }
 }
@@ -156,9 +148,8 @@ std::ptrdiff_t findPredecessorScalar(const Cost* prev, const Cost* trans,
 
 const Kernels& scalarKernels() {
   static const Kernels k{
-      minPlusRowScalar,        addMinRowScalar,          satAddMinRowScalar,
-      chamferForwardStripScalar, chamferBackwardStripScalar,
-      combineLayerScalar,      clampInfScalar,           maskInfScalar,
+      minPlusRowScalar,   chamferForwardStripScalar, chamferBackwardStripScalar,
+      combineLayerScalar, clampInfScalar,            maskInfScalar,
       findPredecessorScalar,
   };
   return k;

@@ -9,20 +9,20 @@
 /// PIMSCHED_SIMD environment variable — see activeTier() below).
 ///
 /// Every kernel performs exact 64-bit integer arithmetic over the same
-/// candidate sets as its scalar counterpart, so all tiers are bit-identical
+/// candidate sets as its scalar counterpart, so both tiers are bit-identical
 /// by construction; the property tests in tests/simd_kernels_test.cpp and
 /// tests/layered_dag_test.cpp enforce it, and CI re-runs them with the
-/// dispatch forced to every tier. Kernels use unaligned vector loads —
+/// dispatch forced to each tier. Kernels use unaligned vector loads —
 /// the 64-byte buffer alignment from util/aligned.hpp is a performance
 /// contract, never a correctness requirement, so odd grid widths and
 /// interior row offsets need no special casing.
 namespace pimsched::simd {
 
-/// Instruction tiers in strength order. kSse2 covers any 128-bit x86
-/// baseline; non-x86 hosts (NEON and friends) currently take the portable
-/// scalar tier, whose loops are written branch-free so compilers
-/// auto-vectorize them.
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Instruction tiers in strength order: the portable scalar reference and
+/// AVX2. Hosts without AVX2 (older x86, NEON and friends) take the scalar
+/// tier, whose loops are written branch-free so compilers auto-vectorize
+/// them.
+enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
 [[nodiscard]] const char* tierName(Tier t);
 
@@ -32,20 +32,12 @@ enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 /// finite inputs are small enough that any candidate sum stays below
 /// INT64_MAX; forbidden entries are exactly kInfiniteCost unless a kernel
 /// says otherwise. Sweep values may drift above kInfiniteCost (deferred
-/// clamp) only within the overflow guard of manhattanMinPlusInto.
+/// clamp) only within the beta bound maxChamferBeta (pim/grid.hpp), which
+/// CostModel and the chamfer solver enforce.
 struct Kernels {
   /// acc[i] = min(acc[i], add + row[i]) — one source row of the generic
   /// min-plus relaxation. Requires add < kInfiniteCost.
   void (*minPlusRow)(const Cost* row, Cost add, Cost* acc, std::size_t n);
-
-  /// dst[i] = min(dst[i], src[i] + beta) — branch-free chamfer vertical
-  /// pass (values may drift past kInfiniteCost; clamped later).
-  void (*addMinRow)(const Cost* src, Cost beta, Cost* dst, std::size_t n);
-
-  /// dst[i] = min(dst[i], satAdd(src[i], beta)) — saturating vertical pass
-  /// of the huge-beta fallback. Requires src[i] <= kInfiniteCost and
-  /// dst[i] <= kInfiniteCost; beta may be arbitrarily large.
-  void (*satAddMinRow)(const Cost* src, Cost beta, Cost* dst, std::size_t n);
 
   /// One forward chamfer strip of `rows` rows (stride apart): every row is
   /// relaxed from the row above it — row[i] = min(row[i], above[i] + beta),
@@ -61,8 +53,8 @@ struct Kernels {
   /// AVX2 fuses both stages per 4x4 block (vertical relax in registers,
   /// then a transposed column scan) so each strip is loaded and stored
   /// once. Implementations may form k*beta for k <= 4 (log-depth /
-  /// reduce-then-scan schedules); the solver's overflow guard (steps >=
-  /// 2*(R+C)+2 >= 6) keeps that in range whenever this path runs.
+  /// reduce-then-scan schedules); the beta bound (maxChamferBeta, whose
+  /// step count 2*(R+C)+2 is at least 6) keeps that in range.
   void (*chamferForwardStrip)(Cost* h, const Cost* up, std::size_t rows,
                               std::size_t stride, Cost beta, std::size_t n);
 
@@ -106,7 +98,7 @@ struct Kernels {
 
 /// The tier active() dispatches to. Resolved once on first use: the
 /// strongest CPU-supported tier, unless the PIMSCHED_SIMD environment
-/// variable (scalar|sse2|avx2) overrides it — an unsupported or unknown
+/// variable (scalar|avx2) overrides it — an unsupported or unknown
 /// override warns on stderr and falls back. The resolved tier is recorded
 /// in the gomcds.simd.tier.<name> counter.
 [[nodiscard]] Tier activeTier();

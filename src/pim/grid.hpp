@@ -76,4 +76,15 @@ class Grid {
   int cols_;
 };
 
+/// Largest per-hop move cost beta (hopCost * moveVolume) a model on `grid`
+/// may carry. The chamfer solver's branch-free sweeps let a forbidden
+/// (kInfiniteCost) cell drift up to 2(R+C)+2 beta-steps before their final
+/// clamp, so beta * (2(R+C)+2) must stay at or below INT64_MAX -
+/// kInfiniteCost. CostModel's constructors and the chamfer entry points
+/// (graph/layered_dag.hpp) reject a larger beta with std::invalid_argument.
+[[nodiscard]] inline Cost maxChamferBeta(const Grid& grid) {
+  const Cost steps = 2 * static_cast<Cost>(grid.rows() + grid.cols()) + 2;
+  return (INT64_MAX - kInfiniteCost) / steps;
+}
+
 }  // namespace pimsched

@@ -126,27 +126,17 @@ Cost WindowedRefs::dataWeight(DataId d) const {
 
 namespace {
 
-// FNV-1a, mixed byte-wise (the same scheme as the cost-cache reference
-// hash). A row contributes its length before its entries so that window
+// A row contributes its length before its entries so that window
 // boundaries are part of the digest.
 void mixRow(std::uint64_t& h, std::span<const ProcWeight> row) {
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(row.size()));
-  for (const ProcWeight& pw : row) {
-    mix(static_cast<std::uint64_t>(pw.proc));
-    mix(static_cast<std::uint64_t>(pw.weight));
-  }
+  rowHashMix(h, row.size());
+  rowHashMixPairs(h, row);
 }
 
 }  // namespace
 
 std::uint64_t WindowedRefs::refsSignature(DataId d) const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kRowHashSeed;
   for (WindowId w = 0; w < numWindows_; ++w) {
     mixRow(h, refs(d, w));
   }
@@ -154,7 +144,7 @@ std::uint64_t WindowedRefs::refsSignature(DataId d) const {
 }
 
 std::uint64_t WindowedRefs::refsSignature(DataId d, WindowId w) const {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kRowHashSeed;
   mixRow(h, refs(d, w));
   return h;
 }

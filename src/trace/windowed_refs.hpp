@@ -20,6 +20,32 @@ struct ProcWeight {
   friend auto operator<=>(const ProcWeight&, const ProcWeight&) = default;
 };
 
+/// Seed of the row hashes below. It is one digit short of the canonical
+/// FNV-1a offset basis (14695981039346656037); the hashes only bucket and
+/// prescreen within one process, so the seed stays as it always was and
+/// the tests pin the resulting values.
+inline constexpr std::uint64_t kRowHashSeed = 1469598103934665603ull;
+
+/// One byte-wise FNV-1a step over the eight little-endian bytes of v.
+inline void rowHashMix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;  // FNV-1a 64-bit prime
+  }
+}
+
+/// Mixes a reference string's (proc, weight) pairs into h: the one row
+/// hash behind referenceStringHash (cost/serve_tables.hpp),
+/// WindowedRefs::refsSignature and the incremental solver's suffix
+/// signatures. The signatures mix the row length first, so that window
+/// boundaries count; referenceStringHash does not.
+inline void rowHashMixPairs(std::uint64_t& h, std::span<const ProcWeight> row) {
+  for (const ProcWeight& pw : row) {
+    rowHashMix(h, static_cast<std::uint32_t>(pw.proc));
+    rowHashMix(h, static_cast<std::uint64_t>(pw.weight));
+  }
+}
+
 /// The per-(datum, window) processor reference strings of an application —
 /// the direct input of every scheduling algorithm in the paper. Stored in a
 /// CSR layout: refs(d, w) is the sorted-by-proc list of (processor, weight)

@@ -166,6 +166,25 @@ TEST(ReferenceStringHash, SensitiveToOrderProcAndWeight) {
   EXPECT_EQ(referenceStringHash(a), referenceStringHash(makeRefs({{1, 2}, {3, 4}})));
 }
 
+// referenceStringHash, refsSignature and the incremental solver's suffix
+// signatures share one FNV-1a row mixer; these values are the ones each
+// hash produced before they did, and must not drift.
+TEST(ReferenceStringHash, PinnedValuesOfAFixedRow) {
+  const Grid g(2, 2);
+  ReferenceTrace t(DataSpace::singleSquare(1));
+  t.add(0, 1, 0, 2);
+  t.add(0, 3, 0, 4);
+  t.add(1, 0, 0, 7);
+  t.finalize();
+  const WindowedRefs refs(t, WindowPartition::perStep(2), g);
+  ASSERT_EQ(refs.refs(0, 0).size(), 2u);
+  EXPECT_EQ(referenceStringHash(refs.refs(0, 0)), 3267660305032012039ull);
+  EXPECT_EQ(referenceStringHash(refs.refs(0, 1)), 13986190503211726436ull);
+  EXPECT_EQ(refs.refsSignature(0), 8797196649123024387ull);
+  EXPECT_EQ(refs.refsSignature(0, 0), 7546405253402489509ull);
+  EXPECT_EQ(refs.refsSignature(0, 1), 1052585123780953765ull);
+}
+
 /// Every row and every whole-datum table of `refs` equals the literal
 /// per-center evaluation of Algorithm 1, and empty cells are covered.
 void expectTablesMatchBruteForce(const WindowedRefs& refs,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -80,6 +82,29 @@ TEST(CostModel, TriangleInequalityOnMoves) {
     EXPECT_LE(model.moveCost(a, c),
               model.moveCost(a, b) + model.moveCost(b, c));
   }
+}
+
+// beta = hopCost * moveVolume may reach maxChamferBeta(grid) and not one
+// past it; negative factors and an overflowing product are rejected too.
+TEST(CostModel, RejectsAMoveCostPastTheChamferBound) {
+  const Grid g(3, 4);
+  const Cost bound = (INT64_MAX - kInfiniteCost) / (2 * Cost{3 + 4} + 2);
+  ASSERT_EQ(maxChamferBeta(g), bound);
+  EXPECT_NO_THROW(CostModel(g, CostParams{1, bound}));
+  EXPECT_NO_THROW(CostModel(g, CostParams{0, INT64_MAX}));
+  EXPECT_THROW(CostModel(g, CostParams{1, bound + 1}), std::invalid_argument);
+  EXPECT_THROW(CostModel(g, CostParams{bound + 1, 1}), std::invalid_argument);
+  EXPECT_THROW(CostModel(g, CostParams{-1, 1}), std::invalid_argument);
+  EXPECT_THROW(CostModel(g, CostParams{1, -1}), std::invalid_argument);
+  EXPECT_THROW(CostModel(g, CostParams{-1, -1}), std::invalid_argument);
+  EXPECT_THROW(CostModel(g, CostParams{INT64_MAX / 2, 3}),
+               std::invalid_argument);
+
+  const FaultMap faults(g);
+  const DistanceMap distances(g, faults);
+  EXPECT_NO_THROW(CostModel(g, distances, CostParams{1, bound}));
+  EXPECT_THROW(CostModel(g, distances, CostParams{1, bound + 1}),
+               std::invalid_argument);
 }
 
 }  // namespace

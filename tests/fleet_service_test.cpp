@@ -214,6 +214,30 @@ TEST(FleetService, CostPolicyRoutesAroundTheFaultedArray) {
   EXPECT_EQ(order[0].first, "good");
 }
 
+// With two arrays to price, the cost policy would estimate a trace whose
+// serving costs overflow; such a job is placed unpriced and fails as
+// invalid, exactly as on a single array.
+TEST(FleetService, CostPolicyDoesNotPriceATraceWhoseCostsOverflow) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("a=4x4;b=4x4");
+  FleetService fleetService(std::move(config));
+
+  JobRequest request = makeRequest();
+  ReferenceTrace heavy(DataSpace::singleSquare(2));
+  heavy.add(0, 0, 0, Cost{1} << 62);
+  heavy.add(0, 1, 1);
+  heavy.add(1, 2, 2);
+  heavy.finalize();
+  request.trace = std::move(heavy);
+  const SubmitOutcome outcome = fleetService.submit(std::move(request));
+  ASSERT_TRUE(outcome.accepted);
+  (void)fleetService.result(outcome.id);
+  const auto status = fleetService.status(outcome.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->errorKind, "invalid");
+}
+
 TEST(FleetService, TenantQuotaRejectsWithoutStarvingOtherTenants) {
   RunGate gate;
   FleetService::Config config = healthySingleArray();
@@ -480,7 +504,7 @@ TEST(FleetCache, FaultedArrayResultsAreKeyedByTheirSignature) {
 
 TEST(FleetCache, DisabledCacheAlwaysRecomputes) {
   FleetService::Config config = healthySingleArray();
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService fleetService(std::move(config));
   const SubmitOutcome first = fleetService.submit(makeRequest());
   ASSERT_TRUE(first.accepted);
@@ -738,7 +762,7 @@ TEST(FleetCoalescing, CancelledLeaderPromotesAFollower) {
   // follower takes over its payload, is placed, and produces the result.
   RunGate gate;
   FleetService::Config config = twoArrays(gate);
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(std::move(config));
   fillBothArrays(service);
   const SubmitOutcome leader = service.submit(makeRequest());
@@ -769,7 +793,7 @@ TEST(FleetCoalescing, CancelledLeaderPromotesAFollower) {
 TEST(FleetCoalescing, CancelDetachesAFollowerWithoutKillingTheLeader) {
   RunGate gate;
   FleetService::Config config = twoArrays(gate);
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(std::move(config));
   fillBothArrays(service);
   const SubmitOutcome leader = service.submit(makeRequest());

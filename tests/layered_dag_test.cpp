@@ -336,14 +336,14 @@ TEST(FlatSolver, ManhattanKernelMatchesReferenceOnRandomInstances) {
   }
 }
 
-// A beta past the branch-free guard must take the saturating fallbacks
-// (sweeps and reconstruction scan) and still match the reference exactly.
-TEST(FlatSolver, HugeBetaFallbackMatchesReference) {
+// The chamfer entry points accept beta up to maxChamferBeta(grid), where the
+// branch-free sweeps still match the reference exactly, and reject one past
+// it with std::invalid_argument, like a negative beta.
+TEST(FlatSolver, RejectsBetaPastTheOverflowGuard) {
   const Grid g(3, 3);
-  // Just above the overflow guard beta > (INT64_MAX - kInf) / (2(R+C)+2),
-  // yet small enough that beta * manhattan stays representable.
   const Cost steps = 2 * Cost{3 + 3} + 2;
-  const Cost beta = (INT64_MAX - kInfiniteCost) / steps + 1;
+  const Cost bound = (INT64_MAX - kInfiniteCost) / steps;
+  ASSERT_EQ(maxChamferBeta(g), bound);
   testutil::Rng rng(303);
   const std::vector<Cost> nodeTable = randomNodeTable(rng, 5, g.size());
   const auto nodeCost = [&](int w, int p) -> Cost {
@@ -352,15 +352,36 @@ TEST(FlatSolver, HugeBetaFallbackMatchesReference) {
                      static_cast<std::size_t>(p)];
   };
   const auto transCost = [&](int q, int p) -> Cost {
-    return beta *
+    return bound *
            g.manhattan(static_cast<ProcId>(q), static_cast<ProcId>(p));
   };
   const LayeredPath expect =
       referenceSolve(5, g.size(), nodeCost, transCost);
-  const LayeredPath flat =
-      LayeredDagSolver::solveManhattanFlat(g, 5, nodeTable, beta);
-  EXPECT_EQ(flat.total, expect.total);
-  EXPECT_EQ(flat.nodes, expect.nodes);
+  const LayeredPath atBound =
+      LayeredDagSolver::solveManhattanFlat(g, 5, nodeTable, bound);
+  EXPECT_EQ(atBound.total, expect.total);
+  EXPECT_EQ(atBound.nodes, expect.nodes);
+
+  std::vector<Cost> row(static_cast<std::size_t>(g.size()), 1);
+  for (const Cost beta : {Cost{-1}, bound + 1, Cost{INT64_MAX}}) {
+    EXPECT_THROW((void)manhattanMinPlus(g, row, beta), std::invalid_argument)
+        << beta;
+    EXPECT_THROW(manhattanMinPlusInto(g, row, beta, row),
+                 std::invalid_argument)
+        << beta;
+    EXPECT_THROW((void)LayeredDagSolver::solveManhattanFlat(g, 5, nodeTable,
+                                                            beta),
+                 std::invalid_argument)
+        << beta;
+    // A one-layer solve relaxes nothing and still checks beta.
+    LayeredDagScratch scratch;
+    LayeredPath out;
+    EXPECT_THROW(LayeredDagSolver::solveManhattanFlatInto(
+                     g, 1, std::span<const Cost>(nodeTable).first(9), beta,
+                     scratch, out),
+                 std::invalid_argument)
+        << beta;
+  }
 }
 
 // The Into variant reuses caller scratch without reallocating between
@@ -407,8 +428,8 @@ class TierGuard {
 
 std::vector<simd::Tier> supportedTiers() {
   std::vector<simd::Tier> out = {simd::Tier::kScalar};
-  for (const simd::Tier t : {simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    if (simd::tierSupported(t)) out.push_back(t);
+  if (simd::tierSupported(simd::Tier::kAvx2)) {
+    out.push_back(simd::Tier::kAvx2);
   }
   return out;
 }
@@ -484,34 +505,6 @@ TEST(SimdTierIdentity, AsymmetricFaultedTablesBitIdenticalAcrossTiers) {
             << rows << "x" << cols << " trial " << trial << " tier "
             << simd::tierName(t);
       }
-    }
-  }
-}
-
-// The saturating huge-beta fallback must also be tier-invariant: beta past
-// the branch-free overflow guard routes the sweep through satAddMinRow and
-// the saturating reconstruction on every tier.
-TEST(SimdTierIdentity, HugeBetaSaturatingPathBitIdenticalAcrossTiers) {
-  const TierGuard guard;
-  testutil::Rng rng(707);
-  for (const auto& [rows, cols] : kOddGrids) {
-    const Grid g(rows, cols);
-    const Cost steps = 2 * static_cast<Cost>(rows + cols) + 2;
-    const Cost beta = (INT64_MAX - kInfiniteCost) / steps + 1;
-    const int layers = 3;
-    const std::vector<Cost> nodeTable =
-        randomNodeTable(rng, layers, g.size());
-    simd::forceTier(simd::Tier::kScalar);
-    const LayeredPath expect =
-        LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
-    for (const simd::Tier t : supportedTiers()) {
-      simd::forceTier(t);
-      const LayeredPath got =
-          LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
-      ASSERT_EQ(got.total, expect.total)
-          << rows << "x" << cols << " tier " << simd::tierName(t);
-      ASSERT_EQ(got.nodes, expect.nodes)
-          << rows << "x" << cols << " tier " << simd::tierName(t);
     }
   }
 }

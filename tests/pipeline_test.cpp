@@ -112,6 +112,48 @@ TEST(Experiment, RejectsEmptyTrace) {
   EXPECT_THROW(Experiment(empty, g), std::invalid_argument);
 }
 
+TEST(Experiment, RejectsCostParamsPastTheChamferBound) {
+  const Grid g(4, 4);
+  const ReferenceTrace t = makePaperBenchmark(PaperBenchmark::kLu, g, 8);
+  PipelineConfig cfg;
+  cfg.costParams.moveVolume = maxChamferBeta(g) + 1;
+  EXPECT_THROW(Experiment(t, g, cfg), std::invalid_argument);
+  const FaultMap faults(g);
+  EXPECT_THROW(Experiment(t, g, faults, cfg), std::invalid_argument);
+  cfg.costParams.moveVolume = maxChamferBeta(g);
+  EXPECT_NO_THROW(Experiment(t, g, cfg));
+}
+
+/// A legal trace (its weights sum below INT64_MAX) whose serving costs
+/// would overflow: one access of weight 2^62 plus two unit accesses.
+ReferenceTrace heavyTrace() {
+  ReferenceTrace t(DataSpace::singleSquare(2));
+  t.add(0, 0, 0, Cost{1} << 62);
+  t.add(0, 1, 1);
+  t.add(1, 2, 2);
+  t.finalize();
+  return t;
+}
+
+TEST(Experiment, RejectsTraceWeightsWhoseCostsCouldOverflow) {
+  const Grid g(4, 4);
+  const ReferenceTrace t = heavyTrace();
+  EXPECT_THROW(Experiment(t, g), std::invalid_argument);
+  const FaultMap faults(g);
+  EXPECT_THROW(Experiment(t, g, faults), std::invalid_argument);
+  StreamSession session(4, 4);
+  EXPECT_THROW((void)session.step(t), std::invalid_argument);
+
+  // The bound is totalWeight * max(hopCost, 1) * (procs - 1) < kInfiniteCost.
+  ReferenceTrace edge(DataSpace::singleSquare(2));
+  edge.add(0, 0, 0, (kInfiniteCost - 1) / 15);
+  edge.finalize();
+  EXPECT_NO_THROW(Experiment(edge, g));
+  PipelineConfig cfg;
+  cfg.costParams.hopCost = 2;
+  EXPECT_THROW(Experiment(edge, g, cfg), std::invalid_argument);
+}
+
 TEST(Experiment, ExplicitWindowsMustMatchTrace) {
   const Grid g(4, 4);
   const ReferenceTrace t = makePaperBenchmark(PaperBenchmark::kLu, g, 8);

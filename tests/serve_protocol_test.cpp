@@ -491,6 +491,39 @@ TEST(Protocol, UnreachableJobsReportTheErrorKind) {
   EXPECT_EQ(status.find("attempts")->asInt64(), 1);
 }
 
+// A trace whose weights fit int64 but whose serving costs would overflow
+// is refused as invalid by both the one-shot and the streaming path,
+// instead of running into signed overflow in a worker.
+TEST(Protocol, TraceWeightsThatOverflowCostsAreInvalid) {
+  ReferenceTrace trace(DataSpace::singleSquare(2));
+  trace.add(0, 0, 0, Cost{1} << 62);
+  trace.add(0, 1, 1);
+  trace.add(1, 2, 2);
+  trace.finalize();
+  std::ostringstream os;
+  saveTrace(trace, os);
+
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  Json heavy = submitRequest();
+  heavy.set("trace", std::move(os).str()).set("grid", "4x4");
+  const Json reply = call(handler, heavy.dump());
+  EXPECT_TRUE(reply.find("ok")->asBool()) << reply.dump();
+  EXPECT_EQ(reply.find("state")->asString(), "failed") << reply.dump();
+  ASSERT_NE(reply.find("error_kind"), nullptr) << reply.dump();
+  EXPECT_EQ(reply.find("error_kind")->asString(), "invalid");
+  ASSERT_NE(reply.find("error_detail"), nullptr);
+  EXPECT_NE(reply.find("error_detail")->asString().find("access weight"),
+            std::string::npos)
+      << reply.dump();
+
+  heavy.set("verb", "submit-stream").set("session", "heavy");
+  const Json stream = call(handler, heavy.dump());
+  EXPECT_FALSE(stream.find("ok")->asBool()) << stream.dump();
+  ASSERT_NE(stream.find("error_kind"), nullptr) << stream.dump();
+  EXPECT_EQ(stream.find("error_kind")->asString(), "invalid");
+}
+
 TEST(Protocol, BadFaultSpecsPointAtTheOffendingToken) {
   Engine service{Engine::Config{}};
   ProtocolHandler handler(service);

@@ -193,7 +193,7 @@ TEST(SchedulingService, ResubmitIsServedFromTheResultCache) {
 TEST(SchedulingService, BackpressureRejectsWithAReason) {
   FleetService::Config config = engineConfig();
   config.maxQueueDepth = 0;  // nothing may wait in the queue
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
   const SubmitOutcome outcome = service.submit(makeRequest());
   EXPECT_FALSE(outcome.accepted);
@@ -206,7 +206,7 @@ TEST(SchedulingService, BackpressureRejectsWithAReason) {
 TEST(SchedulingService, HigherPriorityJobsJumpTheQueue) {
   FleetService::Config config = engineConfig();
   config.concurrencyPerArray = 1;
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
 
   // Occupy the single slot, then queue a low- and a high-priority job
@@ -238,7 +238,7 @@ TEST(SchedulingService, HigherPriorityJobsJumpTheQueue) {
 TEST(SchedulingService, ExpiredDeadlineIsReportedNotRun) {
   FleetService::Config config = engineConfig();
   config.concurrencyPerArray = 1;
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
 
   PoolGate gate;
@@ -262,7 +262,7 @@ TEST(SchedulingService, ExpiredDeadlineIsReportedNotRun) {
 TEST(SchedulingService, CancelHitsQueuedJobsOnly) {
   FleetService::Config config = engineConfig();
   config.concurrencyPerArray = 1;
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
 
   PoolGate gate;
@@ -452,7 +452,7 @@ TEST(SchedulingService, CacheEvictsOldestEntryPastTheBound) {
 
 TEST(SchedulingService, DisabledCacheNeverServesCachedResults) {
   FleetService::Config config = engineConfig();
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
   ASSERT_NE(service.result(service.submit(makeRequest()).id), nullptr);
   const SubmitOutcome second = service.submit(makeRequest());
@@ -656,7 +656,7 @@ TEST(SchedulingService, CancelledLeaderPromotesAFollower) {
   // follower is promoted to a queued job and still produces the result.
   FleetService::Config config = engineConfig();
   config.concurrencyPerArray = 1;
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
 
   PoolGate gate;
@@ -682,7 +682,7 @@ TEST(SchedulingService, CancelledLeaderPromotesAFollower) {
 TEST(SchedulingService, CancelDetachesAFollowerWithoutKillingTheLeader) {
   FleetService::Config config = engineConfig();
   config.concurrencyPerArray = 1;
-  config.cacheEnabled = false;
+  config.maxCacheEntries = 0;
   FleetService service(config);
 
   PoolGate gate;

@@ -14,14 +14,12 @@ namespace {
 using simd::Kernels;
 using simd::Tier;
 
-// Every tier the host can execute beyond scalar; empty on a pure-scalar
-// host, in which case the identity tests vacuously pass (the scalar tier
-// is its own oracle).
+// The AVX2 tier when the host can execute it; empty otherwise, in which
+// case the identity tests vacuously pass (the scalar tier is its own
+// oracle).
 std::vector<Tier> vectorTiers() {
   std::vector<Tier> out;
-  for (const Tier t : {Tier::kSse2, Tier::kAvx2}) {
-    if (simd::tierSupported(t)) out.push_back(t);
-  }
+  if (simd::tierSupported(Tier::kAvx2)) out.push_back(Tier::kAvx2);
   return out;
 }
 
@@ -54,7 +52,6 @@ std::string ctx(Tier t, std::size_t n) {
 
 TEST(SimdDispatch, TierNamesAndSupportAreConsistent) {
   EXPECT_STREQ(simd::tierName(Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::tierName(Tier::kSse2), "sse2");
   EXPECT_STREQ(simd::tierName(Tier::kAvx2), "avx2");
   // Scalar is unconditionally supported; bestSupportedTier is supported by
   // definition and at least scalar.
@@ -64,11 +61,9 @@ TEST(SimdDispatch, TierNamesAndSupportAreConsistent) {
 }
 
 TEST(SimdDispatch, EveryTableHasAllKernels) {
-  for (const Tier t : {Tier::kScalar, Tier::kSse2, Tier::kAvx2}) {
+  for (const Tier t : {Tier::kScalar, Tier::kAvx2}) {
     const Kernels& k = simd::kernelsFor(t);
     EXPECT_NE(k.minPlusRow, nullptr);
-    EXPECT_NE(k.addMinRow, nullptr);
-    EXPECT_NE(k.satAddMinRow, nullptr);
     EXPECT_NE(k.chamferForwardStrip, nullptr);
     EXPECT_NE(k.chamferBackwardStrip, nullptr);
     EXPECT_NE(k.combineLayer, nullptr);
@@ -102,44 +97,6 @@ TEST(SimdKernelIdentity, MinPlusRow) {
       std::vector<Cost> b = a;
       ref.minPlusRow(row.data(), add, a.data(), n);
       k.minPlusRow(row.data(), add, b.data(), n);
-      ASSERT_EQ(a, b) << ctx(t, n);
-    }
-  }
-}
-
-TEST(SimdKernelIdentity, AddMinRow) {
-  const Kernels& ref = simd::kernelsFor(Tier::kScalar);
-  for (const Tier t : vectorTiers()) {
-    const Kernels& k = simd::kernelsFor(t);
-    testutil::Rng rng(11 + static_cast<std::uint64_t>(t));
-    for (const std::size_t n : kLengths) {
-      // The chamfer vertical pass runs pre-clamp: sources and targets may
-      // both sit above kInfiniteCost.
-      const std::vector<Cost> src = randomRow(rng, n, /*drift=*/true);
-      const Cost beta = rng.range(0, 100);
-      std::vector<Cost> a = randomRow(rng, n, /*drift=*/true);
-      std::vector<Cost> b = a;
-      ref.addMinRow(src.data(), beta, a.data(), n);
-      k.addMinRow(src.data(), beta, b.data(), n);
-      ASSERT_EQ(a, b) << ctx(t, n);
-    }
-  }
-}
-
-TEST(SimdKernelIdentity, SatAddMinRow) {
-  const Kernels& ref = simd::kernelsFor(Tier::kScalar);
-  for (const Tier t : vectorTiers()) {
-    const Kernels& k = simd::kernelsFor(t);
-    testutil::Rng rng(13 + static_cast<std::uint64_t>(t));
-    for (const std::size_t n : kLengths) {
-      const std::vector<Cost> src = randomRow(rng, n, /*drift=*/false);
-      // The huge-beta fallback: beta far beyond the branch-free guard.
-      const Cost beta = rng.below(2) == 0 ? rng.range(0, 50)
-                                          : INT64_MAX / 8 + rng.range(0, 99);
-      std::vector<Cost> a = randomRow(rng, n, /*drift=*/false);
-      std::vector<Cost> b = a;
-      ref.satAddMinRow(src.data(), beta, a.data(), n);
-      k.satAddMinRow(src.data(), beta, b.data(), n);
       ASSERT_EQ(a, b) << ctx(t, n);
     }
   }
