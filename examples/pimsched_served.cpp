@@ -43,9 +43,9 @@
 //                         2000; hysteresis against flapping arrays)
 //     --no-fault-inject   reject the fault-inject / heal admin verbs
 // Live fault drift: the fault-inject and heal verbs change a fleet
-// array's fault state at runtime; the fleet migrates queued work,
-// reconciles in-flight results and invalidates stale cache entries — see
-// docs/fault-tolerance.md. Without --fleet they answer ok:false.
+// array's fault state at runtime; the fleet migrates queued work, re-runs
+// every in-flight job under the array's live faults and invalidates stale
+// cache entries — see docs/fault-tolerance.md. Without --fleet they answer ok:false.
 //
 // At least one of --socket / --tcp is required; both may be given, and
 // the two endpoints serve the same engine (a job submitted over TCP is

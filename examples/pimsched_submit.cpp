@@ -30,8 +30,8 @@
 //     inject ARRAY --fault SPEC [--fault SPEC]...
 //         live fault drift: injects the specs into the named array of a
 //         fleet daemon (wire verb "fault-inject"; "--inject" also
-//         accepted). The daemon migrates queued work, reconciles in-
-//         flight results and invalidates stale cache entries atomically.
+//         accepted). The daemon migrates queued work, re-runs in-flight
+//         jobs under the live faults and invalidates stale cache entries.
 //     heal ARRAY
 //         rebuilds the named array from its boot spec, clearing every
 //         injected fault ("--heal" also accepted)

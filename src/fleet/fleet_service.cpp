@@ -7,7 +7,6 @@
 
 #include "fault/fault_map.hpp"
 #include "fault/fault_trace.hpp"
-#include "fleet/rebalance.hpp"
 #include "pim/grid.hpp"
 #include "serve/json.hpp"
 #include "util/thread_pool.hpp"
@@ -426,24 +425,33 @@ std::vector<std::size_t> FleetService::admissibleEligibleLocked(
   return admissible.empty() ? eligible : admissible;
 }
 
+int FleetService::selectArrayLocked(const Job& job,
+                                    const std::vector<std::size_t>& candidates,
+                                    Cost* est) {
+  *est = 0;
+  if (shapeMatches(config_.arrays, job.request.gridRows,
+                   job.request.gridCols) > 1) {
+    const std::int64_t explicitCap = job.request.config.capacity >= 0
+                                         ? job.request.config.capacity
+                                         : -1;
+    const int idx =
+        selector_.select(job.aggRefs, job.request.trace.numData(),
+                         explicitCap, candidates, loads_, est);
+    if (idx >= 0) return idx;
+    // No candidate can feasibly serve it (kCost): place it on the first
+    // one anyway so it fails with the structured unreachable / infeasible
+    // error instead of waiting forever.
+    *est = 0;
+  }
+  return static_cast<int>(candidates.front());
+}
+
 void FleetService::planJobLocked(const std::shared_ptr<Job>& job) {
   const std::vector<std::size_t> candidates = admissibleEligibleLocked(
       job->request.gridRows, job->request.gridCols, obs::nowNs());
   if (candidates.empty()) return;  // shape mismatch was rejected at submit
-  int idx = static_cast<int>(candidates.front());
   Cost est = 0;
-  if (shapeMatches(config_.arrays, job->request.gridRows,
-                   job->request.gridCols) > 1) {
-    const std::int64_t explicitCap = job->request.config.capacity >= 0
-                                         ? job->request.config.capacity
-                                         : -1;
-    idx = selector_.select(job->aggRefs, job->request.trace.numData(),
-                           explicitCap, candidates, loads_, &est);
-    if (idx < 0) {
-      idx = static_cast<int>(candidates.front());
-      est = 0;
-    }
-  }
+  const int idx = selectArrayLocked(*job, candidates, &est);
   job->plannedArray = idx;
   job->estCost = est;
   loads_[static_cast<std::size_t>(idx)].queued += 1;
@@ -610,28 +618,11 @@ bool FleetService::dispatchClassLocked(bool batch, std::int64_t nowNs) {
     // plan (array busy, quarantined, or drifted away) re-selects.
     const int planned = job->plannedArray;
     Cost est = job->estCost;
-    int idx = -1;
-    if (planned >= 0 &&
+    int idx = planned;
+    if (planned < 0 ||
         std::find(eligible.begin(), eligible.end(),
-                  static_cast<std::size_t>(planned)) != eligible.end()) {
-      idx = planned;
-    } else if (shapeMatches(config_.arrays, job->request.gridRows,
-                            job->request.gridCols) == 1) {
-      idx = static_cast<int>(eligible.front());  // no choice to price
-      est = 0;
-    } else {
-      const std::int64_t explicitCap = job->request.config.capacity >= 0
-                                           ? job->request.config.capacity
-                                           : -1;
-      idx = selector_.select(job->aggRefs, job->request.trace.numData(),
-                             explicitCap, eligible, loads_, &est);
-      if (idx < 0) {
-        // No array can feasibly serve it (kCost): run it anyway on the
-        // first free array so it fails with the structured unreachable /
-        // infeasible error instead of waiting forever.
-        idx = static_cast<int>(eligible.front());
-        est = 0;
-      }
+                  static_cast<std::size_t>(planned)) == eligible.end()) {
+      idx = selectArrayLocked(*job, eligible, &est);
     }
 
     removeFromQueueLocked(job);
@@ -641,7 +632,7 @@ bool FleetService::dispatchClassLocked(bool batch, std::int64_t nowNs) {
     job->estCost = est;
     // Snapshot the hosting array's fault state: the run must never read
     // fleet state without the lock (a drift swaps the ArrayState), and a
-    // completion whose epoch no longer matches must reconcile.
+    // run whose epoch no longer matches at the end must run again.
     job->arrayFaults =
         fleet_.at(static_cast<std::size_t>(idx)).canonicalFaults();
     job->faultEpoch = faultEpoch_[static_cast<std::size_t>(idx)];
@@ -793,70 +784,43 @@ void FleetService::runJob(const std::shared_ptr<Job>& job) {
   const auto idx = static_cast<std::size_t>(job->arrayIndex);
   std::shared_ptr<JobResult> result;
   serve::JobError error;
-  try {
-    PIMSCHED_SCOPED_TIMER("fleet.job.run");
-    if (config_.onJobAttempt) config_.onJobAttempt(attempt);
-    result = executeJobRequest(job->request, job->arrayFaults);
-    result->digest = job->digest;
-  } catch (...) {
-    error = serve::classifyJobError(std::current_exception());
-    result.reset();
-  }
-  const std::int64_t endNs = obs::nowNs();
-
-  std::unique_lock<std::mutex> lock(mutex_);
-
-  // Mid-run drift reconciliation. The solve above ran against the fault
-  // state captured at dispatch; if the array drifted since, the result no
-  // longer answers "what would this job cost on that array". Loop until
-  // the captured epoch matches the live one (the array may drift again
-  // while we reconcile unlocked). The job's running slot stays charged
-  // throughout, so drain() and the dispatcher both see it as in flight.
-  bool cacheable = true;
-  bool driftBroken = false;
-  while (result != nullptr && job->faultEpoch != faultEpoch_[idx]) {
-    const std::vector<std::string> newFaults =
-        fleet_.at(idx).canonicalFaults();
-    const std::int64_t newEpoch = faultEpoch_[idx];
-    const std::shared_ptr<JobResult> stale = result;
-    lock.unlock();
-    ReconcileOutcome outcome;
-    bool failed = false;
-    serve::JobError reconcileError;
+  // Mid-run drift: each run uses the fault state captured at dispatch. If
+  // the array drifted since, the outcome (result or failure) no longer
+  // answers "what would this job cost on that array", so the job runs
+  // again under the live faults, until a run ends with the epoch still
+  // current (the array may drift again while a run is unlocked). The
+  // job's running slot stays charged throughout, so drain() and the
+  // dispatcher both see it as in flight. An invalid request fails at
+  // once: no fault state can make it schedulable.
+  bool reran = false;
+  std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
+  while (true) {
     try {
-      outcome = Rebalancer::reconcile(job->request, *stale, newFaults);
+      PIMSCHED_SCOPED_TIMER("fleet.job.run");
+      if (!reran && config_.onJobAttempt) config_.onJobAttempt(attempt);
+      result = executeJobRequest(job->request, job->arrayFaults);
+      result->digest = job->digest;
     } catch (...) {
-      reconcileError = serve::classifyJobError(std::current_exception());
-      failed = true;
+      error = serve::classifyJobError(std::current_exception());
+      result.reset();
     }
     lock.lock();
-    if (failed) {
-      // The new fault state makes the job infeasible *on this array*;
-      // another array may still serve it (see driftBroken below).
-      result.reset();
-      error = std::move(reconcileError);
-      driftBroken = true;
+    if (job->faultEpoch == faultEpoch_[idx] ||
+        (result == nullptr && error.kind == "invalid")) {
       break;
     }
-    job->faultEpoch = newEpoch;
-    job->arrayFaults = newFaults;
-    result = outcome.result;
-    result->digest = job->digest;
-    switch (outcome.action) {
-      case ReconcileOutcome::Action::kKept:
-        ++rebalance_.kept;
-        cacheable = false;  // valid answer, but not what a fresh solve
-        break;              // under the new signature would produce
-      case ReconcileOutcome::Action::kRepaired:
-        ++rebalance_.repaired;
-        cacheable = false;
-        break;
-      case ReconcileOutcome::Action::kResolved:
-        ++rebalance_.resolved;
-        cacheable = true;  // bit-identical to a fresh submit
-        break;
-    }
+    job->arrayFaults = fleet_.at(idx).canonicalFaults();
+    job->faultEpoch = faultEpoch_[idx];
+    reran = true;
+    ++rebalance_.resolved;
+    PIMSCHED_COUNTER_ADD("fleet.rebalance.resolved", 1);
+    lock.unlock();
   }
+  const std::int64_t endNs = obs::nowNs();
+  // A run the drift broke did nothing wrong on its own account; another
+  // array may still serve it.
+  const bool driftBroken =
+      result == nullptr && reran && error.kind != "invalid";
 
   loads_[idx].running -= 1;
   loads_[idx].outstandingWork -= static_cast<double>(job->estCost);
@@ -879,10 +843,8 @@ void FleetService::runJob(const std::shared_ptr<Job>& job) {
       ++rebalance_.staleServed;
       PIMSCHED_COUNTER_ADD("fleet.health.stale_served", 1);
     }
-    if (cacheable) {
-      cacheInsertLocked(
-          job->digest.hex() + "|" + fleet_.at(idx).faultSignature(), result);
-    }
+    cacheInsertLocked(
+        job->digest.hex() + "|" + fleet_.at(idx).faultSignature(), result);
     health_.onJobSuccess(idx);
     finishLocked(*job, JobState::kDone);
   } else if (driftBroken && job->attempts < kMaxDriftAttempts) {
@@ -1084,8 +1046,6 @@ void FleetService::statsExtra(serve::Json& reply) const {
   serve::Json::Object rebalance;
   rebalance.emplace("drift_events", serve::Json(s.rebalance.driftEvents));
   rebalance.emplace("requeued", serve::Json(s.rebalance.requeued));
-  rebalance.emplace("kept", serve::Json(s.rebalance.kept));
-  rebalance.emplace("repaired", serve::Json(s.rebalance.repaired));
   rebalance.emplace("resolved", serve::Json(s.rebalance.resolved));
   rebalance.emplace("cache_invalidated",
                     serve::Json(s.rebalance.cacheInvalidated));

@@ -53,7 +53,7 @@ namespace pimsched::fleet {
 /// matches a job already queued or running does not enqueue a second
 /// solve — it attaches to the in-flight leader as a follower, and every
 /// follower resolves with the leader's very JobResult (or its failure),
-/// including a result reconciled after mid-run drift. A hotter follower
+/// including one re-run after mid-run drift. A hotter follower
 /// raises a queued leader's priority; a leader cancelled or expired
 /// before it ran hands its payload to its first follower, which takes
 /// its place in the queue. Cancelling a follower only detaches it.
@@ -85,21 +85,22 @@ namespace pimsched::fleet {
 /// re-plans every queued job through the selector, and invalidates
 /// result-cache entries whose signature no longer matches any live
 /// array. Placement avoids quarantined arrays whenever an admissible
-/// alternative exists, queued jobs carry a *planned* array (what the
-/// rebalancer migrates), and a job whose array drifted mid-run is
-/// reconciled before its result is served: kept if still valid, patched
-/// via core/repair, or fully re-solved — never served stale. Drift-broken
-/// runs requeue onto another array instead of failing, even while
-/// draining (counted serve.drain.requeued), so a SIGTERM drain cannot
-/// strand migrated work.
+/// alternative exists, and queued jobs carry a *planned* array (what a
+/// drift re-plans). A job whose array drifted mid-run runs again under
+/// the array's live faults before anything is served, success or
+/// failure alike, so every served result is exactly what a fresh submit
+/// would produce now and is cached like one — never served stale. A
+/// re-run that fails requeues onto another array instead of failing,
+/// even while draining (counted serve.drain.requeued), so a SIGTERM
+/// drain cannot strand displaced work.
 ///
 /// Counters: fleet.jobs.{accepted,rejected,completed,failed,cancelled,
 /// deadline_missed,coalesced}, fleet.cache.{hit,miss},
 /// fleet.queue.{enqueued,dequeued}, fleet.job.retry,
 /// fleet.mode.{switches,serve_ns,batch_ns},
 /// fleet.dispatch.{serve,batch}, fleet.health.{drift_events,degraded,
-/// quarantined,readmitted,stale_served}, fleet.rebalance.{requeued,kept,
-/// repaired,resolved,cache_invalidated}, serve.drain.requeued, per-tenant
+/// quarantined,readmitted,stale_served}, fleet.rebalance.{requeued,
+/// resolved,cache_invalidated}, serve.drain.requeued, per-tenant
 /// tenant.<id>.{submitted,dispatched,completed,contended}; timers
 /// fleet.job.wait / fleet.job.run.
 class FleetService final : public serve::JobService {
@@ -129,12 +130,14 @@ class FleetService final : public serve::JobService {
     int agingLimit = 8;
     /// Batch jobs may start while the serve backlog is <= drainThreshold.
     std::size_t drainThreshold = 0;
-    /// Health-state thresholds for live fault drift (see health.hpp).
+    /// Quarantine re-admission cooldown for live fault drift (see
+    /// health.hpp).
     HealthPolicy health;
-    /// Test-only hook invoked at the start of every job run with the
-    /// attempt number (0 on the first run, 1 on the retry). Exceptions it
+    /// Test-only hook invoked once per dispatch, at the start of the job's
+    /// run, with the attempt number (0 on the first run, 1 on the retry);
+    /// the re-runs a mid-run drift forces do not invoke it. Exceptions it
     /// throws are classified exactly like pipeline errors — tests use it
-    /// to fake transient worker failures.
+    /// to fake worker failures.
     std::function<void(int attempt)> onJobAttempt;
     /// Test/telemetry hook invoked (under the service lock — it must not
     /// call back into the service) at every dispatch with the job id, the
@@ -163,13 +166,11 @@ class FleetService final : public serve::JobService {
   struct RebalanceStatsRow {
     std::int64_t driftEvents = 0;
     std::int64_t requeued = 0;  ///< queued jobs whose plan was migrated
-    std::int64_t kept = 0;      ///< drifted results still valid as-is
-    std::int64_t repaired = 0;  ///< drifted results patched by core/repair
-    std::int64_t resolved = 0;  ///< drifted results fully re-solved
+    std::int64_t resolved = 0;  ///< runs repeated after mid-run drift
     std::int64_t cacheInvalidated = 0;
     std::int64_t drainRequeued = 0;  ///< requeues that happened mid-drain
-    /// Results served without reconciliation against the live fault
-    /// epoch. Structurally zero — the closed-loop tripwire the chaos
+    /// Results served from a run under a fault epoch that is no longer
+    /// live. Structurally zero — the closed-loop tripwire the chaos
     /// bench gates on.
     std::int64_t staleServed = 0;
   };
@@ -266,9 +267,8 @@ class FleetService final : public serve::JobService {
     /// Canonical faults of the hosting array, copied at dispatch so the
     /// run never reads fleet state without the lock (drift swaps it).
     std::vector<std::string> arrayFaults;
-    /// The hosting array's fault epoch at dispatch; a mismatch at
-    /// completion means the array drifted mid-run and the result must be
-    /// reconciled before it is served.
+    /// The hosting array's fault epoch of the current run; a mismatch at
+    /// its end means the array drifted mid-run and the job runs again.
     std::int64_t faultEpoch = 0;
     /// Identical-digest submissions riding this (leader) job: they are
     /// never queued themselves and resolve when the leader does.
@@ -311,6 +311,12 @@ class FleetService final : public serve::JobService {
       const Tenant& tenant, bool batch, std::int64_t nowNs,
       int* effPriority) const;
   void expireOverdueLocked(std::int64_t nowNs);
+  /// The placement rule shared by planning and dispatch: the selector's
+  /// pick among `candidates` (non-empty) with its estimate in *est, or
+  /// the first candidate at estimate 0 when the shape leaves no choice to
+  /// price or no candidate is feasible.
+  int selectArrayLocked(const Job& job,
+                        const std::vector<std::size_t>& candidates, Cost* est);
   /// Plans a queued job onto an array (admissible arrays preferred,
   /// selector policy) and charges the backlog to it.
   void planJobLocked(const std::shared_ptr<Job>& job);
@@ -365,7 +371,7 @@ class FleetService final : public serve::JobService {
   std::vector<std::int64_t> arrayDispatched_, arrayCompleted_,
       arrayFailed_;
   /// Monotonic per-array drift counter; a running job whose captured
-  /// epoch no longer matches must reconcile its result (see runJob).
+  /// epoch no longer matches runs again (see runJob).
   std::vector<std::int64_t> faultEpoch_;
   /// True-LRU result cache keyed by digest hex + "|" + array fault
   /// signature.

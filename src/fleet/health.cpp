@@ -4,6 +4,22 @@
 
 namespace pimsched::fleet {
 
+namespace {
+
+/// An array with fewer alive processors than this fraction is
+/// quarantined outright, independent of failure history.
+constexpr double kQuarantineAliveFraction = 0.5;
+/// Consecutive job failures on one array that trigger a quarantine; a
+/// success resets the streak.
+constexpr int kFailureThreshold = 3;
+/// More drift events (inject or heal) than kFlapLimit within kFlapWindowNs
+/// quarantine the array as flapping — a mesh whose fault state churns is
+/// not a mesh to place fresh work on.
+constexpr int kFlapLimit = 4;
+constexpr std::int64_t kFlapWindowNs = 10'000'000'000;
+
+}  // namespace
+
 const char* toString(HealthState s) {
   switch (s) {
     case HealthState::kHealthy: return "healthy";
@@ -23,16 +39,10 @@ void HealthMonitor::reset(std::size_t arrayCount, HealthPolicy policy) {
 }
 
 HealthState HealthMonitor::classify(const ArrayFacts& facts) const {
-  if (facts.totalProcs > 0) {
-    const double alive = static_cast<double>(facts.aliveProcs) /
-                         static_cast<double>(facts.totalProcs);
-    if (facts.aliveProcs == 0 || alive < policy_.quarantineAliveFraction) {
-      return HealthState::kQuarantined;
-    }
-  }
-  if (policy_.quarantinePartitioned && facts.partitioned) {
-    return HealthState::kQuarantined;
-  }
+  const bool tooFewAlive =
+      static_cast<double>(facts.aliveProcs) <
+      kQuarantineAliveFraction * static_cast<double>(facts.totalProcs);
+  if (tooFewAlive || facts.partitioned) return HealthState::kQuarantined;
   return facts.anyFaults ? HealthState::kDegraded : HealthState::kHealthy;
 }
 
@@ -57,12 +67,10 @@ HealthState HealthMonitor::onDrift(std::size_t i, const ArrayFacts& facts,
   e.driftNs.push_back(nowNs);
   e.driftNs.erase(std::remove_if(e.driftNs.begin(), e.driftNs.end(),
                                  [&](std::int64_t t) {
-                                   return nowNs - t > policy_.flapWindowNs;
+                                   return nowNs - t > kFlapWindowNs;
                                  }),
                   e.driftNs.end());
-  const bool flapping =
-      policy_.flapLimit > 0 &&
-      static_cast<int>(e.driftNs.size()) > policy_.flapLimit;
+  const bool flapping = static_cast<int>(e.driftNs.size()) > kFlapLimit;
 
   HealthState next = classify(facts);
   if (flapping) next = HealthState::kQuarantined;
@@ -84,8 +92,7 @@ HealthState HealthMonitor::onDrift(std::size_t i, const ArrayFacts& facts,
 HealthState HealthMonitor::onJobFailure(std::size_t i, std::int64_t nowNs) {
   Entry& e = entries_[i];
   ++e.failureStreak;
-  if (policy_.failureThreshold > 0 &&
-      e.failureStreak >= policy_.failureThreshold) {
+  if (e.failureStreak >= kFailureThreshold) {
     setState(e, HealthState::kQuarantined, nowNs);
     e.lastBadNs = nowNs;
   }

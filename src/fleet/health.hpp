@@ -18,23 +18,13 @@ enum class HealthState {
 
 [[nodiscard]] const char* toString(HealthState s);
 
-/// Thresholds of the health state machine. All times are nanoseconds on
-/// whatever clock the caller feeds in (the monitor never reads a clock
-/// itself, which is what makes the hysteresis testable).
+/// The one tunable of the health state machine. Its thresholds are fixed
+/// (see health.cpp): quarantine below half the processors alive, on a
+/// partitioned alive sub-mesh, after 3 consecutive job failures, or past
+/// 4 drift events inside 10 s. All times are nanoseconds on whatever
+/// clock the caller feeds in (the monitor never reads a clock itself,
+/// which is what makes the hysteresis testable).
 struct HealthPolicy {
-  /// An array whose alive fraction drops below this is quarantined
-  /// outright, independent of failure history.
-  double quarantineAliveFraction = 0.5;
-  /// Quarantine an array whose alive sub-mesh is partitioned.
-  bool quarantinePartitioned = true;
-  /// Consecutive job failures on one array that trigger a quarantine; a
-  /// success resets the streak. <= 0 disables failure-driven quarantine.
-  int failureThreshold = 3;
-  /// Drift events (inject or heal) within flapWindowNs beyond which the
-  /// array is quarantined as flapping — a mesh whose fault state churns
-  /// is not a mesh to place fresh work on. <= 0 disables.
-  int flapLimit = 4;
-  std::int64_t flapWindowNs = 10'000'000'000;
   /// A quarantined array is re-admitted only after its facts have looked
   /// acceptable for this long (hysteresis): a heal immediately followed
   /// by another fault never bounces work onto the array in between.
@@ -94,8 +84,6 @@ class HealthMonitor {
   /// admitted) here once its facts are acceptable, its failure streak is
   /// below threshold, and nothing bad has happened for cooldownNs.
   [[nodiscard]] bool admissible(std::size_t i, std::int64_t nowNs);
-
-  [[nodiscard]] const HealthPolicy& policy() const { return policy_; }
 
  private:
   struct Entry {

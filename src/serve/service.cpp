@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <new>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -63,6 +64,8 @@ JobError classifyJobError(const std::exception_ptr& ep) {
       return {what, "infeasible", false};
     }
     return {what, "internal", true};
+  } catch (const std::bad_alloc& e) {
+    return {e.what(), "internal", false};
   } catch (const std::exception& e) {
     return {e.what(), "internal", true};
   } catch (...) {

@@ -73,11 +73,6 @@ struct JobResult {
   std::string scheduleText;
   Digest digest;
   bool cacheHit = false;
-  /// The schedule was patched by core/repair after the hosting array's
-  /// fault state drifted mid-run, instead of a full re-solve (fleet path
-  /// only). Repaired results are correct under the new fault state but
-  /// are not what a fresh solve would produce, so they are never cached.
-  bool repaired = false;
   std::int64_t waitNs = 0;
   std::int64_t runNs = 0;
 };
@@ -156,9 +151,10 @@ struct ServiceStats {
 /// aliases the healthy-mesh result.
 [[nodiscard]] Digest jobDigest(const JobRequest& request);
 
-/// Failure taxonomy of a job run. Transient failures ("internal") are
-/// retried once by the services; everything else is a property of the
-/// request and fails immediately with a structured kind.
+/// Failure taxonomy of a job run. Transient failures ("internal", except
+/// memory exhaustion, which a second run would only repeat) are retried
+/// once by the services; everything else fails immediately with a
+/// structured kind.
 struct JobError {
   std::string message;
   std::string kind;  ///< "unreachable" | "infeasible" | "invalid" | "internal"
@@ -194,8 +190,8 @@ struct DriftOutcome {
   std::string health;       ///< health state name after the event
   int aliveProcs = 0;
   int deadProcs = 0;
-  /// Queued jobs whose planned placement was migrated off/onto arrays by
-  /// the rebalancer as a consequence of this event.
+  /// Queued jobs whose planned placement moved to another array as a
+  /// consequence of this event.
   std::int64_t requeued = 0;
   /// Result-cache entries invalidated because no live array carries
   /// their fault signature any more.

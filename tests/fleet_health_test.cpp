@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fleet/fleet_service.hpp"
-#include "fleet/rebalance.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
@@ -48,6 +47,16 @@ JobRequest makeRequest(int n = 4, int steps = 6, int weightSeed = 1) {
   request.config.numWindows = 3;
   request.method = Method::kGomcds;
   return request;
+}
+
+/// Spins until the job has been dispatched (it then parks on a RunGate).
+void waitUntilRunning(const FleetService& service, serve::JobId id) {
+  while (true) {
+    const auto status = service.status(id);
+    ASSERT_TRUE(status.has_value());
+    if (status->state == JobState::kRunning) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 // Canned facts for a 16-processor array.
@@ -112,17 +121,8 @@ TEST(HealthMonitor, SevereFactsQuarantineImmediately) {
   }
 }
 
-TEST(HealthMonitor, PartitionQuarantineIsPolicyControlled) {
-  HealthPolicy policy;
-  policy.quarantinePartitioned = false;
-  HealthMonitor mon(1, policy);
-  mon.observe(0, cleanFacts(), 0);
-  // With the knob off a partitioned-but-mostly-alive array only degrades.
-  EXPECT_EQ(mon.onDrift(0, partitionedFacts(), 0), HealthState::kDegraded);
-}
-
 TEST(HealthMonitor, FlappingDriftQuarantinesEvenWithMildFacts) {
-  HealthMonitor mon(1, HealthPolicy{});  // flapLimit 4 in 10s
+  HealthMonitor mon(1, HealthPolicy{});  // flap limit: 4 drifts in 10s
   mon.observe(0, cleanFacts(), 0);
   for (int i = 1; i <= 4; ++i) {
     EXPECT_EQ(mon.onDrift(0, degradedFacts(), i * kMs),
@@ -136,7 +136,7 @@ TEST(HealthMonitor, FlappingDriftQuarantinesEvenWithMildFacts) {
 }
 
 TEST(HealthMonitor, SlowDriftOutsideTheWindowNeverFlaps) {
-  HealthMonitor mon(1, HealthPolicy{});  // flapWindow 10s
+  HealthMonitor mon(1, HealthPolicy{});  // flap window: 10s
   mon.observe(0, cleanFacts(), 0);
   // Drifts 11s apart: old events slide out of the window before the
   // count can cross the limit.
@@ -148,7 +148,7 @@ TEST(HealthMonitor, SlowDriftOutsideTheWindowNeverFlaps) {
 }
 
 TEST(HealthMonitor, FailureStreakQuarantinesAndSuccessResetsIt) {
-  HealthMonitor mon(1, HealthPolicy{});  // failureThreshold 3
+  HealthMonitor mon(1, HealthPolicy{});  // failure threshold: 3
   mon.observe(0, cleanFacts(), 0);
   EXPECT_EQ(mon.onJobFailure(0, 1 * kMs), HealthState::kHealthy);
   EXPECT_EQ(mon.onJobFailure(0, 2 * kMs), HealthState::kHealthy);
@@ -204,88 +204,9 @@ TEST(HealthMonitor, DriftWhileQuarantinedRestartsTheCooldown) {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalancer: keep / repair / resolve preference order, and the resolve
-// bit-identity guarantee.
-// ---------------------------------------------------------------------------
-
-TEST(Rebalancer, KeepsAScheduleTheDriftDidNotBreak) {
-  const JobRequest request = makeRequest();
-  // Solved healthy; the drift then capped proc 5 at 16 slots — far above
-  // anything the schedule actually stores there, and no processor or
-  // link died. The schedule still verifies, so only the costs are
-  // recomputed.
-  auto stale = serve::executeJobRequest(request, {});
-  stale->digest = serve::jobDigest(request);
-
-  const ReconcileOutcome out =
-      Rebalancer::reconcile(request, *stale, {"cap:5=16"});
-  EXPECT_EQ(out.action, ReconcileOutcome::Action::kKept);
-  ASSERT_NE(out.result, nullptr);
-  EXPECT_EQ(out.result->scheduleText, stale->scheduleText);
-  EXPECT_FALSE(out.result->repaired);
-  EXPECT_EQ(out.cellsRepaired, 0);
-  EXPECT_EQ(out.result->digest.hex(), stale->digest.hex());
-  // No dead processors or links: the kept schedule's costs are exactly
-  // what they were.
-  EXPECT_EQ(out.result->eval.aggregate.total(),
-            stale->eval.aggregate.total());
-}
-
-TEST(Rebalancer, RepairsBrokenPlacementsInsteadOfResolving) {
-  const JobRequest request = makeRequest();
-  // Solved on a healthy mesh; the interior 2x2 block then died. Some
-  // placements sit on the dead block, so keep fails but repair
-  // re-centers exactly those cells.
-  auto stale = serve::executeJobRequest(request, {});
-  stale->digest = serve::jobDigest(request);
-
-  const std::vector<std::string> drift = {"proc:5", "proc:6", "proc:9",
-                                          "proc:10"};
-  const ReconcileOutcome out = Rebalancer::reconcile(request, *stale, drift);
-  EXPECT_EQ(out.action, ReconcileOutcome::Action::kRepaired);
-  ASSERT_NE(out.result, nullptr);
-  EXPECT_TRUE(out.result->repaired);
-  EXPECT_GT(out.cellsRepaired, 0);
-  EXPECT_NE(out.result->scheduleText, stale->scheduleText);
-  EXPECT_EQ(out.result->digest.hex(), stale->digest.hex());
-}
-
-TEST(Rebalancer, ResolvesUnusableResultsBitIdenticalToAFreshSubmit) {
-  const JobRequest request = makeRequest();
-  serve::JobResult garbage;
-  garbage.scheduleText = "not a schedule";
-  garbage.digest = serve::jobDigest(request);
-
-  const std::vector<std::string> drift = {"proc:5"};
-  const ReconcileOutcome out =
-      Rebalancer::reconcile(request, garbage, drift);
-  EXPECT_EQ(out.action, ReconcileOutcome::Action::kResolved);
-  ASSERT_NE(out.result, nullptr);
-
-  // The whole point of resolve: the answer is exactly what a fresh
-  // submit against the new fault state would produce, so it is safe to
-  // cache under the digest|signature key.
-  const auto fresh = serve::executeJobRequest(request, drift);
-  EXPECT_EQ(out.result->scheduleText, fresh->scheduleText);
-  EXPECT_EQ(out.result->eval.aggregate.serve, fresh->eval.aggregate.serve);
-  EXPECT_EQ(out.result->eval.aggregate.move, fresh->eval.aggregate.move);
-  EXPECT_FALSE(out.result->repaired);
-  EXPECT_EQ(out.result->digest.hex(), garbage.digest.hex());
-}
-
-TEST(Rebalancer, PropagatesWhenEvenTheResolveIsInfeasible) {
-  const JobRequest request = makeRequest();
-  serve::JobResult garbage;
-  garbage.scheduleText = "not a schedule";
-  // row:1 severs row 0 from rows 2-3 of the 4x4 mesh while the trace
-  // references every processor — no alive center reaches them all.
-  EXPECT_THROW((void)Rebalancer::reconcile(request, garbage, {"row:1"}),
-               std::exception);
-}
-
-// ---------------------------------------------------------------------------
-// FleetService drift reactions: queued-plan migration, mid-run repair
-// accounting, and the rebalance-vs-requeue equivalence guarantee.
+// FleetService drift reactions: queued-plan migration, the mid-run
+// re-run under the live faults, and the rebalance-vs-requeue equivalence
+// guarantee.
 // ---------------------------------------------------------------------------
 
 TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
@@ -341,6 +262,9 @@ TEST(FleetDrift, QueuedPlansMigrateOffAQuarantinedArray) {
   EXPECT_EQ(service.fleetStats().rebalance.staleServed, 0);
 }
 
+// Mid-run drift has one reaction, whatever the drift broke: the job runs
+// again under the array's live faults. (The name predates that rule and is
+// kept so the test's history stays continuous.)
 TEST(FleetDrift, MidRunDriftIsRepairedInPreferenceToAResolve) {
   FleetService::Config config;
   config.arrays = parseFleetSpec("only=4x4");
@@ -350,16 +274,14 @@ TEST(FleetDrift, MidRunDriftIsRepairedInPreferenceToAResolve) {
 
   const SubmitOutcome out = service.submit(makeRequest());
   ASSERT_TRUE(out.accepted) << out.reason;
-  // Wait for the run to start (it parks on the gate), then drift the
-  // array under it: kill the interior block — degraded, not partitioned.
-  while (true) {
-    const auto status = service.status(out.id);
-    ASSERT_TRUE(status.has_value());
-    if (status->state == JobState::kRunning) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const serve::DriftOutcome drift = service.applyDrift(
-      "only", {"proc:5", "proc:6", "proc:9", "proc:10"}, false);
+  // Drift the array under the parked run: kill the interior block, on
+  // which the healthy-mesh schedule places data — degraded, not
+  // partitioned.
+  waitUntilRunning(service, out.id);
+  const std::vector<std::string> driftFaults = {"proc:5", "proc:6",
+                                                "proc:9", "proc:10"};
+  const serve::DriftOutcome drift =
+      service.applyDrift("only", driftFaults, false);
   ASSERT_TRUE(drift.ok) << drift.error;
   EXPECT_EQ(drift.health, "degraded");
   EXPECT_EQ(drift.requeued, 0);
@@ -367,17 +289,150 @@ TEST(FleetDrift, MidRunDriftIsRepairedInPreferenceToAResolve) {
   gate.release();
   const auto result = service.result(out.id);
   ASSERT_NE(result, nullptr);
-  // The healthy-mesh schedule placed data on the dead block, so the
-  // reconcile repaired it in place rather than re-solving from scratch.
-  EXPECT_TRUE(result->repaired);
+  const auto fresh = serve::executeJobRequest(makeRequest(), driftFaults);
+  EXPECT_EQ(result->scheduleText, fresh->scheduleText);
+  EXPECT_EQ(result->eval.aggregate.serve, fresh->eval.aggregate.serve);
+  EXPECT_EQ(result->eval.aggregate.move, fresh->eval.aggregate.move);
   const FleetService::FleetStats stats = service.fleetStats();
-  EXPECT_EQ(stats.rebalance.repaired, 1);
-  EXPECT_EQ(stats.rebalance.resolved, 0);
-  EXPECT_EQ(stats.rebalance.kept, 0);
+  EXPECT_EQ(stats.rebalance.resolved, 1);
   EXPECT_EQ(stats.rebalance.staleServed, 0);
   const auto status = service.status(out.id);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, JobState::kDone);
+  EXPECT_EQ(status->attempts, 1);
+
+  // The re-run is what a fresh submit computes now, so it was cached.
+  const SubmitOutcome again = service.submit(makeRequest());
+  ASSERT_TRUE(again.accepted) << again.reason;
+  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(service.result(again.id)->scheduleText, fresh->scheduleText);
+}
+
+TEST(FleetDrift, MidRunDriftResultIsBitIdenticalToAFreshSubmit) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("only=4x4");
+  RunGate gate;
+  config.onJobAttempt = gate.hook();
+  FleetService service(config);
+  serve::ProtocolHandler handler(service);
+
+  const JobRequest request = makeRequest();
+  const SubmitOutcome out = service.submit(request);
+  ASSERT_TRUE(out.accepted) << out.reason;
+  waitUntilRunning(service, out.id);
+  ASSERT_TRUE(service.applyDrift("only", {"proc:5"}, false).ok);
+  gate.release();
+
+  const auto result = service.result(out.id);
+  ASSERT_NE(result, nullptr);
+  const auto fresh = serve::executeJobRequest(request, {"proc:5"});
+  EXPECT_EQ(result->scheduleText, fresh->scheduleText);
+  EXPECT_EQ(result->eval.aggregate.serve, fresh->eval.aggregate.serve);
+  EXPECT_EQ(result->eval.aggregate.move, fresh->eval.aggregate.move);
+  EXPECT_EQ(result->digest.hex(), serve::jobDigest(request).hex());
+
+  // The stats verb reports the re-run; no other drift reaction exists.
+  const serve::Json reply =
+      serve::Json::parse(handler.handleLine(R"({"verb":"stats"})"));
+  const serve::Json* fleetObj = reply.find("fleet");
+  ASSERT_NE(fleetObj, nullptr);
+  const serve::Json* rebalance = fleetObj->find("rebalance");
+  ASSERT_NE(rebalance, nullptr);
+  EXPECT_EQ(rebalance->find("resolved")->asInt64(), 1);
+  EXPECT_EQ(rebalance->find("stale_served")->asInt64(), 0);
+  EXPECT_EQ(rebalance->find("kept"), nullptr);
+  EXPECT_EQ(rebalance->find("repaired"), nullptr);
+}
+
+TEST(FleetDrift, MidRunPartitionOfTheOnlyArrayFailsUnreachable) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("only=4x4");
+  RunGate gate;
+  config.onJobAttempt = gate.hook();
+  FleetService service(config);
+
+  const SubmitOutcome out = service.submit(makeRequest());
+  ASSERT_TRUE(out.accepted) << out.reason;
+  waitUntilRunning(service, out.id);
+  // row:1 severs row 0 from rows 2-3 of the 4x4 mesh while the trace
+  // references every processor — no alive center reaches them all, and
+  // there is no other array to move to. The healthy-mesh run must not be
+  // served.
+  ASSERT_TRUE(service.applyDrift("only", {"row:1"}, false).ok);
+  gate.release();
+
+  EXPECT_EQ(service.result(out.id), nullptr);
+  const auto status = service.status(out.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->errorKind, "unreachable");
+  const FleetService::FleetStats stats = service.fleetStats();
+  EXPECT_GE(stats.rebalance.resolved, 1);
+  EXPECT_EQ(stats.rebalance.staleServed, 0);
+  EXPECT_EQ(service.stats().completed, 0);
+}
+
+TEST(FleetDrift, FailureUnderAHealedFaultStateReruns) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("only=4x4");
+  RunGate gate;
+  config.onJobAttempt = gate.hook();
+  FleetService service(config);
+
+  // The job is dispatched onto a partitioned array, where it cannot be
+  // scheduled; the heal lands while it runs. Its failure answers a fault
+  // state the array no longer has, so the job runs again on the healed
+  // mesh instead of failing there.
+  ASSERT_TRUE(service.applyDrift("only", {"row:1"}, false).ok);
+  const SubmitOutcome out = service.submit(makeRequest());
+  ASSERT_TRUE(out.accepted) << out.reason;
+  waitUntilRunning(service, out.id);
+  ASSERT_TRUE(service.applyDrift("only", {}, true).ok);
+  gate.release();
+
+  const auto result = service.result(out.id);
+  ASSERT_NE(result, nullptr);
+  const auto fresh = serve::executeJobRequest(makeRequest());
+  EXPECT_EQ(result->scheduleText, fresh->scheduleText);
+  EXPECT_EQ(result->eval.aggregate.total(), fresh->eval.aggregate.total());
+  const auto status = service.status(out.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone);
+  const FleetService::FleetStats stats = service.fleetStats();
+  EXPECT_EQ(stats.arrays[0].failed, 0);
+  EXPECT_EQ(stats.rebalance.resolved, 1);
+  EXPECT_EQ(stats.rebalance.staleServed, 0);
+}
+
+TEST(FleetDrift, AnInvalidRequestFailsAtOnceWhateverTheDrift) {
+  FleetService::Config config;
+  config.arrays = parseFleetSpec("only=4x4");
+  RunGate gate;
+  config.onJobAttempt = gate.hook();
+  FleetService service(config);
+
+  // Serving costs that overflow make the request invalid on any mesh, so
+  // the drift under its run neither re-runs nor requeues it.
+  JobRequest request = makeRequest();
+  ReferenceTrace heavy(DataSpace::singleSquare(2));
+  heavy.add(0, 0, 0, Cost{1} << 62);
+  heavy.add(0, 1, 1);
+  heavy.add(1, 2, 2);
+  heavy.finalize();
+  request.trace = std::move(heavy);
+  const SubmitOutcome out = service.submit(std::move(request));
+  ASSERT_TRUE(out.accepted) << out.reason;
+  waitUntilRunning(service, out.id);
+  ASSERT_TRUE(service.applyDrift("only", {"proc:5"}, false).ok);
+  gate.release();
+
+  EXPECT_EQ(service.result(out.id), nullptr);
+  const auto status = service.status(out.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->errorKind, "invalid");
+  EXPECT_EQ(status->attempts, 1);
+  EXPECT_EQ(service.fleetStats().rebalance.resolved, 0);
 }
 
 TEST(FleetDrift, NoOpDriftBumpsNothing) {

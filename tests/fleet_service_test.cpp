@@ -823,22 +823,28 @@ TEST(FleetCoalescing, FollowersOfADriftedLeaderGetTheReconciledResult) {
   const SubmitOutcome follower = service.submit(makeRequest());
   ASSERT_TRUE(follower.accepted);
   EXPECT_EQ(service.stats().coalesced, 1);
-  // Kill the interior block under the running leader: its healthy-mesh
-  // schedule is repaired, and the follower must see the repaired answer.
-  ASSERT_TRUE(service
-                  .applyDrift("only", {"proc:5", "proc:6", "proc:9", "proc:10"},
-                              false)
-                  .ok);
+  // Kill the interior block under the running leader: the leader runs
+  // again under the live faults, and the follower must see that answer.
+  const std::vector<std::string> driftFaults = {"proc:5", "proc:6",
+                                                "proc:9", "proc:10"};
+  ASSERT_TRUE(service.applyDrift("only", driftFaults, false).ok);
   gate.release();
 
   const auto leaderResult = service.result(leader.id);
   ASSERT_NE(leaderResult, nullptr);
-  EXPECT_TRUE(leaderResult->repaired);
+  const auto fresh = serve::executeJobRequest(makeRequest(), driftFaults);
+  EXPECT_EQ(leaderResult->scheduleText, fresh->scheduleText);
+  EXPECT_EQ(leaderResult->eval.aggregate.total(),
+            fresh->eval.aggregate.total());
   const auto followerResult = service.result(follower.id);
   EXPECT_EQ(followerResult.get(), leaderResult.get());
   EXPECT_EQ(service.status(follower.id)->state, JobState::kDone);
   EXPECT_EQ(service.fleetStats().rebalance.staleServed, 0);
-  EXPECT_EQ(gate.runs.load(), 1);
+  EXPECT_EQ(gate.runs.load(), 1);  // the hook fires once per dispatch
+
+  const SubmitOutcome again = service.submit(makeRequest());
+  ASSERT_TRUE(again.accepted) << again.reason;
+  EXPECT_TRUE(again.cached);
 }
 
 }  // namespace

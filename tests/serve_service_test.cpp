@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -400,6 +401,25 @@ TEST(SchedulingService, SecondTransientFailureIsFinal) {
   EXPECT_EQ(status->attempts, 2);  // first run + exactly one retry
   EXPECT_NE(status->error.find("worker keeps crashing"), std::string::npos);
   EXPECT_EQ(service.stats().failed, 1);
+}
+
+TEST(SchedulingService, MemoryExhaustionFailsWithoutARetry) {
+  std::atomic<int> attemptsSeen{0};
+  FleetService::Config config = engineConfig();
+  config.onJobAttempt = [&](int) {
+    ++attemptsSeen;
+    throw std::bad_alloc();
+  };
+  FleetService service(config);
+  const SubmitOutcome outcome = service.submit(makeRequest());
+  ASSERT_TRUE(outcome.accepted);
+  EXPECT_EQ(service.result(outcome.id), nullptr);
+  const auto status = service.status(outcome.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->errorKind, "internal");
+  EXPECT_EQ(status->attempts, 1);  // a second run would exhaust it again
+  EXPECT_EQ(attemptsSeen.load(), 1);
 }
 
 TEST(SchedulingService, UnknownIdsAreDistinguishable) {
