@@ -89,11 +89,8 @@ GomcdsPlacement::GomcdsPlacement(const WindowedRefs& refs,
     : model_(&model),
       order_(dataVisitOrder(refs, options.order)),
       occupancy_(static_cast<std::size_t>(refs.numWindows()),
-                 OccupancyMap(model.grid(), options.capacity)),
+                 model.occupancy(options.capacity)),
       schedule_(refs.numData(), refs.numWindows()) {
-  if (const FaultMap* faults = model.faults()) {
-    for (OccupancyMap& occ : occupancy_) applyFaultCapacity(occ, *faults);
-  }
   if (trackFull) {
     const std::size_t P = static_cast<std::size_t>(model.grid().size());
     full_.resize(occupancy_.size() * P);

@@ -8,7 +8,6 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
-#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/simd/simd_kernels.hpp"
 #include "obs/obs.hpp"
@@ -258,13 +257,10 @@ class CapacityAwareGrouper {
         numProcs_(static_cast<std::size_t>(model.grid().size())),
         beta_(model.params().hopCost * model.params().moveVolume),
         occupancy_(static_cast<std::size_t>(numWindows),
-                   OccupancyMap(model.grid(), capacity)),
+                   model.occupancy(capacity)),
         full_(static_cast<std::size_t>(numWindows) * numProcs_) {
     for (WindowId w = 0; w < numWindows; ++w) {
-      OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
-      if (const FaultMap* faults = model.faults()) {
-        applyFaultCapacity(occ, *faults);
-      }
+      const OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
       for (ProcId p = 0; p < static_cast<ProcId>(numProcs_); ++p) {
         full_[slot(w, p)] = !occ.hasRoom(p);
       }

@@ -25,10 +25,7 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
   // free of atomic traffic.
   std::int64_t placements = 0;
   for (WindowId w = 0; w < refs.numWindows(); ++w) {
-    OccupancyMap occupancy(grid, options.capacity);
-    if (const FaultMap* faults = model.faults()) {
-      applyFaultCapacity(occupancy, *faults);
-    }
+    OccupancyMap occupancy = model.occupancy(options.capacity);
     for (const DataId d : order) {
       if (!refs.refs(d, w).empty()) {
         tables.rowInto(d, w, costs);

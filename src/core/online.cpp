@@ -8,7 +8,6 @@
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
 #include "cost/serve_tables.hpp"
-#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "pim/memory.hpp"
 #include "util/aligned.hpp"
@@ -24,11 +23,8 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   const int W = refs.numWindows();
   DataSchedule schedule(refs.numData(), W);
 
-  std::vector<OccupancyMap> occupancy(
-      static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-  if (const FaultMap* faults = model.faults()) {
-    for (OccupancyMap& occ : occupancy) applyFaultCapacity(occ, *faults);
-  }
+  std::vector<OccupancyMap> occupancy(static_cast<std::size_t>(W),
+                                      model.occupancy(options.capacity));
 
   const std::size_t m = static_cast<std::size_t>(grid.size());
   ServeTables tables(refs, model);

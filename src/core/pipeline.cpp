@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/verify.hpp"
-#include "fault/fault_trace.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
 
@@ -66,38 +65,33 @@ Digest configDigest(const PipelineConfig& config) {
 
 namespace {
 
-void resolveCapacity(std::int64_t& capacity, std::int64_t numData,
-                     std::int64_t procs) {
-  if (capacity == PipelineConfig::kPaperCapacity) {
-    // The paper's "twice the minimum" rule; over a faulted mesh the
-    // minimum counts only alive processors.
-    capacity = 2 * ((numData + procs - 1) / procs);
-  } else if (capacity == PipelineConfig::kUnlimited) {
-    capacity = -1;
-  } else if (capacity < 0) {
+/// Checks run before Experiment builds its ArrayModel, so a refused request
+/// never pays for a distance table (WindowedRefs checks the rest).
+const ReferenceTrace& checkedTrace(const ReferenceTrace& trace,
+                                   const FaultMap& faults,
+                                   const PipelineConfig& config) {
+  const Grid& grid = faults.grid();
+  if (trace.numSteps() == 0) {
+    throw std::invalid_argument(
+        "Experiment: trace has no steps (nothing to schedule)");
+  }
+  if (config.capacity < PipelineConfig::kPaperCapacity) {
     throw std::invalid_argument("Experiment: invalid capacity sentinel");
   }
-}
-
-/// Throws std::invalid_argument unless traceCostsFit.
-void checkCostRange(const ReferenceTrace& trace, const Grid& grid,
-                    const CostParams& params, const char* who) {
-  if (!traceCostsFit(trace, grid.size(), params)) {
+  (void)CostModel(grid, config.costParams);  // throws past its bounds
+  if (!traceCostsFit(trace, grid.size(), config.costParams)) {
     throw std::invalid_argument(
-        std::string(who) + ": total access weight " +
+        "Experiment: total access weight " +
         std::to_string(trace.totalWeight()) + " is too large for a " +
         std::to_string(grid.rows()) + "x" + std::to_string(grid.cols()) +
         " grid (weight x hopCost x (procs - 1) must be below " +
         std::to_string(kInfiniteCost) + ")");
   }
-}
-
-const FaultMap& checkFaultGrid(const FaultMap& faults, const Grid& grid) {
-  if (&faults.grid() != &grid) {
-    throw std::invalid_argument(
-        "Experiment: FaultMap built over a different grid");
+  if (faults.aliveProcCount() == 0) {
+    throw UnreachableError("Experiment: every processor is dead (" +
+                           faults.summary() + ")");
   }
-  return faults;
+  return trace;
 }
 
 }  // namespace
@@ -113,49 +107,36 @@ bool traceCostsFit(const ReferenceTrace& trace, int procs,
 
 Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
                        PipelineConfig config)
-    : space_(&trace.dataSpace()),
-      grid_(&grid),
-      config_(config),
-      windows_(config.explicitWindows.has_value()
-                   ? *config.explicitWindows
-                   : WindowPartition::evenCount(trace.numSteps(),
-                                                config.numWindows)),
-      refs_(trace, windows_, grid),
-      model_(grid, config.costParams),
-      capacity_(config.capacity) {
-  if (trace.numSteps() == 0) {
-    throw std::invalid_argument(
-        "Experiment: trace has no steps (nothing to schedule)");
-  }
-  checkCostRange(trace, grid, config.costParams, "Experiment");
-  resolveCapacity(capacity_, trace.numData(), grid.size());
-}
+    : Experiment(trace, grid, FaultMap(grid), std::move(config), nullptr) {}
 
 Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
                        const FaultMap& faults, PipelineConfig config)
-    : space_(&trace.dataSpace()),
-      grid_(&grid),
-      config_(config),
-      windows_(config.explicitWindows.has_value()
-                   ? *config.explicitWindows
-                   : WindowPartition::evenCount(trace.numSteps(),
-                                                config.numWindows)),
-      faults_(checkFaultGrid(faults, grid)),
-      distances_(std::in_place, grid, *faults_),
-      refs_(WindowedRefs(trace, windows_, grid)
-                .withProcsMasked(faults_->deadProcMask())),
-      model_(grid, *distances_, config.costParams),
-      capacity_(config.capacity) {
-  if (trace.numSteps() == 0) {
-    throw std::invalid_argument(
-        "Experiment: trace has no steps (nothing to schedule)");
+    : Experiment(trace, grid, faults, std::move(config), nullptr) {}
+
+Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
+                       const FaultMap& faults, PipelineConfig config,
+                       std::shared_ptr<const ArrayModel> array)
+    : space_(&checkedTrace(trace, faults, config).dataSpace()),
+      config_(std::move(config)),
+      refs_(trace,
+            config_.explicitWindows.has_value()
+                ? *config_.explicitWindows
+                : WindowPartition::evenCount(trace.numSteps(),
+                                             config_.numWindows),
+            grid),
+      array_(array != nullptr ? std::move(array)
+                              : std::make_shared<const ArrayModel>(grid, faults)),
+      model_(array_->costModel(config_.costParams)),
+      capacity_(config_.capacity) {
+  if (faults.deadProcCount() > 0) {
+    refs_ = refs_.withProcsMasked(faults.deadProcMask());
   }
-  checkCostRange(trace, grid, config.costParams, "Experiment");
-  if (faults_->aliveProcCount() == 0) {
-    throw UnreachableError("Experiment: every processor is dead (" +
-                           faults_->summary() + ")");
+  if (capacity_ == PipelineConfig::kPaperCapacity) {
+    // The paper's "twice the minimum" rule; over a faulted mesh the
+    // minimum counts only alive processors.
+    const std::int64_t procs = faults.aliveProcCount();
+    capacity_ = 2 * ((trace.numData() + procs - 1) / procs);
   }
-  resolveCapacity(capacity_, trace.numData(), faults_->aliveProcCount());
 }
 
 DataSchedule scheduleMethod(Method m, const WindowedRefs& refs,
@@ -202,52 +183,28 @@ EvalResult Experiment::evaluate(Method m) const {
 StreamSession::StreamSession(int gridRows, int gridCols,
                              PipelineConfig config, Method method,
                              const std::vector<std::string>& faultSpecs)
-    : grid_(gridRows, gridCols),
-      config_(config),
-      method_(method),
-      faults_(grid_),
-      faultAware_(!faultSpecs.empty()),
-      model_(grid_, config.costParams) {
-  if (!faultAware_) return;
-  // A spec that changes nothing (a repeat, a processor inside an already
-  // dead row) is fine, exactly as on the one-shot path; a malformed spec
-  // throws from applyFaultSpec.
-  for (const std::string& spec : faultSpecs) applyFaultSpec(faults_, spec);
-  distances_.emplace(grid_, faults_);
-  model_ = CostModel(grid_, *distances_, config_.costParams);
+    : faults_(Grid(gridRows, gridCols)),
+      config_(std::move(config)),
+      method_(method) {
+  applyFaultSpecs(faults_, faultSpecs);
 }
 
 StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
   PIMSCHED_SCOPED_TIMER("stream.step");
-  if (trace.numSteps() == 0) {
-    throw std::invalid_argument(
-        "StreamSession: trace has no steps (nothing to schedule)");
-  }
-  checkCostRange(trace, grid_, config_.costParams, "StreamSession");
-  if (faultAware_ && faults_.aliveProcCount() == 0) {
-    throw UnreachableError("StreamSession: every processor is dead (" +
-                           faults_.summary() + ")");
-  }
-  const WindowPartition windows =
-      config_.explicitWindows.has_value()
-          ? *config_.explicitWindows
-          : WindowPartition::evenCount(trace.numSteps(), config_.numWindows);
-  WindowedRefs refs(trace, windows, grid_);
-  if (faultAware_) refs = refs.withProcsMasked(faults_.deadProcMask());
-  std::int64_t capacity = config_.capacity;
-  resolveCapacity(capacity, trace.numData(),
-                  faultAware_ ? faults_.aliveProcCount() : grid_.size());
-  const SchedulerOptions opts{capacity, config_.order};
+  const Experiment exp(trace, grid(), faults_, config_, array_);
+  array_ = exp.array_;
+  const WindowedRefs& refs = exp.refs();
+  const CostModel& model = exp.costModel();
 
   // GOMCDS is the warm path: identical to scheduleGomcds on every step,
   // reusing every dp row before the first changed window of each class.
   const bool warmPath = method_ == Method::kGomcds;
   DataSchedule schedule =
-      warmPath ? solver_.solve(refs, model_, opts)
-               : scheduleMethod(method_, refs, model_, trace.dataSpace(), opts,
-                                config_.threads);
-  if (faultAware_) requireFaultFeasible(schedule, refs, model_);
-  EvalResult eval = evaluateSchedule(schedule, refs, model_, config_.threads);
+      warmPath ? solver_.solve(refs, model,
+                               SchedulerOptions{exp.capacity(), config_.order})
+               : exp.schedule(method_);
+  requireFaultFeasible(schedule, refs, model);
+  EvalResult eval = evaluateSchedule(schedule, refs, model, config_.threads);
   StreamStepResult out{std::move(schedule), std::move(eval)};
   if (warmPath) {
     const IncrementalSolver::Stats& stats = solver_.lastStats();

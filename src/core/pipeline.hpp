@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,8 +13,7 @@
 #include "core/incremental.hpp"
 #include "core/lomcds.hpp"
 #include "core/scds.hpp"
-#include "fault/distance_map.hpp"
-#include "fault/fault_map.hpp"
+#include "cost/array_model.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/window.hpp"
 
@@ -100,36 +100,34 @@ struct PipelineConfig {
 /// reference aggregation and capacity resolution happen once in the
 /// constructor; schedules and costs are computed per call.
 ///
-/// The fault-aware constructor layers a FaultMap over the grid: references
-/// issued by dead processors are dropped (dead processors make no
-/// requests), all costs use fault-aware hop distances, the paper-capacity
-/// rule counts only alive processors, and the scheduling methods refuse
-/// dead centers. With an empty FaultMap every result is bit-identical to
-/// the fault-oblivious constructor.
+/// The experiment runs on an ArrayModel of the grid and fault state, so it
+/// is fault-aware exactly when the faults have any fault: references issued
+/// by dead processors are dropped, costs use fault-aware hop distances, the
+/// paper-capacity rule counts only alive processors and the schedulers
+/// refuse dead centers. Every input (steps, capacity, cost params,
+/// traceCostsFit, alive processors, windows, processor ids) is checked
+/// before the model, and so any distance table, is built; an all-dead
+/// array throws UnreachableError, any other bad input
+/// std::invalid_argument.
 class Experiment {
  public:
   Experiment(const ReferenceTrace& trace, const Grid& grid,
              PipelineConfig config = {});
 
-  /// Fault-aware experiment. `faults` must be built over `grid`, and
-  /// `grid` must outlive the experiment (the fault state is copied).
+  /// `faults` must be built over a grid of grid's shape. The experiment
+  /// copies both; only `trace` must outlive it.
   Experiment(const ReferenceTrace& trace, const Grid& grid,
              const FaultMap& faults, PipelineConfig config = {});
 
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
 
-  [[nodiscard]] const Grid& grid() const { return *grid_; }
+  [[nodiscard]] const Grid& grid() const { return array_->grid(); }
   [[nodiscard]] const WindowedRefs& refs() const { return refs_; }
-  [[nodiscard]] const WindowPartition& windows() const { return windows_; }
   [[nodiscard]] const CostModel& costModel() const { return model_; }
   [[nodiscard]] const DataSpace& dataSpace() const { return *space_; }
   /// Resolved per-processor capacity (>= 0, or -1 for unlimited).
   [[nodiscard]] std::int64_t capacity() const { return capacity_; }
-  /// The fault state, or nullptr for a fault-oblivious experiment.
-  [[nodiscard]] const FaultMap* faults() const {
-    return faults_.has_value() ? &*faults_ : nullptr;
-  }
 
   /// Builds the schedule a method produces (scheduleMethod over this
   /// experiment's refs, model and resolved capacity).
@@ -139,14 +137,18 @@ class Experiment {
   [[nodiscard]] EvalResult evaluate(Method m) const;
 
  private:
+  friend class StreamSession;
+  /// Runs on `array` when given (a StreamSession's model of `faults`),
+  /// else builds the model once every input check has passed.
+  Experiment(const ReferenceTrace& trace, const Grid& grid,
+             const FaultMap& faults, PipelineConfig config,
+             std::shared_ptr<const ArrayModel> array);
+
   const DataSpace* space_;
-  const Grid* grid_;
   PipelineConfig config_;
-  WindowPartition windows_;
-  std::optional<FaultMap> faults_;        ///< owned copy of the fault state
-  std::optional<DistanceMap> distances_;  ///< built over faults_
   WindowedRefs refs_;
-  CostModel model_;  ///< points at distances_ when fault-aware
+  std::shared_ptr<const ArrayModel> array_;
+  CostModel model_;  ///< points into *array_
   std::int64_t capacity_;
 };
 
@@ -163,13 +165,14 @@ struct StreamStepResult {
 
 /// A long-lived scheduling session over an evolving trace — the streaming
 /// window API of the pipeline. Where an Experiment binds one immutable
-/// trace, a StreamSession fixes the grid, fault state, distance map and
-/// cost model when it opens and keeps an IncrementalSolver across
-/// successive trace revisions: each step() windows the new revision once
-/// and re-solves the full problem, but the solver reuses every per-class
-/// dp row up to the first changed window, so steady-state steps whose
-/// traces evolve only at the tail cost a fraction of a cold solve. Results
-/// are bit-identical to a fresh Experiment::schedule on every step.
+/// trace, a StreamSession fixes the grid and fault state when it opens and
+/// keeps an IncrementalSolver across successive trace revisions: each
+/// step() is an Experiment over the session's one ArrayModel (built by the
+/// first step whose inputs pass the checks, shared by every later step),
+/// and the solver reuses every per-class dp row up to the first changed
+/// window, so steady-state steps whose traces evolve only at the tail cost
+/// a fraction of a cold solve. Results are bit-identical to a fresh
+/// Experiment::schedule on every step.
 ///
 /// The fault state never changes after construction: a caller whose
 /// topology drifts drops the session and opens a new one (the serving
@@ -178,11 +181,9 @@ struct StreamStepResult {
 /// Not thread-safe: one StreamSession per stream, externally serialized.
 class StreamSession {
  public:
-  /// `faultSpecs` fix the session's fault state (applyFaultSpec syntax,
-  /// applied in order; a spec that changes nothing is accepted, a
-  /// malformed one throws std::invalid_argument). A non-empty list makes
-  /// the session fault-aware, exactly like a fault-aware Experiment; an
-  /// empty list opens a fault-oblivious session.
+  /// `faultSpecs` fix the session's fault state (applyFaultSpecs: a spec
+  /// that changes nothing is accepted, a malformed one throws
+  /// std::invalid_argument).
   StreamSession(int gridRows, int gridCols, PipelineConfig config = {},
                 Method method = Method::kGomcds,
                 const std::vector<std::string>& faultSpecs = {});
@@ -198,7 +199,7 @@ class StreamSession {
   /// with UnreachableError, as the one-shot serving path does.
   [[nodiscard]] StreamStepResult step(const ReferenceTrace& trace);
 
-  [[nodiscard]] const Grid& grid() const { return grid_; }
+  [[nodiscard]] const Grid& grid() const { return faults_.grid(); }
   [[nodiscard]] const FaultMap& faults() const { return faults_; }
   /// Bytes of warm solver state retained between steps.
   [[nodiscard]] std::size_t retainedBytes() const {
@@ -206,13 +207,10 @@ class StreamSession {
   }
 
  private:
-  Grid grid_;
+  FaultMap faults_;
   PipelineConfig config_;
   Method method_;
-  FaultMap faults_;  ///< built over grid_; empty on a fault-oblivious session
-  const bool faultAware_;
-  std::optional<DistanceMap> distances_;  ///< built over faults_ when aware
-  CostModel model_;  ///< points at distances_ when fault-aware
+  std::shared_ptr<const ArrayModel> array_;  ///< built by the first step
   IncrementalSolver solver_;
 };
 

@@ -81,8 +81,7 @@ RepairResult repairSchedule(const DataSchedule& schedule,
   std::vector<Cost> costs;
 
   for (WindowId w = options.faultWindow; w < schedule.numWindows(); ++w) {
-    OccupancyMap occupancy(grid, options.capacity);
-    applyFaultCapacity(occupancy, *model.faults());
+    OccupancyMap occupancy = model.occupancy(options.capacity);
 
     // Surviving placements keep their slots; anything dead, cut off or
     // squeezed out by reduced capacity queues for re-centering.

@@ -18,10 +18,7 @@ DataSchedule scheduleScds(const WindowedRefs& refs, const CostModel& model,
   DataSchedule schedule(refs.numData(), refs.numWindows());
   // A static placement occupies its slot for the whole run, so a single
   // occupancy map covers every window.
-  OccupancyMap occupancy(model.grid(), options.capacity);
-  if (const FaultMap* faults = model.faults()) {
-    applyFaultCapacity(occupancy, *faults);
-  }
+  OccupancyMap occupancy = model.occupancy(options.capacity);
 
   ServeTables tables(refs, model);
   std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));

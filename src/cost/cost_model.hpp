@@ -8,6 +8,7 @@
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "pim/grid.hpp"
+#include "pim/memory.hpp"
 #include "pim/types.hpp"
 #include "trace/windowed_refs.hpp"
 
@@ -39,14 +40,14 @@ struct CostParams {
 /// Both constructors throw std::invalid_argument unless hopCost and
 /// moveVolume are nonnegative and the per-hop move cost beta = hopCost *
 /// moveVolume is at most maxChamferBeta(grid) — the bound under which the
-/// GOMCDS chamfer solver's branch-free sweeps cannot overflow.
+/// GOMCDS chamfer solver's branch-free sweeps cannot overflow. A CostModel
+/// is a view: its grid and distance table must outlive it.
 class CostModel {
  public:
   explicit CostModel(const Grid& grid, CostParams params = {})
       : grid_(&grid), params_(checked(grid, params)) {}
 
-  /// Fault-aware model. `distances` must outlive the model and be built
-  /// over the same grid.
+  /// Fault-aware model. `distances` must be built over `grid`.
   CostModel(const Grid& grid, const DistanceMap& distances,
             CostParams params = {})
       : grid_(&grid), distances_(&distances), params_(checked(grid, params)) {
@@ -73,6 +74,14 @@ class CostModel {
   [[nodiscard]] Cost hopDistance(ProcId a, ProcId b) const {
     if (distances_ != nullptr) return distances_->hopDistance(a, b);
     return static_cast<Cost>(grid_->manhattan(a, b));
+  }
+
+  /// An empty occupancy map of `capacity` slots per processor (-1 =
+  /// unlimited), tightened by the fault state (applyFaultCapacity).
+  [[nodiscard]] OccupancyMap occupancy(std::int64_t capacity) const {
+    OccupancyMap occ(*grid_, capacity);
+    if (const FaultMap* f = faults()) applyFaultCapacity(occ, *f);
+    return occ;
   }
 
   /// True when data must not be placed on p (p is dead).

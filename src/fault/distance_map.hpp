@@ -9,17 +9,13 @@
 
 namespace pimsched {
 
-/// Memoized all-pairs hop distances over the *alive* sub-mesh of a
-/// faulted grid: a BFS per source honoring dead processors and dead
-/// directed links. This is the fault-aware generalization of the paper's
-/// Manhattan metric — on a fault-free mesh every entry equals
-/// grid.manhattan(a, b), so a CostModel carrying a DistanceMap of an
-/// empty FaultMap reproduces the original cost model exactly.
-///
-/// Build cost is O(procs * (procs + links)) once per fault state; lookups
-/// are one table read, so the table plugs into the serving-cost provider
-/// (cost/serve_tables.hpp) unchanged: a ServeTables is tied to one
-/// CostModel, hence to one DistanceMap.
+/// All-pairs hop distances over the *alive* sub-mesh of a faulted grid: a
+/// BFS per source honoring dead processors and dead directed links, the
+/// fault-aware generalization of the paper's Manhattan metric (on a
+/// fault-free mesh every entry equals grid.manhattan(a, b)). Building it
+/// costs O(procs * (procs + links)) time and procs^2 entries; the
+/// scheduling paths get theirs from ArrayModel, the one place that
+/// builds it, and only for an array with a fault.
 class DistanceMap {
  public:
   DistanceMap(const Grid& grid, const FaultMap& faults);

@@ -27,14 +27,14 @@ class Lcg {
 }  // namespace
 
 FaultMap::FaultMap(const Grid& grid)
-    : grid_(&grid),
+    : grid_(grid),
       deadProc_(static_cast<std::size_t>(grid.size()), 0),
       deadLink_(static_cast<std::size_t>(grid.size()) * 4, 0),
       capLimit_(static_cast<std::size_t>(grid.size()), -1) {}
 
 std::size_t FaultMap::linkSlot(ProcId from, ProcId to) const {
-  const Coord a = grid_->coord(from);
-  const Coord b = grid_->coord(to);
+  const Coord a = grid_.coord(from);
+  const Coord b = grid_.coord(to);
   int dir = -1;
   if (b.row == a.row - 1 && b.col == a.col) dir = 0;
   else if (b.row == a.row + 1 && b.col == a.col) dir = 1;
@@ -47,7 +47,7 @@ std::size_t FaultMap::linkSlot(ProcId from, ProcId to) const {
 }
 
 void FaultMap::killProc(ProcId p) {
-  if (!grid_->contains(p)) {
+  if (!grid_.contains(p)) {
     throw std::invalid_argument("FaultMap::killProc: processor outside grid");
   }
   auto& dead = deadProc_[static_cast<std::size_t>(p)];
@@ -60,7 +60,7 @@ void FaultMap::killProc(ProcId p) {
 }
 
 void FaultMap::killLink(ProcId from, ProcId to) {
-  if (!grid_->contains(from) || !grid_->contains(to)) {
+  if (!grid_.contains(from) || !grid_.contains(to)) {
     throw std::invalid_argument("FaultMap::killLink: processor outside grid");
   }
   auto& dead = deadLink_[linkSlot(from, to)];
@@ -73,31 +73,31 @@ void FaultMap::killLink(ProcId from, ProcId to) {
 }
 
 void FaultMap::killRow(int row) {
-  if (row < 0 || row >= grid_->rows()) {
+  if (row < 0 || row >= grid_.rows()) {
     throw std::invalid_argument("FaultMap::killRow: row outside grid");
   }
-  for (int c = 0; c < grid_->cols(); ++c) killProc(grid_->id(row, c));
+  for (int c = 0; c < grid_.cols(); ++c) killProc(grid_.id(row, c));
 }
 
 void FaultMap::killCol(int col) {
-  if (col < 0 || col >= grid_->cols()) {
+  if (col < 0 || col >= grid_.cols()) {
     throw std::invalid_argument("FaultMap::killCol: column outside grid");
   }
-  for (int r = 0; r < grid_->rows(); ++r) killProc(grid_->id(r, col));
+  for (int r = 0; r < grid_.rows(); ++r) killProc(grid_.id(r, col));
 }
 
 void FaultMap::killRegion(int r0, int c0, int r1, int c1) {
-  if (r0 > r1 || c0 > c1 || r0 < 0 || c0 < 0 || r1 >= grid_->rows() ||
-      c1 >= grid_->cols()) {
+  if (r0 > r1 || c0 > c1 || r0 < 0 || c0 < 0 || r1 >= grid_.rows() ||
+      c1 >= grid_.cols()) {
     throw std::invalid_argument("FaultMap::killRegion: region outside grid");
   }
   for (int r = r0; r <= r1; ++r) {
-    for (int c = c0; c <= c1; ++c) killProc(grid_->id(r, c));
+    for (int c = c0; c <= c1; ++c) killProc(grid_.id(r, c));
   }
 }
 
 void FaultMap::limitCapacity(ProcId p, std::int64_t slots) {
-  if (!grid_->contains(p)) {
+  if (!grid_.contains(p)) {
     throw std::invalid_argument(
         "FaultMap::limitCapacity: processor outside grid");
   }
@@ -133,7 +133,7 @@ void FaultMap::injectUniformProcs(int count, std::uint64_t seed) {
     ProcId p;
     do {
       p = static_cast<ProcId>(
-          rng.below(static_cast<std::uint64_t>(grid_->size())));
+          rng.below(static_cast<std::uint64_t>(grid_.size())));
     } while (procDead(p));
     killProc(p);
   }
@@ -143,9 +143,9 @@ void FaultMap::injectUniformLinks(int count, std::uint64_t seed) {
   // Enumerate directed links whose endpoints are both alive and that are
   // not already dead, then sample without replacement.
   std::vector<std::pair<ProcId, ProcId>> candidates;
-  for (ProcId p = 0; p < grid_->size(); ++p) {
+  for (ProcId p = 0; p < grid_.size(); ++p) {
     if (procDead(p)) continue;
-    for (const ProcId q : grid_->neighbors(p)) {
+    for (const ProcId q : grid_.neighbors(p)) {
       if (!procDead(q) && deadLink_[linkSlot(p, q)] == 0) {
         candidates.emplace_back(p, q);
       }
@@ -174,7 +174,7 @@ std::int64_t FaultMap::capacityLimit(ProcId p) const {
 
 std::string FaultMap::summary() const {
   int caps = 0;
-  for (ProcId p = 0; p < grid_->size(); ++p) {
+  for (ProcId p = 0; p < grid_.size(); ++p) {
     if (procAlive(p) && capLimit_[static_cast<std::size_t>(p)] >= 0) ++caps;
   }
   return "procs=" + std::to_string(deadProcs_) +

@@ -25,8 +25,8 @@ class UnreachableError : public std::runtime_error {
 };
 
 /// The fault state of a PIM array: dead processors, dead *directed* links
-/// and optional reduced per-processor memory capacity, layered over a
-/// Grid. A dead processor implicitly kills every link touching it.
+/// and optional reduced per-processor memory capacity, layered over (a copy
+/// of) a Grid. A dead processor implicitly kills every link touching it.
 ///
 /// Deterministic seeded injectors (uniform random, row/column kill,
 /// region kill) build reproducible fault scenarios; fault_trace.hpp adds
@@ -35,7 +35,7 @@ class FaultMap {
  public:
   explicit FaultMap(const Grid& grid);
 
-  [[nodiscard]] const Grid& grid() const { return *grid_; }
+  [[nodiscard]] const Grid& grid() const { return grid_; }
 
   /// --- mutation ---------------------------------------------------------
   void killProc(ProcId p);
@@ -80,7 +80,7 @@ class FaultMap {
   /// bound) does not bump it — applyFaultSpec uses this to detect
   /// duplicate specs.
   [[nodiscard]] std::int64_t mutations() const { return mutations_; }
-  [[nodiscard]] int aliveProcCount() const { return grid_->size() - deadProcs_; }
+  [[nodiscard]] int aliveProcCount() const { return grid_.size() - deadProcs_; }
   [[nodiscard]] bool anyFaults() const {
     return deadProcs_ > 0 || deadLinks_ > 0 || anyCapLimit_;
   }
@@ -101,7 +101,7 @@ class FaultMap {
   /// 0=N 1=S 2=W 3=E (same convention as the NoC simulator).
   [[nodiscard]] std::size_t linkSlot(ProcId from, ProcId to) const;
 
-  const Grid* grid_;
+  Grid grid_;  ///< a copy, so a copied FaultMap never dangles
   std::vector<char> deadProc_;
   std::vector<char> deadLink_;       ///< grid.size() * 4, direction-indexed
   std::vector<std::int64_t> capLimit_;  ///< -1 = no fault bound
@@ -113,8 +113,7 @@ class FaultMap {
 
 /// Applies a FaultMap's per-processor bounds to an occupancy map: dead
 /// processors get capacity 0, capacity-limited processors get their
-/// reduced bound. Schedulers call this on every OccupancyMap they build
-/// when scheduling against a faulted mesh.
+/// reduced bound (see CostModel::occupancy).
 void applyFaultCapacity(OccupancyMap& occupancy, const FaultMap& faults);
 
 }  // namespace pimsched

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "cost/center_costs.hpp"
-#include "fault/fault_trace.hpp"
 #include "serve/protocol.hpp"
 #include "trace/trace_io.hpp"
 
@@ -92,14 +91,11 @@ std::vector<ArraySpec> parseFleetSpec(const std::string& spec) {
       }
       // Validate every spec against the declared grid now so a bad fleet
       // spec is a startup error, not a failed job later.
-      const Grid grid(array.rows, array.cols);
-      FaultMap probe(grid);
-      for (const std::string& one : array.faults) {
-        try {
-          applyFaultSpec(probe, one);
-        } catch (const std::exception& e) {
-          badFleetSpec(entry, e.what());
-        }
+      FaultMap probe(Grid(array.rows, array.cols));
+      try {
+        applyFaultSpecs(probe, array.faults);
+      } catch (const std::invalid_argument& e) {
+        badFleetSpec(entry, e.what());
       }
     }
     out.push_back(std::move(array));
@@ -120,34 +116,19 @@ std::vector<ArraySpec> parseFleetSpec(const std::string& spec) {
 ArrayState::ArrayState(ArraySpec spec, std::vector<std::string> injected)
     : spec_(std::move(spec)), injected_(std::move(injected)) {
   if (spec_.rows == 0 && spec_.cols == 0) return;  // the any-shape array
-  grid_ = std::make_unique<Grid>(spec_.rows, spec_.cols);
-  faults_ = std::make_unique<FaultMap>(*grid_);
-  for (const std::string& one : spec_.faults) {
-    // Duplicate (no-op) specs are dropped from the canonical list: the
-    // kept specs reproduce the same map, so two spec lists with the same
-    // effect share one faultSignature (and one result-cache partition).
-    if (applyFaultSpec(*faults_, one)) canonical_.push_back(one);
-  }
-  for (const std::string& one : injected_) {
-    if (applyFaultSpec(*faults_, one)) canonical_.push_back(one);
-  }
-  if (faults_->anyFaults()) {
-    distances_ = std::make_unique<DistanceMap>(*grid_, *faults_);
-    model_ = std::make_unique<CostModel>(*grid_, *distances_);
-  } else {
-    // A spec list may be entirely no-ops in principle; an effectively
-    // healthy array must price and execute exactly like the non-fleet
-    // path, so it gets the plain Manhattan model.
-    canonical_.clear();
-    model_ = std::make_unique<CostModel>(*grid_);
-  }
-  if (!canonical_.empty()) {
+  // Two spec lists with the same effect share one canonical list, hence
+  // one faultSignature (and one result-cache partition).
+  std::vector<std::string> specs = spec_.faults;
+  specs.insert(specs.end(), injected_.begin(), injected_.end());
+  model_ = std::make_unique<const ArrayModel>(spec_.rows, spec_.cols, specs);
+  const std::vector<std::string>& canonical = model_->canonicalSpecs();
+  if (!canonical.empty()) {
     DigestBuilder b;
     b.str("pimfleet-array");
     b.i64(spec_.rows);
     b.i64(spec_.cols);
-    b.u64(canonical_.size());
-    for (const std::string& one : canonical_) b.str(one);
+    b.u64(canonical.size());
+    for (const std::string& one : canonical) b.str(one);
     signature_ = b.digest().hex();
   }
 }
@@ -157,28 +138,31 @@ Cost ArrayState::estimateCost(std::span<const ProcWeight> refs,
   // Mirror the pipeline's fault semantics: references issued by dead
   // processors are dropped, not served — pricing them would wrongly mark
   // every faulted array infeasible for any trace touching a dead proc.
-  if (faults_->deadProcCount() > 0) {
+  const FaultMap& faults = model_->faults();
+  if (faults.deadProcCount() > 0) {
     refsScratch_.clear();
     for (const ProcWeight& pw : refs) {
-      if (!faults_->procDead(pw.proc)) refsScratch_.push_back(pw);
+      if (!faults.procDead(pw.proc)) refsScratch_.push_back(pw);
     }
     refs = refsScratch_;
   }
   if (refs.empty()) return 0;
-  separableCenterCostsInto(*model_, refs, scratch);
+  const CostModel model = model_->costModel();
+  separableCenterCostsInto(model, refs, scratch);
   Cost best = kInfiniteCost;
-  for (ProcId p = 0; p < grid_->size(); ++p) {
-    if (model_->centerForbidden(p)) continue;
+  for (ProcId p = 0; p < model_->grid().size(); ++p) {
+    if (model.centerForbidden(p)) continue;
     best = std::min(best, scratch[static_cast<std::size_t>(p)]);
   }
   return best;
 }
 
 std::int64_t ArrayState::capacitySlots(std::int64_t perProc) const {
+  const FaultMap& faults = model_->faults();
   std::int64_t total = 0;
-  for (ProcId p = 0; p < grid_->size(); ++p) {
-    if (faults_->procDead(p)) continue;
-    const std::int64_t limit = faults_->capacityLimit(p);
+  for (ProcId p = 0; p < model_->grid().size(); ++p) {
+    if (faults.procDead(p)) continue;
+    const std::int64_t limit = faults.capacityLimit(p);
     total += limit >= 0 ? std::min(limit, perProc) : perProc;
   }
   return total;

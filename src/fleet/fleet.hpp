@@ -6,10 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "cost/cost_model.hpp"
-#include "fault/distance_map.hpp"
-#include "fault/fault_map.hpp"
-#include "pim/grid.hpp"
+#include "cost/array_model.hpp"
 #include "pim/types.hpp"
 
 namespace pimsched::fleet {
@@ -40,25 +37,24 @@ struct ArraySpec {
 /// violation.
 [[nodiscard]] std::vector<ArraySpec> parseFleetSpec(const std::string& spec);
 
-/// The live state of one array: its grid, fault map and fault-aware cost
-/// model for selector estimates. Built from an ArraySpec plus the faults
-/// injected at runtime (live drift); the members are heap-allocated so
-/// the self-referencing Grid/FaultMap/DistanceMap/CostModel chain stays
-/// valid if the ArrayState is moved. An ArrayState is immutable once
+/// The live state of one array: its ArrayModel (grid, fault map, canonical
+/// fault list and, when any fault is present, the distance table behind
+/// the selector's estimates). Built from an ArraySpec plus the faults
+/// injected at runtime (live drift). An ArrayState is immutable once
 /// built — drift replaces the whole state atomically (ArrayFleet::drift).
 ///
 /// A spec of shape 0x0 is the *any-shape* array: one healthy array that
-/// hosts jobs of every grid shape, with no grid, faults or cost model of
-/// its own (each job builds its grid from the request, exactly like the
-/// plain executeJobRequest path). It is what an ArrayFleet built from no
-/// specs holds; it is always the only candidate, so it is never priced
+/// hosts jobs of every grid shape, with no model of its own (each job
+/// builds its grid from the request, exactly like the plain
+/// executeJobRequest path). It is what an ArrayFleet built from no specs
+/// holds; it is always the only candidate, so it is never priced
 /// (estimateCost / capacitySlots must not be called on it) and never
 /// drifts.
 class ArrayState {
  public:
   /// `injected` are live-drift fault specs layered on top of the boot
   /// spec's standing faults; healing an array rebuilds it with an empty
-  /// injected list. Every spec must parse (applyFaultSpec throws
+  /// injected list. Every spec must parse (applyFaultSpecs throws
   /// otherwise).
   explicit ArrayState(ArraySpec spec,
                       std::vector<std::string> injected = {});
@@ -67,32 +63,33 @@ class ArrayState {
   [[nodiscard]] const std::string& name() const { return spec_.name; }
   [[nodiscard]] int rows() const { return spec_.rows; }
   [[nodiscard]] int cols() const { return spec_.cols; }
-  [[nodiscard]] bool anyShape() const { return grid_ == nullptr; }
+  [[nodiscard]] bool anyShape() const { return model_ == nullptr; }
 
-  [[nodiscard]] bool healthy() const { return canonical_.empty(); }
+  [[nodiscard]] bool healthy() const { return canonicalFaults().empty(); }
   /// Processor counts; all 0 for the any-shape array.
   [[nodiscard]] int aliveProcs() const {
-    return anyShape() ? 0 : faults_->aliveProcCount();
+    return anyShape() ? 0 : model_->faults().aliveProcCount();
   }
   [[nodiscard]] int deadProcs() const {
-    return anyShape() ? 0 : faults_->deadProcCount();
+    return anyShape() ? 0 : model_->faults().deadProcCount();
   }
   [[nodiscard]] int deadLinks() const {
-    return anyShape() ? 0 : faults_->deadLinkCount();
+    return anyShape() ? 0 : model_->faults().deadLinkCount();
   }
   /// True when the alive sub-mesh is partitioned (some alive pair cannot
   /// communicate) — such an array can still serve jobs whose references
   /// stay inside one component, but the selector deprioritizes it.
   [[nodiscard]] bool partitioned() const {
-    return distances_ != nullptr && distances_->partitioned();
+    return !anyShape() && model_->distances() != nullptr &&
+           model_->distances()->partitioned();
   }
 
   /// The boot faults followed by the injected faults, with duplicate
-  /// (no-op) specs dropped — the canonical health descriptor (see
-  /// applyFaultSpec). Jobs run with exactly this list merged in front of
-  /// their own specs.
+  /// (no-op) specs dropped — the canonical health descriptor
+  /// (ArrayModel::canonicalSpecs). Jobs run with exactly this list merged
+  /// in front of their own specs. (The any-shape array's spec has none.)
   [[nodiscard]] const std::vector<std::string>& canonicalFaults() const {
-    return canonical_;
+    return anyShape() ? spec_.faults : model_->canonicalSpecs();
   }
   /// The live-drift fault specs this state was built with (in arrival
   /// order, duplicates included) — what an inject extends and a heal
@@ -109,10 +106,8 @@ class ArrayState {
   }
 
   /// Estimated serving cost of an aggregated whole-trace reference string
-  /// on this array: the cheapest alive center, priced by the array's
-  /// (fault-aware) cost model — fault-aware when the array has any
-  /// effective fault, plain Manhattan otherwise, matching what
-  /// executeJobRequest builds for jobs placed here.
+  /// on this array: the cheapest alive center under the ArrayModel's
+  /// metric, which executeJobRequest also uses for jobs placed here.
   /// References issued by this array's dead processors are dropped first,
   /// mirroring the pipeline's fault semantics. kInfiniteCost when no
   /// alive center can reach every surviving referenced processor.
@@ -128,11 +123,7 @@ class ArrayState {
  private:
   ArraySpec spec_;
   std::vector<std::string> injected_;
-  std::unique_ptr<Grid> grid_;
-  std::unique_ptr<FaultMap> faults_;
-  std::unique_ptr<DistanceMap> distances_;  ///< null when healthy
-  std::unique_ptr<CostModel> model_;
-  std::vector<std::string> canonical_;
+  std::unique_ptr<const ArrayModel> model_;  ///< null for the any-shape array
   std::string signature_;
   /// Reusable buffer for dead-proc-filtered reference strings.
   std::vector<ProcWeight> refsScratch_;

@@ -5,8 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "fault/fault_map.hpp"
-#include "fault/fault_trace.hpp"
+#include "cost/array_model.hpp"
 #include "pim/grid.hpp"
 #include "serve/json.hpp"
 #include "util/thread_pool.hpp"
@@ -818,9 +817,16 @@ void FleetService::runJob(const std::shared_ptr<Job>& job) {
   }
   const std::int64_t endNs = obs::nowNs();
   // A run the drift broke did nothing wrong on its own account; another
-  // array may still serve it.
-  const bool driftBroken =
-      result == nullptr && reran && error.kind != "invalid";
+  // array may still serve it. With no other eligible array there is
+  // nowhere to go: this array has not changed since the failing run, so a
+  // second dispatch would recompute the same failure.
+  bool driftBroken = result == nullptr && reran && error.kind != "invalid";
+  if (driftBroken) {
+    const std::vector<std::size_t> eligible = fleet_.eligibleFor(
+        job->request.gridRows, job->request.gridCols);
+    driftBroken = std::any_of(eligible.begin(), eligible.end(),
+                              [idx](std::size_t i) { return i != idx; });
+  }
 
   loads_[idx].running -= 1;
   loads_[idx].outstandingWork -= static_cast<double>(job->estCost);
@@ -1104,22 +1110,16 @@ serve::DriftOutcome FleetService::applyDrift(
     changed = !injected.empty();
     injected.clear();
   } else {
-    const Grid grid(state.rows(), state.cols());
-    FaultMap probe(grid);
-    for (const std::string& spec : state.canonicalFaults()) {
-      applyFaultSpec(probe, spec);
+    FaultMap probe(Grid(state.rows(), state.cols()));
+    applyFaultSpecs(probe, state.canonicalFaults());
+    const std::size_t before = injected.size();
+    try {
+      applyFaultSpecs(probe, specs, &injected);
+    } catch (const std::invalid_argument& e) {
+      out.error = e.what();
+      return out;
     }
-    for (const std::string& spec : specs) {
-      try {
-        if (applyFaultSpec(probe, spec)) {
-          changed = true;
-          injected.push_back(spec);
-        }
-      } catch (const std::exception& e) {
-        out.error = e.what();
-        return out;
-      }
-    }
+    changed = injected.size() > before;
   }
   if (!changed) {
     out.ok = true;

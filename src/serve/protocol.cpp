@@ -5,8 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fault/fault_map.hpp"
-#include "fault/fault_trace.hpp"
+#include "cost/array_model.hpp"
 #include "pim/grid.hpp"
 #include "serve/json.hpp"
 #include "serve/stream.hpp"
@@ -144,21 +143,19 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
     if (!faults->isArray()) {
       throw RequestError("field 'faults' must be an array of spec strings");
     }
-    // Validate every spec against the declared grid now, so a bad spec is
-    // a submit-time error rather than a failed job.
-    const Grid grid(job.gridRows, job.gridCols);
-    FaultMap probe(grid);
     for (const Json& item : faults->asArray()) {
       if (!item.isString()) {
         throw RequestError("field 'faults' must be an array of spec strings");
       }
-      try {
-        applyFaultSpec(probe, item.asString());
-      } catch (const std::exception& e) {
-        throw RequestError("bad fault spec '" + item.asString() + "': " +
-                           e.what());
-      }
       job.faults.push_back(item.asString());
+    }
+    // Validate every spec against the declared grid now, so a bad spec is
+    // a submit-time error rather than a failed job.
+    FaultMap probe(Grid(job.gridRows, job.gridCols));
+    try {
+      applyFaultSpecs(probe, job.faults);
+    } catch (const std::invalid_argument& e) {
+      throw RequestError(e.what());
     }
   }
 

@@ -1,14 +1,12 @@
 #include "serve/service.hpp"
 
 #include <new>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/schedule_io.hpp"
 #include "core/verify.hpp"
-#include "fault/fault_map.hpp"
-#include "fault/fault_trace.hpp"
+#include "cost/array_model.hpp"
 #include "pim/grid.hpp"
 
 namespace pimsched::serve {
@@ -75,29 +73,14 @@ JobError classifyJobError(const std::exception_ptr& ep) {
 
 std::shared_ptr<JobResult> executeJobRequest(
     const JobRequest& req, const std::vector<std::string>& arrayFaults) {
-  const Grid grid(req.gridRows, req.gridCols);
-  std::optional<FaultMap> faults;
-  if (!arrayFaults.empty() || !req.faults.empty()) {
-    faults.emplace(grid);
-    for (const std::string& spec : arrayFaults) {
-      applyFaultSpec(*faults, spec);
-    }
-    for (const std::string& spec : req.faults) {
-      applyFaultSpec(*faults, spec);
-    }
-  }
-  std::optional<Experiment> exp;
-  if (faults.has_value()) {
-    exp.emplace(req.trace, grid, *faults, req.config);
-  } else {
-    exp.emplace(req.trace, grid, req.config);
-  }
-  DataSchedule schedule = exp->schedule(req.method);
-  if (faults.has_value()) {
-    requireFaultFeasible(schedule, exp->refs(), exp->costModel());
-  }
+  FaultMap faults(Grid(req.gridRows, req.gridCols));
+  applyFaultSpecs(faults, arrayFaults);
+  applyFaultSpecs(faults, req.faults);
+  const Experiment exp(req.trace, faults.grid(), faults, req.config);
+  DataSchedule schedule = exp.schedule(req.method);
+  requireFaultFeasible(schedule, exp.refs(), exp.costModel());
   auto result = std::make_shared<JobResult>();
-  result->eval = evaluateSchedule(schedule, exp->refs(), exp->costModel(),
+  result->eval = evaluateSchedule(schedule, exp.refs(), exp.costModel(),
                                   req.config.threads);
   std::ostringstream os;
   saveSchedule(schedule, os);

@@ -27,9 +27,9 @@ struct JobRequest {
 
   /// Fault specs (fault_trace.hpp grammar: "proc:5", "link:2-3", "row:1",
   /// "col:2", "region:1,1,2,2", "cap:7=1", "uniform-procs:3@42", ...)
-  /// applied in order to the grid before scheduling. Non-empty specs make
-  /// the job fault-aware: the schedule avoids dead processors/links and is
-  /// verified against the fault state before completing.
+  /// applied in order to the grid before scheduling. Specs that leave a
+  /// fault make the job fault-aware (ArrayModel): the schedule avoids dead
+  /// processors/links and is verified against the fault state.
   std::vector<std::string> faults;
 
   /// Owning tenant for multi-tenant admission (fleet layer). Folded into
@@ -167,8 +167,8 @@ struct JobError {
 
 /// The scheduling pipeline of one job: build the grid, apply `arrayFaults`
 /// (the hosting array's standing faults) then the request's own fault
-/// specs, schedule, verify against the fault state when any fault is
-/// present, evaluate, serialize. Throws on failure (classify with
+/// specs, schedule through an Experiment over that fault state, verify
+/// against it, evaluate, serialize. Throws on failure (classify with
 /// classifyJobError). With empty `arrayFaults` this is the plain
 /// single-array pipeline, which is what makes every healthy array — the
 /// any-shape one included — bit-identical to running the job directly.

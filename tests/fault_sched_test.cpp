@@ -57,6 +57,30 @@ TEST(FaultSched, EmptyFaultMapIsBitIdentical) {
     EXPECT_EQ(plain.evaluate(m).aggregate.total(),
               faulted.evaluate(m).aggregate.total());
   }
+
+  // An empty map has no fault, so both experiments above run the healthy
+  // path. Pin the identity that makes that safe at the model level: the
+  // schedulers under the fault-aware metric of an empty map (mesh sweeps,
+  // BFS distances) match the Manhattan model (chamfer) cell for cell.
+  const DistanceMap distances(grid, empty);
+  const CostModel manhattan(grid, cfg.costParams);
+  const CostModel meshAware(grid, distances, cfg.costParams);
+  const SchedulerOptions opts{plain.capacity(), cfg.order};
+  for (const Method m : {Method::kScds, Method::kLomcds, Method::kGomcds}) {
+    const DataSchedule a = scheduleMethod(m, plain.refs(), manhattan,
+                                          trace.dataSpace(), opts);
+    const DataSchedule b = scheduleMethod(m, plain.refs(), meshAware,
+                                          trace.dataSpace(), opts);
+    for (DataId d = 0; d < a.numData(); ++d) {
+      for (WindowId w = 0; w < a.numWindows(); ++w) {
+        ASSERT_EQ(a.center(d, w), b.center(d, w))
+            << toString(m) << " datum " << d << " window " << w;
+      }
+    }
+    EXPECT_EQ(evaluateSchedule(a, plain.refs(), manhattan).aggregate.total(),
+              evaluateSchedule(b, plain.refs(), meshAware).aggregate.total())
+        << toString(m);
+  }
 }
 
 TEST(FaultSched, DeadProcessorsAreNeverCenters) {

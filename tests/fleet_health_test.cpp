@@ -366,6 +366,9 @@ TEST(FleetDrift, MidRunPartitionOfTheOnlyArrayFailsUnreachable) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, JobState::kFailed);
   EXPECT_EQ(status->errorKind, "unreachable");
+  // Nowhere else to go: the job fails on its first dispatch instead of
+  // being requeued onto the same unchanged array.
+  EXPECT_EQ(status->attempts, 1);
   const FleetService::FleetStats stats = service.fleetStats();
   EXPECT_GE(stats.rebalance.resolved, 1);
   EXPECT_EQ(stats.rebalance.staleServed, 0);

@@ -6,11 +6,21 @@
 #include <string>
 
 #include "fleet/fleet_service.hpp"
+#include "obs/obs.hpp"
 #include "serve/json.hpp"
 #include "trace/trace_io.hpp"
 
 namespace pimsched::serve {
 namespace {
+
+#ifdef PIMSCHED_NO_OBS
+#define PIMSCHED_OBS_TEST_GUARD() \
+  GTEST_SKIP() << "instrumentation compiled out (PIMSCHED_NO_OBS)"
+#else
+#define PIMSCHED_OBS_TEST_GUARD() \
+  do {                            \
+  } while (0)
+#endif
 
 /// The daemon's default engine: one healthy any-shape array.
 using Engine = fleet::FleetService;
@@ -522,6 +532,62 @@ TEST(Protocol, TraceWeightsThatOverflowCostsAreInvalid) {
   EXPECT_FALSE(stream.find("ok")->asBool()) << stream.dump();
   ASSERT_NE(stream.find("error_kind"), nullptr) << stream.dump();
   EXPECT_EQ(stream.find("error_kind")->asString(), "invalid");
+}
+
+TEST(Protocol, InvalidFaultedSubmitsBuildNoDistanceTable) {
+  PIMSCHED_OBS_TEST_GUARD();
+  ReferenceTrace trace(DataSpace::singleSquare(2));
+  trace.add(0, 0, 0, Cost{1} << 62);
+  trace.add(0, 1, 1);
+  trace.finalize();
+  std::ostringstream os;
+  saveTrace(trace, os);
+
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  obs::Registry& registry = obs::Registry::instance();
+  registry.reset();
+  // The request is refused on its inputs, so the faulted grid's all-pairs
+  // distance table is never built — neither for a one-shot submit nor for
+  // the submit-stream window that would open a session.
+  Json heavy = submitRequest();
+  heavy.set("trace", std::move(os).str())
+      .set("grid", "16x16")
+      .set("faults", Json(Json::Array{Json("proc:5")}));
+  const Json reply = call(handler, heavy.dump());
+  EXPECT_EQ(reply.find("state")->asString(), "failed") << reply.dump();
+  ASSERT_NE(reply.find("error_kind"), nullptr) << reply.dump();
+  EXPECT_EQ(reply.find("error_kind")->asString(), "invalid");
+  heavy.set("verb", "submit-stream").set("session", "heavy");
+  const Json stream = call(handler, heavy.dump());
+  ASSERT_NE(stream.find("error_kind"), nullptr) << stream.dump();
+  EXPECT_EQ(stream.find("error_kind")->asString(), "invalid");
+  EXPECT_EQ(registry.counterValue("fault.distance_map.builds"), 0);
+
+  // A valid faulted submit does build one: the counter is live.
+  Json valid = submitRequest();
+  valid.set("faults", Json(Json::Array{Json("proc:0")}));
+  const Json done = call(handler, valid.dump());
+  EXPECT_EQ(done.find("state")->asString(), "done") << done.dump();
+  EXPECT_EQ(registry.counterValue("fault.distance_map.builds"), 1);
+}
+
+TEST(Protocol, FaultSpecsThatKillNothingRunTheHealthyPath) {
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  Json plain = submitRequest();
+  plain.set("schedule", true);
+  Json noop = plain;
+  noop.set("faults", Json(Json::Array{Json("uniform-procs:0@1")}));
+  const Json healthy = call(handler, plain.dump());
+  const Json got = call(handler, noop.dump());
+  ASSERT_EQ(healthy.find("state")->asString(), "done") << healthy.dump();
+  ASSERT_EQ(got.find("state")->asString(), "done") << got.dump();
+  EXPECT_FALSE(got.find("cached")->asBool());  // the spec splits the digest
+  EXPECT_EQ(got.find("total")->asInt64(), healthy.find("total")->asInt64());
+  ASSERT_NE(got.find("schedule"), nullptr);
+  EXPECT_EQ(got.find("schedule")->asString(),
+            healthy.find("schedule")->asString());
 }
 
 TEST(Protocol, BadFaultSpecsPointAtTheOffendingToken) {
