@@ -43,20 +43,10 @@
 // results/bench_chaos.json; --chaos-seed makes the schedule reproducible
 // (default 20260809).
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -68,125 +58,25 @@
 
 #include "kernels/benchmarks.hpp"
 #include "pim/grid.hpp"
+#include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
 
 using namespace pimsched;
+using serve::Connection;
 using serve::Json;
 using Clock = std::chrono::steady_clock;
 
-struct Endpoint {
-  std::string socketPath;
-  std::string tcpHost;
-  int tcpPort = -1;
-};
+/// Every connection waits this long for the daemon to start listening,
+/// so a load run can be launched right behind the daemon.
+constexpr std::chrono::seconds kConnectWait{5};
 
-int connectEndpoint(const Endpoint& ep) {
-  if (!ep.socketPath.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (ep.socketPath.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error("socket path too long: " + ep.socketPath);
-    }
-    std::memcpy(addr.sun_path, ep.socketPath.c_str(),
-                ep.socketPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      throw std::runtime_error(std::string("socket(): ") +
-                               std::strerror(errno));
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const std::string what = std::strerror(errno);
-      ::close(fd);
-      throw std::runtime_error("cannot connect to " + ep.socketPath + ": " +
-                               what);
-    }
-    return fd;
-  }
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* list = nullptr;
-  const int rc = ::getaddrinfo(ep.tcpHost.c_str(),
-                               std::to_string(ep.tcpPort).c_str(), &hints,
-                               &list);
-  if (rc != 0) {
-    throw std::runtime_error("cannot resolve " + ep.tcpHost + ": " +
-                             ::gai_strerror(rc));
-  }
-  int fd = -1;
-  std::string what = "no addresses";
-  for (const addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) {
-      what = std::strerror(errno);
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    what = std::strerror(errno);
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(list);
-  if (fd < 0) {
-    throw std::runtime_error("cannot connect to " + ep.tcpHost + ":" +
-                             std::to_string(ep.tcpPort) + ": " + what);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+/// One request line out, its parsed reply back.
+Json ask(Connection& conn, const std::string& line) {
+  return Json::parse(conn.roundTrip(line));
 }
-
-/// A persistent NDJSON connection: one request line out, one reply line
-/// back, reused across a whole client session.
-class Connection {
- public:
-  explicit Connection(const Endpoint& ep) : fd_(connectEndpoint(ep)) {}
-  ~Connection() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Connection(const Connection&) = delete;
-  Connection& operator=(const Connection&) = delete;
-
-  Json request(const std::string& line) {
-    std::string frame = line;
-    frame.push_back('\n');
-    std::size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t n =
-          ::write(fd_, frame.data() + off, frame.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw std::runtime_error(std::string("write failed: ") +
-                                 std::strerror(errno));
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    while (buffer_.find('\n') == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw std::runtime_error(std::string("read failed: ") +
-                                 std::strerror(errno));
-      }
-      if (n == 0) throw std::runtime_error("daemon closed the connection");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-    const std::size_t nl = buffer_.find('\n');
-    const std::string reply = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return Json::parse(reply);
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 /// One entry of the mixed workload: a fully-built submit request line.
 struct MixJob {
@@ -297,7 +187,7 @@ Json driftRpc(Connection& conn, const std::string& array,
     for (const std::string& f : faults) specs.push_back(Json(f));
     request.set("faults", Json(std::move(specs)));
   }
-  const Json reply = conn.request(request.dump());
+  const Json reply = ask(conn, request.dump());
   const Json* ok = reply.find("ok");
   if (ok == nullptr || !ok->isBool() || !ok->asBool()) {
     throw std::runtime_error(std::string(faults.empty() ? "heal"
@@ -310,7 +200,7 @@ Json driftRpc(Connection& conn, const std::string& array,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Endpoint endpoint;
+  serve::Endpoint endpoint;
   bool smoke = false;
   bool storm = true;
   int clients = 0;
@@ -323,55 +213,56 @@ int main(int argc, char** argv) {
   std::int64_t chaosSettleMs = 2500;
   bool outGiven = false;
   std::string outPath = "results/bench_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      endpoint.socketPath = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      const std::string ep = argv[++i];
-      const auto colon = ep.rfind(':');
-      if (colon == std::string::npos || colon == 0) {
-        std::cerr << "error: --tcp needs HOST:PORT\n";
-        return 2;
+  const auto usage = [] {
+    std::cerr << "usage: serve_load (--socket PATH | --tcp HOST:PORT) "
+                 "[--clients N] [--requests N] [--smoke] [--out FILE] "
+                 "[--no-storm] [--tenants N] [--arrays N] "
+                 "[--starve-ms MS] [--chaos] [--chaos-seed N] "
+                 "[--chaos-settle-ms MS]\n";
+    return 2;
+  };
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (i + 1 < argc &&
+          serve::parseEndpointFlag(arg, argv[i + 1], &endpoint)) {
+        ++i;
+      } else if (arg == "--clients" && i + 1 < argc) {
+        clients = std::stoi(argv[++i]);
+      } else if (arg == "--requests" && i + 1 < argc) {
+        requestsPerClient = std::stoi(argv[++i]);
+      } else if (arg == "--tenants" && i + 1 < argc) {
+        tenants = std::stoi(argv[++i]);
+      } else if (arg == "--arrays" && i + 1 < argc) {
+        expectArrays = std::stoi(argv[++i]);
+      } else if (arg == "--starve-ms" && i + 1 < argc) {
+        starveMs = std::stod(argv[++i]);
+      } else if (arg == "--out" && i + 1 < argc) {
+        outPath = argv[++i];
+        outGiven = true;
+      } else if (arg == "--chaos") {
+        chaos = true;
+      } else if (arg == "--chaos-seed" && i + 1 < argc) {
+        chaosSeed = std::stoull(argv[++i]);
+      } else if (arg == "--chaos-settle-ms" && i + 1 < argc) {
+        chaosSettleMs = std::stoll(argv[++i]);
+      } else if (arg == "--smoke") {
+        smoke = true;
+      } else if (arg == "--no-storm") {
+        storm = false;
+      } else {
+        return usage();
       }
-      endpoint.tcpHost = ep.substr(0, colon);
-      endpoint.tcpPort = std::stoi(ep.substr(colon + 1));
-    } else if (arg == "--clients" && i + 1 < argc) {
-      clients = std::stoi(argv[++i]);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      requestsPerClient = std::stoi(argv[++i]);
-    } else if (arg == "--tenants" && i + 1 < argc) {
-      tenants = std::stoi(argv[++i]);
-    } else if (arg == "--arrays" && i + 1 < argc) {
-      expectArrays = std::stoi(argv[++i]);
-    } else if (arg == "--starve-ms" && i + 1 < argc) {
-      starveMs = std::stod(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      outPath = argv[++i];
-      outGiven = true;
-    } else if (arg == "--chaos") {
-      chaos = true;
-    } else if (arg == "--chaos-seed" && i + 1 < argc) {
-      chaosSeed = std::stoull(argv[++i]);
-    } else if (arg == "--chaos-settle-ms" && i + 1 < argc) {
-      chaosSettleMs = std::stoll(argv[++i]);
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--no-storm") {
-      storm = false;
-    } else {
-      std::cerr << "usage: serve_load (--socket PATH | --tcp HOST:PORT) "
-                   "[--clients N] [--requests N] [--smoke] [--out FILE] "
-                   "[--no-storm] [--tenants N] [--arrays N] "
-                   "[--starve-ms MS] [--chaos] [--chaos-seed N] "
-                   "[--chaos-settle-ms MS]\n";
-      return 2;
     }
+  } catch (const std::exception& e) {
+    // A malformed --tcp, or a number std::stoi & co. cannot read.
+    std::cerr << "error: " << e.what() << '\n';
+    return usage();
   }
   // A --chaos run measures fault drift instead of coalescing.
   if (chaos) storm = false;
   if (chaos && !outGiven) outPath = "results/bench_chaos.json";
-  if (endpoint.socketPath.empty() && endpoint.tcpPort < 0) {
+  if (endpoint.name().empty()) {
     std::cerr << "error: need --socket PATH or --tcp HOST:PORT (a live "
                  "pimsched_served daemon)\n";
     return 2;
@@ -386,8 +277,8 @@ int main(int argc, char** argv) {
     // work while the others drift.
     std::vector<std::string> chaosTargets;
     if (chaos) {
-      Connection conn(endpoint);
-      const Json statsReply = conn.request(R"({"verb":"stats"})");
+      Connection conn(endpoint, kConnectWait);
+      const Json statsReply = ask(conn, R"({"verb":"stats"})");
       const Json* fleet = statsReply.find("fleet");
       const Json* fleetArrays =
           fleet != nullptr ? fleet->find("arrays") : nullptr;
@@ -444,7 +335,7 @@ int main(int argc, char** argv) {
     if (chaos) {
       chaosThread = std::thread([&] {
         try {
-          Connection conn(endpoint);
+          Connection conn(endpoint, kConnectWait);
           std::uint64_t lcg = chaosSeed;
           const auto rnd = [&lcg](std::uint64_t mod) -> std::uint64_t {
             lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -481,7 +372,7 @@ int main(int argc, char** argv) {
     for (int c = 0; c < clients; ++c) {
       pool.emplace_back([&, c] {
         try {
-          Connection conn(endpoint);
+          Connection conn(endpoint, kConnectWait);
           for (int r = 0; r < requestsPerClient; ++r) {
             // Deterministic mixed pick, de-phased across clients so the
             // daemon sees interleaved distinct and repeated jobs.
@@ -493,7 +384,7 @@ int main(int argc, char** argv) {
                     ? tenantLines[static_cast<std::size_t>(c % tenants)][pick]
                     : job.line;
             const Clock::time_point t0 = Clock::now();
-            const Json reply = conn.request(line);
+            const Json reply = ask(conn, line);
             const double ms =
                 std::chrono::duration<double, std::milli>(Clock::now() -
                                                           t0)
@@ -537,7 +428,7 @@ int main(int argc, char** argv) {
       // Leave the fleet healthy for the drill, wherever the injector's
       // inject/heal cycle happened to stop (healing a healthy array is a
       // no-op).
-      Connection conn(endpoint);
+      Connection conn(endpoint, kConnectWait);
       for (const std::string& target : chaosTargets) {
         driftRpc(conn, target, {});
       }
@@ -611,8 +502,8 @@ int main(int argc, char** argv) {
       }
     }
     if (tenants > 0 || expectArrays > 0) {
-      Connection statsConn(endpoint);
-      const Json statsReply = statsConn.request(R"({"verb":"stats"})");
+      Connection statsConn(endpoint, kConnectWait);
+      const Json statsReply = ask(statsConn, R"({"verb":"stats"})");
       const Json* fleet = statsReply.find("fleet");
       const Json* fleetArrays =
           fleet != nullptr ? fleet->find("arrays") : nullptr;
@@ -662,7 +553,7 @@ int main(int argc, char** argv) {
     std::int64_t drillRequeued = 0, drillInvalidated = 0;
     std::size_t drillBurst = 0;
     if (chaos) {
-      Connection conn(endpoint);
+      Connection conn(endpoint, kConnectWait);
       // Plug jobs are big enough to pin every execution slot for tens of
       // milliseconds, so the burst queued behind them is still planned —
       // not yet running — when the partition lands. A unique loose
@@ -674,7 +565,7 @@ int main(int argc, char** argv) {
       const std::string drillTrace =
           traceText(PaperBenchmark::kMatSquare, grid, smoke ? 16 : 24);
       const auto rebalanceActivity = [&conn]() -> std::int64_t {
-        const Json statsReply = conn.request(R"({"verb":"stats"})");
+        const Json statsReply = ask(conn, R"({"verb":"stats"})");
         const Json* fleet = statsReply.find("fleet");
         const Json* reb =
             fleet != nullptr ? fleet->find("rebalance") : nullptr;
@@ -713,8 +604,8 @@ int main(int argc, char** argv) {
               if (tenants > 0) {
                 request.set("tenant", "t" + std::to_string(b % tenants));
               }
-              Connection subConn(endpoint);
-              const Json reply = subConn.request(request.dump());
+              Connection subConn(endpoint, kConnectWait);
+              const Json reply = ask(subConn, request.dump());
               const Json* ok = reply.find("ok");
               const Json* id = reply.find("id");
               // A rejected submit is backpressure, not loss — skip it.
@@ -734,7 +625,7 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(40));
         std::string target = chaosTargets[0];
         {
-          const Json statsReply = conn.request(R"({"verb":"stats"})");
+          const Json statsReply = ask(conn, R"({"verb":"stats"})");
           const Json* fleet = statsReply.find("fleet");
           const Json* arrays =
               fleet != nullptr ? fleet->find("arrays") : nullptr;
@@ -771,7 +662,7 @@ int main(int argc, char** argv) {
         for (const std::int64_t id : ids) {
           Json wait;
           wait.set("verb", "result").set("id", id).set("wait", true);
-          const Json reply = conn.request(wait.dump());
+          const Json reply = ask(conn, wait.dump());
           const Json* ok = reply.find("ok");
           const Json* state = reply.find("state");
           if (ok == nullptr || !ok->asBool() || state == nullptr ||
@@ -818,8 +709,8 @@ int main(int argc, char** argv) {
           std::move(os).str(), "4x4", "gomcds",
           static_cast<int>(unique.numSteps()), 0, {});
 
-      Connection statsConn(endpoint);
-      const Json before = statsConn.request(R"({"verb":"stats"})");
+      Connection statsConn(endpoint, kConnectWait);
+      const Json before = ask(statsConn, R"({"verb":"stats"})");
 
       std::atomic<int> ready{0};
       std::atomic<bool> go{false};
@@ -832,12 +723,12 @@ int main(int argc, char** argv) {
       for (int c = 0; c < clients; ++c) {
         stormPool.emplace_back([&, c] {
           try {
-            Connection conn(endpoint);
+            Connection conn(endpoint, kConnectWait);
             ready.fetch_add(1);
             while (!go.load(std::memory_order_acquire)) {
               std::this_thread::yield();
             }
-            const Json reply = conn.request(stormLine);
+            const Json reply = ask(conn, stormLine);
             const Json* ok = reply.find("ok");
             if (ok == nullptr || !ok->isBool() || !ok->asBool()) {
               throw std::runtime_error("storm submit failed: " +
@@ -866,7 +757,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      const Json after = statsConn.request(R"({"verb":"stats"})");
+      const Json after = ask(statsConn, R"({"verb":"stats"})");
       stormCoalesced =
           statField(after, "coalesced") - statField(before, "coalesced");
       stormMisses = statField(after, "cache_misses") -
@@ -885,8 +776,8 @@ int main(int argc, char** argv) {
     std::int64_t driftEvents = 0, rebRequeued = 0, rebResolved = 0,
                  rebInvalidated = 0, rebDrainRequeued = 0, rebStale = 0;
     if (chaos) {
-      Connection conn(endpoint);
-      const Json statsReply = conn.request(R"({"verb":"stats"})");
+      Connection conn(endpoint, kConnectWait);
+      const Json statsReply = ask(conn, R"({"verb":"stats"})");
       const Json* fleet = statsReply.find("fleet");
       const Json* reb =
           fleet != nullptr ? fleet->find("rebalance") : nullptr;

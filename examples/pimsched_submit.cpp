@@ -57,19 +57,11 @@
 // Exit codes: 0 = ok reply, 1 = error reply or transport failure,
 // 2 = bad usage.
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <thread>
 #include <iostream>
@@ -77,10 +69,13 @@
 #include <stdexcept>
 #include <string>
 
+#include "serve/client.hpp"
 #include "serve/json.hpp"
 
 namespace {
 
+using pimsched::serve::Connection;
+using pimsched::serve::Endpoint;
 using pimsched::serve::Json;
 
 void printUsage(std::ostream& os) {
@@ -102,148 +97,11 @@ void printUsage(std::ostream& os) {
         "[--close]\n";
 }
 
-/// Where to reach the daemon: a Unix socket path or a TCP host:port.
-struct Endpoint {
-  std::string socketPath;  ///< non-empty for AF_UNIX
-  std::string tcpHost;     ///< non-empty for TCP
-  int tcpPort = -1;
-};
-
-int connectUnix(const std::string& socketPath) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socketPath.empty() || socketPath.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("socket path empty or too long: " + socketPath);
-  }
-  std::memcpy(addr.sun_path, socketPath.c_str(), socketPath.size() + 1);
-
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("socket(): ") +
-                             std::strerror(errno));
-  }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const std::string what = std::strerror(errno);
-    ::close(fd);
-    throw std::runtime_error("cannot connect to " + socketPath + ": " +
-                             what);
-  }
-  return fd;
-}
-
-int connectTcp(const std::string& host, int port) {
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* list = nullptr;
-  const int rc =
-      ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                    &list);
-  if (rc != 0) {
-    throw std::runtime_error("cannot resolve " + host + ": " +
-                             ::gai_strerror(rc));
-  }
-  int fd = -1;
-  std::string what = "no addresses";
-  for (const addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) {
-      what = std::strerror(errno);
-      continue;
-    }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    what = std::strerror(errno);
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(list);
-  if (fd < 0) {
-    throw std::runtime_error("cannot connect to " + host + ":" +
-                             std::to_string(port) + ": " + what);
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-/// One round-trip: connect, send `request` + newline, read one reply line.
-std::string roundTrip(const Endpoint& endpoint,
-                      const std::string& request) {
-  const int fd = endpoint.socketPath.empty()
-                     ? connectTcp(endpoint.tcpHost, endpoint.tcpPort)
-                     : connectUnix(endpoint.socketPath);
-
-  const std::string frame = request + "\n";
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string what = std::strerror(errno);
-      ::close(fd);
-      throw std::runtime_error("write failed: " + what);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-
-  std::string reply;
-  char chunk[4096];
-  while (reply.find('\n') == std::string::npos) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string what = std::strerror(errno);
-      ::close(fd);
-      throw std::runtime_error("read failed: " + what);
-    }
-    if (n == 0) break;  // daemon closed without a full line
-    reply.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t nl = reply.find('\n');
-  if (nl == std::string::npos && reply.empty()) {
-    throw std::runtime_error("daemon closed the connection without a reply");
-  }
-  return nl == std::string::npos ? reply : reply.substr(0, nl);
-}
-
-/// Sends one already-framed line over an open connection.
-void sendLine(int fd, const std::string& request) {
-  const std::string frame = request + "\n";
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("write failed: ") +
-                               std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// Reads the next reply line from an open connection, buffering any bytes
-/// of the following reply in `buffer` between calls.
-std::string readLine(int fd, std::string& buffer) {
-  char chunk[4096];
-  std::size_t nl;
-  while ((nl = buffer.find('\n')) == std::string::npos) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("read failed: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) {
-      throw std::runtime_error("daemon closed the connection mid-stream");
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  std::string line = buffer.substr(0, nl);
-  buffer.erase(0, nl + 1);
-  return line;
+/// True when the reply line is a JSON object whose "ok" is true.
+bool replyOk(const std::string& reply) {
+  const Json parsed = Json::parse(reply);
+  const Json* ok = parsed.find("ok");
+  return ok != nullptr && ok->isBool() && ok->asBool();
 }
 
 /// The `stream` verb: replays an NDJSON window file over one persistent
@@ -316,11 +174,13 @@ int runStream(const Endpoint& endpoint, int argc, char** argv, int i) {
 
   // One connection for the whole replay: windows of a session must run
   // back to back against the shard/array holding the warm solver state.
-  const int fd = endpoint.socketPath.empty()
-                     ? connectTcp(endpoint.tcpHost, endpoint.tcpPort)
-                     : connectUnix(endpoint.socketPath);
+  Connection conn(endpoint);
   bool allOk = true;
-  std::string buffer;
+  const auto exchange = [&](const Json& request) {
+    const std::string reply = conn.roundTrip(request.dump());
+    std::cout << reply << '\n';
+    if (!replyOk(reply)) allOk = false;
+  };
   std::string line;
   long lineNo = 0;
   try {
@@ -333,13 +193,11 @@ int runStream(const Endpoint& endpoint, int argc, char** argv, int i) {
       } catch (const std::exception& e) {
         std::cerr << "error: " << windowFile << ":" << lineNo
                   << ": bad JSON: " << e.what() << '\n';
-        ::close(fd);
         return 1;
       }
       if (!window.isObject()) {
         std::cerr << "error: " << windowFile << ":" << lineNo
                   << ": window must be a JSON object\n";
-        ::close(fd);
         return 1;
       }
       // Per-window fields override the session-level base request.
@@ -347,29 +205,17 @@ int runStream(const Endpoint& endpoint, int argc, char** argv, int i) {
       for (const auto& [key, value] : window.asObject()) {
         request.set(key, value);
       }
-      sendLine(fd, request.dump());
-      const std::string reply = readLine(fd, buffer);
-      std::cout << reply << '\n';
-      const Json parsed = Json::parse(reply);
-      const Json* ok = parsed.find("ok");
-      if (ok == nullptr || !ok->isBool() || !ok->asBool()) allOk = false;
+      exchange(request);
     }
     if (closeAtEnd) {
       Json closeReq;
       closeReq.set("verb", "stream-close").set("session", session);
-      sendLine(fd, closeReq.dump());
-      const std::string reply = readLine(fd, buffer);
-      std::cout << reply << '\n';
-      const Json parsed = Json::parse(reply);
-      const Json* ok = parsed.find("ok");
-      if (ok == nullptr || !ok->isBool() || !ok->asBool()) allOk = false;
+      exchange(closeReq);
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
-    ::close(fd);
     return 1;
   }
-  ::close(fd);
   return allOk ? 0 : 1;
 }
 
@@ -504,39 +350,27 @@ int main(int argc, char** argv) {
   Endpoint endpoint;
   long retries = 0;
   long backoffMs = 100;
-  bool endpointError = false;
   int i = 1;
-  while (i + 1 < argc) {
-    const std::string arg = argv[i];
-    if (arg == "--socket") {
-      endpoint.socketPath = argv[i + 1];
-    } else if (arg == "--tcp") {
-      const std::string ep = argv[i + 1];
-      const auto colon = ep.rfind(':');
-      if (colon == std::string::npos || colon == 0) {
-        endpointError = true;
-      } else {
-        endpoint.tcpHost = ep.substr(0, colon);
-        endpoint.tcpPort =
-            static_cast<int>(std::strtol(ep.c_str() + colon + 1, nullptr,
-                                         10));
-        if (endpoint.tcpPort <= 0 || endpoint.tcpPort > 65535) {
-          endpointError = true;
-        }
+  try {
+    for (; i + 1 < argc; i += 2) {
+      const std::string arg = argv[i];
+      if (pimsched::serve::parseEndpointFlag(arg, argv[i + 1], &endpoint)) {
+        continue;
       }
-    } else if (arg == "--retries") {
-      retries = std::strtol(argv[i + 1], nullptr, 10);
-    } else if (arg == "--backoff") {
-      backoffMs = std::strtol(argv[i + 1], nullptr, 10);
-    } else {
-      break;
+      if (arg == "--retries") {
+        retries = std::strtol(argv[i + 1], nullptr, 10);
+      } else if (arg == "--backoff") {
+        backoffMs = std::strtol(argv[i + 1], nullptr, 10);
+      } else {
+        break;
+      }
     }
-    i += 2;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n\n";
+    printUsage(std::cerr);
+    return 2;
   }
-  const bool haveEndpoint =
-      !endpoint.socketPath.empty() || endpoint.tcpPort > 0;
-  if (endpointError || !haveEndpoint || i >= argc || retries < 0 ||
-      backoffMs < 0) {
+  if (endpoint.name().empty() || i >= argc || retries < 0 || backoffMs < 0) {
     std::cerr << "error: expected --socket PATH or --tcp HOST:PORT and a "
                  "verb\n\n";
     printUsage(std::cerr);
@@ -582,11 +416,11 @@ int main(int argc, char** argv) {
   const std::string wire = request.dump();
   for (long attempt = 0;; ++attempt) {
     try {
-      const std::string reply = roundTrip(endpoint, wire);
+      // No connect wait: --retries/--backoff own the retry policy.
+      Connection conn(endpoint);
+      const std::string reply = conn.roundTrip(wire);
       std::cout << reply << '\n';
-      const Json parsed = Json::parse(reply);
-      const Json* ok = parsed.find("ok");
-      return (ok != nullptr && ok->isBool() && ok->asBool()) ? 0 : 1;
+      return replyOk(reply) ? 0 : 1;
     } catch (const std::exception& e) {
       if (attempt >= retries) {
         std::cerr << "error: " << e.what() << '\n';

@@ -27,27 +27,6 @@ bool validName(const std::string& name) {
   return std::all_of(name.begin() + 1, name.end(), tail);
 }
 
-/// Parses "RxC" with the submit protocol's bounds.
-void parseShape(const std::string& entry, const std::string& shape,
-                int* rows, int* cols) {
-  const std::size_t x = shape.find('x');
-  if (x == std::string::npos) badFleetSpec(entry, "expected RxC shape");
-  try {
-    std::size_t used = 0;
-    *rows = std::stoi(shape.substr(0, x), &used);
-    if (used != x) throw std::invalid_argument(shape);
-    *cols = std::stoi(shape.substr(x + 1), &used);
-    if (used != shape.size() - x - 1) throw std::invalid_argument(shape);
-  } catch (const std::exception&) {
-    badFleetSpec(entry, "expected RxC shape");
-  }
-  if (*rows < 1 || *cols < 1) badFleetSpec(entry, "grid must be at least 1x1");
-  if (*rows > serve::kMaxGridSide || *cols > serve::kMaxGridSide ||
-      static_cast<std::int64_t>(*rows) * *cols > serve::kMaxGridProcs) {
-    badFleetSpec(entry, "grid too large");
-  }
-}
-
 }  // namespace
 
 std::vector<ArraySpec> parseFleetSpec(const std::string& spec) {
@@ -74,7 +53,16 @@ std::vector<ArraySpec> parseFleetSpec(const std::string& spec) {
     } else {
       array.name = "array" + std::to_string(out.size());
     }
-    parseShape(entry, head, &array.rows, &array.cols);
+    switch (serve::parseGridShape(head, &array.rows, &array.cols)) {
+      case serve::GridShapeError::kNone:
+        break;
+      case serve::GridShapeError::kMalformed:
+        badFleetSpec(entry, "expected RxC shape");
+      case serve::GridShapeError::kTooSmall:
+        badFleetSpec(entry, "grid must be at least 1x1");
+      case serve::GridShapeError::kTooLarge:
+        badFleetSpec(entry, "grid too large");
+    }
 
     if (colon != std::string::npos) {
       const std::string tail = entry.substr(colon + 1);

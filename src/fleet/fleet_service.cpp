@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cost/array_model.hpp"
+#include "obs/obs.hpp"
 #include "pim/grid.hpp"
 #include "serve/json.hpp"
 #include "util/thread_pool.hpp"
@@ -79,7 +80,6 @@ FleetService::FleetService(Config config)
       fleet_(config_.arrays),
       selector_(fleet_, config_.policy) {
   if (config_.concurrencyPerArray == 0) config_.concurrencyPerArray = 1;
-  if (config_.defaultTenantWeight <= 0) config_.defaultTenantWeight = 1.0;
   loads_.resize(fleet_.size());
   arrayDispatched_.assign(fleet_.size(), 0);
   arrayCompleted_.assign(fleet_.size(), 0);
@@ -103,17 +103,7 @@ FleetService::Tenant& FleetService::tenantLocked(const std::string& name) {
   Tenant t;
   t.name = name;
   const auto w = config_.tenantWeights.find(name);
-  t.weight = w != config_.tenantWeights.end() && w->second > 0
-                 ? w->second
-                 : config_.defaultTenantWeight;
-#ifndef PIMSCHED_NO_OBS
-  auto& reg = obs::Registry::instance();
-  const std::string prefix = "tenant." + name;
-  t.cSubmitted = &reg.counter(prefix + ".submitted");
-  t.cDispatched = &reg.counter(prefix + ".dispatched");
-  t.cCompleted = &reg.counter(prefix + ".completed");
-  t.cContended = &reg.counter(prefix + ".contended");
-#endif
+  if (w != config_.tenantWeights.end() && w->second > 0) t.weight = w->second;
   return tenants_.emplace(name, std::move(t)).first->second;
 }
 
@@ -231,8 +221,6 @@ SubmitOutcome FleetService::submit(JobRequest request) {
       ++statCompleted_;
       ++tenant.submitted;
       ++tenant.completed;
-      if (tenant.cSubmitted != nullptr) tenant.cSubmitted->add(1);
-      if (tenant.cCompleted != nullptr) tenant.cCompleted->add(1);
       PIMSCHED_COUNTER_ADD("fleet.cache.hit", 1);
       PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
       PIMSCHED_COUNTER_ADD("fleet.jobs.completed", 1);
@@ -274,7 +262,6 @@ SubmitOutcome FleetService::submit(JobRequest request) {
     ++statAccepted_;
     ++statCoalesced_;
     ++tenant.submitted;
-    if (tenant.cSubmitted != nullptr) tenant.cSubmitted->add(1);
     PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
     PIMSCHED_COUNTER_ADD("fleet.jobs.coalesced", 1);
     // A hotter submission drags the whole group forward in the queue.
@@ -348,7 +335,6 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   inflight_[digest.hex()] = job;
   ++statAccepted_;
   ++tenant.submitted;
-  if (tenant.cSubmitted != nullptr) tenant.cSubmitted->add(1);
   PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
   PIMSCHED_COUNTER_ADD("fleet.queue.enqueued", 1);
   dispatchLocked();
@@ -643,11 +629,7 @@ bool FleetService::dispatchClassLocked(bool batch, std::int64_t nowNs) {
     tenant.running += 1;
     tenant.virtualWork += 1.0 / tenant.weight;
     ++tenant.dispatched;
-    if (tenant.cDispatched != nullptr) tenant.cDispatched->add(1);
-    if (contended) {
-      ++tenant.contended;
-      if (tenant.cContended != nullptr) tenant.cContended->add(1);
-    }
+    if (contended) ++tenant.contended;
     if (batch) {
       ++batchDispatches_;
       PIMSCHED_COUNTER_ADD("fleet.dispatch.batch", 1);
@@ -709,7 +691,6 @@ void FleetService::finishLocked(Job& job, JobState state) {
     case JobState::kDone:
       ++statCompleted_;
       ++tenant.completed;
-      if (tenant.cCompleted != nullptr) tenant.cCompleted->add(1);
       PIMSCHED_COUNTER_ADD("fleet.jobs.completed", 1);
       break;
     case JobState::kFailed:
@@ -1086,13 +1067,7 @@ serve::DriftOutcome FleetService::applyDrift(
   }
 
   std::unique_lock<std::mutex> lock(mutex_);
-  int found = -1;
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    if (fleet_.at(i).name() == array) {
-      found = static_cast<int>(i);
-      break;
-    }
-  }
+  const int found = fleet_.find(array);
   if (found < 0) {
     out.error = "no array named '" + array + "' in the fleet";
     return out;

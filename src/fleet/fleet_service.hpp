@@ -15,7 +15,6 @@
 #include "fleet/fleet.hpp"
 #include "fleet/health.hpp"
 #include "fleet/selector.hpp"
-#include "obs/obs.hpp"
 #include "serve/service.hpp"
 #include "serve/stream.hpp"
 
@@ -100,9 +99,11 @@ namespace pimsched::fleet {
 /// fleet.mode.{switches,serve_ns,batch_ns},
 /// fleet.dispatch.{serve,batch}, fleet.health.{drift_events,degraded,
 /// quarantined,readmitted,stale_served}, fleet.rebalance.{requeued,
-/// resolved,cache_invalidated}, serve.drain.requeued, per-tenant
-/// tenant.<id>.{submitted,dispatched,completed,contended}; timers
-/// fleet.job.wait / fleet.job.run.
+/// resolved,cache_invalidated}, serve.drain.requeued; timers
+/// fleet.job.wait / fleet.job.run. Per-tenant figures are not counters
+/// (tenant names come from clients, so their number is unbounded): they
+/// live in the tenant records and reach clients as the `stats` reply's
+/// fleet.tenants rows.
 class FleetService final : public serve::JobService {
  public:
   struct Config {
@@ -120,9 +121,8 @@ class FleetService final : public serve::JobService {
     /// probe, no insert, no miss count.
     std::size_t maxCacheEntries = 1024;
     /// Weighted fair shares: tenant name -> weight (> 0). Unlisted
-    /// tenants get `defaultTenantWeight`.
+    /// tenants get weight 1.
     std::map<std::string, double> tenantWeights;
-    double defaultTenantWeight = 1.0;
     /// Priority aging: a queued job gains one effective priority level
     /// per agingMs waited, up to agingLimit levels. agingMs <= 0 disables
     /// aging.
@@ -279,7 +279,7 @@ class FleetService final : public serve::JobService {
 
   struct Tenant {
     std::string name;
-    double weight = 1.0;
+    double weight = 1.0;  ///< unless tenantWeights lists the tenant
     /// Stride-scheduling pass value: += 1/weight per dispatch.
     double virtualWork = 0;
     /// Queued jobs by (-basePriority, id); effective priority adds the
@@ -288,10 +288,6 @@ class FleetService final : public serve::JobService {
     std::size_t running = 0;
     std::int64_t submitted = 0, dispatched = 0, contended = 0,
                  completed = 0, failed = 0, rejected = 0, maxWaitNs = 0;
-    obs::Counter* cSubmitted = nullptr;
-    obs::Counter* cDispatched = nullptr;
-    obs::Counter* cCompleted = nullptr;
-    obs::Counter* cContended = nullptr;
   };
 
   struct CacheEntry {
@@ -300,7 +296,7 @@ class FleetService final : public serve::JobService {
   };
 
   /// The tenant record, created on first touch with its configured
-  /// weight and lazily-resolved obs handles.
+  /// weight.
   Tenant& tenantLocked(const std::string& name);
   /// Effective priority of a queued job now: base + aging boost.
   [[nodiscard]] int effectivePriorityLocked(const Job& job,

@@ -113,30 +113,19 @@ JobRequest parseSubmit(const Json& request, const ProtocolOptions& options) {
     throw RequestError(std::string("cannot load trace: ") + e.what());
   }
 
-  const std::string grid = stringField(request, "grid", "4x4");
-  const auto x = grid.find('x');
-  std::size_t parsed = 0;
-  try {
-    if (x == std::string::npos) throw std::invalid_argument(grid);
-    job.gridRows = std::stoi(grid.substr(0, x), &parsed);
-    if (parsed != x) throw std::invalid_argument(grid);
-    job.gridCols = std::stoi(grid.substr(x + 1), &parsed);
-    if (parsed != grid.size() - x - 1) throw std::invalid_argument(grid);
-  } catch (const std::exception&) {
-    throw RequestError("field 'grid' must look like \"4x4\"");
-  }
-  if (job.gridRows < 1 || job.gridCols < 1) {
-    throw RequestError("field 'grid' must name a grid of at least 1x1");
-  }
-  // Bound the grid before the Grid constructor ever sees it so a hostile
-  // "1000000x1000000" submission is a structured protocol error, not an
-  // attempted multi-terabyte allocation inside a worker.
-  if (job.gridRows > kMaxGridSide || job.gridCols > kMaxGridSide ||
-      static_cast<std::int64_t>(job.gridRows) * job.gridCols > kMaxGridProcs) {
-    throw RequestError(
-        "field 'grid' too large (sides limited to " +
-        std::to_string(kMaxGridSide) + ", total processors to " +
-        std::to_string(kMaxGridProcs) + ")");
+  switch (parseGridShape(stringField(request, "grid", "4x4"), &job.gridRows,
+                         &job.gridCols)) {
+    case GridShapeError::kNone:
+      break;
+    case GridShapeError::kMalformed:
+      throw RequestError("field 'grid' must look like \"4x4\"");
+    case GridShapeError::kTooSmall:
+      throw RequestError("field 'grid' must name a grid of at least 1x1");
+    case GridShapeError::kTooLarge:
+      throw RequestError(
+          "field 'grid' too large (sides limited to " +
+          std::to_string(kMaxGridSide) + ", total processors to " +
+          std::to_string(kMaxGridProcs) + ")");
   }
 
   if (const Json* faults = request.find("faults"); faults != nullptr) {
@@ -246,6 +235,30 @@ void fillResultFields(Json& reply, const JobStatus& status,
 }
 
 }  // namespace
+
+GridShapeError parseGridShape(const std::string& shape, int* rows,
+                              int* cols) {
+  const std::size_t x = shape.find('x');
+  if (x == std::string::npos) return GridShapeError::kMalformed;
+  try {
+    std::size_t used = 0;
+    *rows = std::stoi(shape.substr(0, x), &used);
+    if (used != x) return GridShapeError::kMalformed;
+    *cols = std::stoi(shape.substr(x + 1), &used);
+    if (used != shape.size() - x - 1) return GridShapeError::kMalformed;
+  } catch (const std::exception&) {
+    return GridShapeError::kMalformed;
+  }
+  if (*rows < 1 || *cols < 1) return GridShapeError::kTooSmall;
+  // Bound the grid before any Grid is built, so a hostile
+  // "1000000x1000000" is a structured error, not an attempted
+  // multi-terabyte allocation.
+  if (*rows > kMaxGridSide || *cols > kMaxGridSide ||
+      static_cast<std::int64_t>(*rows) * *cols > kMaxGridProcs) {
+    return GridShapeError::kTooLarge;
+  }
+  return GridShapeError::kNone;
+}
 
 ProtocolHandler::ProtocolHandler(JobService& service,
                                  ProtocolOptions options)

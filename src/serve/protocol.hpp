@@ -19,6 +19,14 @@ inline constexpr std::int64_t kMaxGridProcs = std::int64_t{1} << 20;
 /// allocates for one job (a one-access trace may declare 2^31 data).
 inline constexpr std::int64_t kMaxTraceCells = std::int64_t{1} << 24;
 
+/// Why parseGridShape refused a grid; each caller words its own error.
+enum class GridShapeError { kNone, kMalformed, kTooSmall, kTooLarge };
+
+/// Parses an "RxC" grid shape into *rows / *cols and holds it to the
+/// bounds above (at least 1x1, sides <= kMaxGridSide, processors <=
+/// kMaxGridProcs). The submit protocol and the fleet spec share it.
+GridShapeError parseGridShape(const std::string& shape, int* rows, int* cols);
+
 struct ProtocolOptions {
   /// Requests longer than this are rejected with a structured error (the
   /// transport additionally closes a connection whose unterminated line

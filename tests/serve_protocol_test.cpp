@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -570,6 +571,44 @@ TEST(Protocol, InvalidFaultedSubmitsBuildNoDistanceTable) {
   const Json done = call(handler, valid.dump());
   EXPECT_EQ(done.find("state")->asString(), "done") << done.dump();
   EXPECT_EQ(registry.counterValue("fault.distance_map.builds"), 1);
+}
+
+TEST(Protocol, TenantNamesAddNoCounters) {
+  PIMSCHED_OBS_TEST_GUARD();
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  const auto counterNames = [] {
+    std::set<std::string> names;
+    for (const auto& sample : obs::Registry::instance().counterSamples()) {
+      names.insert(sample.name);
+    }
+    return names;
+  };
+  // One submit first, so the counters every job touches exist already.
+  Json request = submitRequest();
+  request.set("tenant", "warm");
+  ASSERT_EQ(call(handler, request.dump()).find("state")->asString(), "done");
+  const std::set<std::string> before = counterNames();
+
+  // Tenant names are chosen by clients: per-tenant counters would grow
+  // the process-wide registry without bound. (Thread-pool counters such
+  // as pool.steals register on first use, whenever that happens, so the
+  // check is on names, not on the registry's size.)
+  for (int t = 0; t < 100; ++t) {
+    request.set("tenant", "probe-" + std::to_string(t));
+    ASSERT_EQ(call(handler, request.dump()).find("state")->asString(),
+              "done");
+  }
+  std::string added;
+  for (const std::string& name : counterNames()) {
+    if (before.count(name) == 0 && name.find("probe-") != std::string::npos) {
+      added += name + " ";
+    }
+  }
+  EXPECT_EQ(added, "");
+  // The per-tenant figures still reach clients through `stats`.
+  const Json stats = call(handler, R"({"verb":"stats"})");
+  EXPECT_EQ(stats.find("fleet")->find("tenants")->asArray().size(), 101u);
 }
 
 TEST(Protocol, FaultSpecsThatKillNothingRunTheHealthyPath) {

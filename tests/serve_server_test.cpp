@@ -1,22 +1,22 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "fleet/fleet_service.hpp"
+#include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "trace/trace_io.hpp"
 
@@ -32,84 +32,22 @@ std::string uniqueSocketPath(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// A blocking test client on an already-connected fd.
-class Client {
- public:
-  explicit Client(const std::string& socketPath) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, socketPath.c_str(), socketPath.size() + 1);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    connectWithRetry(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  }
+/// How long a test client waits for its server to start listening.
+constexpr std::chrono::seconds kConnectWait{1};
 
-  /// TCP variant: connects to 127.0.0.1:port.
-  explicit Client(int tcpPort) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(tcpPort));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    connectWithRetry(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+/// A test client of the Unix endpoint at `socketPath`.
+Connection clientOf(const std::string& socketPath) {
+  return Connection(Endpoint{socketPath, "", 0}, kConnectWait);
+}
 
-  void sendRaw(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
-      ASSERT_GE(n, 0) << std::strerror(errno);
-      off += static_cast<std::size_t>(n);
-    }
-  }
+/// A test client of the TCP endpoint 127.0.0.1:`tcpPort`.
+Connection clientOf(int tcpPort) {
+  return Connection(Endpoint{"", "127.0.0.1", tcpPort}, kConnectWait);
+}
 
-  /// Half-closes the write side, leaving the read side open for a reply.
-  void endOfInput() { ::shutdown(fd_, SHUT_WR); }
-
-  /// Reads one newline-terminated reply; empty string on EOF first.
-  std::string readLine() {
-    while (buffer_.find('\n') == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-    const std::size_t nl = buffer_.find('\n');
-    std::string line = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    return line;
-  }
-
-  Json request(const std::string& line) {
-    sendRaw(line + "\n");
-    const std::string reply = readLine();
-    EXPECT_FALSE(reply.empty()) << "no reply to: " << line;
-    return Json::parse(reply);
-  }
-
- private:
-  // The server may still be between start() and the accept loop; retry
-  // briefly instead of flaking.
-  void connectWithRetry(const sockaddr* addr, socklen_t len) {
-    for (int attempt = 0;; ++attempt) {
-      if (::connect(fd_, addr, len) == 0) return;
-      if (attempt > 100) {
-        ::close(fd_);
-        throw std::runtime_error(std::string("connect() failed: ") +
-                                 std::strerror(errno));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-
-  int fd_ = -1;
-  std::string buffer_;
-};
+Json request(Connection& client, const std::string& line) {
+  return Json::parse(client.roundTrip(line));
+}
 
 /// Live OS threads of this process, via /proc/self/task.
 int liveThreadCount() {
@@ -174,54 +112,54 @@ class ServerFixture {
 
 TEST(SocketServer, SubmitsResolveAndResubmitsHitTheCache) {
   ServerFixture fixture("e2e");
-  Client client(fixture.server->socketPath());
+  Connection client = clientOf(fixture.server->socketPath());
 
-  const Json first = client.request(submitLine());
+  const Json first = request(client, submitLine());
   ASSERT_TRUE(first.find("ok")->asBool()) << submitLine();
   EXPECT_FALSE(first.find("cached")->asBool());
   EXPECT_EQ(first.find("state")->asString(), "done");
   const std::int64_t total = first.find("total")->asInt64();
 
   // Same connection, same job: answered from the result cache.
-  const Json second = client.request(submitLine());
+  const Json second = request(client, submitLine());
   ASSERT_TRUE(second.find("ok")->asBool());
   EXPECT_TRUE(second.find("cached")->asBool());
   EXPECT_EQ(second.find("total")->asInt64(), total);
 
-  const Json stats = client.request(R"({"verb":"stats"})");
+  const Json stats = request(client, R"({"verb":"stats"})");
   EXPECT_EQ(stats.find("cache_hits")->asInt64(), 1);
 
   // The shutdown verb drains the server; run() returns the clean exit 0.
-  const Json bye = client.request(R"({"verb":"shutdown"})");
+  const Json bye = request(client, R"({"verb":"shutdown"})");
   EXPECT_TRUE(bye.find("ok")->asBool());
   EXPECT_EQ(fixture.join(), 0);
 }
 
 TEST(SocketServer, MalformedRequestsGetRepliesAndTheConnectionSurvives) {
   ServerFixture fixture("malformed");
-  Client client(fixture.server->socketPath());
+  Connection client = clientOf(fixture.server->socketPath());
 
-  const Json garbage = client.request("not json at all");
+  const Json garbage = request(client, "not json at all");
   EXPECT_FALSE(garbage.find("ok")->asBool());
   EXPECT_FALSE(garbage.find("error")->asString().empty());
 
-  const Json unknown = client.request(R"({"verb":"frobnicate"})");
+  const Json unknown = request(client, R"({"verb":"frobnicate"})");
   EXPECT_FALSE(unknown.find("ok")->asBool());
 
   // The same connection still serves well-formed requests afterwards.
-  const Json stats = client.request(R"({"verb":"stats"})");
+  const Json stats = request(client, R"({"verb":"stats"})");
   EXPECT_TRUE(stats.find("ok")->asBool());
   EXPECT_EQ(stats.find("accepted")->asInt64(), 0);
 }
 
 TEST(SocketServer, TruncatedFinalLineStillGetsAStructuredReply) {
   ServerFixture fixture("truncated");
-  Client client(fixture.server->socketPath());
+  Connection client = clientOf(fixture.server->socketPath());
   // A half-written frame with no newline, then EOF: the server answers the
   // remainder as a request so the client sees a structured error.
-  client.sendRaw(R"({"verb":"stat)");
-  client.endOfInput();
-  const std::string reply = client.readLine();
+  client.write(R"({"verb":"stat)");
+  ::shutdown(client.fd(), SHUT_WR);
+  const std::string reply = client.readLine().value_or("");
   ASSERT_FALSE(reply.empty());
   const Json parsed = Json::parse(reply);
   EXPECT_FALSE(parsed.find("ok")->asBool());
@@ -232,20 +170,20 @@ TEST(SocketServer, OversizedFrameIsRejectedAndTheConnectionClosed) {
   ProtocolOptions protocol;
   protocol.maxFrameBytes = 128;
   ServerFixture fixture("oversize", protocol);
-  Client client(fixture.server->socketPath());
+  Connection client = clientOf(fixture.server->socketPath());
   // No newline: the buffer outgrows the frame limit and cannot resync.
-  client.sendRaw(std::string(1024, 'x'));
-  const std::string reply = client.readLine();
+  client.write(std::string(1024, 'x'));
+  const std::string reply = client.readLine().value_or("");
   ASSERT_FALSE(reply.empty());
   const Json parsed = Json::parse(reply);
   EXPECT_FALSE(parsed.find("ok")->asBool());
   EXPECT_NE(parsed.find("error")->asString().find("frame too large"),
             std::string::npos);
-  EXPECT_EQ(client.readLine(), "");  // server closed the stream
+  EXPECT_EQ(client.readLine(), std::nullopt);  // server closed the stream
 
   // The daemon is not wedged: a fresh connection works.
-  Client next(fixture.server->socketPath());
-  EXPECT_TRUE(next.request(R"({"verb":"stats"})").find("ok")->asBool());
+  Connection next = clientOf(fixture.server->socketPath());
+  EXPECT_TRUE(request(next, R"({"verb":"stats"})").find("ok")->asBool());
 }
 
 TEST(SocketServer, SplitAndBatchedFramesGetTheSameReplies) {
@@ -255,35 +193,35 @@ TEST(SocketServer, SplitAndBatchedFramesGetTheSameReplies) {
   ASSERT_GT(big.size(), 300u * 1024u);
   const std::string small = std::string(R"({"verb":"stats"})") + "\n";
 
-  Client whole(fixture.server->socketPath());
-  const Json reference = whole.request(big.substr(0, big.size() - 1));
+  Connection whole = clientOf(fixture.server->socketPath());
+  const Json reference = request(whole, big.substr(0, big.size() - 1));
   ASSERT_TRUE(reference.find("ok")->asBool()) << reference.dump();
 
   // The same frame written in 1 KiB pieces.
-  Client pieces(fixture.server->socketPath());
+  Connection pieces = clientOf(fixture.server->socketPath());
   for (std::size_t off = 0; off < big.size(); off += 1024) {
-    pieces.sendRaw(big.substr(off, 1024));
+    pieces.write(big.substr(off, 1024));
   }
-  const Json split = Json::parse(pieces.readLine());
+  const Json split = Json::parse(pieces.readLine().value());
   EXPECT_TRUE(split.find("ok")->asBool()) << split.dump();
   EXPECT_TRUE(split.find("cached")->asBool());
   EXPECT_EQ(split.find("total")->asInt64(), reference.find("total")->asInt64());
 
   // Two frames in one write: the big one, then a stats request.
-  Client batched(fixture.server->socketPath());
-  batched.sendRaw(big + small);
-  const Json first = Json::parse(batched.readLine());
+  Connection batched = clientOf(fixture.server->socketPath());
+  batched.write(big + small);
+  const Json first = Json::parse(batched.readLine().value());
   EXPECT_TRUE(first.find("cached")->asBool()) << first.dump();
   EXPECT_EQ(first.find("total")->asInt64(), reference.find("total")->asInt64());
-  const Json second = Json::parse(batched.readLine());
+  const Json second = Json::parse(batched.readLine().value());
   EXPECT_TRUE(second.find("ok")->asBool()) << second.dump();
   EXPECT_EQ(second.find("accepted")->asInt64(), 3);
 }
 
 TEST(SocketServer, RequestStopDrainsAndReturnsZero) {
   ServerFixture fixture("stop");
-  Client client(fixture.server->socketPath());
-  const Json reply = client.request(submitLine());
+  Connection client = clientOf(fixture.server->socketPath());
+  const Json reply = request(client, submitLine());
   ASSERT_TRUE(reply.find("ok")->asBool());
   fixture.server->requestStop();  // what the SIGTERM handler calls
   EXPECT_EQ(fixture.join(), 0);
@@ -303,15 +241,15 @@ TEST(SocketServer, RefusesToStartOnALiveSocket) {
 TEST(SocketServer, TcpAndUnixEndpointsServeTheSameService) {
   ServerFixture fixture("dual", {}, /*withTcp=*/true);
   ASSERT_GT(fixture.server->tcpPort(), 0);  // ephemeral port was bound
-  Client unixClient(fixture.server->socketPath());
-  Client tcpClient(fixture.server->tcpPort());
+  Connection unixClient = clientOf(fixture.server->socketPath());
+  Connection tcpClient = clientOf(fixture.server->tcpPort());
 
   // Same request over both transports: byte-identical protocol, and one
   // shared service behind them — the TCP submit is answered from the
   // cache the Unix-socket submit warmed.
-  const Json viaUnix = unixClient.request(submitLine());
+  const Json viaUnix = request(unixClient, submitLine());
   ASSERT_TRUE(viaUnix.find("ok")->asBool());
-  const Json viaTcp = tcpClient.request(submitLine());
+  const Json viaTcp = request(tcpClient, submitLine());
   ASSERT_TRUE(viaTcp.find("ok")->asBool());
   EXPECT_EQ(viaTcp.find("digest")->asString(),
             viaUnix.find("digest")->asString());
@@ -321,12 +259,12 @@ TEST(SocketServer, TcpAndUnixEndpointsServeTheSameService) {
             viaUnix.find("state")->asString());
   EXPECT_TRUE(viaTcp.find("cached")->asBool());
 
-  const Json stats = tcpClient.request(R"({"verb":"stats"})");
+  const Json stats = request(tcpClient, R"({"verb":"stats"})");
   EXPECT_EQ(stats.find("cache_hits")->asInt64(), 1);
   EXPECT_EQ(stats.find("completed")->asInt64(), 2);
 
   // Malformed input over TCP gets the same structured error as Unix.
-  const Json bad = tcpClient.request("not json");
+  const Json bad = request(tcpClient, "not json");
   EXPECT_FALSE(bad.find("ok")->asBool());
   EXPECT_FALSE(bad.find("error")->asString().empty());
 }
@@ -340,8 +278,8 @@ TEST(SocketServer, TcpOnlyServerNeedsNoSocketFile) {
   server.start();
   ASSERT_GT(server.tcpPort(), 0);
   std::thread runner([&] { server.run(); });
-  Client client(server.tcpPort());
-  EXPECT_TRUE(client.request(R"({"verb":"stats"})").find("ok")->asBool());
+  Connection client = clientOf(server.tcpPort());
+  EXPECT_TRUE(request(client, R"({"verb":"stats"})").find("ok")->asBool());
   server.requestStop();
   runner.join();
 }
@@ -352,15 +290,15 @@ TEST(SocketServer, SequentialConnectionsDoNotGrowTheThreadCount) {
   ServerFixture fixture("threads");
   {
     // Warm up: handler pool spawned, one connection served and closed.
-    Client warm(fixture.server->socketPath());
-    EXPECT_TRUE(warm.request(R"({"verb":"stats"})").find("ok")->asBool());
+    Connection warm = clientOf(fixture.server->socketPath());
+    EXPECT_TRUE(request(warm, R"({"verb":"stats"})").find("ok")->asBool());
   }
   const int before = liveThreadCount();
   ASSERT_GT(before, 0);
   for (int i = 0; i < 20; ++i) {
-    Client client(fixture.server->socketPath());
+    Connection client = clientOf(fixture.server->socketPath());
     EXPECT_TRUE(
-        client.request(R"({"verb":"stats"})").find("ok")->asBool());
+        request(client, R"({"verb":"stats"})").find("ok")->asBool());
   }
   EXPECT_LE(liveThreadCount(), before);
 }
@@ -386,10 +324,80 @@ TEST(SocketServer, StartReplacesAStaleSocketFile) {
   SocketServer server(service, options);
   EXPECT_NO_THROW(server.start());
   std::thread runner([&] { server.run(); });
-  Client client(path);
-  EXPECT_TRUE(client.request(R"({"verb":"stats"})").find("ok")->asBool());
+  Connection client = clientOf(path);
+  EXPECT_TRUE(request(client, R"({"verb":"stats"})").find("ok")->asBool());
   server.requestStop();
   runner.join();
+}
+
+// -------------------------------------------------------- the client --
+
+TEST(SocketClient, TcpFlagNeedsHostAndAPortIn1To65535) {
+  for (const char* bad : {":7077", "127.0.0.1:", "127.0.0.1", "127.0.0.1:0",
+                          "127.0.0.1:65536", "127.0.0.1:abc", "h:7077x",
+                          "h:-1"}) {
+    Endpoint endpoint;
+    EXPECT_THROW(parseEndpointFlag("--tcp", bad, &endpoint),
+                 std::invalid_argument)
+        << bad;
+  }
+  Endpoint endpoint;
+  ASSERT_TRUE(parseEndpointFlag("--tcp", "127.0.0.1:7077", &endpoint));
+  EXPECT_EQ(endpoint.tcpHost, "127.0.0.1");
+  EXPECT_EQ(endpoint.tcpPort, 7077);
+  EXPECT_TRUE(endpoint.socketPath.empty());
+  EXPECT_EQ(endpoint.name(), "127.0.0.1:7077");
+
+  ASSERT_TRUE(parseEndpointFlag("--socket", "/tmp/d.sock", &endpoint));
+  EXPECT_EQ(endpoint.name(), "/tmp/d.sock");
+  EXPECT_TRUE(endpoint.tcpHost.empty());
+  EXPECT_THROW(parseEndpointFlag("--socket", "", &endpoint),
+               std::invalid_argument);
+  EXPECT_FALSE(parseEndpointFlag("--clients", "4", &endpoint));
+}
+
+TEST(SocketClient, ConnectWaitsForASocketBoundLater) {
+  const std::string path = uniqueSocketPath("late");
+  Engine service{Engine::Config{}};
+  SocketServer::Options options;
+  options.socketPath = path;
+  SocketServer server(service, options);
+  std::thread runner([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    server.start();
+    server.run();
+  });
+  try {
+    Connection client = clientOf(path);
+    EXPECT_TRUE(request(client, R"({"verb":"stats"})").find("ok")->asBool());
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+  server.requestStop();
+  runner.join();
+}
+
+TEST(SocketClient, ConnectToAnUnboundPathFailsAtTheDeadline) {
+  const std::string path = uniqueSocketPath("unbound");
+  const Endpoint endpoint{path, "", 0};
+  for (const auto wait : {std::chrono::milliseconds(300),
+                          std::chrono::milliseconds(0)}) {
+    const auto begin = std::chrono::steady_clock::now();
+    try {
+      Connection client(endpoint, wait);
+      ADD_FAILURE() << "connected to an unbound path";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot connect to " + path),
+                std::string::npos)
+          << e.what();
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - begin;
+    if (wait.count() > 0) {
+      EXPECT_GE(elapsed, wait);
+    } else {
+      EXPECT_LT(elapsed, std::chrono::milliseconds(100));  // one attempt
+    }
+  }
 }
 
 }  // namespace
