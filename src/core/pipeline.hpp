@@ -175,8 +175,8 @@ struct StreamStepResult {
 /// Experiment::schedule on every step.
 ///
 /// The fault state never changes after construction: a caller whose
-/// topology drifts drops the session and opens a new one (the serving
-/// layer does exactly that through StreamSessionManager::invalidateByTag).
+/// topology drifts opens a new session (the serving layer's session store
+/// does so whenever a window arrives under different array faults).
 ///
 /// Not thread-safe: one StreamSession per stream, externally serialized.
 class StreamSession {

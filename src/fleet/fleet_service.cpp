@@ -108,41 +108,27 @@ FleetService::Tenant& FleetService::tenantLocked(const std::string& name) {
 }
 
 serve::StreamOutcome FleetService::submitStream(serve::StreamRequest request) {
-  if (!request.job.trace.finalized()) request.job.trace.finalize();
-  serve::StreamPin pin;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (draining_) {
-      serve::StreamOutcome out;
-      out.session = std::move(request.session);
-      out.error = "service is draining";
-      out.errorKind = "invalid";
-      return out;
-    }
-    const std::vector<std::size_t> admissible = admissibleEligibleLocked(
-        request.job.gridRows, request.job.gridCols, obs::nowNs());
-    if (admissible.empty()) {
-      serve::StreamOutcome out;
-      out.session = std::move(request.session);
-      out.error = "no array in the fleet matches grid " +
-                  std::to_string(request.job.gridRows) + "x" +
-                  std::to_string(request.job.gridCols);
-      out.errorKind = "invalid";
-      return out;
-    }
-    // Deterministic pin: spread sessions over the admissible arrays by
-    // session name. The pin only takes effect when the session is created
-    // or reset — an existing session stays on its array until drift there
-    // invalidates it (warm state is useless anywhere else).
-    DigestBuilder b;
-    b.str("pimstream-pin");
-    b.str(request.session);
-    const std::size_t idx =
-        admissible[b.digest().lo % admissible.size()];
-    pin.tag = fleet_.at(idx).name();
-    pin.arrayFaults = fleet_.at(idx).canonicalFaults();
+  serve::StreamOutcome out;
+  out.session = request.session;
+  const SubmitOutcome queued =
+      submitJob(std::move(request.job), std::move(request.session));
+  if (!queued.accepted) {
+    out.error = queued.reason;
+    out.errorKind = "invalid";
+    return out;
   }
-  return streams_.submit(std::move(request), pin);
+  std::unique_lock<std::mutex> lock(mutex_);
+  const std::shared_ptr<Job> job = jobs_.at(queued.id);
+  cv_.wait(lock, [&] { return serve::isTerminal(job->state); });
+  jobs_.erase(queued.id);  // a window has no pollable id
+  if (job->state != JobState::kDone) {
+    const std::string state = serve::toString(job->state);
+    out.error = job->error.empty() ? "window " + state + " before it ran"
+                                   : job->error;
+    out.errorKind = job->errorKind.empty() ? state : job->errorKind;
+    return out;
+  }
+  return std::move(job->window);
 }
 
 bool FleetService::closeStream(const std::string& session) {
@@ -150,6 +136,11 @@ bool FleetService::closeStream(const std::string& session) {
 }
 
 SubmitOutcome FleetService::submit(JobRequest request) {
+  return submitJob(std::move(request), {});
+}
+
+SubmitOutcome FleetService::submitJob(JobRequest request,
+                                      std::string session) {
   if (!request.trace.finalized()) request.trace.finalize();
   const Digest digest = serve::jobDigest(request);
   // Selector input, computed outside the lock like the digest — and only
@@ -193,7 +184,7 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   const std::vector<std::size_t> admissible = admissibleEligibleLocked(
       request.gridRows, request.gridCols, obs::nowNs());
 
-  if (config_.maxCacheEntries > 0) {
+  if (config_.maxCacheEntries > 0 && session.empty()) {
     // Probe the fault signatures of the currently admissible arrays,
     // healthy ("") first: a hit under signature S is the exact answer the
     // fleet would produce by running the job on an array in state S.
@@ -248,7 +239,8 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   // twice. The follower never enters a queue; it resolves (with the exact
   // same shared JobResult) when the leader reaches a terminal state. The
   // digest folds in the tenant, so the leader is always this tenant's.
-  if (const auto it = inflight_.find(digest.hex()); it != inflight_.end()) {
+  if (const auto it = inflight_.find(digest.hex());
+      it != inflight_.end() && session.empty()) {
     const std::shared_ptr<Job>& leader = it->second;
     auto job = std::make_shared<Job>();
     job->id = nextId_++;
@@ -321,6 +313,7 @@ SubmitOutcome FleetService::submit(JobRequest request) {
   job->digest = digest;
   job->submitNs = obs::nowNs();
   job->aggRefs = std::move(aggRefs);
+  job->session = std::move(session);
   if (job->request.deadlineMs >= 0) {
     job->deadlineNs = job->submitNs + job->request.deadlineMs * 1'000'000;
   }
@@ -332,7 +325,7 @@ SubmitOutcome FleetService::submit(JobRequest request) {
     ++queuedServe_;
   }
   planJobLocked(job);
-  inflight_[digest.hex()] = job;
+  if (job->session.empty()) inflight_[digest.hex()] = job;
   ++statAccepted_;
   ++tenant.submitted;
   PIMSCHED_COUNTER_ADD("fleet.jobs.accepted", 1);
@@ -432,9 +425,20 @@ int FleetService::selectArrayLocked(const Job& job,
 }
 
 void FleetService::planJobLocked(const std::shared_ptr<Job>& job) {
-  const std::vector<std::size_t> candidates = admissibleEligibleLocked(
+  std::vector<std::size_t> candidates = admissibleEligibleLocked(
       job->request.gridRows, job->request.gridCols, obs::nowNs());
   if (candidates.empty()) return;  // shape mismatch was rejected at submit
+  // A window stays on its session's array while that array is admissible:
+  // the session's warm state was built under that array's faults. A
+  // requeued window is placed afresh, since its home just failed it.
+  const int home = job->session.empty() || job->attempts > 0
+                       ? -1
+                       : streams_.home(job->session);
+  if (home >= 0 && std::find(candidates.begin(), candidates.end(),
+                             static_cast<std::size_t>(home)) !=
+                       candidates.end()) {
+    candidates.assign(1, static_cast<std::size_t>(home));
+  }
   Cost est = 0;
   const int idx = selectArrayLocked(*job, candidates, &est);
   job->plannedArray = idx;
@@ -778,7 +782,13 @@ void FleetService::runJob(const std::shared_ptr<Job>& job) {
     try {
       PIMSCHED_SCOPED_TIMER("fleet.job.run");
       if (!reran && config_.onJobAttempt) config_.onJobAttempt(attempt);
-      result = executeJobRequest(job->request, job->arrayFaults);
+      if (job->session.empty()) {
+        result = executeJobRequest(job->request, job->arrayFaults);
+      } else {
+        job->window = streams_.step(job->session, job->request,
+                                    job->arrayFaults, static_cast<int>(idx));
+        result = job->window.result;
+      }
       result->digest = job->digest;
     } catch (...) {
       error = serve::classifyJobError(std::current_exception());
@@ -1066,7 +1076,7 @@ serve::DriftOutcome FleetService::applyDrift(
     return out;
   }
 
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   const int found = fleet_.find(array);
   if (found < 0) {
     out.error = "no array named '" + array + "' in the fleet";
@@ -1134,12 +1144,6 @@ serve::DriftOutcome FleetService::applyDrift(
   out.deadProcs = fresh.deadProcs();
   dispatchLocked();
   cv_.notify_all();
-  lock.unlock();
-  // Warm streaming state pinned to the drifted array is stale under the
-  // new fault state: drop exactly those sessions (their next window
-  // re-pins and solves cold). Outside the lock — the manager has its own
-  // locking and may wait for an in-flight window to finish.
-  streams_.invalidateByTag(array);
   return out;
 }
 

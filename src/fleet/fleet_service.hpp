@@ -57,6 +57,17 @@ namespace pimsched::fleet {
 /// before it ran hands its payload to its first follower, which takes
 /// its place in the queue. Cancelling a follower only detaches it.
 ///
+/// Streaming windows (submitStream) are jobs too: a window passes
+/// submit's admission checks and deadline, is dispatched and run like any
+/// job and obeys the same mid-run drift rule, but it never probes the
+/// result cache or coalesces (each window must advance its session), is
+/// planned on the array its session last ran on while that array is
+/// admissible, and runs its session's warm step under the array's faults
+/// instead of a cold pipeline. A session's warm state is rebuilt exactly
+/// when its compat digest, which folds in the array faults, changes; so a
+/// drift before or during a window re-solves it cold under the live
+/// faults. The window's record is dropped once its caller has the reply.
+///
 /// Memory: a job that reaches a terminal state keeps its id, priority,
 /// tenant, digest, status and result, and releases its payload (trace,
 /// reference aggregate, copied array faults), so a long-lived daemon
@@ -213,12 +224,9 @@ class FleetService final : public serve::JobService {
   /// rejects it with a reason (no array for the shape, queue or tenant
   /// quota full, draining).
   serve::SubmitOutcome submit(serve::JobRequest request) override;
-  /// Streaming sessions pin to a hosting array when created (chosen
-  /// deterministically by session name among the health-admissible arrays
-  /// of the window's shape) and run every window with that array's
-  /// canonical standing faults merged in front of the request's specs.
-  /// Fault drift on an array invalidates exactly the sessions pinned to
-  /// it — their next window re-pins and solves cold under the new state.
+  /// Queues one window as a job (see the class comment) and waits for its
+  /// terminal state. A rejected, failed or expired window comes back with
+  /// ok == false and the reason.
   serve::StreamOutcome submitStream(serve::StreamRequest request) override;
   bool closeStream(const std::string& session) override;
   [[nodiscard]] std::optional<serve::JobStatus> status(
@@ -275,6 +283,10 @@ class FleetService final : public serve::JobService {
     std::vector<std::shared_ptr<Job>> followers;
     /// Leader id when this job is a coalesced follower, -1 otherwise.
     serve::JobId coalescedWith = -1;
+    /// Session name when the job is a stream window, empty otherwise.
+    std::string session;
+    /// A window's step outcome: runJob fills it, submitStream returns it.
+    serve::StreamOutcome window;
   };
 
   struct Tenant {
@@ -295,6 +307,10 @@ class FleetService final : public serve::JobService {
     std::list<std::string>::iterator order;
   };
 
+  /// submit's body; a non-empty `session` makes the job a stream window
+  /// (no cache probe, no coalescing).
+  serve::SubmitOutcome submitJob(serve::JobRequest request,
+                                 std::string session);
   /// The tenant record, created on first touch with its configured
   /// weight.
   Tenant& tenantLocked(const std::string& name);
@@ -313,8 +329,9 @@ class FleetService final : public serve::JobService {
   /// price or no candidate is feasible.
   int selectArrayLocked(const Job& job,
                         const std::vector<std::size_t>& candidates, Cost* est);
-  /// Plans a queued job onto an array (admissible arrays preferred,
-  /// selector policy) and charges the backlog to it.
+  /// Plans a queued job onto an array (admissible arrays preferred, a
+  /// window's home array first, then the selector policy) and charges the
+  /// backlog to it.
   void planJobLocked(const std::shared_ptr<Job>& job);
   /// Reverses planJobLocked's load accounting.
   void unplanLocked(const std::shared_ptr<Job>& job);
@@ -348,8 +365,8 @@ class FleetService final : public serve::JobService {
   ArrayFleet fleet_;
   ArraySelector selector_;
   HealthMonitor health_;
-  /// Warm streaming-session state, tagged by hosting array name (owns its
-  /// own locking; never touched while mutex_ is held — see applyDrift).
+  /// Warm streaming-session state. It owns its own locking, taken after
+  /// mutex_ (planJobLocked reads a session's home) and never before.
   serve::StreamSessionManager streams_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;

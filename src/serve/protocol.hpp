@@ -56,10 +56,11 @@ struct ProtocolOptions {
 ///             fields when wait]}
 ///   submit-stream  all submit fields plus session (1..64 chars of
 ///             [A-Za-z0-9_.-]) and schedule (include schedule text) — one
-///             window of a streaming session, solved synchronously with
-///             warm per-session solver state; replies {ok, session,
-///             window, incremental, reused_layers, relaxed_layers, reset,
-///             serve, move, total, digest, run_ns[, schedule]}
+///             window of a streaming session, queued like a submit and
+///             waited for, solved with warm per-session solver state;
+///             replies {ok, session, window, incremental, reused_layers,
+///             relaxed_layers, reset, serve, move, total, digest,
+///             run_ns[, schedule]}
 ///   stream-close  session — drops the session's warm state; replies
 ///             {ok, session, closed}
 ///   status    id — replies {ok, state, priority, digest, attempts[,

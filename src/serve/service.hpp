@@ -107,23 +107,23 @@ struct StreamRequest {
   JobRequest job;
 };
 
-/// Outcome of one streamed window. Unlike queued submissions the window is
-/// solved synchronously in the caller's thread (warm state is only useful
-/// when windows of one session run back to back), so the result is
-/// delivered inline instead of via a job id.
+/// Outcome of one streamed window. The window is queued and run like any
+/// job (admission, deadline, placement, the mid-run drift rule), but it
+/// has no pollable id: the caller waits for it, and the result comes back
+/// inline.
 struct StreamOutcome {
   bool ok = false;
   std::string error;      ///< why !ok
-  std::string errorKind;  ///< job-error taxonomy ("invalid", "unreachable", ...)
+  std::string errorKind;  ///< job-error taxonomy ("invalid", "expired", ...)
   std::string session;    ///< echoed session name
   std::int64_t window = -1;  ///< 0-based window index within the session
   bool incremental = false;  ///< warm solver state was reused for this window
   std::int64_t reusedLayers = 0;   ///< per-class dp rows reused verbatim
   std::int64_t relaxedLayers = 0;  ///< per-class dp rows re-relaxed
   /// Warm state was (re)initialised for this window: first window of a
-  /// session, a config change, an eviction, or a drift invalidation.
+  /// session, a config change, an eviction, or new array faults (drift).
   bool reset = false;
-  std::shared_ptr<const JobResult> result;
+  std::shared_ptr<JobResult> result;
 };
 
 struct ServiceStats {
@@ -220,8 +220,8 @@ class JobService {
   virtual DriftOutcome applyDrift(const std::string& array,
                                   const std::vector<std::string>& specs,
                                   bool heal) = 0;
-  /// Streaming submission: solves one window of a long-lived session
-  /// synchronously in the caller's thread, with warm solver state keyed by
+  /// Streaming submission: queues one window of a long-lived session as a
+  /// job and waits for it; the window runs with warm solver state keyed by
   /// the session name (serve/stream.hpp).
   virtual StreamOutcome submitStream(StreamRequest request) = 0;
   /// Closes a streaming session and drops its warm state; returns whether

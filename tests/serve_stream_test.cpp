@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -45,19 +50,51 @@ StreamRequest makeStreamRequest(const std::string& session,
   return request;
 }
 
+/// One window through the session store alone, on a healthy array.
+StreamOutcome step(StreamSessionManager& manager,
+                   const StreamRequest& request) {
+  return manager.step(request.session, request.job);
+}
+
+/// The classified failure of a window the session store refuses.
+JobError stepError(StreamSessionManager& manager,
+                   const StreamRequest& request) {
+  try {
+    (void)step(manager, request);
+  } catch (...) {
+    return classifyJobError(std::current_exception());
+  }
+  ADD_FAILURE() << "window " << request.session << " was not refused";
+  return {};
+}
+
+/// Holds the first job run on a gate until released, keeping its array
+/// busy so later work queues behind it.
+struct RunGate {
+  std::promise<void> release;
+  std::shared_future<void> open = release.get_future().share();
+  std::atomic<int> runs{0};
+
+  std::function<void(int)> hook() {
+    return [this](int) {
+      if (runs.fetch_add(1) == 0) open.wait();
+    };
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Session basics: warm second window, identity with the one-shot path.
 // ---------------------------------------------------------------------------
 
 TEST(StreamSessionManagerTest, SecondWindowOfUnchangedTraceIsWarm) {
   StreamSessionManager manager;
-  const StreamOutcome first = manager.submit(makeStreamRequest("s"));
+  const StreamOutcome first = step(manager, makeStreamRequest("s"));
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.window, 0);
   EXPECT_TRUE(first.reset);  // newly created session
   EXPECT_FALSE(first.incremental);
 
-  const StreamOutcome second = manager.submit(makeStreamRequest("s"));
+  const StreamOutcome second = step(manager, makeStreamRequest("s"));
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.window, 1);
   EXPECT_FALSE(second.reset);
@@ -71,7 +108,7 @@ TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
   OneShot oneShot{OneShot::Config{}};
   for (int tail = 1; tail <= 4; ++tail) {
     const StreamOutcome window =
-        manager.submit(makeStreamRequest("s", tail));
+        step(manager, makeStreamRequest("s", tail));
     ASSERT_TRUE(window.ok) << window.error;
     ASSERT_NE(window.result, nullptr);
 
@@ -85,7 +122,6 @@ TEST(StreamSessionManagerTest, EveryWindowMatchesTheOneShotSubmitPath) {
         << "tail " << tail;
     EXPECT_EQ(window.result->eval.aggregate.total(),
               expected->eval.aggregate.total());
-    EXPECT_EQ(window.result->digest, expected->digest);
   }
 }
 
@@ -95,7 +131,7 @@ TEST(StreamSessionManagerTest, FaultedWindowsMatchTheOneShotSubmitPath) {
   for (int tail = 1; tail <= 3; ++tail) {
     StreamRequest request = makeStreamRequest("faulted", tail);
     request.job.faults = {"proc:5", "link:2-3"};
-    const StreamOutcome window = manager.submit(request);
+    const StreamOutcome window = step(manager, request);
     ASSERT_TRUE(window.ok) << window.error;
     ASSERT_NE(window.result, nullptr);
 
@@ -119,7 +155,7 @@ TEST(StreamSessionManagerTest, RedundantFaultSpecsAreAcceptedLikeSubmit) {
   for (const std::vector<std::string>& faults : cases) {
     StreamRequest request = makeStreamRequest("redundant");
     request.job.faults = faults;
-    const StreamOutcome window = manager.submit(request);
+    const StreamOutcome window = step(manager, request);
     ASSERT_TRUE(window.ok) << faults.front() << ": " << window.error;
     ASSERT_NE(window.result, nullptr);
 
@@ -138,15 +174,14 @@ TEST(StreamSessionManagerTest, RedundantFaultSpecsAreAcceptedLikeSubmit) {
   // job as unreachable.
   StreamRequest cut = makeStreamRequest("cut");
   cut.job.faults = {"row:1", "proc:5"};
-  const StreamOutcome window = manager.submit(cut);
-  EXPECT_FALSE(window.ok);
-  EXPECT_EQ(window.errorKind, "unreachable") << window.error;
+  const JobError error = stepError(manager, cut);
+  EXPECT_EQ(error.kind, "unreachable") << error.message;
   const SubmitOutcome submitted = oneShot.submit(cut.job);
   ASSERT_TRUE(submitted.accepted) << submitted.reason;
   EXPECT_EQ(oneShot.result(submitted.id), nullptr);
   const std::optional<JobStatus> status = oneShot.status(submitted.id);
   ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status->errorKind, window.errorKind);
+  EXPECT_EQ(status->errorKind, error.kind);
 }
 
 TEST(StreamSessionManagerTest, DeadCenterOfAFaultObliviousMethodIsUnreachable) {
@@ -156,10 +191,8 @@ TEST(StreamSessionManagerTest, DeadCenterOfAFaultObliviousMethodIsUnreachable) {
   request.job.method = Method::kRowWise;
   request.job.faults = {"proc:5"};
   StreamSessionManager manager;
-  const StreamOutcome window = manager.submit(request);
-  EXPECT_FALSE(window.ok);
-  EXPECT_EQ(window.errorKind, "unreachable") << window.error;
-  EXPECT_EQ(window.result, nullptr);
+  const JobError error = stepError(manager, request);
+  EXPECT_EQ(error.kind, "unreachable") << error.message;
 
   OneShot oneShot{OneShot::Config{}};
   const SubmitOutcome submitted = oneShot.submit(request.job);
@@ -168,8 +201,8 @@ TEST(StreamSessionManagerTest, DeadCenterOfAFaultObliviousMethodIsUnreachable) {
   const std::optional<JobStatus> status = oneShot.status(submitted.id);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, JobState::kFailed);
-  EXPECT_EQ(status->errorKind, window.errorKind);
-  EXPECT_EQ(status->error, window.error);
+  EXPECT_EQ(status->errorKind, error.kind);
+  EXPECT_EQ(status->error, error.message);
 }
 
 TEST(StreamSessionManagerTest, InvalidSessionNamesAreRejected) {
@@ -177,23 +210,21 @@ TEST(StreamSessionManagerTest, InvalidSessionNamesAreRejected) {
   const std::vector<std::string> badNames = {"", "has space", "semi;colon",
                                              std::string(65, 'a')};
   for (const std::string& bad : badNames) {
-    StreamRequest request = makeStreamRequest(bad);
-    const StreamOutcome out = manager.submit(request);
-    EXPECT_FALSE(out.ok) << "name '" << bad << "'";
-    EXPECT_EQ(out.errorKind, "invalid");
+    EXPECT_EQ(stepError(manager, makeStreamRequest(bad)).kind, "invalid")
+        << "name '" << bad << "'";
   }
   EXPECT_EQ(manager.size(), 0u);
 }
 
 TEST(StreamSessionManagerTest, CloseDropsTheSession) {
   StreamSessionManager manager;
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s")).ok);
+  ASSERT_TRUE(step(manager, makeStreamRequest("s")).ok);
   EXPECT_EQ(manager.size(), 1u);
   EXPECT_TRUE(manager.close("s"));
   EXPECT_EQ(manager.size(), 0u);
   EXPECT_FALSE(manager.close("s"));  // already gone
   // A new window after close starts a fresh session at window 0.
-  const StreamOutcome reopened = manager.submit(makeStreamRequest("s"));
+  const StreamOutcome reopened = step(manager, makeStreamRequest("s"));
   ASSERT_TRUE(reopened.ok);
   EXPECT_EQ(reopened.window, 0);
   EXPECT_TRUE(reopened.reset);
@@ -205,19 +236,19 @@ TEST(StreamSessionManagerTest, CloseDropsTheSession) {
 
 TEST(StreamSessionManagerTest, LruEvictionDropsTheColdestSession) {
   StreamSessionManager manager(/*maxSessions=*/2);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("a")).ok);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("b")).ok);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("a")).ok);  // touch a
-  ASSERT_TRUE(manager.submit(makeStreamRequest("c")).ok);  // evicts b
+  ASSERT_TRUE(step(manager, makeStreamRequest("a")).ok);
+  ASSERT_TRUE(step(manager, makeStreamRequest("b")).ok);
+  ASSERT_TRUE(step(manager, makeStreamRequest("a")).ok);  // touch a
+  ASSERT_TRUE(step(manager, makeStreamRequest("c")).ok);  // evicts b
   EXPECT_EQ(manager.size(), 2u);
 
   // a kept its state across the eviction of b; re-adding b afterwards
   // restarts it from scratch (and evicts the new LRU victim, c).
-  const StreamOutcome a = manager.submit(makeStreamRequest("a"));
+  const StreamOutcome a = step(manager, makeStreamRequest("a"));
   ASSERT_TRUE(a.ok);
   EXPECT_EQ(a.window, 2);
   EXPECT_FALSE(a.reset);
-  const StreamOutcome b = manager.submit(makeStreamRequest("b"));
+  const StreamOutcome b = step(manager, makeStreamRequest("b"));
   ASSERT_TRUE(b.ok);
   EXPECT_EQ(b.window, 0);
   EXPECT_TRUE(b.reset);
@@ -225,12 +256,12 @@ TEST(StreamSessionManagerTest, LruEvictionDropsTheColdestSession) {
 
 TEST(StreamSessionManagerTest, ConfigChangeResetsTheSessionInPlace) {
   StreamSessionManager manager;
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s")).ok);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s")).ok);
+  ASSERT_TRUE(step(manager, makeStreamRequest("s")).ok);
+  ASSERT_TRUE(step(manager, makeStreamRequest("s")).ok);
 
   StreamRequest changed = makeStreamRequest("s");
   changed.job.config.numWindows = 5;  // different solve shape
-  const StreamOutcome out = manager.submit(changed);
+  const StreamOutcome out = step(manager, changed);
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_TRUE(out.reset);
   EXPECT_EQ(out.window, 0);
@@ -248,18 +279,32 @@ TEST(StreamSessionManagerTest, ConfigChangeResetsTheSessionInPlace) {
   EXPECT_EQ(out.result->scheduleText, expected->scheduleText);
 }
 
-TEST(StreamSessionManagerTest, InvalidateByTagDropsOnlyMatchingSessions) {
+TEST(StreamSessionManagerTest, ArrayFaultChangeRebuildsTheSession) {
   StreamSessionManager manager;
-  StreamPin pinA{"arrayA", {}};
-  StreamPin pinB{"arrayB", {}};
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s1"), pinA).ok);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s2"), pinA).ok);
-  ASSERT_TRUE(manager.submit(makeStreamRequest("s3"), pinB).ok);
-  EXPECT_EQ(manager.invalidateByTag("arrayA"), 2);
-  EXPECT_EQ(manager.size(), 1u);
-  const StreamOutcome s3 = manager.submit(makeStreamRequest("s3"), pinB);
-  ASSERT_TRUE(s3.ok);
-  EXPECT_EQ(s3.window, 1);  // untouched by the other tag's invalidation
+  const StreamRequest request = makeStreamRequest("s");
+  ASSERT_TRUE(step(manager, request).ok);
+  const StreamOutcome same = step(manager, request);
+  ASSERT_TRUE(same.ok);
+  EXPECT_FALSE(same.reset);
+  EXPECT_EQ(same.window, 1);
+
+  // New array faults (a drift on the hosting array) rebuild the session
+  // cold under them, and it answers as the one-shot pipeline does there.
+  const std::vector<std::string> drifted = {"proc:5"};
+  const StreamOutcome rebuilt = manager.step("s", request.job, drifted);
+  ASSERT_TRUE(rebuilt.ok);
+  EXPECT_TRUE(rebuilt.reset);
+  EXPECT_EQ(rebuilt.window, 0);
+  EXPECT_FALSE(rebuilt.incremental);
+  ASSERT_NE(rebuilt.result, nullptr);
+  EXPECT_EQ(rebuilt.result->scheduleText,
+            executeJobRequest(request.job, drifted)->scheduleText);
+
+  const StreamOutcome warm = manager.step("s", request.job, drifted);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_FALSE(warm.reset);
+  EXPECT_EQ(warm.window, 1);
+  EXPECT_TRUE(warm.incremental);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +359,7 @@ TEST(StreamFleetTest, FleetStreamsMatchTheOneShotPath) {
     const auto expected = oneShot.result(submitted.id);
     ASSERT_NE(expected, nullptr);
     EXPECT_EQ(window.result->scheduleText, expected->scheduleText);
+    EXPECT_EQ(window.result->digest, expected->digest);
   }
   EXPECT_TRUE(fleet.closeStream("s"));
 }
@@ -321,16 +367,18 @@ TEST(StreamFleetTest, FleetStreamsMatchTheOneShotPath) {
 TEST(StreamFleetTest, RequestRepeatingAnArrayFaultMatchesTheOneShotPath) {
   fleet::FleetService::Config config;
   config.arrays = fleet::parseFleetSpec("only=4x4:proc:5");
-  fleet::FleetService fleet(std::move(config));
+  fleet::FleetService fleet(config);
   StreamRequest request = makeStreamRequest("s");
   request.job.faults = {"proc:5"};  // already dead on the hosting array
   const StreamOutcome window = fleet.submitStream(request);
   ASSERT_TRUE(window.ok) << window.error;
   ASSERT_NE(window.result, nullptr);
 
-  const SubmitOutcome submitted = fleet.submit(request.job);
+  // A second fleet: the first one caches the window's result.
+  fleet::FleetService oneShot(std::move(config));
+  const SubmitOutcome submitted = oneShot.submit(request.job);
   ASSERT_TRUE(submitted.accepted) << submitted.reason;
-  const auto expected = fleet.result(submitted.id);
+  const auto expected = oneShot.result(submitted.id);
   ASSERT_NE(expected, nullptr);
   EXPECT_EQ(window.result->scheduleText, expected->scheduleText);
 }
@@ -384,6 +432,111 @@ TEST(StreamFleetTest, DriftOnTheHostingArrayInvalidatesTheSession) {
   EXPECT_TRUE(healed.reset);
 }
 
+TEST(StreamFleetTest, DriftDuringAWindowRerunsItUnderTheLiveFaults) {
+  fleet::FleetService* service = nullptr;
+  int runs = 0;
+  fleet::FleetService::Config config;
+  config.arrays = fleet::parseFleetSpec("only=4x4");
+  // Window 3's run is where the array drifts.
+  config.onJobAttempt = [&](int) {
+    if (++runs == 3) {
+      EXPECT_TRUE(service->applyDrift("only", {"proc:5"}, false).ok);
+    }
+  };
+  fleet::FleetService fleet(std::move(config));
+  service = &fleet;
+  ASSERT_TRUE(fleet.submitStream(makeStreamRequest("s", 1)).ok);
+  ASSERT_TRUE(fleet.submitStream(makeStreamRequest("s", 2)).ok);
+  const std::int64_t resolved = fleet.fleetStats().rebalance.resolved;
+
+  const StreamOutcome third = fleet.submitStream(makeStreamRequest("s", 3));
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_TRUE(third.reset);
+  EXPECT_EQ(third.window, 0);
+  EXPECT_EQ(fleet.fleetStats().rebalance.resolved, resolved + 1);
+  EXPECT_EQ(fleet.fleetStats().rebalance.staleServed, 0);
+
+  OneShot oneShot{OneShot::Config{}};
+  StreamRequest fresh = makeStreamRequest("s", 3);
+  fresh.job.faults = {"proc:5"};
+  const SubmitOutcome submitted = oneShot.submit(fresh.job);
+  ASSERT_TRUE(submitted.accepted);
+  const auto expected = oneShot.result(submitted.id);
+  ASSERT_NE(expected, nullptr);
+  ASSERT_NE(third.result, nullptr);
+  EXPECT_EQ(third.result->scheduleText, expected->scheduleText);
+}
+
+TEST(StreamFleetTest, WindowPastTheTenantQuotaIsRefused) {
+  RunGate gate;
+  fleet::FleetService::Config config;
+  config.arrays = fleet::parseFleetSpec("only=4x4");
+  config.tenantQueueDepth = 1;
+  config.onJobAttempt = gate.hook();
+  fleet::FleetService fleet(std::move(config));
+  // The first job holds the array; the second fills the tenant's quota.
+  const bool firstAccepted =
+      fleet.submit(makeStreamRequest("x", 9).job).accepted;
+  const bool secondAccepted =
+      fleet.submit(makeStreamRequest("x", 8).job).accepted;
+  const StreamOutcome window = fleet.submitStream(makeStreamRequest("s"));
+  gate.release.set_value();
+
+  EXPECT_TRUE(firstAccepted);
+  EXPECT_TRUE(secondAccepted);
+  EXPECT_FALSE(window.ok);
+  EXPECT_EQ(window.errorKind, "invalid");
+  EXPECT_NE(window.error.find("tenant quota exceeded"), std::string::npos)
+      << window.error;
+}
+
+TEST(StreamFleetTest, QueuedWindowPastItsDeadlineExpires) {
+  RunGate gate;
+  fleet::FleetService::Config config;
+  config.arrays = fleet::parseFleetSpec("only=4x4");
+  config.onJobAttempt = gate.hook();
+  fleet::FleetService fleet(std::move(config));
+  const bool blockerAccepted =
+      fleet.submit(makeStreamRequest("x", 9).job).accepted;
+
+  StreamRequest request = makeStreamRequest("s");
+  request.job.deadlineMs = 1;
+  std::future<StreamOutcome> window = std::async(
+      std::launch::async, [&] { return fleet.submitStream(request); });
+  while (fleet.stats().queueDepth == 0 &&
+         window.wait_for(std::chrono::milliseconds(1)) !=
+             std::future_status::ready) {
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.release.set_value();
+
+  EXPECT_TRUE(blockerAccepted);
+  const StreamOutcome out = window.get();
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.errorKind, "expired") << out.error;
+  EXPECT_EQ(fleet.stats().expired, 1);
+}
+
+TEST(StreamFleetTest, WindowsCountInTheArrayAndTenantRows) {
+  fleet::FleetService::Config config;
+  config.arrays = fleet::parseFleetSpec("only=4x4");
+  fleet::FleetService fleet(std::move(config));
+  for (int tail = 1; tail <= 2; ++tail) {
+    StreamRequest request = makeStreamRequest("s", tail);
+    request.job.tenant = "acme";
+    ASSERT_TRUE(fleet.submitStream(request).ok);
+  }
+  const fleet::FleetService::FleetStats stats = fleet.fleetStats();
+  ASSERT_EQ(stats.arrays.size(), 1u);
+  EXPECT_EQ(stats.arrays[0].dispatched, 2);
+  EXPECT_EQ(stats.arrays[0].completed, 2);
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].name, "acme");
+  EXPECT_EQ(stats.tenants[0].submitted, 2);
+  EXPECT_EQ(stats.tenants[0].dispatched, 2);
+  EXPECT_EQ(stats.tenants[0].completed, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Compat digest unit coverage.
 // ---------------------------------------------------------------------------
@@ -408,6 +561,14 @@ TEST(StreamCompatDigestTest, TraceContentDoesNotChangeIt) {
   StreamRequest tenant = makeStreamRequest("s");
   tenant.job.tenant = "acme";
   EXPECT_NE(streamCompatDigest(tenant.job), base);
+
+  // The hosting array's faults are part of it; the trace still is not.
+  const std::vector<std::string> arrayFaults = {"proc:5"};
+  const Digest drifted =
+      streamCompatDigest(makeStreamRequest("s").job, arrayFaults);
+  EXPECT_NE(drifted, base);
+  EXPECT_EQ(streamCompatDigest(makeStreamRequest("s", 7).job, arrayFaults),
+            drifted);
 
   StreamRequest windows = makeStreamRequest("s");
   windows.job.config.numWindows = 7;
