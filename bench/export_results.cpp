@@ -40,14 +40,12 @@ void writeCsv(const std::string& path, const std::vector<Row>& rows,
 
 int main() {
   std::filesystem::create_directories("results");
-  writeCsv("results/table1.csv",
-           runPaperGrid({Method::kScds, Method::kLomcds, Method::kGomcds},
-                        /*perStepWindows=*/true),
+  const std::vector<Row> rows =
+      runPaperGrid({Method::kScds, Method::kLomcds, Method::kGomcds,
+                    Method::kGroupedLomcds, Method::kGroupedGomcds});
+  writeCsv("results/table1.csv", selectColumns(rows, {0, 1, 2}),
            {"scds", "lomcds", "gomcds"});
-  writeCsv("results/table2.csv",
-           runPaperGrid({Method::kScds, Method::kGroupedLomcds,
-                         Method::kGroupedGomcds},
-                        /*perStepWindows=*/true),
+  writeCsv("results/table2.csv", selectColumns(rows, {0, 3, 4}),
            {"scds", "lomcds_grouped", "gomcds_grouped"});
   std::cout << "wrote results/table1.csv and results/table2.csv\n";
   return 0;

@@ -178,7 +178,9 @@ int runStream(const Endpoint& endpoint, int argc, char** argv, int i) {
   bool allOk = true;
   const auto exchange = [&](const Json& request) {
     const std::string reply = conn.roundTrip(request.dump());
-    std::cout << reply << '\n';
+    // Flushed per window: a caller reading a pipe reacts to each reply
+    // before it sends the next window.
+    std::cout << reply << '\n' << std::flush;
     if (!replyOk(reply)) allOk = false;
   };
   std::string line;

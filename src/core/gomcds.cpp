@@ -24,22 +24,22 @@ namespace pimsched {
 
 namespace detail {
 
-namespace {
-
-[[noreturn]] void throwGomcdsInfeasible(const CostModel& model) {
+void throwPlacementInfeasible(const CostModel& model, const char* scheduler,
+                              const char* infeasibleMessage) {
   // On a faulted mesh an infeasible cost-graph usually means the faults
   // severed every placement path (dead mesh, partition), which callers
   // handle differently from running out of slots.
   if (const FaultMap* faults = model.faults()) {
     if (faults->aliveProcCount() == 0 || model.distances().partitioned()) {
-      throw UnreachableError(
-          "scheduleGomcds: faulted mesh cannot host data (" +
-          faults->summary() + ")");
+      throw UnreachableError(std::string(scheduler) +
+                             ": faulted mesh cannot host data (" +
+                             faults->summary() + ")");
     }
   }
-  throw std::runtime_error(
-      "scheduleGomcds: capacity infeasible (no placement path)");
+  throw CapacityInfeasibleError(infeasibleMessage);
 }
+
+namespace {
 
 [[noreturn]] void throwGomcdsSlotDisagreement(DataId d, ProcId p, WindowId w,
                                               const OccupancyMap& occ) {
@@ -117,7 +117,11 @@ void GomcdsPlacement::mask(CostBuffer& costs) const {
 }
 
 void GomcdsPlacement::commit(DataId d, const LayeredPath& path) {
-  if (!path.feasible()) throwGomcdsInfeasible(*model_);
+  if (!path.feasible()) {
+    throwPlacementInfeasible(
+        *model_, "scheduleGomcds",
+        "scheduleGomcds: capacity infeasible (no placement path)");
+  }
   const std::size_t P = static_cast<std::size_t>(model_->grid().size());
   for (std::size_t w = 0; w < occupancy_.size(); ++w) {
     const auto p = static_cast<ProcId>(path.nodes[w]);

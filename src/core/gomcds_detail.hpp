@@ -40,6 +40,13 @@ struct GomcdsScratch {
 [[nodiscard]] bool staticForbiddenSet(const CostModel& model,
                                       const SchedulerOptions& options);
 
+/// Throws for a datum the movement-aware DP cannot place. On a faulted
+/// array that is all dead or partitioned, UnreachableError naming
+/// `scheduler`; otherwise CapacityInfeasibleError(infeasibleMessage).
+[[noreturn]] void throwPlacementInfeasible(const CostModel& model,
+                                           const char* scheduler,
+                                           const char* infeasibleMessage);
+
 /// Equivalence classes of data whose windowed reference strings are
 /// byte-identical — they pose the same per-datum DAG subproblem, so under
 /// a static forbidden set one solve per class serves every member.

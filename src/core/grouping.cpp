@@ -8,6 +8,7 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/simd/simd_kernels.hpp"
 #include "obs/obs.hpp"
@@ -479,7 +480,8 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
     const WindowCostPrefix prefix(tables, d);
     grouper.start(prefix);
     if (!grouper.run(grouping)) {
-      throw std::runtime_error(
+      detail::throwPlacementInfeasible(
+          model, "scheduleGroupedGomcds",
           "scheduleGroupedGomcds: capacity infeasible for a datum");
     }
     const int g = grouping.numGroups();
@@ -498,7 +500,8 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
     }
     kernel.solve(g, nodeCosts, scratch, path);
     if (!path.feasible()) {
-      throw std::runtime_error(
+      detail::throwPlacementInfeasible(
+          model, "scheduleGroupedGomcds",
           "scheduleGroupedGomcds: no feasible center path");
     }
     for (int i = 0; i < g; ++i) {
@@ -530,7 +533,7 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       // by the data scheduled so far; the chosen centers are feasible by
       // construction.
       if (!grouper.run(greedy)) {
-        throw std::runtime_error(
+        throw CapacityInfeasibleError(
             "scheduleGroupedLomcds: capacity infeasible for a datum");
       }
       for (int i = 0; i < greedy.numGroups(); ++i) {
@@ -573,7 +576,7 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
                             model.moveCost(intended, p));
             });
         if (fallback == kNoProc) {
-          throw std::runtime_error(
+          throw CapacityInfeasibleError(
               "scheduleGroupedLomcds: capacity infeasible for a group");
         }
         grouper.claim(fallback, w);

@@ -53,7 +53,7 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
               std::to_string(d) + " in window " + std::to_string(w) +
               " on faulted mesh");
         }
-        throw std::runtime_error(
+        throw CapacityInfeasibleError(
             "scheduleLomcds: capacity infeasible (all processors full)");
       }
       if (!occupancy.tryPlace(p)) {

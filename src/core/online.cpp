@@ -8,6 +8,7 @@
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
 #include "cost/serve_tables.hpp"
+#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "pim/memory.hpp"
 #include "util/aligned.hpp"
@@ -62,7 +63,7 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
           std::span<const Cost>(first, static_cast<std::size_t>(horizon) * m),
           scratch, path);
       if (!path.feasible()) {
-        throw std::runtime_error(
+        throw CapacityInfeasibleError(
             "scheduleOnline: capacity infeasible (window full)");
       }
       const auto chosen = static_cast<ProcId>(path.nodes[0]);

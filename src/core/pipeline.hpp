@@ -66,7 +66,7 @@ struct PipelineConfig {
   /// visits "each data i" in an unspecified order, and letting data with
   /// the most reference traffic claim their optimal centers first is the
   /// natural processor-list behaviour under memory contention (ablated in
-  /// bench/grouping_ablation).
+  /// section A3 of bench/paper_experiments).
   DataOrder order = DataOrder::kByWeightDesc;
 
   /// Worker threads for the parallel paths (GOMCDS lookahead scheduling

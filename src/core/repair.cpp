@@ -117,7 +117,7 @@ RepairResult repairSchedule(const DataSchedule& schedule,
               std::to_string(d) + " in window " + std::to_string(w) +
               " on faulted mesh");
         }
-        throw std::runtime_error(
+        throw CapacityInfeasibleError(
             "repairSchedule: capacity infeasible in window " +
             std::to_string(w));
       }

@@ -7,6 +7,7 @@
 #include "cost/center_list.hpp"
 #include "cost/kmedian.hpp"
 #include "cost/serve_tables.hpp"
+#include "fault/fault_map.hpp"
 #include "pim/memory.hpp"
 
 namespace pimsched {
@@ -38,7 +39,7 @@ ReplicatedSchedule scheduleReplicated(const WindowedRefs& refs,
     const CenterList list(costs);
     const ProcId primary = list.firstAvailable(occupancy);
     if (primary == kNoProc) {
-      throw std::runtime_error(
+      throw CapacityInfeasibleError(
           "scheduleReplicated: capacity infeasible for primary copies");
     }
     occupancy.tryPlace(primary);

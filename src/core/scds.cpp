@@ -34,7 +34,7 @@ DataSchedule scheduleScds(const WindowedRefs& refs, const CostModel& model,
         throw UnreachableError("scheduleScds: no feasible center for datum " +
                                std::to_string(d) + " on faulted mesh");
       }
-      throw std::runtime_error(
+      throw CapacityInfeasibleError(
           "scheduleScds: capacity infeasible (all processors full)");
     }
     if (!occupancy.tryPlace(p)) {

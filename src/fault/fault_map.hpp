@@ -24,6 +24,15 @@ class UnreachableError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown when a scheduler runs out of memory slots: every processor that
+/// could host a datum is full. Unlike UnreachableError, a larger capacity
+/// would make the same input schedulable; callers report it as
+/// "infeasible".
+class CapacityInfeasibleError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The fault state of a PIM array: dead processors, dead *directed* links
 /// and optional reduced per-processor memory capacity, layered over (a copy
 /// of) a Grid. A dead processor implicitly kills every link touching it.

@@ -26,8 +26,8 @@ enum class PaperBenchmark { kLu = 1, kMatSquare, kLuCode, kMatCode, kCodeRev };
 /// on the given grid under the given iteration partition. Row-block is the
 /// default: it matches the row-wise "straight-forward" data distribution
 /// the paper compares against, and reproduces the paper's improvement
-/// magnitudes (see DESIGN.md §5 and the extended_kernels bench for the
-/// partition sensitivity).
+/// magnitudes (see DESIGN.md §5 and section D2 of bench/paper_experiments
+/// for the partition sensitivity).
 [[nodiscard]] ReferenceTrace makePaperBenchmark(
     PaperBenchmark b, const Grid& grid, int n,
     PartitionKind partition = PartitionKind::kRowBlock);

@@ -30,8 +30,8 @@ void emitIrregularCode(TraceBuilder& tb, const IterationMap& map, int n,
 
 /// How the hotspot of a CODE variant wanders over the phases. Since the
 /// original CODE kernel is unavailable, the reproduction's conclusions
-/// must not hinge on one reconstruction: bench/code_sensitivity re-runs
-/// the evaluation across all of these.
+/// must not hinge on one reconstruction: section A11 of
+/// bench/paper_experiments re-runs the evaluation across all of these.
 enum class HotspotPath {
   kDiagonalSwing,  ///< the default emitIrregularCode behaviour
   kRandomWalk,     ///< LCG-driven bounded random walk

@@ -54,14 +54,10 @@ JobError classifyJobError(const std::exception_ptr& ep) {
     std::rethrow_exception(ep);
   } catch (const UnreachableError& e) {
     return {e.what(), "unreachable", false};
+  } catch (const CapacityInfeasibleError& e) {
+    return {e.what(), "infeasible", false};
   } catch (const std::invalid_argument& e) {
     return {e.what(), "invalid", false};
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    if (what.find("capacity infeasible") != std::string::npos) {
-      return {what, "infeasible", false};
-    }
-    return {what, "internal", true};
   } catch (const std::bad_alloc& e) {
     return {e.what(), "internal", false};
   } catch (const std::exception& e) {

@@ -365,6 +365,35 @@ TEST(SchedulingService, UnreachableFaultsFailWithKindAndNoRetry) {
   EXPECT_FALSE(status->error.empty());
 }
 
+TEST(SchedulingService, PartitionedMeshFailsUnreachableForEveryScheduler) {
+  // One datum referenced from processor 0 in step 0 and processor 12 in
+  // step 1; row:1 cuts the 4x4 grid between them. Every scheduler must
+  // fail the job as unreachable, once: a grouped GOMCDS schedule with no
+  // center path across the cut is not a transient internal error.
+  JobRequest request;
+  request.trace = ReferenceTrace(DataSpace::singleSquare(1));
+  request.trace.add(0, 0, 0, 1);
+  request.trace.add(1, 12, 0, 1);
+  request.trace.finalize();
+  request.config.numWindows = 2;
+  request.config.capacity = PipelineConfig::kUnlimited;
+  request.faults = {"row:1"};
+  FleetService service(engineConfig());
+  for (const Method method :
+       {Method::kScds, Method::kLomcds, Method::kGomcds,
+        Method::kGroupedLomcds, Method::kGroupedGomcds}) {
+    request.method = method;
+    const SubmitOutcome outcome = service.submit(request);
+    ASSERT_TRUE(outcome.accepted) << toString(method);
+    EXPECT_EQ(service.result(outcome.id), nullptr) << toString(method);
+    const auto status = service.status(outcome.id);
+    ASSERT_TRUE(status.has_value()) << toString(method);
+    EXPECT_EQ(status->state, JobState::kFailed) << toString(method);
+    EXPECT_EQ(status->errorKind, "unreachable") << toString(method);
+    EXPECT_EQ(status->attempts, 1) << toString(method);
+  }
+}
+
 TEST(SchedulingService, TransientWorkerFailureIsRetriedOnce) {
   std::atomic<int> attemptsSeen{0};
   FleetService::Config config = engineConfig();
