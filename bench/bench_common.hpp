@@ -15,10 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "ablation/stats.hpp"
 #include "core/pipeline.hpp"
 #include "kernels/benchmarks.hpp"
 #include "obs/obs.hpp"
-#include "report/stats.hpp"
 #include "report/table.hpp"
 #include "util/thread_pool.hpp"
 

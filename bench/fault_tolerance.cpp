@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "ablation/repair.hpp"
 #include "core/evaluator.hpp"
 #include "core/pipeline.hpp"
-#include "core/repair.hpp"
 #include "fault/fault_map.hpp"
 #include "kernels/benchmarks.hpp"
 #include "report/table.hpp"

@@ -202,7 +202,8 @@ bool runCase(int gridN, int dataN, int groupSize, int windows,
     const double coldStep = msSince(t0);
 
     t0 = Clock::now();
-    const DataSchedule warm = solver.solve(exp.refs(), exp.costModel(), opts);
+    const DataSchedule warm =
+        solver.solve(exp.sharedRefs(), exp.costModel(), opts);
     const double warmStep = msSince(t0);
 
     for (DataId d = 0; d < cold.numData(); ++d) {

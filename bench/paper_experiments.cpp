@@ -16,17 +16,17 @@
 #include <string>
 #include <vector>
 
+#include "ablation/annealing.hpp"
+#include "ablation/replication.hpp"
+#include "ablation/workload_stats.hpp"
 #include "bench_common.hpp"
 #include "core/adaptive_window.hpp"
-#include "core/annealing.hpp"
 #include "core/evaluator.hpp"
 #include "core/gomcds.hpp"
 #include "core/lomcds.hpp"
 #include "core/online.hpp"
 #include "core/placement_opt.hpp"
-#include "core/replication.hpp"
 #include "core/scds.hpp"
-#include "cost/workload_stats.hpp"
 #include "kernels/combinators.hpp"
 #include "kernels/extra_kernels.hpp"
 #include "kernels/irregular_code.hpp"

@@ -533,7 +533,8 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       // by the data scheduled so far; the chosen centers are feasible by
       // construction.
       if (!grouper.run(greedy)) {
-        throw CapacityInfeasibleError(
+        detail::throwPlacementInfeasible(
+            model, "scheduleGroupedLomcds",
             "scheduleGroupedLomcds: capacity infeasible for a datum");
       }
       for (int i = 0; i < greedy.numGroups(); ++i) {
@@ -576,7 +577,8 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
                             model.moveCost(intended, p));
             });
         if (fallback == kNoProc) {
-          throw CapacityInfeasibleError(
+          detail::throwPlacementInfeasible(
+              model, "scheduleGroupedLomcds",
               "scheduleGroupedLomcds: capacity infeasible for a group");
         }
         grouper.claim(fallback, w);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <span>
 #include <unordered_set>
+#include <utility>
 
 #include "core/gomcds_detail.hpp"
 #include "cost/center_costs.hpp"
@@ -233,10 +234,10 @@ DataSchedule IncrementalSolver::coldFall(const WindowedRefs& refs,
   return scheduleGomcds(refs, model, options, 1, engine);
 }
 
-DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
-                                      const CostModel& model,
-                                      const SchedulerOptions& options,
-                                      GomcdsEngine engine) {
+DataSchedule IncrementalSolver::solve(
+    std::shared_ptr<const WindowedRefs> sharedRefs, const CostModel& model,
+    const SchedulerOptions& options, GomcdsEngine engine) {
+  const WindowedRefs& refs = *sharedRefs;
   // Retention requires a static forbidden set: under capacity pressure the
   // mask grows between data, so per-class dp tables and paths from one
   // datum are unsound for the next — cold solve, retain nothing.
@@ -362,7 +363,7 @@ DataSchedule IncrementalSolver::solve(const WindowedRefs& refs,
     }
     DataSchedule schedule = placement.finish();
 
-    prevRefs_.emplace(refs);
+    prevRefs_ = std::move(sharedRefs);
     prevClassOf_ = classes.classOf;
     prevStates_ = std::move(newStates);
     fingerprint_ = fp;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/gomcds.hpp"
@@ -89,8 +88,9 @@ class IncrementalSolver {
 
   IncrementalSolver() = default;
 
-  /// Drop-in replacement for scheduleGomcds with state retention.
-  [[nodiscard]] DataSchedule solve(const WindowedRefs& refs,
+  /// scheduleGomcds with state retention. The solver keeps `refs` (shared,
+  /// not copied) to diff the next solve against.
+  [[nodiscard]] DataSchedule solve(std::shared_ptr<const WindowedRefs> refs,
                                    const CostModel& model,
                                    const SchedulerOptions& options = {},
                                    GomcdsEngine engine = GomcdsEngine::kChamfer);
@@ -125,7 +125,7 @@ class IncrementalSolver {
   Stats stats_;
   bool retainedValid_ = false;
   std::uint64_t fingerprint_ = 0;
-  std::optional<WindowedRefs> prevRefs_;
+  std::shared_ptr<const WindowedRefs> prevRefs_;
   std::vector<int> prevClassOf_;  ///< datum -> previous class index
   std::vector<std::shared_ptr<ClassState>> prevStates_;
   LayeredDagScratch scratch_;

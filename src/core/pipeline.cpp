@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -94,6 +95,23 @@ const ReferenceTrace& checkedTrace(const ReferenceTrace& trace,
   return trace;
 }
 
+/// The trace's windowed refs, without the references dead processors issue.
+std::shared_ptr<const WindowedRefs> windowedRefs(const ReferenceTrace& trace,
+                                                 const Grid& grid,
+                                                 const FaultMap& faults,
+                                                 const PipelineConfig& config) {
+  WindowedRefs refs(trace,
+                    config.explicitWindows.has_value()
+                        ? *config.explicitWindows
+                        : WindowPartition::evenCount(trace.numSteps(),
+                                                     config.numWindows),
+                    grid);
+  if (faults.deadProcCount() > 0) {
+    refs = refs.withProcsMasked(faults.deadProcMask());
+  }
+  return std::make_shared<const WindowedRefs>(std::move(refs));
+}
+
 }  // namespace
 
 bool traceCostsFit(const ReferenceTrace& trace, int procs,
@@ -118,19 +136,11 @@ Experiment::Experiment(const ReferenceTrace& trace, const Grid& grid,
                        std::shared_ptr<const ArrayModel> array)
     : space_(&checkedTrace(trace, faults, config).dataSpace()),
       config_(std::move(config)),
-      refs_(trace,
-            config_.explicitWindows.has_value()
-                ? *config_.explicitWindows
-                : WindowPartition::evenCount(trace.numSteps(),
-                                             config_.numWindows),
-            grid),
+      refs_(windowedRefs(trace, grid, faults, config_)),
       array_(array != nullptr ? std::move(array)
                               : std::make_shared<const ArrayModel>(grid, faults)),
       model_(array_->costModel(config_.costParams)),
       capacity_(config_.capacity) {
-  if (faults.deadProcCount() > 0) {
-    refs_ = refs_.withProcsMasked(faults.deadProcMask());
-  }
   if (capacity_ == PipelineConfig::kPaperCapacity) {
     // The paper's "twice the minimum" rule; over a faulted mesh the
     // minimum counts only alive processors.
@@ -171,13 +181,13 @@ DataSchedule scheduleMethod(Method m, const WindowedRefs& refs,
 }
 
 DataSchedule Experiment::schedule(Method m) const {
-  return scheduleMethod(m, refs_, model_, *space_,
+  return scheduleMethod(m, *refs_, model_, *space_,
                         SchedulerOptions{capacity_, config_.order},
                         config_.threads);
 }
 
 EvalResult Experiment::evaluate(Method m) const {
-  return evaluateSchedule(schedule(m), refs_, model_, config_.threads);
+  return evaluateSchedule(schedule(m), *refs_, model_, config_.threads);
 }
 
 StreamSession::StreamSession(int gridRows, int gridCols,
@@ -200,7 +210,7 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
   // reusing every dp row before the first changed window of each class.
   const bool warmPath = method_ == Method::kGomcds;
   DataSchedule schedule =
-      warmPath ? solver_.solve(refs, model,
+      warmPath ? solver_.solve(exp.sharedRefs(), model,
                                SchedulerOptions{exp.capacity(), config_.order})
                : exp.schedule(method_);
   requireFaultFeasible(schedule, refs, model);

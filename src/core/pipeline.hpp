@@ -123,7 +123,11 @@ class Experiment {
   Experiment& operator=(const Experiment&) = delete;
 
   [[nodiscard]] const Grid& grid() const { return array_->grid(); }
-  [[nodiscard]] const WindowedRefs& refs() const { return refs_; }
+  [[nodiscard]] const WindowedRefs& refs() const { return *refs_; }
+  /// The refs, shared: IncrementalSolver::solve keeps them without a copy.
+  [[nodiscard]] std::shared_ptr<const WindowedRefs> sharedRefs() const {
+    return refs_;
+  }
   [[nodiscard]] const CostModel& costModel() const { return model_; }
   [[nodiscard]] const DataSpace& dataSpace() const { return *space_; }
   /// Resolved per-processor capacity (>= 0, or -1 for unlimited).
@@ -146,7 +150,7 @@ class Experiment {
 
   const DataSpace* space_;
   PipelineConfig config_;
-  WindowedRefs refs_;
+  std::shared_ptr<const WindowedRefs> refs_;
   std::shared_ptr<const ArrayModel> array_;
   CostModel model_;  ///< points into *array_
   std::int64_t capacity_;

@@ -1,9 +1,9 @@
 #include "fault/fault_trace.hpp"
 
-#include <algorithm>
 #include <cstddef>
-#include <sstream>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -15,7 +15,6 @@ struct ParsedSpec {
   std::string verb;
   std::vector<std::int64_t> args;
   std::uint64_t seed = 0;
-  bool hasSeed = false;
 };
 
 [[noreturn]] void badSpec(const std::string& spec, const char* why) {
@@ -117,7 +116,6 @@ ParsedSpec parseSpec(const std::string& spec) {
     if (at == std::string::npos) badSpec(spec, "expected N@SEED");
     p.args.push_back(parseInt(spec, body.substr(0, at), bodyAt));
     p.seed = parseSeed(spec, body.substr(at + 1), bodyAt + at + 1);
-    p.hasSeed = true;
   } else {
     badSpecAt(spec, "unknown fault verb", p.verb, 0);
   }
@@ -170,121 +168,6 @@ bool applyFaultSpec(FaultMap& map, const std::string& spec) {
     return false;
   }
   return true;
-}
-
-FaultTrace::FaultTrace(std::vector<FaultEvent> events)
-    : events_(std::move(events)) {
-  for (const FaultEvent& e : events_) {
-    if (e.step < 0) {
-      throw std::invalid_argument("FaultTrace: event step must be >= 0");
-    }
-    parseSpec(e.spec);  // validate grammar up front
-  }
-  std::stable_sort(
-      events_.begin(), events_.end(),
-      [](const FaultEvent& a, const FaultEvent& b) { return a.step < b.step; });
-}
-
-FaultTrace FaultTrace::parse(std::istream& in) {
-  std::vector<FaultEvent> events;
-  std::string line;
-  int lineNo = 0;
-  bool sawHeader = false;
-  auto fail = [&](const char* why) -> void {
-    throw std::invalid_argument("pimfault line " + std::to_string(lineNo) +
-                                ": " + why);
-  };
-  while (std::getline(in, line)) {
-    ++lineNo;
-    if (lineNo == 1) {
-      if (line.rfind("# pimfault v1", 0) != 0) {
-        fail("missing \"# pimfault v1\" header");
-      }
-      sawHeader = true;
-      continue;
-    }
-    const std::size_t hash = line.find('#');
-    std::istringstream toks(
-        hash == std::string::npos ? line : line.substr(0, hash));
-    std::vector<std::string> words;
-    std::string w;
-    while (toks >> w) words.push_back(w);
-    if (words.empty()) continue;
-    if (words[0] != "step" || words.size() < 3) {
-      fail("expected \"step N <verb> <operands>\"");
-    }
-    FaultEvent ev;
-    try {
-      ev.step = checkedInt(words[1], parseInt(words[1], words[1], 0));
-    } catch (const std::invalid_argument&) {
-      fail("step must be a number");
-    }
-    if (ev.step < 0) fail("step must be >= 0");
-    const std::string& verb = words[2];
-    const std::vector<std::string> ops(words.begin() + 3, words.end());
-    auto need = [&](std::size_t n) {
-      if (ops.size() != n) fail("wrong operand count");
-    };
-    if (verb == "proc" || verb == "row" || verb == "col") {
-      need(1);
-      ev.spec = verb + ":" + ops[0];
-    } else if (verb == "link") {
-      need(2);
-      ev.spec = "link:" + ops[0] + "-" + ops[1];
-    } else if (verb == "region") {
-      need(4);
-      ev.spec = "region:" + ops[0] + "," + ops[1] + "," + ops[2] + "," + ops[3];
-    } else if (verb == "cap") {
-      need(2);
-      ev.spec = "cap:" + ops[0] + "=" + ops[1];
-    } else if (verb == "uniform-procs" || verb == "uniform-links") {
-      need(2);
-      ev.spec = verb + ":" + ops[0] + "@" + ops[1];
-    } else {
-      fail("unknown fault verb");
-    }
-    try {
-      parseSpec(ev.spec);
-    } catch (const std::invalid_argument& e) {
-      fail(e.what());
-    }
-    events.push_back(std::move(ev));
-  }
-  if (!sawHeader) {
-    throw std::invalid_argument("pimfault: empty input (missing header)");
-  }
-  return FaultTrace(std::move(events));
-}
-
-FaultTrace FaultTrace::parse(const std::string& text) {
-  std::istringstream in(text);
-  return parse(in);
-}
-
-int FaultTrace::lastStep() const {
-  return events_.empty() ? -1 : events_.back().step;
-}
-
-FaultMap FaultTrace::mapAtStep(const Grid& grid, int step) const {
-  FaultMap map(grid);
-  for (const FaultEvent& e : events_) {
-    if (e.step > step) break;
-    applyFaultSpec(map, e.spec);
-  }
-  return map;
-}
-
-std::string FaultTrace::toText() const {
-  std::ostringstream out;
-  out << "# pimfault v1\n";
-  for (const FaultEvent& e : events_) {
-    const ParsedSpec p = parseSpec(e.spec);
-    out << "step " << e.step << ' ' << p.verb;
-    for (const std::int64_t a : p.args) out << ' ' << a;
-    if (p.hasSeed) out << ' ' << p.seed;
-    out << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace pimsched

@@ -1,20 +1,10 @@
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "fault/fault_map.hpp"
 
 namespace pimsched {
-
-/// One fault event: a spec that fires at a given execution step (window
-/// index). Step 0 events describe faults present before execution starts.
-struct FaultEvent {
-  int step = 0;
-  std::string spec;  ///< "proc:5", "link:2-3", "row:1", ... see applyFaultSpec
-};
 
 /// Applies one fault spec string to a map. Accepted forms:
 ///
@@ -37,45 +27,5 @@ struct FaultEvent {
 /// so fleet health descriptors built from spec lists stay canonical:
 /// dropping every false-returning spec reproduces the same map.
 bool applyFaultSpec(FaultMap& map, const std::string& spec);
-
-/// A time-ordered fault scenario: events sorted by step, replayable to
-/// the fault state as of any step. Text format ("# pimfault v1"):
-///
-///   # pimfault v1
-///   step 0 proc 5
-///   step 0 cap 7 1
-///   step 3 link 2 3
-///   step 4 region 1 1 2 2
-///
-/// Blank lines and '#' comments are ignored. Event verbs mirror the spec
-/// grammar above with whitespace-separated operands (link A B,
-/// region R0 C0 R1 C1, cap P N, row R, col C, proc P).
-class FaultTrace {
- public:
-  FaultTrace() = default;
-  explicit FaultTrace(std::vector<FaultEvent> events);
-
-  /// Parses the pimfault v1 text format. Throws std::invalid_argument on
-  /// syntax errors (message carries the line number).
-  static FaultTrace parse(std::istream& in);
-  static FaultTrace parse(const std::string& text);
-
-  [[nodiscard]] const std::vector<FaultEvent>& events() const {
-    return events_;
-  }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  /// Largest event step, or -1 when the trace is empty.
-  [[nodiscard]] int lastStep() const;
-
-  /// The cumulative fault state after every event with event.step <= step
-  /// has fired.
-  [[nodiscard]] FaultMap mapAtStep(const Grid& grid, int step) const;
-
-  /// Serializes back to the pimfault v1 text format.
-  [[nodiscard]] std::string toText() const;
-
- private:
-  std::vector<FaultEvent> events_;  ///< sorted by step (stable)
-};
 
 }  // namespace pimsched

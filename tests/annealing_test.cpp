@@ -1,4 +1,4 @@
-#include "core/annealing.hpp"
+#include "ablation/annealing.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "graph/digraph.hpp"
+#include "digraph.hpp"
 
 #include <gtest/gtest.h>
 

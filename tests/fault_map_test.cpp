@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "fault/distance_map.hpp"
@@ -275,72 +274,6 @@ TEST(FaultSpec, MalformedSpecsThrow) {
   EXPECT_THROW(applyFaultSpec(f, "cap:1=-2"), std::invalid_argument);
   EXPECT_THROW(applyFaultSpec(f, "banana:1"), std::invalid_argument);
   EXPECT_THROW(applyFaultSpec(f, "uniform-procs:3"), std::invalid_argument);
-}
-
-// --- FaultTrace -----------------------------------------------------------
-
-TEST(FaultTrace, ParsesAndReplaysByStep) {
-  const Grid g(4, 4);
-  const std::string text =
-      "# pimfault v1\n"
-      "\n"
-      "step 0 proc 5   # initial damage\n"
-      "step 2 link 1 2\n"
-      "step 4 cap 7 1\n";
-  const FaultTrace trace = FaultTrace::parse(text);
-  ASSERT_EQ(trace.events().size(), 3u);
-  EXPECT_EQ(trace.lastStep(), 4);
-
-  const FaultMap at0 = trace.mapAtStep(g, 0);
-  EXPECT_TRUE(at0.procDead(5));
-  EXPECT_FALSE(at0.linkDead(1, 2));
-
-  const FaultMap at2 = trace.mapAtStep(g, 2);
-  EXPECT_TRUE(at2.procDead(5));
-  EXPECT_TRUE(at2.linkDead(1, 2));
-  EXPECT_EQ(at2.capacityLimit(7), -1);
-
-  const FaultMap at9 = trace.mapAtStep(g, 9);
-  EXPECT_EQ(at9.capacityLimit(7), 1);
-}
-
-TEST(FaultTrace, RequiresVersionHeader) {
-  EXPECT_THROW(FaultTrace::parse("step 0 proc 1\n"), std::invalid_argument);
-  EXPECT_THROW(FaultTrace::parse(""), std::invalid_argument);
-}
-
-TEST(FaultTrace, RejectsMalformedLines) {
-  EXPECT_THROW(FaultTrace::parse("# pimfault v1\nstep x proc 1\n"),
-               std::invalid_argument);
-  EXPECT_THROW(FaultTrace::parse("# pimfault v1\nstep 0 banana 1\n"),
-               std::invalid_argument);
-  EXPECT_THROW(FaultTrace::parse("# pimfault v1\nproc 1\n"),
-               std::invalid_argument);
-}
-
-TEST(FaultTrace, TextRoundTrips) {
-  const std::string text =
-      "# pimfault v1\n"
-      "step 0 proc 5\n"
-      "step 1 region 1 1 2 2\n"
-      "step 3 uniform-procs 2 99\n";
-  const FaultTrace trace = FaultTrace::parse(text);
-  const FaultTrace again = FaultTrace::parse(trace.toText());
-  ASSERT_EQ(again.events().size(), trace.events().size());
-  for (std::size_t i = 0; i < trace.events().size(); ++i) {
-    EXPECT_EQ(again.events()[i].step, trace.events()[i].step);
-    EXPECT_EQ(again.events()[i].spec, trace.events()[i].spec);
-  }
-}
-
-TEST(FaultTrace, EventsAreSortedStably) {
-  const FaultTrace trace(
-      {{3, "proc:1"}, {0, "proc:2"}, {3, "proc:3"}, {1, "proc:4"}});
-  ASSERT_EQ(trace.events().size(), 4u);
-  EXPECT_EQ(trace.events()[0].spec, "proc:2");
-  EXPECT_EQ(trace.events()[1].spec, "proc:4");
-  EXPECT_EQ(trace.events()[2].spec, "proc:1");  // step-3 order preserved
-  EXPECT_EQ(trace.events()[3].spec, "proc:3");
 }
 
 // --- DistanceMap ----------------------------------------------------------

@@ -165,6 +165,11 @@ TEST(FaultSched, CrossPartitionReferencesThrowUnreachable) {
   for (const Method m : faultAwareMethods()) {
     EXPECT_THROW((void)exp.schedule(m), UnreachableError) << toString(m);
   }
+  // The grouped schedulers name the partition too, not a capacity limit.
+  for (const Method m : {Method::kGroupedLomcds, Method::kGroupedGomcds,
+                         Method::kGroupedOptimal}) {
+    EXPECT_THROW((void)exp.schedule(m), UnreachableError) << toString(m);
+  }
 }
 
 TEST(FaultSched, FaultObliviousBaselineFailsFaultVerify) {

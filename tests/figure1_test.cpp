@@ -16,7 +16,7 @@
 #include "core/lomcds.hpp"
 #include "core/scds.hpp"
 #include "cost/center_costs.hpp"
-#include "graph/digraph.hpp"
+#include "digraph.hpp"
 
 namespace pimsched {
 namespace {

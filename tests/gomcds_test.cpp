@@ -7,10 +7,10 @@
 #include <optional>
 
 #include "core/evaluator.hpp"
-#include "core/exhaustive.hpp"
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/scds.hpp"
+#include "exhaustive.hpp"
 #include "fault/fault_map.hpp"
 #include "gomcds_reference.hpp"
 #include "kernels/benchmarks.hpp"

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -19,6 +21,11 @@
 
 namespace pimsched {
 namespace {
+
+/// IncrementalSolver::solve retains its refs through a shared pointer.
+std::shared_ptr<const WindowedRefs> shared(WindowedRefs refs) {
+  return std::make_shared<const WindowedRefs>(std::move(refs));
+}
 
 void expectSameSchedule(const DataSchedule& a, const DataSchedule& b) {
   ASSERT_EQ(a.numData(), b.numData());
@@ -104,7 +111,7 @@ TEST(Incremental, BitIdenticalToColdOnEveryPrefixHealthy) {
   IncrementalSolver solver;
   for (int stream = 0; stream < 6; ++stream) {
     const WindowedRefs refs = work.refs(g);
-    const DataSchedule warm = solver.solve(refs, model);
+    const DataSchedule warm = solver.solve(shared(refs), model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
     if (stream > 0) {
@@ -129,7 +136,7 @@ TEST(Incremental, BitIdenticalWithStableFaults) {
   for (int stream = 0; stream < 5; ++stream) {
     const WindowedRefs refs =
         work.refs(g).withProcsMasked(faults.deadProcMask());
-    const DataSchedule warm = solver.solve(refs, model);
+    const DataSchedule warm = solver.solve(shared(refs), model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
     if (stream > 0) {
@@ -163,7 +170,7 @@ TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
   for (int stream = 0; stream < 6; ++stream) {
     const WindowedRefs refs =
         work.refs(g).withProcsMasked(faults.deadProcMask());
-    const DataSchedule warm = solver.solve(refs, model);
+    const DataSchedule warm = solver.solve(shared(refs), model);
     expectSameSchedule(warm, scheduleGomcds(refs, model));
     expectSameSchedule(
         warm, scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
@@ -191,7 +198,7 @@ TEST(Incremental, BitIdenticalWithDedupOffAndWeightOrder) {
   IncrementalSolver solver;
   for (int stream = 0; stream < 4; ++stream) {
     const WindowedRefs refs = work.refs(g);
-    expectSameSchedule(solver.solve(refs, model, options),
+    expectSameSchedule(solver.solve(shared(refs), model, options),
                        testutil::referenceGomcds(refs, model, options));
     work.churnTail(rng, 2, 25);
   }
@@ -207,7 +214,7 @@ TEST(Incremental, CapacityConstrainedColdFallsButMatches) {
   IncrementalSolver solver;
   for (int stream = 0; stream < 3; ++stream) {
     const WindowedRefs refs = work.refs(g);
-    expectSameSchedule(solver.solve(refs, model, options),
+    expectSameSchedule(solver.solve(shared(refs), model, options),
                        scheduleGomcds(refs, model, options));
     EXPECT_TRUE(solver.lastStats().cold);
     work.churnTail(rng, 1, 30);
@@ -220,11 +227,11 @@ TEST(Incremental, ModelChangeForcesColdAndStaysIdentical) {
   StreamWorkload work(rng, g, 8, 5, 20);
   IncrementalSolver solver;
   const WindowedRefs refs = work.refs(g);
-  (void)solver.solve(refs, CostModel(g));
+  (void)solver.solve(shared(refs), CostModel(g));
   CostParams heavy;
   heavy.moveVolume = 7;
   const CostModel model2(g, heavy);
-  const DataSchedule warm = solver.solve(refs, model2);
+  const DataSchedule warm = solver.solve(shared(refs), model2);
   EXPECT_TRUE(solver.lastStats().cold);
   expectSameSchedule(warm, scheduleGomcds(refs, model2));
 }
@@ -242,13 +249,14 @@ TEST(Incremental, FaultContentChangeIsDetectedWithoutInvalidate) {
   {
     const DistanceMap d1(g, faults);
     const CostModel m1(g, d1);
-    (void)solver.solve(base.withProcsMasked(faults.deadProcMask()), m1);
+    (void)solver.solve(
+        shared(base.withProcsMasked(faults.deadProcMask())), m1);
   }
   faults.killProc(5);
   const DistanceMap d2(g, faults);
   const CostModel m2(g, d2);
   const WindowedRefs masked = base.withProcsMasked(faults.deadProcMask());
-  const DataSchedule warm = solver.solve(masked, m2);
+  const DataSchedule warm = solver.solve(shared(masked), m2);
   EXPECT_TRUE(solver.lastStats().cold);
   expectSameSchedule(warm, scheduleGomcds(masked, m2));
 }
@@ -260,11 +268,11 @@ TEST(Incremental, InvalidateDropsRetainedState) {
   StreamWorkload work(rng, g, 6, 4, 15);
   IncrementalSolver solver;
   const WindowedRefs refs = work.refs(g);
-  (void)solver.solve(refs, model);
+  (void)solver.solve(shared(refs), model);
   EXPECT_GT(solver.retainedBytes(), 0u);
   solver.invalidate();
   EXPECT_EQ(solver.retainedBytes(), 0u);
-  const DataSchedule after = solver.solve(refs, model);
+  const DataSchedule after = solver.solve(shared(refs), model);
   EXPECT_TRUE(solver.lastStats().cold);
   expectSameSchedule(after, scheduleGomcds(refs, model));
 }
@@ -298,7 +306,7 @@ TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
   int step = 0;
   for (Cost tail : {2, 6, 2}) {  // identical -> split -> reconverged
     const WindowedRefs refs = makeRefs(tail);
-    const DataSchedule warm = solver.solve(refs, model);
+    const DataSchedule warm = solver.solve(shared(refs), model);
     const DataSchedule cold = scheduleGomcds(refs, model);
     expectSameSchedule(warm, cold);
     if (step > 0) {

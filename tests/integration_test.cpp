@@ -8,11 +8,11 @@
 #include <tuple>
 
 #include "core/evaluator.hpp"
-#include "core/exhaustive.hpp"
 #include "core/gomcds.hpp"
 #include "core/grouping.hpp"
 #include "core/lomcds.hpp"
 #include "core/scds.hpp"
+#include "exhaustive.hpp"
 #include "kernels/benchmarks.hpp"
 #include "sim/replay.hpp"
 #include "test_util.hpp"

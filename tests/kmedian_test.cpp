@@ -1,4 +1,4 @@
-#include "cost/kmedian.hpp"
+#include "ablation/kmedian.hpp"
 
 #include <gtest/gtest.h>
 

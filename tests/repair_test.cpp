@@ -1,4 +1,4 @@
-#include "core/repair.hpp"
+#include "ablation/repair.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "core/replication.hpp"
+#include "ablation/replication.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,8 @@
 
 #include <sstream>
 
+#include "ablation/stats.hpp"
 #include "report/csv.hpp"
-#include "report/stats.hpp"
 #include "report/table.hpp"
 
 namespace pimsched {

@@ -502,6 +502,34 @@ TEST(Protocol, UnreachableJobsReportTheErrorKind) {
   EXPECT_EQ(status.find("attempts")->asInt64(), 1);
 }
 
+// A grouped job on a partitioned mesh fails as unreachable, like every
+// other fault-aware method, rather than as a capacity limit.
+TEST(Protocol, GroupedJobsOnAPartitionedMeshAreUnreachable) {
+  // One datum read from both corners of a 4x4 grid; killing row 1 cuts
+  // them apart.
+  const Grid grid(4, 4);
+  ReferenceTrace trace(DataSpace::singleSquare(2, "A"));
+  trace.add(0, grid.id(0, 0), 0, 3);
+  trace.add(0, grid.id(3, 3), 0, 3);
+  trace.finalize();
+  std::ostringstream os;
+  saveTrace(trace, os);
+
+  Engine service{Engine::Config{}};
+  ProtocolHandler handler(service);
+  Json request = submitRequest();
+  request.set("trace", os.str())
+      .set("grid", "4x4")
+      .set("method", "grouped")
+      .set("windows", 1)
+      .set("faults", Json(Json::Array{Json("row:1")}));
+  const Json reply = call(handler, request.dump());
+  EXPECT_TRUE(reply.find("ok")->asBool()) << reply.dump();
+  EXPECT_EQ(reply.find("state")->asString(), "failed");
+  ASSERT_NE(reply.find("error_kind"), nullptr) << reply.dump();
+  EXPECT_EQ(reply.find("error_kind")->asString(), "unreachable");
+}
+
 // A trace whose weights fit int64 but whose serving costs would overflow
 // is refused as invalid by both the one-shot and the streaming path,
 // instead of running into signed overflow in a worker.

@@ -1,4 +1,4 @@
-#include "cost/workload_stats.hpp"
+#include "ablation/workload_stats.hpp"
 
 #include <gtest/gtest.h>
 
