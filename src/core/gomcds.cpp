@@ -11,6 +11,7 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
+#include "cost/center_costs.hpp"
 #include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
@@ -144,6 +145,7 @@ DataSchedule GomcdsPlacement::finish() {
 
 LayerKernel::LayerKernel(const CostModel& model, GomcdsEngine engine)
     : grid_(&model.grid()),
+      hopCost_(model.params().hopCost),
       beta_(model.params().hopCost * model.params().moveVolume),
       dense_(engine == GomcdsEngine::kNaive) {
   if (dense_) {
@@ -182,6 +184,23 @@ void LayerKernel::resume(int numLayers, std::span<const Cost> nodeCosts,
   }
 }
 
+void LayerKernel::solveDatum(const WindowedRefs& refs, DataId d,
+                             GomcdsScratch& scratch, LayeredPath& out) const {
+  const int W = refs.numWindows();
+  const std::size_t R = static_cast<std::size_t>(grid_->rows());
+  const std::size_t C = static_cast<std::size_t>(grid_->cols());
+  scratch.rows.resize(static_cast<std::size_t>(W) * R);
+  scratch.cols.resize(static_cast<std::size_t>(W) * C);
+  for (WindowId w = 0; w < W; ++w) {
+    const std::size_t at = static_cast<std::size_t>(w);
+    separableAxisCostsInto(*grid_, hopCost_, refs.refs(d, w),
+                           std::span<Cost>(scratch.rows.data() + at * R, R),
+                           std::span<Cost>(scratch.cols.data() + at * C, C));
+  }
+  LayeredDagSolver::solveSeparableInto(*grid_, W, scratch.rows, scratch.cols,
+                                       beta_, scratch.dag, out);
+}
+
 }  // namespace detail
 
 DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
@@ -194,25 +213,32 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   const std::vector<DataId>& order = placement.order();
   const std::size_t n = order.size();
   const detail::LayerKernel kernel(model, engine);
+  const bool separable = kernel.separable();
   ServeTables tables(refs, model);
 
   if (staticMask) {
     // The forbidden set never changes, so every member of a dedup class
     // takes its class's path: one solve per class, fanned out, then one
-    // commit pass in visit order.
+    // commit pass in visit order. No slot is ever forbidden on a healthy
+    // mesh, so there the separable solve is the whole answer.
     const detail::DedupClasses classes = detail::computeDedupClasses(refs);
     std::vector<LayeredPath> paths(classes.rep.size());
     parallelFor(static_cast<std::int64_t>(paths.size()), threads,
                 [&](std::int64_t k) {
                   detail::GomcdsScratch& scratch =
                       workerScratch<detail::GomcdsScratch>();
-                  tables.datumInto(classes.rep[static_cast<std::size_t>(k)],
-                                   scratch.serve);
-                  kernel.solve(W, scratch.serve, scratch.dag,
-                               paths[static_cast<std::size_t>(k)]);
+                  const DataId rep = classes.rep[static_cast<std::size_t>(k)];
+                  LayeredPath& path = paths[static_cast<std::size_t>(k)];
+                  if (separable) {
+                    kernel.solveDatum(refs, rep, scratch, path);
+                  } else {
+                    tables.datumInto(rep, scratch.serve);
+                    kernel.solve(W, scratch.serve, scratch.dag, path);
+                  }
                 });
-    PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                         static_cast<std::int64_t>(paths.size()));
+    const auto solves = static_cast<std::int64_t>(paths.size());
+    PIMSCHED_COUNTER_ADD("gomcds.flat.solves", solves);
+    if (separable) PIMSCHED_COUNTER_ADD("gomcds.separable.solves", solves);
     PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
     for (const DataId d : order) {
       placement.commit(d, paths[static_cast<std::size_t>(
@@ -222,13 +248,15 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   }
 
   // Capacity-constrained: bounded-lookahead speculation with in-order
-  // repair. One slot per datum of the lookahead window holds its serve
-  // table, masked by the forbidden set as of the window start, and the
-  // path solved from it. Only executors that can actually run count: a
-  // nested call runs parallelFor inline, so it gets the one-datum window
-  // whose every solve sees the live forbidden set.
+  // repair. One slot per datum of the lookahead window holds the path
+  // solved against the forbidden set as of the window start and, once the
+  // datum needed a 2-D solve, its serve table masked by that set. Only
+  // executors that can actually run count: a nested call runs parallelFor
+  // inline, so it gets the one-datum window whose every solve sees the
+  // live forbidden set.
   struct Slot {
     CostBuffer serve;
+    bool tabled = false;  ///< serve holds this datum's table
     LayeredPath path;
   };
   constexpr std::size_t kLookaheadPerExecutor = 32;
@@ -240,19 +268,39 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
       executors == 1 ? 1 : kLookaheadPerExecutor * executors;
   std::vector<Slot> slots(std::min(n, window));
 
+  // The capacity screen: on a healthy mesh the datum's unconstrained path
+  // comes first, from the separable solve. When none of its slots is full
+  // it is the masked optimum too, tie-break included — masking only
+  // raises dp values, and the path's nodes stay optimal and present
+  // (docs/algorithms.md, "The capacity screen"). Otherwise, and on every
+  // other kernel, the serve table is built, masked and solved in 2-D.
+  std::size_t begin = 0;
+  const auto solveMasked = [&](Slot& slot, DataId d,
+                               LayeredDagScratch& dag) {
+    if (!slot.tabled) {
+      tables.datumInto(d, slot.serve);
+      slot.tabled = true;
+    }
+    placement.mask(slot.serve);
+    kernel.solve(W, slot.serve, dag, slot.path);
+  };
   // Wrapped once, not per round: with one executor a round is one datum,
   // and converting the lambda for each parallelFor call would allocate.
-  std::size_t begin = 0;
   const std::function<void(std::int64_t)> speculate = [&](std::int64_t k) {
     Slot& slot = slots[static_cast<std::size_t>(k)];
-    tables.datumInto(order[begin + static_cast<std::size_t>(k)], slot.serve);
-    placement.mask(slot.serve);
-    kernel.solve(W, slot.serve, workerScratch<detail::GomcdsScratch>().dag,
-                 slot.path);
+    const DataId d = order[begin + static_cast<std::size_t>(k)];
+    detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
+    slot.tabled = false;
+    if (separable) {
+      kernel.solveDatum(refs, d, scratch, slot.path);
+      if (slot.path.feasible() && placement.fits(slot.path)) return;
+    }
+    solveMasked(slot, d, scratch.dag);
   };
   detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
   std::int64_t rounds = 0;
   std::int64_t repaired = 0;
+  std::int64_t tabled = 0;
   for (; begin < n; begin += slots.size()) {
     const std::size_t count = std::min(slots.size(), n - begin);
     ++rounds;
@@ -264,14 +312,15 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     // infeasible then stays infeasible (commit throws at this datum); a
     // plan that still fits keeps its dp value and smallest-index
     // tie-breaks, so it is the live-set path; a stale plan is repaired by
-    // masking its slot table with the live set and re-solving.
+    // masking its slot table (built now if the plan was separable) with
+    // the live set and re-solving.
     for (std::size_t k = 0; k < count; ++k) {
       Slot& slot = slots[k];
       if (slot.path.feasible() && !placement.fits(slot.path)) {
         ++repaired;
-        placement.mask(slot.serve);
-        kernel.solve(W, slot.serve, scratch.dag, slot.path);
+        solveMasked(slot, order[begin + k], scratch.dag);
       }
+      tabled += slot.tabled ? 1 : 0;
       placement.commit(order[begin + k], slot.path);
     }
   }
@@ -279,6 +328,11 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
                        static_cast<std::int64_t>(n) + repaired);
   PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", repaired);
+  if (separable) {
+    PIMSCHED_COUNTER_ADD("gomcds.separable.solves",
+                         static_cast<std::int64_t>(n));
+    PIMSCHED_COUNTER_ADD("gomcds.separable.screen_misses", tabled);
+  }
   return placement.finish();
 }
 

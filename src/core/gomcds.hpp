@@ -28,16 +28,25 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// are scheduled in visit order (options.order) and a (window, processor)
 /// slot that is full becomes a forbidden node for later data.
 ///
+/// On a healthy mesh (a model without a DistanceMap) under kChamfer, the
+/// serving and move costs are weighted Manhattan distances, so a datum's
+/// DAG is the product of a row chain and a column chain: its unconstrained
+/// path comes from two 1-D solves, O(W * (R + C)), with no W x P serve
+/// table (docs/algorithms.md, "Separable GOMCDS").
+///
 /// Under a static forbidden set (unlimited capacity, no alive processor
 /// with a fault capacity limit) paths cannot conflict: data with identical
 /// per-window reference strings — common in matmul/LU traces — form one
 /// class, each class is solved once (fanned out over `threads`), then one
 /// pass commits in visit order. Under capacity pressure the data are taken
-/// in lookahead windows of 32 x executors in visit order: executors build
-/// each datum's serve table and solve it against the forbidden set as of
-/// the window start, then the calling thread commits the window in visit
-/// order, re-solving any plan that lost a slot to an earlier commit of the
-/// same window. With one executor — threads = 1, or a call from inside a
+/// in lookahead windows of 32 x executors in visit order: executors solve
+/// each datum against the forbidden set as of the window start, then the
+/// calling thread commits the window in visit order, re-solving any plan
+/// that lost a slot to an earlier commit of the same window. On a healthy
+/// mesh a datum's solve is first the separable one, kept when none of its
+/// slots is full (an exact screen: it is then the masked optimum too);
+/// otherwise, and on faulted meshes and kNaive, the datum's serve table is
+/// masked and solved in 2-D. With one executor — threads = 1, or a call from inside a
 /// pool worker, where parallelFor runs inline — the window is one datum:
 /// every solve sees the live forbidden set, so each datum costs exactly one
 /// solve and none is repaired.

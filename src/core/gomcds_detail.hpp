@@ -30,6 +30,8 @@ namespace pimsched::detail {
 struct GomcdsScratch {
   LayeredDagScratch dag;  ///< dp + relaxed layers of the flat solver
   CostBuffer serve;       ///< flat W x P node-cost table fed to the solver
+  CostBuffer rows;        ///< W x R row node costs of a separable solve
+  CostBuffer cols;        ///< W x C column node costs of a separable solve
 };
 
 /// True when the forbidden (window, processor) set cannot change while data
@@ -139,9 +141,10 @@ class GomcdsPlacement {
 /// kChamfer), and for GomcdsEngine::kNaive the dense relax over a P x P
 /// beta x distance table — the literal cost-graph oracle, whose table is
 /// built once per kernel (counter gomcds.trans_table.builds). All three
-/// produce bit-identical dp tables and paths. Read-only once built, so one
-/// instance serves every worker of a parallel call; the model (and its
-/// DistanceMap) must outlive it.
+/// produce bit-identical dp tables and paths. On a healthy mesh under
+/// kChamfer a datum's unconstrained DAG is also separable (solveDatum).
+/// Read-only once built, so one instance serves every worker of a parallel
+/// call; the model (and its DistanceMap) must outlive it.
 class LayerKernel {
  public:
   LayerKernel(const CostModel& model, GomcdsEngine engine);
@@ -158,8 +161,21 @@ class LayerKernel {
               CostBuffer& dp, LayeredDagScratch& scratch, LayeredPath& out,
               LayeredParentCache* parents) const;
 
+  /// True for the healthy-mesh chamfer kernel: the model has no
+  /// DistanceMap and the engine is kChamfer.
+  [[nodiscard]] bool separable() const { return !dense_ && !mesh_; }
+
+  /// Datum d's path with no slot forbidden, by the separable solve
+  /// (LayeredDagSolver::solveSeparableInto over the row and column
+  /// marginals of separableAxisCostsInto): O(W * (refs + R + C)) with no
+  /// W x P serve table, and bit-identical to solve() over d's serve table.
+  /// Requires separable().
+  void solveDatum(const WindowedRefs& refs, DataId d, GomcdsScratch& scratch,
+                  LayeredPath& out) const;
+
  private:
   const Grid* grid_;
+  Cost hopCost_;
   Cost beta_;
   bool dense_;
   std::optional<MeshLinks> mesh_;  ///< faulted mesh, kChamfer engine

@@ -11,6 +11,7 @@
 #include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pimsched {
 
@@ -156,6 +157,19 @@ detail::DedupClasses warmClasses(const WindowedRefs& refs,
   for (DataId d = 0; d < n; ++d) {
     const std::size_t pc =
         static_cast<std::size_t>(prevClassOf[static_cast<std::size_t>(d)]);
+    // Members of one previous class had identical strings, so a datum
+    // whose new strings equal those of its previous class's first
+    // subclass representative (the usual case: a group churns together)
+    // belongs to that subclass, with the same first changed window. One
+    // comparison then replaces the change scan, suffix hash and compare.
+    if (!subs[pc].empty() &&
+        refs.sameRefs(out.rep[static_cast<std::size_t>(subs[pc][0].cls)],
+                      d)) {
+      const int cls = subs[pc][0].cls;
+      out.classOf[static_cast<std::size_t>(d)] = cls;
+      ++out.size[static_cast<std::size_t>(cls)];
+      continue;
+    }
     const int from = firstChangedWindowDirect(refs, prev, d);
     if (prevSize[pc] == 1) {
       const int cls = static_cast<int>(out.rep.size());
@@ -259,6 +273,7 @@ DataSchedule IncrementalSolver::solve(
     // Rebuilt per solve: O(P) masks on a faulted mesh, nothing on a
     // healthy one. Only the kNaive oracle pays its P x P table each time.
     const detail::LayerKernel kernel(model, engine);
+    const bool separable = kernel.separable();
 
     // Cold generations rehash every reference string; warm generations
     // refine the previous partition touching only churned suffix bytes.
@@ -284,6 +299,7 @@ DataSchedule IncrementalSolver::solve(
 
     std::int64_t flatSolves = 0;
     std::vector<Cost> rowBuf;
+    detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
     for (std::size_t c = 0; c < classes.rep.size(); ++c) {
       const DataId rep = classes.rep[c];
       int from = 0;
@@ -294,19 +310,33 @@ DataSchedule IncrementalSolver::solve(
       }
       if (from >= W) {
         // Entire per-class subproblem unchanged: share the previous state
-        // (serve table, dp table, and path) with zero copying.
+        // (its path, and off the healthy mesh its tables) with zero
+        // copying.
         newStates[c] = prevStates_[static_cast<std::size_t>(oldCls)];
         stats_.reusedLayers += W;
         continue;
       }
 
+      const bool sole =
+          oldCls >= 0 && claims[static_cast<std::size_t>(oldCls)] == 1;
       std::shared_ptr<ClassState> st;
-      if (oldCls >= 0 && claims[static_cast<std::size_t>(oldCls)] == 1) {
+      if (sole) {
         // Sole claimant: recycle the previous buffers in place (rows
         // [0, from) are already valid, the suffix is overwritten below).
         st = std::move(prevStates_[static_cast<std::size_t>(oldCls)]);
       } else {
         st = std::make_shared<ClassState>();
+      }
+      ++flatSolves;
+      if (separable) {
+        // A whole separable solve, O(W * (refs + R + C)), costs about what
+        // resuming its suffix would, and needs no retained tables.
+        kernel.solveDatum(refs, rep, scratch, st->path);
+        stats_.relaxedLayers += W;
+        newStates[c] = std::move(st);
+        continue;
+      }
+      if (!sole) {
         st->serve.resize(static_cast<std::size_t>(W) * pn);
         st->dp.resize(static_cast<std::size_t>(W) * pn);
         if (oldCls >= 0 && from > 0) {
@@ -337,8 +367,7 @@ DataSchedule IncrementalSolver::solve(
       }
       kernel.resume(W,
                     std::span<const Cost>(st->serve.data(), st->serve.size()),
-                    from, st->dp, scratch_, st->path, &st->parents);
-      ++flatSolves;
+                    from, st->dp, scratch.dag, st->path, &st->parents);
       stats_.reusedLayers += from;
       stats_.relaxedLayers += W - from;
       newStates[c] = std::move(st);

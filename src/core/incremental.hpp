@@ -46,14 +46,19 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
                                      const WindowedRefs& prev, DataId d);
 
 /// Warm-start GOMCDS solver for long-running streams whose traces evolve at
-/// the tail. Each solve() retains the per-equivalence-class serving-cost
-/// tables, dp tables, predecessor caches, and solved paths; the next
+/// the tail. Each solve() retains per-equivalence-class state; the next
 /// solve() detects the first changed window per datum (direct row
 /// comparison — authoritative, and in the CSR layout cheaper than
-/// recomputing either side's signature), reuses the retained prefix rows
-/// untouched, and re-relaxes only the changed suffix through the same
-/// SIMD-dispatched flat kernels (detail::LayerKernel — chamfer, faulted
-/// mesh sweeps, or the kNaive dense table).
+/// recomputing either side's signature), and a class whose reference
+/// strings are unchanged keeps sharing its state. A changed class is
+/// re-solved through the same kernels as the cold engine
+/// (detail::LayerKernel):
+///  - on a healthy mesh under kChamfer, whole, by the separable solve,
+///    O(W * (R + C)) per class — the state is just the solved path;
+///  - on a faulted mesh or under kNaive, the state also holds the
+///    serving-cost table, dp table and predecessor cache; the retained
+///    prefix rows are reused untouched, and only the changed suffix is
+///    re-relaxed (faulted mesh sweeps or the kNaive dense table).
 ///
 /// Warm solves also skip the full reference-string rehash of the cold
 /// dedup classing: the new partition is derived from the previous one by
@@ -76,13 +81,18 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// paths cannot be shared).
 ///
 /// Not thread-safe: one IncrementalSolver per stream, externally
-/// serialized. Memory: retains O(numClasses * numWindows * numProcs) costs
-/// between solves — see retainedBytes().
+/// serialized. Memory between solves (see retainedBytes()): on a healthy
+/// mesh under kChamfer, the paths, numClasses * numWindows ints; otherwise
+/// O(numClasses * numWindows * numProcs) costs.
 class IncrementalSolver {
  public:
+  /// Per-class layers of the last solve. An unchanged class counts W
+  /// reused layers. A changed class counts its unchanged prefix windows as
+  /// reused and the rest as relaxed, except on a healthy mesh under
+  /// kChamfer, where it is re-solved whole and counts W relaxed layers.
   struct Stats {
-    std::int64_t reusedLayers = 0;   ///< per-class dp rows reused verbatim
-    std::int64_t relaxedLayers = 0;  ///< per-class dp rows re-relaxed
+    std::int64_t reusedLayers = 0;   ///< per-class layers reused verbatim
+    std::int64_t relaxedLayers = 0;  ///< per-class layers re-relaxed
     bool cold = true;                ///< this solve ran without warm state
   };
 
@@ -104,8 +114,8 @@ class IncrementalSolver {
   /// belt-and-braces fast path, not the only line of defense.
   void invalidate();
 
-  /// Bytes held by retained cost tables and paths (shared class states
-  /// counted once).
+  /// Bytes held by retained paths and, off the healthy mesh, cost tables
+  /// (shared class states counted once).
   [[nodiscard]] std::size_t retainedBytes() const;
 
  private:
@@ -113,8 +123,8 @@ class IncrementalSolver {
   /// whose refs are fully unchanged keeps sharing the previous generation's
   /// state with zero copying.
   struct ClassState {
-    CostBuffer serve;  ///< flat W x P serving-cost table
-    CostBuffer dp;     ///< flat W x P dp table of the layered DAG
+    CostBuffer serve;  ///< flat W x P serving-cost table (not healthy)
+    CostBuffer dp;     ///< flat W x P dp table of the layered DAG (ditto)
     LayeredParentCache parents;  ///< memoized predecessor scans for `dp`
     LayeredPath path;  ///< solved path (static forbidden set only)
   };
@@ -128,7 +138,6 @@ class IncrementalSolver {
   std::shared_ptr<const WindowedRefs> prevRefs_;
   std::vector<int> prevClassOf_;  ///< datum -> previous class index
   std::vector<std::shared_ptr<ClassState>> prevStates_;
-  LayeredDagScratch scratch_;
 };
 
 }  // namespace pimsched

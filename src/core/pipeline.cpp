@@ -207,7 +207,7 @@ StreamStepResult StreamSession::step(const ReferenceTrace& trace) {
   const CostModel& model = exp.costModel();
 
   // GOMCDS is the warm path: identical to scheduleGomcds on every step,
-  // reusing every dp row before the first changed window of each class.
+  // re-solving only the classes whose reference strings changed.
   const bool warmPath = method_ == Method::kGomcds;
   DataSchedule schedule =
       warmPath ? solver_.solve(exp.sharedRefs(), model,

@@ -163,8 +163,8 @@ struct StreamStepResult {
   DataSchedule schedule;
   EvalResult eval;
   bool incremental = false;        ///< warm-start path reused retained state
-  std::int64_t reusedLayers = 0;   ///< per-class dp rows reused verbatim
-  std::int64_t relaxedLayers = 0;  ///< per-class dp rows re-relaxed
+  std::int64_t reusedLayers = 0;   ///< per-class layers reused verbatim
+  std::int64_t relaxedLayers = 0;  ///< per-class layers re-relaxed (IncrementalSolver::Stats)
 };
 
 /// A long-lived scheduling session over an evolving trace — the streaming
@@ -173,9 +173,9 @@ struct StreamStepResult {
 /// keeps an IncrementalSolver across successive trace revisions: each
 /// step() is an Experiment over the session's one ArrayModel (built by the
 /// first step whose inputs pass the checks, shared by every later step),
-/// and the solver reuses every per-class dp row up to the first changed
-/// window, so steady-state steps whose traces evolve only at the tail cost
-/// a fraction of a cold solve. Results are bit-identical to a fresh
+/// and the solver re-solves only the classes whose reference strings
+/// changed (see IncrementalSolver), so steady-state steps whose traces
+/// evolve only at the tail cost a fraction of a cold solve. Results are bit-identical to a fresh
 /// Experiment::schedule on every step.
 ///
 /// The fault state never changes after construction: a caller whose

@@ -1,6 +1,7 @@
 #include "cost/center_costs.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "obs/obs.hpp"
 
@@ -17,28 +18,48 @@ std::vector<Cost> bruteForceCenterCosts(const CostModel& model,
   return costs;
 }
 
-std::vector<Cost> axisCosts(std::span<const Cost> hist) {
-  const std::size_t n = hist.size();
-  std::vector<Cost> f(n, 0);
-  if (n == 0) return f;
+namespace {
 
-  // Left-to-right sweep: contribution of weights at positions <= x.
-  Cost weightBelow = 0;  // total weight at positions < x
-  Cost costBelow = 0;    // sum w_k * (x - k) over k < x
-  for (std::size_t x = 0; x < n; ++x) {
-    f[x] += costBelow;
-    weightBelow += hist[x];
-    costBelow += weightBelow;
+/// In-place weighted L1 transform of one axis: on entry `f` holds the
+/// weight histogram, on exit f[x] = scale * sum_k hist[k] * |x - k|. Uses
+/// f(x + 1) = f(x) + weight(<= x) - weight(> x), so one read of hist[x]
+/// before it is overwritten suffices.
+void axisCostsInPlace(std::span<Cost> f, Cost scale) {
+  Cost total = 0;
+  Cost atZero = 0;  // f(0) = sum_k hist[k] * k
+  for (std::size_t k = 0; k < f.size(); ++k) {
+    total += f[k];
+    atZero += f[k] * static_cast<Cost>(k);
   }
-  // Right-to-left sweep: contribution of weights at positions > x.
-  Cost weightAbove = 0;
-  Cost costAbove = 0;
-  for (std::size_t xi = n; xi-- > 0;) {
-    f[xi] += costAbove;
-    weightAbove += hist[xi];
-    costAbove += weightAbove;
+  Cost value = atZero;
+  Cost weightUpTo = 0;
+  for (std::size_t x = 0; x < f.size(); ++x) {
+    weightUpTo += f[x];
+    f[x] = scale * value;
+    if (x + 1 < f.size()) value += weightUpTo - (total - weightUpTo);
   }
+}
+
+}  // namespace
+
+std::vector<Cost> axisCosts(std::span<const Cost> hist) {
+  std::vector<Cost> f(hist.begin(), hist.end());
+  axisCostsInPlace(f, 1);
   return f;
+}
+
+void separableAxisCostsInto(const Grid& grid, Cost hopCost,
+                            std::span<const ProcWeight> refs,
+                            std::span<Cost> rowOut, std::span<Cost> colOut) {
+  std::fill(rowOut.begin(), rowOut.end(), 0);
+  std::fill(colOut.begin(), colOut.end(), 0);
+  const int C = grid.cols();
+  for (const ProcWeight& pw : refs) {
+    rowOut[static_cast<std::size_t>(pw.proc / C)] += pw.weight;
+    colOut[static_cast<std::size_t>(pw.proc % C)] += pw.weight;
+  }
+  axisCostsInPlace(rowOut, hopCost);
+  axisCostsInPlace(colOut, hopCost);
 }
 
 namespace {
@@ -86,24 +107,18 @@ void separableCenterCostsInto(const CostModel& model,
     return;
   }
   const Grid& grid = model.grid();
-  std::vector<Cost> rowHist(static_cast<std::size_t>(grid.rows()), 0);
-  std::vector<Cost> colHist(static_cast<std::size_t>(grid.cols()), 0);
-  for (const ProcWeight& pw : refs) {
-    const Coord c = grid.coord(pw.proc);
-    rowHist[static_cast<std::size_t>(c.row)] += pw.weight;
-    colHist[static_cast<std::size_t>(c.col)] += pw.weight;
-  }
-  const std::vector<Cost> fRow = axisCosts(rowHist);
-  const std::vector<Cost> fCol = axisCosts(colHist);
-
-  out.resize(static_cast<std::size_t>(grid.size()));
-  const Cost hop = model.params().hopCost;
-  for (int r = 0; r < grid.rows(); ++r) {
-    for (int c = 0; c < grid.cols(); ++c) {
-      out[static_cast<std::size_t>(grid.id(r, c))] =
-          hop * (fRow[static_cast<std::size_t>(r)] +
-                 fCol[static_cast<std::size_t>(c)]);
-    }
+  const std::size_t R = static_cast<std::size_t>(grid.rows());
+  const std::size_t C = static_cast<std::size_t>(grid.cols());
+  // Per-thread marginals: hot loops call this once per (datum, window).
+  out.resize(R * C);
+  thread_local std::vector<Cost> axes;
+  axes.resize(R + C);
+  const std::span<Cost> fRow(axes.data(), R);
+  const std::span<Cost> fCol(axes.data() + R, C);
+  separableAxisCostsInto(grid, model.params().hopCost, refs, fRow, fCol);
+  for (std::size_t r = 0; r < R; ++r) {
+    Cost* row = out.data() + r * C;
+    for (std::size_t c = 0; c < C; ++c) row[c] = fRow[r] + fCol[c];
   }
 }
 

@@ -46,6 +46,18 @@ struct BestCenter {
 [[nodiscard]] BestCenter bestCenter(const CostModel& model,
                                     std::span<const ProcWeight> refs);
 
+/// The row and column marginals of the serving cost on a healthy mesh:
+/// with x-y routing, serving `refs` from (r, c) costs rowOut[r] + colOut[c],
+/// where rowOut[r] = hopCost * sum of weight * |r - ref row| and colOut
+/// likewise over columns. O(|refs| + rows + cols), no allocation; rowOut
+/// holds grid.rows() entries and colOut grid.cols(). Both the P-wide
+/// separableCenterCostsInto fill and the separable GOMCDS solve
+/// (LayeredDagSolver::solveSeparableInto) read these marginals. Ignores
+/// any fault state: call it only for models without a DistanceMap.
+void separableAxisCostsInto(const Grid& grid, Cost hopCost,
+                            std::span<const ProcWeight> refs,
+                            std::span<Cost> rowOut, std::span<Cost> colOut);
+
 /// 1-D helper exposed for testing and for Lemma 1: the weighted L1 cost
 /// f(x) = sum_k hist[k]-weighted |x - k| for every x in [0, n). `hist` maps
 /// axis position -> total weight.

@@ -434,6 +434,104 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
       });
 }
 
+namespace {
+
+/// One 1-D chain of the separable solve: dp[0] = node[0], and dp[w][x] =
+/// node[w][x] + min_q dp[w-1][q] + beta * |x - q| through a forward and a
+/// backward scan, clamped to kInfiniteCost. Every value entering a scan is
+/// at most kInfiniteCost, and a scan only lowers values, so `+ beta`
+/// cannot overflow within the chamfer beta bound.
+void relaxChain(int numLayers, std::size_t n, const Cost* node, Cost beta,
+                Cost* dp) {
+  std::copy(node, node + n, dp);
+  for (int w = 1; w < numLayers; ++w) {
+    Cost* cur = dp + static_cast<std::size_t>(w) * n;
+    std::copy(cur - n, cur, cur);
+    for (std::size_t x = 1; x < n; ++x) {
+      cur[x] = std::min(cur[x], cur[x - 1] + beta);
+    }
+    for (std::size_t x = n - 1; x-- > 0;) {
+      cur[x] = std::min(cur[x], cur[x + 1] + beta);
+    }
+    const Cost* own = node + static_cast<std::size_t>(w) * n;
+    for (std::size_t x = 0; x < n; ++x) cur[x] = satAdd(cur[x], own[x]);
+  }
+}
+
+/// Backward reconstruction of one chain with the 2-D solvers' rule: the
+/// smallest argmin of the last layer, then at each step the smallest q
+/// with dp[w-1][q] + beta * |q - cur| == dp[w][cur] - node[w][cur].
+/// `pick(w, x)` receives the chosen index of every layer. Requires a
+/// finite last-layer minimum.
+template <class PickFn>
+void reconstructChain(int numLayers, std::size_t n, const Cost* dp,
+                      const Cost* node, Cost beta, const PickFn& pick) {
+  const Cost* last = dp + static_cast<std::size_t>(numLayers - 1) * n;
+  std::size_t cur = static_cast<std::size_t>(
+      std::min_element(last, last + n) - last);
+  pick(numLayers - 1, cur);
+  for (int w = numLayers - 1; w > 0; --w) {
+    const std::size_t row = static_cast<std::size_t>(w) * n;
+    const Cost need = dp[row + cur] - node[row + cur];
+    const Cost* prev = dp + row - n;
+    std::size_t q = 0;
+    for (; q < n; ++q) {
+      const Cost hops = static_cast<Cost>(q > cur ? q - cur : cur - q);
+      if (prev[q] < kInfiniteCost && prev[q] + beta * hops == need) break;
+    }
+    if (q == n) {
+      throw std::logic_error("LayeredDagSolver: path reconstruction failed");
+    }
+    cur = q;
+    pick(w - 1, cur);
+  }
+}
+
+}  // namespace
+
+void LayeredDagSolver::solveSeparableInto(const Grid& grid, int numLayers,
+                                          std::span<const Cost> rowCosts,
+                                          std::span<const Cost> colCosts,
+                                          Cost beta, LayeredDagScratch& scratch,
+                                          LayeredPath& out) {
+  if (numLayers < 1) {
+    throw std::invalid_argument("LayeredDagSolver: empty problem");
+  }
+  checkChamferBeta(grid, beta, "LayeredDagSolver");
+  const std::size_t R = static_cast<std::size_t>(grid.rows());
+  const std::size_t C = static_cast<std::size_t>(grid.cols());
+  const std::size_t L = static_cast<std::size_t>(numLayers);
+  if (rowCosts.size() != L * R || colCosts.size() != L * C) {
+    throw std::invalid_argument(
+        "LayeredDagSolver: separable node-cost table size mismatch");
+  }
+  scratch.dp.resize(L * (R + C));
+  Cost* rowDp = scratch.dp.data();
+  Cost* colDp = rowDp + L * R;
+  relaxChain(numLayers, R, rowCosts.data(), beta, rowDp);
+  relaxChain(numLayers, C, colCosts.data(), beta, colDp);
+
+  // The 2-D dp is rowDp + colDp cell by cell, so its minimum is the sum of
+  // the two chains' minima.
+  const Cost* rowLast = rowDp + (L - 1) * R;
+  const Cost* colLast = colDp + (L - 1) * C;
+  out.nodes.clear();
+  out.total = satAdd(*std::min_element(rowLast, rowLast + R),
+                     *std::min_element(colLast, colLast + C));
+  if (out.total >= kInfiniteCost) return;
+  out.nodes.resize(L);
+  reconstructChain(numLayers, R, rowDp, rowCosts.data(), beta,
+                   [&](int w, std::size_t r) {
+                     out.nodes[static_cast<std::size_t>(w)] =
+                         static_cast<int>(r * C);
+                   });
+  reconstructChain(numLayers, C, colDp, colCosts.data(), beta,
+                   [&](int w, std::size_t c) {
+                     out.nodes[static_cast<std::size_t>(w)] +=
+                         static_cast<int>(c);
+                   });
+}
+
 void LayeredDagSolver::solveMeshFlatInto(const MeshLinks& links, int numLayers,
                                          std::span<const Cost> nodeCosts,
                                          Cost beta, LayeredDagScratch& scratch,

@@ -136,6 +136,24 @@ class LayeredDagSolver {
                                            LayeredPath& out,
                                            LayeredParentCache* parents = nullptr);
 
+  /// Separable solve for a healthy mesh whose node costs split into a row
+  /// term plus a column term: node (w, r * C + c) costs
+  /// rowCosts[w * R + r] + colCosts[w * C + c], and a transition costs
+  /// beta * manhattan, which splits the same way. The layered DAG is then
+  /// the product of a row chain and a column chain (docs/algorithms.md,
+  /// "Separable GOMCDS"), so two 1-D L1 min-plus chains replace the R x C
+  /// layers: O(numLayers * (R + C)) instead of O(numLayers * R * C).
+  /// Reconstruction takes the smallest argmin row, then the smallest argmin
+  /// column, at the last layer and at every predecessor step — the 2-D
+  /// solvers' smallest row-major id — so the path and total are
+  /// bit-identical to solveManhattanFlatInto over the summed R x C table.
+  /// out.nodes are row-major processor ids. The two chains' dp tables live
+  /// in scratch.dp. Same beta precondition as solveManhattanFlat.
+  static void solveSeparableInto(const Grid& grid, int numLayers,
+                                 std::span<const Cost> rowCosts,
+                                 std::span<const Cost> colCosts, Cost beta,
+                                 LayeredDagScratch& scratch, LayeredPath& out);
+
   /// Mesh flat solve for a faulted grid: the q -> p transition costs beta *
   /// hopDistance(q, p) over the alive directed mesh `links` describes —
   /// the table the dense kernel gets as model.moveCost(q, p), with

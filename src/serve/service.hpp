@@ -118,8 +118,8 @@ struct StreamOutcome {
   std::string session;    ///< echoed session name
   std::int64_t window = -1;  ///< 0-based window index within the session
   bool incremental = false;  ///< warm solver state was reused for this window
-  std::int64_t reusedLayers = 0;   ///< per-class dp rows reused verbatim
-  std::int64_t relaxedLayers = 0;  ///< per-class dp rows re-relaxed
+  std::int64_t reusedLayers = 0;   ///< per-class layers reused verbatim
+  std::int64_t relaxedLayers = 0;  ///< per-class layers re-relaxed (IncrementalSolver::Stats)
   /// Warm state was (re)initialised for this window: first window of a
   /// session, a config change, an eviction, or new array faults (drift).
   bool reset = false;

@@ -5,12 +5,14 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "core/evaluator.hpp"
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/scds.hpp"
 #include "exhaustive.hpp"
+#include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "gomcds_reference.hpp"
 #include "kernels/benchmarks.hpp"
@@ -286,40 +288,124 @@ TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
   registry.reset();
 }
 
+// On a healthy mesh scheduleGomcds takes the separable solve and its
+// capacity screen; the mesh engine on an empty-fault DistanceMap and the
+// kNaive engine never do. Their schedules must agree cell for cell at
+// unlimited, paper 2x-minimum and tight capacity, at every thread count,
+// on thin and odd grids, with windows that reference a datum not at all,
+// with one window, and with hopCost or moveVolume zero (where every center
+// or every move ties).
+TEST(Gomcds, SeparableScreenMatchesMeshAndDenseEngines) {
+  testutil::Rng rng(3401);
+  for (const auto& [rows, cols] :
+       {std::pair{1, 1}, {1, 6}, {6, 1}, {3, 5}, {8, 8}}) {
+    const Grid g(rows, cols);
+    const FaultMap noFaults(g);
+    const DistanceMap distances(g, noFaults);
+    for (const CostParams params :
+         {CostParams{1, 1}, CostParams{0, 1}, CostParams{1, 0},
+          CostParams{2, 3}}) {
+      const CostModel healthy(g, params);
+      const CostModel mesh(g, distances, params);
+      const ReferenceTrace t = testutil::randomTrace(rng, g, 6, 6, 12, 8);
+      for (const int windows : {1, 6}) {
+        const WindowedRefs refs = refsFromTrace(t, g, windows);
+        const std::int64_t minCap =
+            (refs.numData() + g.size() - 1) / g.size();
+        for (const std::int64_t capacity :
+             {std::int64_t{-1}, 2 * minCap, minCap}) {
+          const SchedulerOptions opts{capacity, DataOrder::kByWeightDesc};
+          const DataSchedule expect = scheduleGomcds(refs, mesh, opts);
+          expectIdenticalSchedules(
+              scheduleGomcds(refs, healthy, opts, 1, GomcdsEngine::kNaive),
+              expect, "kNaive");
+          for (const unsigned threads : {1u, 2u, 4u}) {
+            const std::string where =
+                std::to_string(rows) + "x" + std::to_string(cols) +
+                " hop " + std::to_string(params.hopCost) + " move " +
+                std::to_string(params.moveVolume) + " W " +
+                std::to_string(windows) + " cap " + std::to_string(capacity) +
+                " threads " + std::to_string(threads);
+            expectIdenticalSchedules(
+                scheduleGomcds(refs, healthy, opts, threads), expect,
+                where.c_str());
+          }
+        }
+      }
+    }
+  }
+}
+
 // Under capacity each datum is solved once against the forbidden set of
 // its lookahead-window start, and only the plans that went stale are
 // re-solved: solves = data + conflicts <= 2 x data. One executor has a
-// one-datum window, so it never re-solves. Every datum builds its own
-// serve table through the cache (no dedup under capacity).
+// one-datum window, so it never re-solves. No dedup under capacity.
+//
+// On a healthy mesh every datum's first solve is separable, and only a
+// datum whose separable path hit a full slot (a screen miss, at
+// speculation or at a repair) builds its W serve rows through the cache
+// and runs 2-D solves (solver.runs). On the mesh engine's model (an
+// empty-fault DistanceMap) every datum builds its rows and runs one 2-D
+// solve per first solve and repair.
 TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(8, 8);
-  const CostModel model(g);
+  const CostModel healthy(g);
+  const FaultMap noFaults(g);
+  const DistanceMap meshDistances(g, noFaults);
+  const CostModel mesh(g, meshDistances);
   testutil::Rng rng(1412);
   const ReferenceTrace t = testutil::randomTrace(rng, g, 21, 21, 30, 60);
   const WindowedRefs refs = refsFromTrace(t, g, 6);
   const std::int64_t n = refs.numData();
+  const std::int64_t W = refs.numWindows();
   const std::int64_t tight = (n + g.size() - 1) / g.size();
   obs::Registry& registry = obs::Registry::instance();
   const SchedulerOptions opts{tight, DataOrder::kByWeightDesc};
   for (const unsigned threads : {1u, 2u, 4u}) {
-    registry.reset();
-    (void)scheduleGomcds(refs, model, opts, threads);
-    const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
-    const std::int64_t conflicts =
-        registry.counterValue("sched.gomcds.conflicts");
-    if (threads == 1) {
-      EXPECT_EQ(conflicts, 0);
-    } else {
-      EXPECT_GT(conflicts, 0) << "threads=" << threads;  // repairs ran
+    for (const CostModel* model : {&healthy, &mesh}) {
+      const bool separable = model == &healthy;
+      const std::string where = std::string(separable ? "healthy" : "mesh") +
+                                " threads=" + std::to_string(threads);
+      registry.reset();
+      (void)scheduleGomcds(refs, *model, opts, threads);
+      const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
+      const std::int64_t conflicts =
+          registry.counterValue("sched.gomcds.conflicts");
+      if (threads == 1) {
+        EXPECT_EQ(conflicts, 0) << where;
+      } else {
+        EXPECT_GT(conflicts, 0) << where;  // repairs ran
+      }
+      EXPECT_EQ(solves, n + conflicts) << where;
+      EXPECT_LE(solves, 2 * n) << where;
+      EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n) << where;
+      const std::int64_t lookups =
+          registry.counterValue("cost.center_cache.hit") +
+          registry.counterValue("cost.center_cache.miss");
+      const std::int64_t runs2d = registry.counterValue("solver.runs");
+      if (!separable) {
+        EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), 0) << where;
+        EXPECT_EQ(lookups, n * W) << where;
+        EXPECT_EQ(runs2d, n + conflicts) << where;
+        continue;
+      }
+      // Every datum's first solve is separable; each screen miss builds
+      // one serve table (W lookups). 2-D solves are the misses found at
+      // speculation plus every repair, and a repair either re-solves a
+      // 2-D plan or is itself a screen miss.
+      const std::int64_t misses =
+          registry.counterValue("gomcds.separable.screen_misses");
+      EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), n) << where;
+      EXPECT_EQ(lookups, W * misses) << where;
+      EXPECT_GT(misses, 0) << where;  // the tight capacity bites
+      EXPECT_LT(misses, n) << where;  // and the screen passes some data
+      EXPECT_LE(runs2d - conflicts, misses) << where;
+      EXPECT_LE(misses, runs2d) << where;
+      if (threads == 1) {
+        EXPECT_EQ(runs2d, misses) << where;
+      }
     }
-    EXPECT_EQ(solves, n + conflicts) << "threads=" << threads;
-    EXPECT_LE(solves, 2 * n) << "threads=" << threads;
-    EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n);
-    EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
-                  registry.counterValue("cost.center_cache.miss"),
-              n * refs.numWindows())
-        << "threads=" << threads;
   }
   registry.reset();
 }

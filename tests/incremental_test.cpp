@@ -122,6 +122,39 @@ TEST(Incremental, BitIdenticalToColdOnEveryPrefixHealthy) {
   }
 }
 
+// On a healthy mesh a changed class is re-solved whole by the separable
+// solve: every warm step still matches a cold solve and the mesh engine's
+// cold solve (an empty-fault DistanceMap), every class counts W reused or
+// W relaxed layers, and the retained state is the paths alone.
+TEST(Incremental, HealthyWarmMatchesColdOnEveryStepAndKeepsOnlyPaths) {
+  for (const auto& [rows, cols] : {std::pair{7, 5}, {1, 9}}) {
+    const Grid g(rows, cols);
+    const FaultMap noFaults(g);
+    const DistanceMap distances(g, noFaults);
+    const CostModel model(g);
+    const CostModel mesh(g, distances);
+    testutil::Rng rng(908);
+    const int W = 6;
+    StreamWorkload work(rng, g, 24, W, 20);
+    IncrementalSolver solver;
+    for (int step = 0; step < 6; ++step) {
+      const WindowedRefs refs = work.refs(g);
+      const DataSchedule warm = solver.solve(shared(refs), model);
+      expectSameSchedule(warm, scheduleGomcds(refs, model));
+      expectSameSchedule(warm, scheduleGomcds(refs, mesh));
+      const IncrementalSolver::Stats& stats = solver.lastStats();
+      EXPECT_EQ(stats.cold, step == 0);
+      EXPECT_EQ(stats.reusedLayers % W, 0) << "step " << step;
+      EXPECT_EQ(stats.relaxedLayers % W, 0) << "step " << step;
+      EXPECT_GT(solver.retainedBytes(), 0u);
+      EXPECT_LE(solver.retainedBytes(),
+                static_cast<std::size_t>(refs.numData()) * W * sizeof(int))
+          << "step " << step;
+      work.churnTail(rng, 1 + step % 2, 20);
+    }
+  }
+}
+
 TEST(Incremental, BitIdenticalWithStableFaults) {
   const Grid g(5, 5);
   FaultMap faults(g);
@@ -314,6 +347,34 @@ TEST(Incremental, ClassSplitAndReconvergeStayIdentical) {
       EXPECT_GT(solver.lastStats().reusedLayers, 0) << "step " << step;
     }
     ++step;
+  }
+}
+
+// Warm classing splits a group whose members churn differently: data 0-3
+// share every reference string, then data 2 and 3 move their last window
+// to the far corner while data 0 and 1 keep theirs. Each half must take
+// its own path, as in a cold solve.
+TEST(Incremental, WarmClassingSplitsAGroupThatDiverges) {
+  const Grid g(4, 4);
+  const CostModel model(g);
+  const int W = 4;
+  auto makeRefs = [&](bool diverge) {
+    ReferenceTrace t(DataSpace::singleSquare(2, "A"));
+    for (DataId d = 0; d < 4; ++d) {
+      t.add(0, 0, d, 3);
+      t.add(1, 1, d, 3);
+      t.add(2, 4, d, 3);
+      t.add(3, diverge && d >= 2 ? 15 : 0, d, 9);
+    }
+    t.finalize();
+    return WindowedRefs(t, WindowPartition::evenCount(W, W), g);
+  };
+  IncrementalSolver solver;
+  for (const bool diverge : {false, true}) {
+    const WindowedRefs refs = makeRefs(diverge);
+    const DataSchedule warm = solver.solve(shared(refs), model);
+    expectSameSchedule(warm, scheduleGomcds(refs, model));
+    EXPECT_EQ(solver.lastStats().cold, !diverge);
   }
 }
 
@@ -564,6 +625,33 @@ TEST(StreamSession, FaultedSessionMatchesFaultedExperiment) {
                            streamConfig(5));
     expectSameSchedule(got.schedule, fresh.schedule(Method::kGomcds));
     work.churnTail(rng, 1, 25);
+  }
+}
+
+// A healthy session retains its classes' paths — at most data x windows
+// ints — where a faulted one keeps W x P serve and dp tables per class.
+TEST(StreamSession, HealthySessionRetainsPathsNotTables) {
+  const Grid g(8, 8);
+  const int W = 6;
+  const DataId numData = 36;  // a square: the trace's data space is 6 x 6
+  testutil::Rng rng(916);
+  StreamWorkload work(rng, g, numData, W, 40);
+  StreamSession healthy(8, 8, streamConfig(W));
+  StreamSession faulted(8, 8, streamConfig(W), Method::kGomcds, {"proc:5"});
+  const std::size_t paths =
+      static_cast<std::size_t>(numData) * W * sizeof(int);
+  const std::size_t oneTable =
+      static_cast<std::size_t>(W) * static_cast<std::size_t>(g.size()) *
+      sizeof(Cost);
+  for (int stream = 0; stream < 3; ++stream) {
+    const ReferenceTrace trace = work.trace();
+    (void)healthy.step(trace);
+    (void)faulted.step(trace);
+    EXPECT_GT(healthy.retainedBytes(), 0u);
+    EXPECT_LE(healthy.retainedBytes(), paths) << "step " << stream;
+    EXPECT_LT(healthy.retainedBytes(), oneTable);
+    EXPECT_GE(faulted.retainedBytes(), 2 * oneTable) << "step " << stream;
+    work.churnTail(rng, 2, 40);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "fault/distance_map.hpp"
@@ -334,6 +335,98 @@ TEST(FlatSolver, ManhattanKernelMatchesReferenceOnRandomInstances) {
       }
     }
   }
+}
+
+// The separable solve over W x R row and W x C column node costs is
+// bit-identical — totals, paths and tie-breaks — to the chamfer and dense
+// kernels over the summed R x C table node(w, r * C + c) = row + col.
+// Thin and odd grids, one layer, beta = 0, all-zero costs (everything
+// ties, as with hopCost = 0 or a window without references) and forbidden
+// rows or columns are all covered.
+TEST(SeparableSolver, MatchesManhattanAndDenseKernelsOnRandomInstances) {
+  testutil::Rng rng(204);
+  LayeredDagScratch scratch;
+  LayeredPath separable;
+  for (const auto& [rows, cols] :
+       {std::pair{1, 1}, {1, 7}, {7, 1}, {3, 5}, {5, 3}, {4, 4}, {6, 6}}) {
+    const Grid g(rows, cols);
+    std::vector<Cost> trans;
+    for (ProcId q = 0; q < g.size(); ++q) {
+      for (ProcId p = 0; p < g.size(); ++p) trans.push_back(g.manhattan(q, p));
+    }
+    for (const Cost beta : {Cost{0}, Cost{1}, Cost{3}}) {
+      std::vector<Cost> scaled = trans;
+      for (Cost& t : scaled) t *= beta;
+      for (int trial = 0; trial < 12; ++trial) {
+        const int layers = trial == 0 ? 1 : static_cast<int>(rng.range(1, 8));
+        // trial % 3: 0 = all zero, 1 = small costs (many ties), 2 = wide
+        // costs with a forbidden row or column now and then.
+        const auto draw = [&](std::size_t count) {
+          std::vector<Cost> v(count);
+          for (Cost& c : v) {
+            switch (trial % 3) {
+              case 0: c = 0; break;
+              case 1: c = rng.range(0, 2); break;
+              default:
+                c = rng.below(9) == 0 ? kInfiniteCost : rng.range(0, 40);
+            }
+          }
+          return v;
+        };
+        const std::vector<Cost> rowCosts =
+            draw(static_cast<std::size_t>(layers * rows));
+        const std::vector<Cost> colCosts =
+            draw(static_cast<std::size_t>(layers * cols));
+        std::vector<Cost> nodeTable;
+        for (int w = 0; w < layers; ++w) {
+          for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < cols; ++c) {
+              nodeTable.push_back(satAdd(
+                  rowCosts[static_cast<std::size_t>(w * rows + r)],
+                  colCosts[static_cast<std::size_t>(w * cols + c)]));
+            }
+          }
+        }
+        const LayeredPath chamfer =
+            LayeredDagSolver::solveManhattanFlat(g, layers, nodeTable, beta);
+        const LayeredPath dense =
+            LayeredDagSolver::solveFlat(layers, g.size(), nodeTable, scaled);
+        LayeredDagSolver::solveSeparableInto(g, layers, rowCosts, colCosts,
+                                             beta, scratch, separable);
+        const std::string where = std::to_string(rows) + "x" +
+                                  std::to_string(cols) + " beta " +
+                                  std::to_string(beta) + " trial " +
+                                  std::to_string(trial);
+        ASSERT_EQ(chamfer.total, dense.total) << where;
+        ASSERT_EQ(chamfer.nodes, dense.nodes) << where;
+        ASSERT_EQ(separable.total, chamfer.total) << where;
+        ASSERT_EQ(separable.nodes, chamfer.nodes) << where;
+      }
+    }
+  }
+}
+
+TEST(SeparableSolver, RejectsInvalidInput) {
+  const Grid g(3, 4);
+  LayeredDagScratch scratch;
+  LayeredPath out;
+  const std::vector<Cost> rows(6, 1);
+  const std::vector<Cost> cols(8, 1);
+  EXPECT_THROW(LayeredDagSolver::solveSeparableInto(g, 0, {}, {}, 1, scratch,
+                                                    out),
+               std::invalid_argument);
+  EXPECT_THROW(LayeredDagSolver::solveSeparableInto(g, 2, rows, rows, 1,
+                                                    scratch, out),
+               std::invalid_argument);
+  EXPECT_THROW(LayeredDagSolver::solveSeparableInto(g, 2, rows, cols, -1,
+                                                    scratch, out),
+               std::invalid_argument);
+  EXPECT_THROW(LayeredDagSolver::solveSeparableInto(
+                   g, 2, rows, cols, maxChamferBeta(g) + 1, scratch, out),
+               std::invalid_argument);
+  LayeredDagSolver::solveSeparableInto(g, 2, rows, cols, 1, scratch, out);
+  EXPECT_EQ(out.total, 4);
+  EXPECT_EQ(out.nodes, (std::vector<int>{0, 0}));
 }
 
 // The chamfer entry points accept beta up to maxChamferBeta(grid), where the

@@ -9,6 +9,8 @@
 #include "core/gomcds.hpp"
 #include "core/grouping.hpp"
 #include "core/lomcds.hpp"
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
 #include "report/obs_report.hpp"
 #include "test_util.hpp"
 
@@ -224,17 +226,21 @@ TEST(Obs, SummaryRendersRecordedMetrics) {
 TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(4, 4);
-  const CostModel model(g);
+  const FaultMap noFaults(g);
+  const DistanceMap meshDistances(g, noFaults);
+  const CostModel mesh(g, meshDistances);
   testutil::Rng rng(517);
   const ReferenceTrace t = testutil::randomTrace(rng, g, 6, 6, 24, 40);
   const WindowedRefs refs(t, WindowPartition::evenCount(t.numSteps(), 6), g);
 
+  // The mesh engine's model (an empty-fault DistanceMap) solves every
+  // datum through its serve table. The totals must equal the whole
+  // problem regardless of how the pool split the plan phase: every
+  // (datum, window) table went through the cache exactly once (hit or
+  // miss), and each miss is one evaluation.
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
-  (void)scheduleGomcds(refs, model, {}, 4);
-  // The totals must equal the whole problem regardless of how the pool
-  // split the plan phase: every (datum, window) table went through the
-  // cache exactly once (hit or miss), and each miss is one evaluation.
+  (void)scheduleGomcds(refs, mesh, {}, 4);
   const std::int64_t tables =
       static_cast<std::int64_t>(refs.numData()) * refs.numWindows();
   EXPECT_EQ(registry.counterValue("sched.gomcds.data"), refs.numData());
@@ -250,12 +256,30 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
   const std::int64_t parallelMisses =
       registry.counterValue("cost.center_cache.miss");
   registry.reset();
-  (void)scheduleGomcds(refs, model);
+  (void)scheduleGomcds(refs, mesh);
   EXPECT_EQ(registry.counterValue("sched.gomcds.data"), refs.numData());
   EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
                 registry.counterValue("cost.center_cache.miss"),
             tables);
   EXPECT_EQ(registry.counterValue("cost.center_cache.miss"), parallelMisses);
+
+  // On the healthy model every class is solved separably, at any thread
+  // count: one separable solve per class, no serve table, no 2-D solve.
+  const CostModel healthy(g);
+  for (const unsigned threads : {4u, 1u}) {
+    registry.reset();
+    (void)scheduleGomcds(refs, healthy, {}, threads);
+    EXPECT_EQ(registry.counterValue("sched.gomcds.data"), refs.numData());
+    EXPECT_EQ(registry.counterValue("gomcds.separable.solves"),
+              registry.counterValue("gomcds.dedup.classes"));
+    EXPECT_EQ(registry.counterValue("gomcds.separable.solves") +
+                  registry.counterValue("solver.runs"),
+              registry.counterValue("gomcds.flat.solves"));
+    EXPECT_EQ(registry.counterValue("solver.runs"), 0);
+    EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
+                  registry.counterValue("cost.center_cache.miss"),
+              0);
+  }
   registry.reset();
 }
 
