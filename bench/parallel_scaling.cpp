@@ -1,7 +1,7 @@
-// parallel_scaling — thread-count sweep of the parallel scheduling
-// pipeline (capacity-aware parallel GOMCDS + schedule evaluation +
-// per-window NoC replay) on a large-grid workload, plus the serving-cost
-// cache reuse rates per kernel. Emits results/bench_parallel.json.
+// parallel_scaling — thread-count sweep of the scheduling pipeline
+// (capacity-aware GOMCDS, which is one loop in visit order at every thread
+// count, + parallel schedule evaluation + per-window NoC replay) on a
+// large-grid workload. Emits results/bench_parallel.json.
 //
 //   parallel_scaling [--smoke] [--out FILE] [--max-threads N]
 //                    [--repeat N] [--warmup N]
@@ -9,9 +9,8 @@
 // --smoke shrinks the workload to seconds-on-one-core size for CI; the
 // JSON shape is identical. Every run's schedule is checked center by
 // center against the one-thread run's. Each sweep point also records
-// the GOMCDS layered-DAG solves per datum and the stale plans the
-// committing thread re-solved (counters gomcds.flat.solves and
-// sched.gomcds.conflicts). Each thread count runs --warmup unmeasured
+// the GOMCDS layered-DAG solves per datum (counter gomcds.flat.solves,
+// 1.0 at every thread count). Each thread count runs --warmup unmeasured
 // iterations then --repeat measured ones and reports the median-by-total
 // (default: 1 repeat in smoke, 3 in a full run).
 
@@ -50,20 +49,8 @@ struct SweepPoint {
   double evalMs = 0;
   double replayMs = 0;
   double solvesPerDatum = 0;
-  std::int64_t conflicts = 0;
   [[nodiscard]] double totalMs() const {
     return scheduleMs + evalMs + replayMs;
-  }
-};
-
-struct CacheRow {
-  std::string kernel;
-  std::int64_t hit = 0;
-  std::int64_t miss = 0;
-  [[nodiscard]] double hitRate() const {
-    const std::int64_t total = hit + miss;
-    return total > 0 ? static_cast<double>(hit) / static_cast<double>(total)
-                     : 0.0;
   }
 };
 
@@ -77,8 +64,6 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
 
   obs::Registry& registry = obs::Registry::instance();
   const std::int64_t solves0 = registry.counterValue("gomcds.flat.solves");
-  const std::int64_t conflicts0 =
-      registry.counterValue("sched.gomcds.conflicts");
   auto t0 = Clock::now();
   const DataSchedule schedule = scheduleGomcds(refs, model, opts, threads);
   point.scheduleMs = msSince(t0);
@@ -86,8 +71,6 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
       static_cast<double>(registry.counterValue("gomcds.flat.solves") -
                           solves0) /
       static_cast<double>(refs.numData());
-  point.conflicts =
-      registry.counterValue("sched.gomcds.conflicts") - conflicts0;
   for (DataId d = 0; d < refs.numData(); ++d) {
     for (WindowId w = 0; w < refs.numWindows(); ++w) {
       if (schedule.center(d, w) != reference.center(d, w)) {
@@ -118,20 +101,6 @@ SweepPoint runPipeline(const WindowedRefs& refs, const CostModel& model,
     std::exit(1);
   }
   return point;
-}
-
-/// Cache reuse rate of one one-thread GOMCDS run, from the obs counters.
-CacheRow cacheReuse(const std::string& name, const WindowedRefs& refs,
-                    const CostModel& model, const SchedulerOptions& opts) {
-  obs::Registry& registry = obs::Registry::instance();
-  const std::int64_t hit0 = registry.counterValue("cost.center_cache.hit");
-  const std::int64_t miss0 = registry.counterValue("cost.center_cache.miss");
-  (void)scheduleGomcds(refs, model, opts);
-  CacheRow row;
-  row.kernel = name;
-  row.hit = registry.counterValue("cost.center_cache.hit") - hit0;
-  row.miss = registry.counterValue("cost.center_cache.miss") - miss0;
-  return row;
 }
 
 std::string fmt(double v) {
@@ -170,8 +139,8 @@ int main(int argc, char** argv) {
   // capacity, sized so that each schedule spends tens of milliseconds in
   // 2-D solves (the data whose separable path hits a full slot, over half
   // of them here) — a sub-millisecond schedule measures pool overhead, not
-  // scaling. --smoke shrinks it to 16x16 (about 25 ms per one-thread
-  // schedule on one AVX2 core); the full run is 32x32 (about 240 ms).
+  // scaling. --smoke shrinks it to 16x16 (about 20-25 ms per schedule on
+  // one AVX2 core); the full run is 32x32 (about 190 ms).
   const int gridSide = smoke ? 16 : 32;
   const int n = smoke ? 32 : 48;
   const int windows = 16;
@@ -227,8 +196,7 @@ int main(int argc, char** argv) {
               << " ms, eval " << fmt(med.evalMs) << " ms, replay "
               << fmt(med.replayMs) << " ms, total "
               << fmt(med.totalMs()) << " ms (median of " << rep.repeat
-              << "), " << fmt(med.solvesPerDatum) << " solves/datum, "
-              << med.conflicts << " conflicts\n";
+              << "), " << fmt(med.solvesPerDatum) << " solves/datum\n";
   }
 
   const double base = sweep.front().totalMs();
@@ -238,29 +206,6 @@ int main(int argc, char** argv) {
     if (p.totalMs() <= 0) continue;
     if (p.threads == 4) speedupAt4 = base / p.totalMs();
     bestSpeedup = std::max(bestSpeedup, base / p.totalMs());
-  }
-
-  // Cache reuse per kernel family (sequential runs; rates are identical in
-  // parallel because the shared cache sees the same reference strings).
-  std::vector<CacheRow> cacheRows;
-  const int cacheN = smoke ? 8 : 16;
-  for (const auto& [name, kind] :
-       std::vector<std::pair<std::string, PaperBenchmark>>{
-           {"matsquare", PaperBenchmark::kMatSquare},
-           {"lu", PaperBenchmark::kLu},
-           {"irregular", PaperBenchmark::kCodeRev}}) {
-    const ReferenceTrace kernelTrace =
-        makePaperBenchmark(kind, grid, cacheN);
-    PipelineConfig kernelCfg;
-    kernelCfg.numWindows = windows;
-    const Experiment kernelExp(kernelTrace, grid, kernelCfg);
-    cacheRows.push_back(cacheReuse(
-        name, kernelExp.refs(), kernelExp.costModel(),
-        SchedulerOptions{kernelExp.capacity(), kernelCfg.order}));
-    std::cout << "cache " << name << ": "
-              << cacheRows.back().hit << " hit / "
-              << cacheRows.back().miss << " miss (rate "
-              << fmt(cacheRows.back().hitRate()) << ")\n";
   }
 
   std::filesystem::create_directories(
@@ -291,29 +236,18 @@ int main(int argc, char** argv) {
        << ", \"replay_ms\": " << fmt(p.replayMs) << ", \"total_ms\": "
        << fmt(p.totalMs()) << ", \"speedup\": "
        << fmt(p.totalMs() > 0 ? base / p.totalMs() : 0.0)
-       << ", \"solves_per_datum\": " << fmt(p.solvesPerDatum)
-       << ", \"conflicts\": " << p.conflicts << "}"
+       << ", \"solves_per_datum\": " << fmt(p.solvesPerDatum) << "}"
        << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
   os << "  ],\n"
      << "  \"speedup_at_4_threads\": " << fmt(speedupAt4) << ",\n"
-     << "  \"cache\": [\n";
-  for (std::size_t i = 0; i < cacheRows.size(); ++i) {
-    const CacheRow& r = cacheRows[i];
-    os << "    {\"kernel\": \"" << r.kernel << "\", \"hit\": " << r.hit
-       << ", \"miss\": " << r.miss << ", \"hit_rate\": "
-       << fmt(r.hitRate()) << "}" << (i + 1 < cacheRows.size() ? "," : "")
-       << "\n";
-  }
-  os << "  ],\n"
      << "  \"best_speedup\": " << fmt(bestSpeedup) << "\n"
      << "}\n";
   std::cout << "wrote " << outPath << "\n";
 
   // Scaling regression gate: a multi-core host that cannot reach 1.5x at
-  // ANY swept thread count means the GOMCDS engine re-serialized (lock
-  // convoy, false sharing, barrier) — fail the run so CI goes red instead
-  // of archiving a quietly flat sweep. Single-core hosts stay warn-only:
+  // ANY swept thread count fails the run so CI goes red instead of
+  // archiving a quietly flat sweep. Single-core hosts stay warn-only:
   // there is no parallelism to measure (results carry degraded: true).
   constexpr double kMinBestSpeedup = 1.5;
   const bool sweptMultiThread =

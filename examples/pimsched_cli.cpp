@@ -20,10 +20,12 @@
 //     --profile FILE      record counters/timers/trace events, replay the
 //                         schedule through the NoC simulator, print the
 //                         metrics summary and write chrome://tracing JSON
-//     --threads N         worker threads for GOMCDS scheduling, schedule
-//                         evaluation and NoC replay (0 = hardware
-//                         concurrency; default 1 = sequential; results
-//                         are identical for every value)
+//     --threads N         worker threads for GOMCDS's per-class solves
+//                         without capacity pressure, schedule evaluation
+//                         and NoC replay (0 = hardware concurrency;
+//                         default 1 = sequential; capacity-bound GOMCDS
+//                         is sequential at every value; results are
+//                         identical for every value)
 //     --csv               machine-readable summary line
 //
 // Exit codes: 0 = success, 1 = runtime failure (unreadable trace, solver

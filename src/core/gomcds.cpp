@@ -1,12 +1,11 @@
 #include "core/gomcds.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/data_order.hpp"
@@ -165,6 +164,16 @@ LayerKernel::LayerKernel(const CostModel& model, GomcdsEngine engine)
   }
 }
 
+void LayerKernel::solve(int numLayers, std::span<const Cost> nodeCosts,
+                        LayeredDagScratch& scratch, LayeredPath& out) const {
+  if (separable()) {
+    LayeredDagSolver::solveManhattanFlatInto(*grid_, numLayers, nodeCosts,
+                                             beta_, scratch, out);
+  } else {
+    resume(numLayers, nodeCosts, 0, scratch.dp, scratch, out, nullptr);
+  }
+}
+
 void LayerKernel::resume(int numLayers, std::span<const Cost> nodeCosts,
                          int fromLayer, CostBuffer& dp,
                          LayeredDagScratch& scratch, LayeredPath& out,
@@ -173,14 +182,10 @@ void LayerKernel::resume(int numLayers, std::span<const Cost> nodeCosts,
     LayeredDagSolver::solveFlatResumeInto(numLayers, grid_->size(), nodeCosts,
                                           trans_, fromLayer, dp, scratch, out,
                                           parents);
-  } else if (mesh_) {
-    LayeredDagSolver::solveMeshFlatResumeInto(*mesh_, numLayers, nodeCosts,
-                                              beta_, fromLayer, dp, scratch,
-                                              out, parents);
   } else {
-    LayeredDagSolver::solveManhattanFlatResumeInto(*grid_, numLayers,
-                                                   nodeCosts, beta_, fromLayer,
-                                                   dp, scratch, out, parents);
+    LayeredDagSolver::solveMeshFlatResumeInto(mesh_.value(), numLayers,
+                                              nodeCosts, beta_, fromLayer, dp,
+                                              scratch, out, parents);
   }
 }
 
@@ -201,6 +206,19 @@ void LayerKernel::solveDatum(const WindowedRefs& refs, DataId d,
                                        beta_, scratch.dag, out);
 }
 
+void LayerKernel::serveFromMarginals(int numLayers,
+                                     GomcdsScratch& scratch) const {
+  const std::size_t R = static_cast<std::size_t>(grid_->rows());
+  const std::size_t C = static_cast<std::size_t>(grid_->cols());
+  scratch.serve.resize(static_cast<std::size_t>(numLayers) * R * C);
+  for (std::size_t w = 0; w < static_cast<std::size_t>(numLayers); ++w) {
+    separableSumInto(
+        std::span<const Cost>(scratch.rows.data() + w * R, R),
+        std::span<const Cost>(scratch.cols.data() + w * C, C),
+        std::span<Cost>(scratch.serve.data() + w * R * C, R * C));
+  }
+}
+
 }  // namespace detail
 
 DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
@@ -211,7 +229,6 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   const bool staticMask = detail::staticForbiddenSet(model, options);
   detail::GomcdsPlacement placement(refs, model, options, !staticMask);
   const std::vector<DataId>& order = placement.order();
-  const std::size_t n = order.size();
   const detail::LayerKernel kernel(model, engine);
   const bool separable = kernel.separable();
   ServeTables tables(refs, model);
@@ -239,7 +256,6 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     const auto solves = static_cast<std::int64_t>(paths.size());
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves", solves);
     if (separable) PIMSCHED_COUNTER_ADD("gomcds.separable.solves", solves);
-    PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", 1);
     for (const DataId d : order) {
       placement.commit(d, paths[static_cast<std::size_t>(
                               classes.classOf[static_cast<std::size_t>(d)])]);
@@ -247,91 +263,40 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     return placement.finish();
   }
 
-  // Capacity-constrained: bounded-lookahead speculation with in-order
-  // repair. One slot per datum of the lookahead window holds the path
-  // solved against the forbidden set as of the window start and, once the
-  // datum needed a 2-D solve, its serve table masked by that set. Only
-  // executors that can actually run count: a nested call runs parallelFor
-  // inline, so it gets the one-datum window whose every solve sees the
-  // live forbidden set.
-  struct Slot {
-    CostBuffer serve;
-    bool tabled = false;  ///< serve holds this datum's table
-    LayeredPath path;
-  };
-  constexpr std::size_t kLookaheadPerExecutor = 32;
-  std::size_t executors = 1;
-  if (threads != 1 && !ThreadPool::global().insidePool()) {
-    executors = threads == 0 ? ThreadPool::global().workers() + 1 : threads;
-  }
-  const std::size_t window =
-      executors == 1 ? 1 : kLookaheadPerExecutor * executors;
-  std::vector<Slot> slots(std::min(n, window));
-
-  // The capacity screen: on a healthy mesh the datum's unconstrained path
-  // comes first, from the separable solve. When none of its slots is full
-  // it is the masked optimum too, tie-break included — masking only
-  // raises dp values, and the path's nodes stay optimal and present
-  // (docs/algorithms.md, "The capacity screen"). Otherwise, and on every
-  // other kernel, the serve table is built, masked and solved in 2-D.
-  std::size_t begin = 0;
-  const auto solveMasked = [&](Slot& slot, DataId d,
-                               LayeredDagScratch& dag) {
-    if (!slot.tabled) {
-      tables.datumInto(d, slot.serve);
-      slot.tabled = true;
-    }
-    placement.mask(slot.serve);
-    kernel.solve(W, slot.serve, dag, slot.path);
-  };
-  // Wrapped once, not per round: with one executor a round is one datum,
-  // and converting the lambda for each parallelFor call would allocate.
-  const std::function<void(std::int64_t)> speculate = [&](std::int64_t k) {
-    Slot& slot = slots[static_cast<std::size_t>(k)];
-    const DataId d = order[begin + static_cast<std::size_t>(k)];
-    detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
-    slot.tabled = false;
-    if (separable) {
-      kernel.solveDatum(refs, d, scratch, slot.path);
-      if (slot.path.feasible() && placement.fits(slot.path)) return;
-    }
-    solveMasked(slot, d, scratch.dag);
-  };
+  // Capacity-constrained: paper Algorithm 2's loop, one datum at a time in
+  // visit order, each solved against the live forbidden set and committed
+  // before the next. On a healthy mesh the separable path comes first;
+  // when none of its slots is full it is the masked optimum too,
+  // tie-break included — masking only raises dp values, and the path's
+  // nodes stay optimal and present (docs/algorithms.md, "The capacity
+  // screen"). Otherwise the serve table is built, masked and solved in
+  // 2-D: on a healthy mesh from the marginals the separable solve left in
+  // scratch (a row sum is cheaper than a ServeTables lookup), on every
+  // other kernel through ServeTables.
   detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
-  std::int64_t rounds = 0;
-  std::int64_t repaired = 0;
-  std::int64_t tabled = 0;
-  for (; begin < n; begin += slots.size()) {
-    const std::size_t count = std::min(slots.size(), n - begin);
-    ++rounds;
-    parallelFor(static_cast<std::int64_t>(count), threads, speculate);
-
-    // Commit in visit order — the deterministic tie-break that makes the
-    // result thread-count independent. The window-start forbidden set is a
-    // subset of the live one and occupancy only grows, so: a plan
-    // infeasible then stays infeasible (commit throws at this datum); a
-    // plan that still fits keeps its dp value and smallest-index
-    // tie-breaks, so it is the live-set path; a stale plan is repaired by
-    // masking its slot table (built now if the plan was separable) with
-    // the live set and re-solving.
-    for (std::size_t k = 0; k < count; ++k) {
-      Slot& slot = slots[k];
-      if (slot.path.feasible() && !placement.fits(slot.path)) {
-        ++repaired;
-        solveMasked(slot, order[begin + k], scratch.dag);
+  LayeredPath path;
+  std::int64_t misses = 0;
+  for (const DataId d : order) {
+    if (separable) {
+      kernel.solveDatum(refs, d, scratch, path);
+      if (path.feasible() && placement.fits(path)) {
+        placement.commit(d, path);
+        continue;
       }
-      tabled += slot.tabled ? 1 : 0;
-      placement.commit(order[begin + k], slot.path);
+      ++misses;
+      kernel.serveFromMarginals(W, scratch);
+    } else {
+      tables.datumInto(d, scratch.serve);
     }
+    placement.mask(scratch.serve);
+    kernel.solve(W, scratch.serve, scratch.dag, path);
+    placement.commit(d, path);
   }
-  PIMSCHED_COUNTER_ADD("sched.gomcds.rounds", rounds);
-  PIMSCHED_COUNTER_ADD("gomcds.flat.solves",
-                       static_cast<std::int64_t>(n) + repaired);
-  PIMSCHED_COUNTER_ADD("sched.gomcds.conflicts", repaired);
+  const auto solves = static_cast<std::int64_t>(order.size());
+  PIMSCHED_COUNTER_ADD("gomcds.flat.solves", solves);
   if (separable) {
-    PIMSCHED_COUNTER_ADD("gomcds.separable.solves",
-                         static_cast<std::int64_t>(n));
-    PIMSCHED_COUNTER_ADD("gomcds.separable.screen_misses", tabled);
+    PIMSCHED_COUNTER_ADD("gomcds.separable.solves", solves);
+    PIMSCHED_COUNTER_ADD("gomcds.separable.screen_misses", misses);
   }
   return placement.finish();
 }

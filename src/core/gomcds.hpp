@@ -38,24 +38,16 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// with a fault capacity limit) paths cannot conflict: data with identical
 /// per-window reference strings — common in matmul/LU traces — form one
 /// class, each class is solved once (fanned out over `threads`), then one
-/// pass commits in visit order. Under capacity pressure the data are taken
-/// in lookahead windows of 32 x executors in visit order: executors solve
-/// each datum against the forbidden set as of the window start, then the
-/// calling thread commits the window in visit order, re-solving any plan
-/// that lost a slot to an earlier commit of the same window. On a healthy
-/// mesh a datum's solve is first the separable one, kept when none of its
-/// slots is full (an exact screen: it is then the masked optimum too);
-/// otherwise, and on faulted meshes and kNaive, the datum's serve table is
-/// masked and solved in 2-D. With one executor — threads = 1, or a call from inside a
-/// pool worker, where parallelFor runs inline — the window is one datum:
-/// every solve sees the live forbidden set, so each datum costs exactly one
-/// solve and none is repaired.
+/// pass commits in visit order. Under capacity pressure the data are
+/// solved and committed one at a time in visit order, each against the
+/// live forbidden set, on the calling thread: every datum costs exactly
+/// one solve. On a healthy mesh that solve is first the separable one,
+/// kept when none of its slots is full (an exact screen: it is then the
+/// masked optimum too); otherwise, and on faulted meshes and kNaive, the
+/// datum's serve table is masked and solved in 2-D.
 ///
-/// The schedule is the same for every thread count: a planned path that
-/// still fits the commit-time forbidden set (a superset of the planning
-/// one) is still the cost- and tie-break-minimal path, and a repair is the
-/// solve against the live set itself. threads = 0 uses hardware
-/// concurrency; helper workers come from the shared ThreadPool
+/// The schedule is the same for every thread count. threads = 0 uses
+/// hardware concurrency; helper workers come from the shared ThreadPool
 /// (util/thread_pool.hpp).
 [[nodiscard]] DataSchedule scheduleGomcds(
     const WindowedRefs& refs, const CostModel& model,

@@ -151,12 +151,12 @@ class LayerKernel {
 
   /// Cold solve of a flat numLayers x P node-cost table.
   void solve(int numLayers, std::span<const Cost> nodeCosts,
-             LayeredDagScratch& scratch, LayeredPath& out) const {
-    resume(numLayers, nodeCosts, 0, scratch.dp, scratch, out, nullptr);
-  }
+             LayeredDagScratch& scratch, LayeredPath& out) const;
 
   /// Warm-start solve under the contract of
-  /// LayeredDagSolver::solveFlatResumeInto.
+  /// LayeredDagSolver::solveFlatResumeInto. Requires !separable(): a
+  /// healthy mesh re-solves a datum whole (solveDatum), so only the dense
+  /// and faulted-mesh kernels resume.
   void resume(int numLayers, std::span<const Cost> nodeCosts, int fromLayer,
               CostBuffer& dp, LayeredDagScratch& scratch, LayeredPath& out,
               LayeredParentCache* parents) const;
@@ -172,6 +172,13 @@ class LayerKernel {
   /// Requires separable().
   void solveDatum(const WindowedRefs& refs, DataId d, GomcdsScratch& scratch,
                   LayeredPath& out) const;
+
+  /// Writes into scratch.serve the numLayers x P serve table of the datum
+  /// whose marginals the last solveDatum left in scratch.rows and
+  /// scratch.cols: bit-identical to ServeTables::datumInto for that datum
+  /// (separableSumInto), without a memo lookup per row. Requires
+  /// separable().
+  void serveFromMarginals(int numLayers, GomcdsScratch& scratch) const;
 
  private:
   const Grid* grid_;

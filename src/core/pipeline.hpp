@@ -69,18 +69,20 @@ struct PipelineConfig {
   /// section A3 of bench/paper_experiments).
   DataOrder order = DataOrder::kByWeightDesc;
 
-  /// Worker threads for the parallel paths (GOMCDS lookahead scheduling
-  /// and schedule evaluation): 1 = sequential (default), 0 = hardware
-  /// concurrency, N = at most N concurrent workers. Results are identical
-  /// for every value.
+  /// Worker threads for the parallel paths (GOMCDS's per-class solves
+  /// under a static forbidden set, and schedule evaluation): 1 =
+  /// sequential (default), 0 = hardware concurrency, N = at most N
+  /// concurrent workers. Capacity-bound GOMCDS is one loop in visit order
+  /// at every value. Results are identical for every value.
   unsigned threads = 1;
 };
 
 /// Runs one scheduling method over already-windowed references: the
 /// baselines place `space` on `model.grid()`, every other method solves
 /// `refs` under `model` with `options` (capacity and data order).
-/// `threads` parallelizes GOMCDS only; results are identical for every
-/// value. Experiment::schedule and StreamSession::step both dispatch here.
+/// `threads` parallelizes GOMCDS's per-class solves under a static
+/// forbidden set only; results are identical for every value.
+/// Experiment::schedule and StreamSession::step both dispatch here.
 [[nodiscard]] DataSchedule scheduleMethod(Method m, const WindowedRefs& refs,
                                           const CostModel& model,
                                           const DataSpace& space,

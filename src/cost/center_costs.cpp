@@ -116,9 +116,15 @@ void separableCenterCostsInto(const CostModel& model,
   const std::span<Cost> fRow(axes.data(), R);
   const std::span<Cost> fCol(axes.data() + R, C);
   separableAxisCostsInto(grid, model.params().hopCost, refs, fRow, fCol);
-  for (std::size_t r = 0; r < R; ++r) {
+  separableSumInto(fRow, fCol, out);
+}
+
+void separableSumInto(std::span<const Cost> rowCosts,
+                      std::span<const Cost> colCosts, std::span<Cost> out) {
+  const std::size_t C = colCosts.size();
+  for (std::size_t r = 0; r < rowCosts.size(); ++r) {
     Cost* row = out.data() + r * C;
-    for (std::size_t c = 0; c < C; ++c) row[c] = fRow[r] + fCol[c];
+    for (std::size_t c = 0; c < C; ++c) row[c] = rowCosts[r] + colCosts[c];
   }
 }
 

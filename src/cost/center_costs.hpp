@@ -58,6 +58,14 @@ void separableAxisCostsInto(const Grid& grid, Cost hopCost,
                             std::span<const ProcWeight> refs,
                             std::span<Cost> rowOut, std::span<Cost> colOut);
 
+/// The serving-cost row those marginals describe: out[r * C + c] =
+/// rowCosts[r] + colCosts[c] for C = colCosts.size() (out holds
+/// rowCosts.size() * C entries). separableCenterCostsInto fills its rows
+/// this way, so a row built here from separableAxisCostsInto's output is
+/// bit-identical to it.
+void separableSumInto(std::span<const Cost> rowCosts,
+                      std::span<const Cost> colCosts, std::span<Cost> out);
+
 /// 1-D helper exposed for testing and for Lemma 1: the weighted L1 cost
 /// f(x) = sum_k hist[k]-weighted |x - k| for every x in [0, n). `hist` maps
 /// axis position -> total weight.

@@ -27,7 +27,9 @@ namespace pimsched {
 /// (SCDS, replication). Every scheduler that sweeps whole (datum, window)
 /// tables reads them here; rows whose strings rarely repeat within a call
 /// (incremental churn, repair, fleet estimates) call
-/// separableCenterCostsInto directly.
+/// separableCenterCostsInto directly, and a healthy-mesh GOMCDS screen
+/// miss sums the marginals its separable solve already computed
+/// (detail::LayerKernel::serveFromMarginals).
 ///
 /// Each distinct string is computed once per provider, by
 /// separableCenterCostsInto, and copied out afterwards. Thread-safe: the

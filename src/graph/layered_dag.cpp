@@ -377,14 +377,6 @@ void LayeredDagSolver::solveManhattanFlatInto(const Grid& grid, int numLayers,
                                               Cost beta,
                                               LayeredDagScratch& scratch,
                                               LayeredPath& out) {
-  solveManhattanFlatResumeInto(grid, numLayers, nodeCosts, beta, 0, scratch.dp,
-                               scratch, out);
-}
-
-void LayeredDagSolver::solveManhattanFlatResumeInto(
-    const Grid& grid, int numLayers, std::span<const Cost> nodeCosts,
-    Cost beta, int fromLayer, CostBuffer& dpBuf, LayeredDagScratch& scratch,
-    LayeredPath& out, LayeredParentCache* parents) {
   const int numNodes = grid.size();
   const std::size_t n = static_cast<std::size_t>(numNodes);
   const auto relax = [&](const Cost* prev, Cost* relaxed) {
@@ -410,7 +402,7 @@ void LayeredDagSolver::solveManhattanFlatResumeInto(
   const int C = grid.cols();
   const auto& k = simd::active();
   solveLayered(
-      numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out, parents,
+      numLayers, numNodes, nodeCosts, 0, scratch.dp, scratch, out, nullptr,
       relax, [&](const Cost* prevRow, int cur, Cost target, Cost own) -> int {
         Cost* colT = scratch.relaxed.data();
         const Cost need = target - own;

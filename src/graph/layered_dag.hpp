@@ -112,7 +112,7 @@ class LayeredDagSolver {
 
   /// Chamfer flat solve for transition cost beta * manhattan(prev, node).
   /// Requires 0 <= beta <= maxChamferBeta(grid) (pim/grid.hpp); any other
-  /// beta throws std::invalid_argument, as do the Into/Resume variants.
+  /// beta throws std::invalid_argument, as does the Into variant.
   [[nodiscard]] static LayeredPath solveManhattanFlat(
       const Grid& grid, int numLayers, std::span<const Cost> nodeCosts,
       Cost beta);
@@ -122,19 +122,6 @@ class LayeredDagSolver {
                                      std::span<const Cost> nodeCosts,
                                      Cost beta, LayeredDagScratch& scratch,
                                      LayeredPath& out);
-
-  /// Warm-start chamfer variant; same contract as solveFlatResumeInto
-  /// (including the optional predecessor cache) with the implicit beta *
-  /// manhattan transition (which depends only on the grid and beta, so
-  /// retained dp rows stay valid across solves as long as grid, beta, and
-  /// the node-cost prefix are unchanged).
-  static void solveManhattanFlatResumeInto(const Grid& grid, int numLayers,
-                                           std::span<const Cost> nodeCosts,
-                                           Cost beta, int fromLayer,
-                                           CostBuffer& dp,
-                                           LayeredDagScratch& scratch,
-                                           LayeredPath& out,
-                                           LayeredParentCache* parents = nullptr);
 
   /// Separable solve for a healthy mesh whose node costs split into a row
   /// term plus a column term: node (w, r * C + c) costs

@@ -2,8 +2,8 @@
 
 // A literal GOMCDS reference for the engine identity tests: data in visit
 // order, each datum's serve rows computed directly, full slots masked, one
-// dense cost-graph solve per datum, commit. No dedup classes, no lookahead,
-// no cost cache and no grid-structured kernel.
+// dense cost-graph solve per datum, commit. No dedup classes, no separable
+// screen, no cost cache and no grid-structured kernel.
 
 #include <cstddef>
 #include <stdexcept>

@@ -336,17 +336,16 @@ TEST(Gomcds, SeparableScreenMatchesMeshAndDenseEngines) {
   }
 }
 
-// Under capacity each datum is solved once against the forbidden set of
-// its lookahead-window start, and only the plans that went stale are
-// re-solved: solves = data + conflicts <= 2 x data. One executor has a
-// one-datum window, so it never re-solves. No dedup under capacity.
+// Under capacity each datum is solved exactly once, against the live
+// forbidden set, at every thread count: solves = data. No dedup under
+// capacity.
 //
-// On a healthy mesh every datum's first solve is separable, and only a
-// datum whose separable path hit a full slot (a screen miss, at
-// speculation or at a repair) builds its W serve rows through the cache
-// and runs 2-D solves (solver.runs). On the mesh engine's model (an
-// empty-fault DistanceMap) every datum builds its rows and runs one 2-D
-// solve per first solve and repair.
+// On a healthy mesh every datum's solve is first separable, and only a
+// datum whose separable path hit a full slot (a screen miss) builds its
+// serve table, from the separable solve's marginals with no ServeTables
+// lookup, and runs a 2-D solve (solver.runs). On the mesh engine's model
+// (an empty-fault DistanceMap) every datum builds its W rows through
+// ServeTables and runs one 2-D solve.
 TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(8, 8);
@@ -369,16 +368,7 @@ TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
                                 " threads=" + std::to_string(threads);
       registry.reset();
       (void)scheduleGomcds(refs, *model, opts, threads);
-      const std::int64_t solves = registry.counterValue("gomcds.flat.solves");
-      const std::int64_t conflicts =
-          registry.counterValue("sched.gomcds.conflicts");
-      if (threads == 1) {
-        EXPECT_EQ(conflicts, 0) << where;
-      } else {
-        EXPECT_GT(conflicts, 0) << where;  // repairs ran
-      }
-      EXPECT_EQ(solves, n + conflicts) << where;
-      EXPECT_LE(solves, 2 * n) << where;
+      EXPECT_EQ(registry.counterValue("gomcds.flat.solves"), n) << where;
       EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n) << where;
       const std::int64_t lookups =
           registry.counterValue("cost.center_cache.hit") +
@@ -387,32 +377,24 @@ TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
       if (!separable) {
         EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), 0) << where;
         EXPECT_EQ(lookups, n * W) << where;
-        EXPECT_EQ(runs2d, n + conflicts) << where;
+        EXPECT_EQ(runs2d, n) << where;
         continue;
       }
-      // Every datum's first solve is separable; each screen miss builds
-      // one serve table (W lookups). 2-D solves are the misses found at
-      // speculation plus every repair, and a repair either re-solves a
-      // 2-D plan or is itself a screen miss.
+      // Each screen miss builds one serve table and runs one 2-D solve.
       const std::int64_t misses =
           registry.counterValue("gomcds.separable.screen_misses");
       EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), n) << where;
-      EXPECT_EQ(lookups, W * misses) << where;
+      EXPECT_EQ(lookups, 0) << where;
+      EXPECT_EQ(runs2d, misses) << where;
       EXPECT_GT(misses, 0) << where;  // the tight capacity bites
       EXPECT_LT(misses, n) << where;  // and the screen passes some data
-      EXPECT_LE(runs2d - conflicts, misses) << where;
-      EXPECT_LE(misses, runs2d) << where;
-      if (threads == 1) {
-        EXPECT_EQ(runs2d, misses) << where;
-      }
     }
   }
   registry.reset();
 }
 
-// A call from inside a pool worker runs parallelFor inline, so however
-// many threads it asks for it has one executor: one solve per datum and
-// no stale plans, like threads = 1.
+// A call from inside a pool worker solves each datum once too, and
+// schedules like a direct call.
 TEST(Gomcds, NestedCallSolvesEachDatumOnce) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(8, 8);
@@ -441,7 +423,6 @@ TEST(Gomcds, NestedCallSolvesEachDatumOnce) {
   cv.wait(lock, [&] { return done; });
 
   EXPECT_EQ(registry.counterValue("gomcds.flat.solves"), n);
-  EXPECT_EQ(registry.counterValue("sched.gomcds.conflicts"), 0);
   ASSERT_TRUE(nested.has_value());
   expectIdenticalSchedules(*nested, direct, "nested");
   registry.reset();

@@ -16,6 +16,7 @@
 #include "fault/fault_trace.hpp"
 #include "gomcds_reference.hpp"
 #include "graph/layered_dag.hpp"
+#include "graph/mesh_links.hpp"
 #include "obs/obs.hpp"
 #include "test_util.hpp"
 
@@ -524,58 +525,46 @@ TEST(ResumeSolver, MatchesFullSolveAfterSuffixChange) {
   }
 }
 
-TEST(ResumeSolver, ManhattanMatchesFullSolveAfterSuffixChange) {
-  const Grid g(4, 4);
-  const int W = 5;
-  const int P = g.size();
-  testutil::Rng rng(910);
-  std::vector<Cost> costs(static_cast<std::size_t>(W * P));
-  for (Cost& c : costs) c = rng.range(0, 30);
-
-  LayeredDagScratch scratch;
-  CostBuffer dp;
-  LayeredPath path;
-  LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, 0, dp,
-                                                 scratch, path);
-  for (int from : {2, 4, 1}) {
-    for (std::size_t i = static_cast<std::size_t>(from * P);
-         i < costs.size(); ++i) {
-      costs[i] = rng.range(0, 30);
-    }
-    LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, from, dp,
-                                                   scratch, path);
-    const LayeredPath cold =
-        LayeredDagSolver::solveManhattanFlat(g, W, costs, 3);
-    ASSERT_EQ(path.total, cold.total);
-    ASSERT_EQ(path.nodes, cold.nodes);
-  }
-}
-
+// The predecessor cache of the faulted-mesh resume, the one faulted
+// streams run: cached or scanned, reconstruction picks the same path.
 TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
   const Grid g(4, 4);
+  FaultMap faults(g);
+  faults.killProc(5);
+  faults.killLink(10, 11);
+  const DistanceMap distances(g, faults);
+  const MeshLinks links(distances);
   const int W = 6;
   const int P = g.size();
   testutil::Rng rng(912);
+  // A dead processor serves at kInfiniteCost, as in a serve table.
+  const auto draw = [&](std::size_t i) {
+    const auto p = static_cast<ProcId>(i % static_cast<std::size_t>(P));
+    return faults.procAlive(p) ? rng.range(0, 30) : kInfiniteCost;
+  };
   std::vector<Cost> costs(static_cast<std::size_t>(W * P));
-  for (Cost& c : costs) c = rng.range(0, 30);
+  for (std::size_t i = 0; i < costs.size(); ++i) costs[i] = draw(i);
 
   LayeredDagScratch scratch;
   CostBuffer dp;
   LayeredPath path;
   LayeredParentCache parents;  // starts wrong-sized: wholesale reset path
-  LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, 0, dp,
-                                                 scratch, path, &parents);
+  LayeredDagSolver::solveMeshFlatResumeInto(links, W, costs, 3, 0, dp, scratch,
+                                            path, &parents);
   EXPECT_EQ(parents.size(), static_cast<std::size_t>(W * P));
   // from == W re-runs only reconstruction: every step walks cached entries.
   // The smaller fromLayer values invalidate and rebuild suffix entries.
   for (int from : {W, 4, 2, W, 1}) {
     for (std::size_t i = static_cast<std::size_t>(from * P); i < costs.size();
          ++i) {
-      costs[i] = rng.range(0, 30);
+      costs[i] = draw(i);
     }
-    LayeredDagSolver::solveManhattanFlatResumeInto(g, W, costs, 3, from, dp,
-                                                   scratch, path, &parents);
-    const LayeredPath cold = LayeredDagSolver::solveManhattanFlat(g, W, costs, 3);
+    LayeredDagSolver::solveMeshFlatResumeInto(links, W, costs, 3, from, dp,
+                                              scratch, path, &parents);
+    LayeredDagScratch coldScratch;
+    LayeredPath cold;
+    LayeredDagSolver::solveMeshFlatInto(links, W, costs, 3, coldScratch, cold);
+    ASSERT_TRUE(cold.feasible());
     ASSERT_EQ(path.total, cold.total) << "fromLayer " << from;
     ASSERT_EQ(path.nodes, cold.nodes) << "fromLayer " << from;
   }

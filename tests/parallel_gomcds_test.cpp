@@ -113,8 +113,8 @@ TEST(ParallelGomcds, InfeasibleCapacityThrowsLikeSequential) {
   };
   // 9 data with capacity 2, and 161 data with capacity 40: one datum more
   // than the 4 processors hold. In the second case the unplaceable datum
-  // lies past the first lookahead window at up to 4 threads, so the throw
-  // comes after earlier windows committed.
+  // comes after 160 committed ones, so the throw leaves a long partly
+  // filled placement behind.
   for (const Case c : {Case{3, 3, 3, 2}, Case{7, 23, 4, 40}}) {
     testutil::Rng rng(77);
     const ReferenceTrace t =
@@ -161,11 +161,11 @@ TEST(ParallelGomcds, CostEqualsSequentialOptimal) {
   EXPECT_EQ(seq, par);
 }
 
-// The capacity-constrained engine speculates over lookahead windows of
-// 32 x threads data (one datum at one thread). 441 data span at least four
-// windows at 2 to 4 threads and are a multiple of none of those window
-// sizes, so full windows, the short last window and speculation against a
-// forbidden set that earlier windows filled are all exercised.
+// The capacity-constrained engine solves and commits one datum at a time
+// in visit order at every thread count. 441 data at the tightest capacity
+// fill most slots, so late data are solved against a forbidden set that
+// hundreds of earlier commits grew, and the schedule must still equal the
+// reference at threads 1/2/3/4/0.
 TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
   const Grid g(8, 8);
   const CostModel model(g);
@@ -193,7 +193,7 @@ TEST(ParallelGomcds, BitIdenticalAcrossLookaheadWindows) {
 
 // Per-processor fault capacity limits make the forbidden set dynamic even
 // without a global capacity, so both regimes run the faulted mesh kernel
-// through the lookahead-window path, in both visit orders.
+// through the capacity loop, in both visit orders.
 TEST(ParallelGomcds, FaultedCapacityLimitsAcrossLookaheadWindows) {
   const Grid g(8, 8);
   FaultMap faults(g);
