@@ -5,8 +5,8 @@
 
 #include "ablation/kmedian.hpp"
 #include "core/data_order.hpp"
+#include "cost/center_costs.hpp"
 #include "cost/center_list.hpp"
-#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "pim/memory.hpp"
 
@@ -28,14 +28,14 @@ ReplicatedSchedule scheduleReplicated(const WindowedRefs& refs,
   ReplicatedSchedule schedule(refs.numData());
   OccupancyMap occupancy(model.grid(), options.capacity);
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
-  ServeTables tables(refs, model);
   std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
 
   // Phase 1: every datum gets its primary copy (the SCDS placement with
   // the capacity fallback) before any replica may claim a slot — replicas
   // are strictly optional and must not starve later primaries.
   for (const DataId d : order) {
-    tables.costsInto(refs.mergedRefs(d, 0, refs.numWindows()), costs);
+    separableCenterCostsInto(model, refs.mergedRefs(d, 0, refs.numWindows()),
+                             costs);
     const CenterList list(costs);
     const ProcId primary = list.firstAvailable(occupancy);
     if (primary == kNoProc) {

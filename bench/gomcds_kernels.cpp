@@ -37,7 +37,7 @@
 #include "core/pipeline.hpp"
 #include "core/schedule_io.hpp"
 #include "core/verify.hpp"
-#include "cost/serve_tables.hpp"
+#include "cost/center_costs.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
@@ -137,11 +137,10 @@ DataSchedule scheduleCallback(const WindowedRefs& refs, const CostModel& model,
   const Cost beta = model.params().hopCost * model.params().moveVolume;
   std::vector<OccupancyMap> occupancy(
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
-  ServeTables tables(refs, model);
   CostBuffer serve;
   const std::size_t P = static_cast<std::size_t>(grid.size());
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    tables.datumInto(d, serve);
+    datumCenterCostsInto(refs, model, d, serve);
     const auto nodeCost = [&](int w, int p) -> Cost {
       if (!occupancy[static_cast<std::size_t>(w)].hasRoom(
               static_cast<ProcId>(p))) {

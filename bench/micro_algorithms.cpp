@@ -206,9 +206,8 @@ void BM_GreedyGrouping(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     Cost total = 0;
-    ServeTables tables(refs, model);
     for (DataId d = 0; d < refs.numData(); ++d) {
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       total += groupingCost(greedyGrouping(prefix, model), prefix, model);
     }
     benchmark::DoNotOptimize(total);
@@ -222,9 +221,8 @@ void BM_OptimalGrouping(benchmark::State& state) {
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     Cost total = 0;
-    ServeTables tables(refs, model);
     for (DataId d = 0; d < refs.numData(); ++d) {
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       total += groupingCost(optimalGrouping(prefix, model), prefix, model);
     }
     benchmark::DoNotOptimize(total);

@@ -11,7 +11,6 @@
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
 #include "cost/center_costs.hpp"
-#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/simd/simd_kernels.hpp"
@@ -231,7 +230,6 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   const std::vector<DataId>& order = placement.order();
   const detail::LayerKernel kernel(model, engine);
   const bool separable = kernel.separable();
-  ServeTables tables(refs, model);
 
   if (staticMask) {
     // The forbidden set never changes, so every member of a dedup class
@@ -249,7 +247,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
                   if (separable) {
                     kernel.solveDatum(refs, rep, scratch, path);
                   } else {
-                    tables.datumInto(rep, scratch.serve);
+                    datumCenterCostsInto(refs, model, rep, scratch.serve);
                     kernel.solve(W, scratch.serve, scratch.dag, path);
                   }
                 });
@@ -271,8 +269,8 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   // nodes stay optimal and present (docs/algorithms.md, "The capacity
   // screen"). Otherwise the serve table is built, masked and solved in
   // 2-D: on a healthy mesh from the marginals the separable solve left in
-  // scratch (a row sum is cheaper than a ServeTables lookup), on every
-  // other kernel through ServeTables.
+  // scratch (a row sum, cheaper than recomputing the row), on every other
+  // kernel row by row with datumCenterCostsInto.
   detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
   LayeredPath path;
   std::int64_t misses = 0;
@@ -286,7 +284,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
       ++misses;
       kernel.serveFromMarginals(W, scratch);
     } else {
-      tables.datumInto(d, scratch.serve);
+      datumCenterCostsInto(refs, model, d, scratch.serve);
     }
     placement.mask(scratch.serve);
     kernel.solve(W, scratch.serve, scratch.dag, path);

@@ -175,8 +175,8 @@ class LayerKernel {
 
   /// Writes into scratch.serve the numLayers x P serve table of the datum
   /// whose marginals the last solveDatum left in scratch.rows and
-  /// scratch.cols: bit-identical to ServeTables::datumInto for that datum
-  /// (separableSumInto), without a memo lookup per row. Requires
+  /// scratch.cols: bit-identical to datumCenterCostsInto for that datum
+  /// (separableSumInto), without recomputing the marginals. Requires
   /// separable().
   void serveFromMarginals(int numLayers, GomcdsScratch& scratch) const;
 

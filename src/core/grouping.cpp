@@ -16,9 +16,9 @@
 
 namespace pimsched {
 
-WindowCostPrefix::WindowCostPrefix(ServeTables& tables, DataId d)
-    : numWindows_(tables.refs().numWindows()),
-      numProcs_(tables.refs().numProcs()) {
+WindowCostPrefix::WindowCostPrefix(const WindowedRefs& refs,
+                                   const CostModel& model, DataId d)
+    : numWindows_(refs.numWindows()), numProcs_(refs.numProcs()) {
   const std::size_t m = static_cast<std::size_t>(numProcs_);
   prefix_.resize(static_cast<std::size_t>(numWindows_ + 1) * m);
   std::fill_n(prefix_.begin(), m, 0);
@@ -27,7 +27,7 @@ WindowCostPrefix::WindowCostPrefix(ServeTables& tables, DataId d)
     // The window's costs land in its prefix row, then accumulate in place.
     const Cost* prev = prefix_.data() + index(w, 0);
     Cost* row = prefix_.data() + index(w + 1, 0);
-    tables.rowInto(d, w, std::span<Cost>(row, m));
+    separableCenterCostsInto(model, refs.refs(d, w), std::span<Cost>(row, m));
     for (std::size_t p = 0; p < m; ++p) {
       // Rows before the first infinite term count zero, which is what the
       // lazily zero-filled count table holds for them.
@@ -41,7 +41,7 @@ WindowCostPrefix::WindowCostPrefix(ServeTables& tables, DataId d)
     }
     weightPrefix_[static_cast<std::size_t>(w + 1)] =
         weightPrefix_[static_cast<std::size_t>(w)] +
-        tables.refs().windowWeight(d, w);
+        refs.windowWeight(d, w);
   }
 }
 
@@ -474,10 +474,9 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
   LayeredPath path;
   CostBuffer nodeCosts;
   DataGrouping grouping;
-  ServeTables tables(refs, model);
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     grouper.start(prefix);
     if (!grouper.run(grouping)) {
       detail::throwPlacementInfeasible(
@@ -522,10 +521,9 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
   DataSchedule schedule(refs.numData(), W);
   CapacityAwareGrouper grouper(model, W, options.capacity);
   DataGrouping greedy;
-  ServeTables tables(refs, model);
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     grouper.start(prefix);
 
     if (method == GroupingMethod::kGreedy) {

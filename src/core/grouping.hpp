@@ -8,7 +8,6 @@
 #include "core/scheduler_options.hpp"
 #include "cost/center_costs.hpp"
 #include "cost/cost_model.hpp"
-#include "cost/serve_tables.hpp"
 #include "trace/windowed_refs.hpp"
 
 namespace pimsched {
@@ -25,8 +24,9 @@ namespace pimsched {
 /// once such a term appears, so healthy meshes pay nothing for it.
 class WindowCostPrefix {
  public:
-  /// Built from datum d's window rows of the call's serving-cost tables.
-  WindowCostPrefix(ServeTables& tables, DataId d);
+  /// Built from datum d's serving-cost rows, each computed by
+  /// separableCenterCostsInto straight into its prefix row.
+  WindowCostPrefix(const WindowedRefs& refs, const CostModel& model, DataId d);
 
   [[nodiscard]] int numWindows() const { return numWindows_; }
   [[nodiscard]] int numProcs() const { return numProcs_; }

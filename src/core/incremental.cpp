@@ -298,7 +298,6 @@ DataSchedule IncrementalSolver::solve(
     }
 
     std::int64_t flatSolves = 0;
-    std::vector<Cost> rowBuf;
     detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
     for (std::size_t c = 0; c < classes.rep.size(); ++c) {
       const DataId rep = classes.rep[c];
@@ -356,14 +355,11 @@ DataSchedule IncrementalSolver::solve(
       // byte-identical to what a cold solve would compute (same refs, same
       // model, same deterministic cost function), which is what makes the
       // resumed dp — and therefore the reconstructed path — bit-identical.
-      // Computed directly rather than through a ServeTables: the churn
-      // rows of one stream step rarely repeat within the step, so the
-      // memo's per-row hash + shard lock + insert costs more than the
-      // separable computation itself (docs/performance.md).
       for (WindowId w = from; w < W; ++w) {
-        separableCenterCostsInto(model, refs.refs(rep, w), rowBuf);
-        std::copy(rowBuf.begin(), rowBuf.end(),
-                  st->serve.data() + static_cast<std::size_t>(w) * pn);
+        separableCenterCostsInto(
+            model, refs.refs(rep, w),
+            std::span<Cost>(st->serve.data() + static_cast<std::size_t>(w) * pn,
+                            pn));
       }
       kernel.resume(W,
                     std::span<const Cost>(st->serve.data(), st->serve.size()),

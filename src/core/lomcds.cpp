@@ -4,8 +4,8 @@
 #include <string>
 
 #include "core/data_order.hpp"
+#include "cost/center_costs.hpp"
 #include "cost/center_list.hpp"
-#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
@@ -19,7 +19,6 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
   const Grid& grid = model.grid();
   const std::vector<DataId> order = dataVisitOrder(refs, options.order);
 
-  ServeTables tables(refs, model);
   std::vector<Cost> costs(static_cast<std::size_t>(grid.size()));
   // Buffered locally and merged once on exit to keep the placement loop
   // free of atomic traffic.
@@ -28,7 +27,7 @@ DataSchedule scheduleLomcds(const WindowedRefs& refs, const CostModel& model,
     OccupancyMap occupancy = model.occupancy(options.capacity);
     for (const DataId d : order) {
       if (!refs.refs(d, w).empty()) {
-        tables.rowInto(d, w, costs);
+        separableCenterCostsInto(model, refs.refs(d, w), costs);
       } else if (w > 0) {
         // Unreferenced: prefer staying put; otherwise the cheapest move.
         const ProcId prev = schedule.center(d, w - 1);

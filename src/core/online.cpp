@@ -7,7 +7,7 @@
 
 #include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
-#include "cost/serve_tables.hpp"
+#include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "pim/memory.hpp"
@@ -28,7 +28,6 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
                                       model.occupancy(options.capacity));
 
   const std::size_t m = static_cast<std::size_t>(grid.size());
-  ServeTables tables(refs, model);
   // Chamfer on a healthy mesh, the fault-aware mesh sweeps on a faulted
   // one: in-horizon movement is priced like GOMCDS prices it.
   const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
@@ -36,7 +35,7 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   LayeredDagScratch scratch;
   LayeredPath path;
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    tables.datumInto(d, serve);
+    datumCenterCostsInto(refs, model, d, serve);
 
     ProcId prev = kNoProc;
     for (WindowId w = 0; w < W; ++w) {

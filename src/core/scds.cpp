@@ -4,8 +4,8 @@
 #include <string>
 
 #include "core/data_order.hpp"
+#include "cost/center_costs.hpp"
 #include "cost/center_list.hpp"
-#include "cost/serve_tables.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
 #include "pim/memory.hpp"
@@ -20,13 +20,13 @@ DataSchedule scheduleScds(const WindowedRefs& refs, const CostModel& model,
   // occupancy map covers every window.
   OccupancyMap occupancy = model.occupancy(options.capacity);
 
-  ServeTables tables(refs, model);
   std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
   // Buffered locally and merged once on exit to keep the placement loop
   // free of atomic traffic.
   std::int64_t placements = 0;
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    tables.costsInto(refs.mergedRefs(d, 0, refs.numWindows()), costs);
+    separableCenterCostsInto(model, refs.mergedRefs(d, 0, refs.numWindows()),
+                             costs);
     const CenterList list(costs);
     const ProcId p = list.firstAvailable(occupancy);
     if (p == kNoProc) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 
@@ -72,11 +73,10 @@ namespace {
 /// separable sweep does.
 void faultCenterCostsInto(const CostModel& model,
                           std::span<const ProcWeight> refs,
-                          std::vector<Cost>& out) {
+                          std::span<Cost> out) {
   const DistanceMap& distances = model.distances();
   const int m = model.grid().size();
   const Cost hop = model.params().hopCost;
-  out.resize(static_cast<std::size_t>(m));
   for (ProcId p = 0; p < m; ++p) {
     if (!distances.alive(p)) {
       out[static_cast<std::size_t>(p)] = kInfiniteCost;
@@ -100,23 +100,44 @@ void faultCenterCostsInto(const CostModel& model,
 
 void separableCenterCostsInto(const CostModel& model,
                               std::span<const ProcWeight> refs,
-                              std::vector<Cost>& out) {
+                              std::span<Cost> out) {
   PIMSCHED_COUNTER_ADD("cost.center_eval_calls", 1);
+  const Grid& grid = model.grid();
+  if (out.size() != static_cast<std::size_t>(grid.size())) {
+    throw std::invalid_argument(
+        "separableCenterCostsInto: output row is not one entry per processor");
+  }
   if (model.faultAware()) {
     faultCenterCostsInto(model, refs, out);
     return;
   }
-  const Grid& grid = model.grid();
   const std::size_t R = static_cast<std::size_t>(grid.rows());
   const std::size_t C = static_cast<std::size_t>(grid.cols());
   // Per-thread marginals: hot loops call this once per (datum, window).
-  out.resize(R * C);
   thread_local std::vector<Cost> axes;
   axes.resize(R + C);
   const std::span<Cost> fRow(axes.data(), R);
   const std::span<Cost> fCol(axes.data() + R, C);
   separableAxisCostsInto(grid, model.params().hopCost, refs, fRow, fCol);
   separableSumInto(fRow, fCol, out);
+}
+
+void separableCenterCostsInto(const CostModel& model,
+                              std::span<const ProcWeight> refs,
+                              std::vector<Cost>& out) {
+  out.resize(static_cast<std::size_t>(model.grid().size()));
+  separableCenterCostsInto(model, refs, std::span<Cost>(out));
+}
+
+void datumCenterCostsInto(const WindowedRefs& refs, const CostModel& model,
+                          DataId d, CostBuffer& out) {
+  const std::size_t P = static_cast<std::size_t>(refs.numProcs());
+  out.resize(static_cast<std::size_t>(refs.numWindows()) * P);
+  for (WindowId w = 0; w < refs.numWindows(); ++w) {
+    separableCenterCostsInto(
+        model, refs.refs(d, w),
+        std::span<Cost>(out.data() + static_cast<std::size_t>(w) * P, P));
+  }
 }
 
 void separableSumInto(std::span<const Cost> rowCosts,

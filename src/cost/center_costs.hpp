@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "cost/cost_model.hpp"
+#include "trace/windowed_refs.hpp"
+#include "util/aligned.hpp"
 
 namespace pimsched {
 
@@ -18,11 +20,11 @@ namespace pimsched {
 ///    cost(r, c) = f_row(r) + f_col(c) with each axis solvable by prefix
 ///    sums over a weight histogram (the 1-D weighted-median trick).
 ///
-/// The *Into variants write into a caller-owned buffer (resized to the
-/// grid size), so hot loops reuse one allocation per thread instead of
-/// returning a fresh vector per (datum, window). Every variant counts one
-/// `cost.center_eval_calls`; ServeTables (cost/serve_tables.hpp) is the
-/// per-call memo over separableCenterCostsInto that schedulers read.
+/// The *Into variants write into a caller-owned buffer, so hot loops fill
+/// their own rows in place instead of returning a fresh vector per
+/// (datum, window). Every variant counts one `cost.center_eval_calls` per
+/// row it builds; nothing is memoized, so that counter is the number of
+/// serving-cost rows a scheduling call computed.
 ///
 /// When the model is fault-aware (carries a DistanceMap), every variant
 /// instead prices centers by fault-aware hop distance; dead processors
@@ -34,9 +36,22 @@ namespace pimsched {
 [[nodiscard]] std::vector<Cost> separableCenterCosts(
     const CostModel& model, std::span<const ProcWeight> refs);
 
+/// Writes the row into `out`, which must hold exactly one entry per
+/// processor (std::invalid_argument otherwise).
+void separableCenterCostsInto(const CostModel& model,
+                              std::span<const ProcWeight> refs,
+                              std::span<Cost> out);
+
+/// As above, resizing `out` to the grid size first.
 void separableCenterCostsInto(const CostModel& model,
                               std::span<const ProcWeight> refs,
                               std::vector<Cost>& out);
+
+/// Datum d's flat numWindows x numProcs serving-cost table (row w at
+/// offset w * P, the window-w row of separableCenterCostsInto), resized to
+/// fit: the node costs of d's GOMCDS cost-graph.
+void datumCenterCostsInto(const WindowedRefs& refs, const CostModel& model,
+                          DataId d, CostBuffer& out);
 
 /// The minimum-cost center (ties -> smallest ProcId) and its cost.
 struct BestCenter {

@@ -67,11 +67,12 @@ void reconstructFlat(int numLayers, int numNodes, const Cost* dp,
   }
 }
 
-/// Prepares a predecessor cache for a resume solve: entries for the
-/// re-relaxed layers [fromLayer, numLayers) are dropped (their dp/node-cost
-/// rows are about to change); a wrong-sized cache is rebuilt empty, which
-/// is always safe since every entry is recomputed on demand. Returns the
-/// raw table, or nullptr when no cache was supplied.
+/// Prepares a predecessor cache for a resume solve. The predecessor of
+/// (w, p) reads only dp row w - 1, and the re-relaxed rows are
+/// [fromLayer, numLayers), so entries for layers [fromLayer + 1,
+/// numLayers) are dropped and row fromLayer's stay; a wrong-sized cache is
+/// rebuilt empty, which is always safe since every entry is recomputed on
+/// demand. Returns the raw table, or nullptr when no cache was supplied.
 std::int32_t* resetParentCache(LayeredParentCache* parents, int fromLayer,
                                int numLayers, std::size_t n) {
   if (parents == nullptr) return nullptr;
@@ -79,9 +80,9 @@ std::int32_t* resetParentCache(LayeredParentCache* parents, int fromLayer,
   if (parents->size() != ln) {
     parents->assign(ln, -1);
   } else {
-    // Layer-0 entries are never read; start at row 1 like the relaxation.
+    // Layer-0 entries are never read, so a cold start also keeps row 0.
     const std::size_t first = std::min(
-        static_cast<std::size_t>(std::max(fromLayer, 1)) * n, ln);
+        static_cast<std::size_t>(std::max(fromLayer + 1, 1)) * n, ln);
     std::fill(parents->begin() + static_cast<std::ptrdiff_t>(first),
               parents->end(), -1);
   }

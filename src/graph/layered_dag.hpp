@@ -40,10 +40,12 @@ struct LayeredDagScratch {
 /// numLayers x numNodes table where entry [w * N + p] is the predecessor
 /// the backward argmin scan resolved for node p in layer w, or -1 when
 /// that (layer, node) has never been scanned against the current dp rows.
-/// The predecessor of (w, p) is a pure function of dp row w-1, the node
-/// cost row w, and the transition costs, so cached entries stay valid
-/// exactly as long as the retained dp rows they were scanned against —
-/// the resume solvers invalidate rows [fromLayer, numLayers) on entry and
+/// The predecessor of (w, p) is a pure function of dp row w-1 and the
+/// transition costs (the scan's target minus node cost (w, p) is the
+/// relaxed value, which row w-1 alone determines), so a cached entry stays
+/// valid exactly as long as the retained dp row below it — a resume from
+/// fromLayer re-relaxes dp rows [fromLayer, numLayers), so the resume
+/// solvers invalidate cache rows [fromLayer + 1, numLayers) on entry and
 /// fill entries lazily during reconstruction. Over a stream of warm
 /// solves the unchanged-prefix entries accumulate, and reconstruction
 /// collapses from one argmin scan per layer to a pointer walk wherever a
@@ -96,11 +98,12 @@ class LayeredDagSolver {
   /// including tie-breaks.
   ///
   /// `parents`, when non-null, is a caller-retained LayeredParentCache for
-  /// this dp table: entries for layers [fromLayer, numLayers) are
+  /// this dp table: entries for layers [fromLayer + 1, numLayers) are
   /// invalidated on entry (a wrong-sized cache is reset wholesale, which
-  /// is always safe — every entry is recomputed on demand), entries below
-  /// fromLayer are trusted under the same contract as the retained dp
-  /// rows, and reconstruction consults the cache before scanning and
+  /// is always safe — every entry is recomputed on demand), entries for
+  /// layers up to fromLayer are trusted under the same contract as the
+  /// retained dp rows they were scanned against (rows below fromLayer),
+  /// and reconstruction consults the cache before scanning and
   /// stores every predecessor it does scan. Cached or scanned, the chosen
   /// predecessors — and therefore the path — are bit-identical.
   static void solveFlatResumeInto(int numLayers, int numNodes,

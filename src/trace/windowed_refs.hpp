@@ -35,10 +35,9 @@ inline void rowHashMix(std::uint64_t& h, std::uint64_t v) {
 }
 
 /// Mixes a reference string's (proc, weight) pairs into h: the one row
-/// hash behind referenceStringHash (cost/serve_tables.hpp),
-/// WindowedRefs::refsSignature and the incremental solver's suffix
-/// signatures. The signatures mix the row length first, so that window
-/// boundaries count; referenceStringHash does not.
+/// hash behind WindowedRefs::refsSignature and the incremental solver's
+/// suffix signatures. Both mix the row length first, so that window
+/// boundaries count.
 inline void rowHashMixPairs(std::uint64_t& h, std::span<const ProcWeight> row) {
   for (const ProcWeight& pw : row) {
     rowHashMix(h, static_cast<std::uint32_t>(pw.proc));

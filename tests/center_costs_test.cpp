@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
+#include "fault/distance_map.hpp"
+#include "fault/fault_map.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -151,6 +155,104 @@ TEST(BestCenter, CenterIsPerAxisWeightedMedian) {
     EXPECT_LT(2 * below, total + 1);
     EXPECT_LT(2 * above, total + 1);
   }
+}
+
+/// Every row and every whole-datum table of `refs` equals the literal
+/// per-center evaluation of Algorithm 1, and empty cells are covered.
+void expectRowsMatchBruteForce(const WindowedRefs& refs,
+                               const CostModel& model) {
+  const std::size_t P = static_cast<std::size_t>(refs.numProcs());
+  std::vector<Cost> row(P);
+  CostBuffer datum;
+  int emptyCells = 0;
+  for (DataId d = 0; d < refs.numData(); ++d) {
+    datumCenterCostsInto(refs, model, d, datum);
+    ASSERT_EQ(datum.size(), static_cast<std::size_t>(refs.numWindows()) * P);
+    for (WindowId w = 0; w < refs.numWindows(); ++w) {
+      emptyCells += refs.refs(d, w).empty() ? 1 : 0;
+      const std::vector<Cost> expected =
+          bruteForceCenterCosts(model, refs.refs(d, w));
+      separableCenterCostsInto(model, refs.refs(d, w), std::span<Cost>(row));
+      EXPECT_EQ(row, expected) << "d=" << d << " w=" << w;
+      const Cost* inDatum = datum.data() + static_cast<std::size_t>(w) * P;
+      EXPECT_EQ(std::vector<Cost>(inDatum, inDatum + P), expected)
+          << "d=" << d << " w=" << w;
+    }
+  }
+  EXPECT_GT(emptyCells, 0);
+}
+
+TEST(CenterCostRows, MatchBruteForceOnHealthyMesh) {
+  const Grid g(4, 5);
+  const CostModel model(g);
+  testutil::Rng rng(1801);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 12, 6);
+  expectRowsMatchBruteForce(
+      WindowedRefs(t, WindowPartition::evenCount(t.numSteps(), 6), g),
+      model);
+}
+
+TEST(CenterCostRows, MatchBruteForceOnFaultedMesh) {
+  // Dead centers price kInfiniteCost, and so does every center a dead link
+  // detours: the rows must agree with the per-center reading exactly.
+  const Grid g(4, 4);
+  FaultMap faults(g);
+  faults.killProc(5);
+  faults.killProc(10);
+  faults.killLink(0, 1);
+  faults.killLink(14, 15);
+  const DistanceMap distances(g, faults);
+  const CostModel model(g, distances);
+  testutil::Rng rng(1802);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 12, 6);
+  expectRowsMatchBruteForce(
+      WindowedRefs(t, WindowPartition::evenCount(t.numSteps(), 6), g)
+          .withProcsMasked(faults.deadProcMask()),
+      model);
+}
+
+TEST(CenterCostRows, UnreachableReferencingProcessorGivesInfiniteRow) {
+  // 1x4 with processor 1 dead: processor 0 is alive but cut off from 2
+  // and 3, so a window read by both 0 and 3 has no finite center, and a
+  // window read by 0 alone is finite only at 0.
+  const Grid g(1, 4);
+  FaultMap faults(g);
+  faults.killProc(1);
+  const DistanceMap distances(g, faults);
+  const CostModel model(g, distances);
+  ReferenceTrace t(DataSpace::singleSquare(1));
+  t.add(0, 0, 0, 2);
+  t.add(0, 3, 0, 1);
+  t.add(1, 0, 0, 1);
+  t.add(3, 3, 0, 1);
+  t.finalize();
+  const WindowedRefs refs(t, WindowPartition::perStep(4), g);
+  ASSERT_TRUE(refs.refs(0, 2).empty());
+  expectRowsMatchBruteForce(refs, model);
+
+  std::vector<Cost> row(4);
+  separableCenterCostsInto(model, refs.refs(0, 0), std::span<Cost>(row));
+  EXPECT_EQ(row, std::vector<Cost>(4, kInfiniteCost));
+  separableCenterCostsInto(model, refs.refs(0, 1), std::span<Cost>(row));
+  EXPECT_EQ(row, (std::vector<Cost>{0, kInfiniteCost, kInfiniteCost,
+                                    kInfiniteCost}));
+  // Unreferenced: only the dead center is barred.
+  separableCenterCostsInto(model, refs.refs(0, 2), std::span<Cost>(row));
+  EXPECT_EQ(row, (std::vector<Cost>{0, kInfiniteCost, 0, 0}));
+}
+
+TEST(CenterCostRows, RejectsARowThatIsNotOneEntryPerProcessor) {
+  const Grid g(2, 3);
+  const CostModel model(g);
+  const std::vector<ProcWeight> refs = {{4, 1}};
+  std::vector<Cost> shortRow(5);
+  EXPECT_THROW(
+      separableCenterCostsInto(model, refs, std::span<Cost>(shortRow)),
+      std::invalid_argument);
+  // The vector form sizes its buffer itself.
+  std::vector<Cost> grown;
+  separableCenterCostsInto(model, refs, grown);
+  EXPECT_EQ(grown, bruteForceCenterCosts(model, refs));
 }
 
 }  // namespace

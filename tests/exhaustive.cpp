@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "cost/serve_tables.hpp"
+#include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "util/aligned.hpp"
@@ -28,12 +28,11 @@ DataSchedule scheduleExhaustive(const WindowedRefs& refs,
   }
 
   DataSchedule schedule(refs.numData(), W);
-  ServeTables tables(refs, model);
   CostBuffer serve;  // W x P serving costs of one datum
   std::vector<ProcId> seq(static_cast<std::size_t>(W), 0);
   std::vector<ProcId> bestSeq;
   for (DataId d = 0; d < refs.numData(); ++d) {
-    tables.datumInto(d, serve);
+    datumCenterCostsInto(refs, model, d, serve);
     Cost best = kInfiniteCost;
     bestSeq.clear();
     std::fill(seq.begin(), seq.end(), 0);

@@ -342,10 +342,10 @@ TEST(Gomcds, SeparableScreenMatchesMeshAndDenseEngines) {
 //
 // On a healthy mesh every datum's solve is first separable, and only a
 // datum whose separable path hit a full slot (a screen miss) builds its
-// serve table, from the separable solve's marginals with no ServeTables
-// lookup, and runs a 2-D solve (solver.runs). On the mesh engine's model
-// (an empty-fault DistanceMap) every datum builds its W rows through
-// ServeTables and runs one 2-D solve.
+// serve table, from the separable solve's marginals with no row computed
+// by separableCenterCostsInto, and runs a 2-D solve (solver.runs). On the
+// mesh engine's model (an empty-fault DistanceMap) every datum builds its
+// W rows (cost.center_eval_calls) and runs one 2-D solve.
 TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(8, 8);
@@ -370,13 +370,11 @@ TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
       (void)scheduleGomcds(refs, *model, opts, threads);
       EXPECT_EQ(registry.counterValue("gomcds.flat.solves"), n) << where;
       EXPECT_EQ(registry.counterValue("sched.gomcds.data"), n) << where;
-      const std::int64_t lookups =
-          registry.counterValue("cost.center_cache.hit") +
-          registry.counterValue("cost.center_cache.miss");
+      const std::int64_t rows = registry.counterValue("cost.center_eval_calls");
       const std::int64_t runs2d = registry.counterValue("solver.runs");
       if (!separable) {
         EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), 0) << where;
-        EXPECT_EQ(lookups, n * W) << where;
+        EXPECT_EQ(rows, n * W) << where;
         EXPECT_EQ(runs2d, n) << where;
         continue;
       }
@@ -384,7 +382,7 @@ TEST(Gomcds, ParallelCapacityCountersBoundSolves) {
       const std::int64_t misses =
           registry.counterValue("gomcds.separable.screen_misses");
       EXPECT_EQ(registry.counterValue("gomcds.separable.solves"), n) << where;
-      EXPECT_EQ(lookups, 0) << where;
+      EXPECT_EQ(rows, 0) << where;
       EXPECT_EQ(runs2d, misses) << where;
       EXPECT_GT(misses, 0) << where;  // the tight capacity bites
       EXPECT_LT(misses, n) << where;  // and the screen passes some data

@@ -172,8 +172,7 @@ DataSchedule groupedGomcds(const WindowedRefs& refs, const CostModel& model,
       static_cast<std::size_t>(W), OccupancyMap(grid, options.capacity));
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     const SortingGrouper grouper(prefix, model, occupancy);
     const std::optional<DataGrouping> grouping = grouper.run();
     if (!grouping.has_value()) {
@@ -222,8 +221,7 @@ DataSchedule groupedLomcds(const WindowedRefs& refs, const CostModel& model,
       OccupancyMap(model.grid(), options.capacity));
 
   for (const DataId d : dataVisitOrder(refs, options.order)) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     const SortingGrouper grouper(prefix, model, occupancy);
     const std::optional<DataGrouping> grouping = grouper.run();
     if (!grouping.has_value()) {
@@ -292,8 +290,7 @@ TEST(WindowCostPrefix, SegmentsMatchMergedRefs) {
   const ReferenceTrace t = testutil::randomTrace(rng, g, 3, 3, 12, 15);
   const WindowedRefs refs = refsFromTrace(t, g, 4);
   for (DataId d = 0; d < refs.numData(); ++d) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     for (WindowId b = 0; b < refs.numWindows(); ++b) {
       for (WindowId e = b + 1; e <= refs.numWindows(); ++e) {
         const auto merged = refs.mergedRefs(d, b, e);
@@ -311,8 +308,7 @@ TEST(WindowCostPrefix, BestSegmentCenterIsArgmin) {
   testutil::Rng rng(62);
   const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 8, 20);
   const WindowedRefs refs = refsFromTrace(t, g, 4);
-  ServeTables tables(refs, model);
-  const WindowCostPrefix prefix(tables, 0);
+  const WindowCostPrefix prefix(refs, model, 0);
   const BestCenter best = prefix.bestSegmentCenter(0, 4);
   for (ProcId p = 0; p < g.size(); ++p) {
     EXPECT_LE(best.cost, prefix.segment(0, 4, p));
@@ -325,8 +321,7 @@ TEST(Grouping, SingletonGroupingIsLomcds) {
   testutil::Rng rng(63);
   const ReferenceTrace t = testutil::randomTrace(rng, g, 3, 3, 9, 15);
   const WindowedRefs refs = refsFromTrace(t, g, 3);
-  ServeTables tables(refs, model);
-  const WindowCostPrefix prefix(tables, 0);
+  const WindowCostPrefix prefix(refs, model, 0);
   const DataGrouping s = singletonGrouping(prefix);
   EXPECT_EQ(s.numGroups(), 3);
   for (WindowId w = 0; w < 3; ++w) {
@@ -348,8 +343,7 @@ TEST(Grouping, GreedyNeverIncreasesCost) {
     const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 16, 20);
     const WindowedRefs refs = refsFromTrace(t, g, 8);
     for (DataId d = 0; d < refs.numData(); d += 3) {
-      ServeTables tables(refs, model);
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       const Cost before =
           groupingCost(singletonGrouping(prefix), prefix, model);
       const Cost after =
@@ -367,8 +361,7 @@ TEST(Grouping, OptimalNeverWorseThanGreedy) {
     const ReferenceTrace t = testutil::randomTrace(rng, g, 3, 3, 16, 12);
     const WindowedRefs refs = refsFromTrace(t, g, 8);
     for (DataId d = 0; d < refs.numData(); d += 2) {
-      ServeTables tables(refs, model);
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       const Cost greedy =
           groupingCost(greedyGrouping(prefix, model), prefix, model);
       const Cost optimal =
@@ -388,8 +381,7 @@ TEST(Grouping, OptimalMatchesExhaustivePartitionEnumeration) {
     const ReferenceTrace t = testutil::randomTrace(rng, g, 2, 2, W, 8);
     const WindowedRefs refs = refsFromTrace(t, g, W);
     for (DataId d = 0; d < refs.numData(); ++d) {
-      ServeTables tables(refs, model);
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       Cost best = kInfiniteCost;
       for (int mask = 0; mask < (1 << (W - 1)); ++mask) {
         std::vector<WindowId> starts = {0};
@@ -424,8 +416,7 @@ TEST(Grouping, MergesIdenticalWindowsCompletely) {
   for (StepId s = 0; s < 6; ++s) t.add(s, g.id(1, 2), 0, 3);
   t.finalize();
   const WindowedRefs refs = refsFromTrace(t, g, 6);
-  ServeTables tables(refs, model);
-  const WindowCostPrefix prefix(tables, 0);
+  const WindowCostPrefix prefix(refs, model, 0);
   const DataGrouping grouped = greedyGrouping(prefix, model);
   EXPECT_EQ(grouped.numGroups(), 1);
   EXPECT_EQ(grouped.centers[0], g.id(1, 2));
@@ -458,8 +449,7 @@ TEST(Grouping, Theorem3TwoWindowMergeNeverHelps) {
       if (refs.windowWeight(d, 0) == 0 || refs.windowWeight(d, 1) == 0) {
         continue;  // theorem assumes both windows reference the datum
       }
-      ServeTables tables(refs, model);
-      const WindowCostPrefix prefix(tables, d);
+      const WindowCostPrefix prefix(refs, model, d);
       const std::vector<Cost> f0 =
           separableCenterCosts(model, refs.refs(d, 0));
       const std::vector<Cost> f1 =
@@ -492,8 +482,7 @@ TEST(GroupedLomcds, ScheduleMatchesGroupingCost) {
   const EvalResult r = evaluateSchedule(s, refs, model);
   Cost expect = 0;
   for (DataId d = 0; d < refs.numData(); ++d) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     expect += groupingCost(greedyGrouping(prefix, model), prefix, model);
   }
   EXPECT_EQ(r.aggregate.total(), expect);
@@ -596,8 +585,7 @@ TEST(GroupedGomcds, ConstantWithinGroups) {
   const WindowedRefs refs = refsFromTrace(t, g, 8);
   const DataSchedule s = scheduleGroupedGomcds(refs, model);
   for (DataId d = 0; d < refs.numData(); ++d) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     const DataGrouping grouping = greedyGrouping(prefix, model);
     int runs = 1;
     for (WindowId w = 1; w < refs.numWindows(); ++w) {
@@ -772,8 +760,7 @@ TEST(WindowCostPrefix, SaturatesOnForbiddenProcessors) {
       WindowedRefs(t, WindowPartition::evenCount(t.numSteps(), 8), g)
           .withProcsMasked(faults.deadProcMask());
   for (DataId d = 0; d < refs.numData(); ++d) {
-    ServeTables tables(refs, model);
-    const WindowCostPrefix prefix(tables, d);
+    const WindowCostPrefix prefix(refs, model, d);
     for (WindowId b = 0; b < 8; ++b) {
       for (WindowId e = b + 1; e <= 8; ++e) {
         ASSERT_EQ(prefix.segment(b, e, 5), kInfiniteCost);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -526,7 +527,9 @@ TEST(ResumeSolver, MatchesFullSolveAfterSuffixChange) {
 }
 
 // The predecessor cache of the faulted-mesh resume, the one faulted
-// streams run: cached or scanned, reconstruction picks the same path.
+// streams run: cached or scanned, reconstruction picks the same path. A
+// predecessor of layer w reads only dp row w - 1, so a resume from
+// fromLayer keeps the cached entries of layer fromLayer.
 TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
   const Grid g(4, 4);
   FaultMap faults(g);
@@ -554,13 +557,25 @@ TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
   EXPECT_EQ(parents.size(), static_cast<std::size_t>(W * P));
   // from == W re-runs only reconstruction: every step walks cached entries.
   // The smaller fromLayer values invalidate and rebuild suffix entries.
-  for (int from : {W, 4, 2, W, 1}) {
+  int keptEntries = 0;
+  for (int from : {W, 4, 2, W, 1, 3}) {
     for (std::size_t i = static_cast<std::size_t>(from * P); i < costs.size();
          ++i) {
       costs[i] = draw(i);
     }
+    // Row fromLayer's entries were scanned against dp row fromLayer - 1,
+    // which the resume keeps, so every one of them must survive it.
+    const auto row = static_cast<std::ptrdiff_t>(from * P);
+    std::vector<std::int32_t> before;
+    if (from < W) before.assign(parents.begin() + row, parents.begin() + row + P);
     LayeredDagSolver::solveMeshFlatResumeInto(links, W, costs, 3, from, dp,
                                               scratch, path, &parents);
+    for (std::size_t p = 0; p < before.size(); ++p) {
+      if (before[p] < 0) continue;
+      ++keptEntries;
+      EXPECT_EQ(parents[static_cast<std::size_t>(row) + p], before[p])
+          << "fromLayer " << from << " node " << p;
+    }
     LayeredDagScratch coldScratch;
     LayeredPath cold;
     LayeredDagSolver::solveMeshFlatInto(links, W, costs, 3, coldScratch, cold);
@@ -568,6 +583,7 @@ TEST(ResumeSolver, ParentCacheReconstructionIsBitIdentical) {
     ASSERT_EQ(path.total, cold.total) << "fromLayer " << from;
     ASSERT_EQ(path.nodes, cold.nodes) << "fromLayer " << from;
   }
+  EXPECT_GT(keptEntries, 0);
 }
 
 // --- StreamSession --------------------------------------------------------

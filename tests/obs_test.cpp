@@ -9,6 +9,7 @@
 #include "core/gomcds.hpp"
 #include "core/grouping.hpp"
 #include "core/lomcds.hpp"
+#include "core/scds.hpp"
 #include "fault/distance_map.hpp"
 #include "fault/fault_map.hpp"
 #include "report/obs_report.hpp"
@@ -234,34 +235,26 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
   const WindowedRefs refs(t, WindowPartition::evenCount(t.numSteps(), 6), g);
 
   // The mesh engine's model (an empty-fault DistanceMap) solves every
-  // datum through its serve table. The totals must equal the whole
-  // problem regardless of how the pool split the plan phase: every
-  // (datum, window) table went through the cache exactly once (hit or
-  // miss), and each miss is one evaluation.
+  // dedup class through its serve table. The totals must equal the whole
+  // problem regardless of how the pool split the plan phase: each class
+  // built its W rows exactly once and ran one 2-D solve.
   obs::Registry& registry = obs::Registry::instance();
   registry.reset();
   (void)scheduleGomcds(refs, mesh, {}, 4);
-  const std::int64_t tables =
-      static_cast<std::int64_t>(refs.numData()) * refs.numWindows();
+  const std::int64_t classes = registry.counterValue("gomcds.dedup.classes");
+  ASSERT_GT(classes, 0);
   EXPECT_EQ(registry.counterValue("sched.gomcds.data"), refs.numData());
-  EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
-                registry.counterValue("cost.center_cache.miss"),
-            tables);
   EXPECT_EQ(registry.counterValue("cost.center_eval_calls"),
-            registry.counterValue("cost.center_cache.miss"));
-  EXPECT_EQ(registry.counterValue("solver.runs"), refs.numData());
+            classes * refs.numWindows());
+  EXPECT_EQ(registry.counterValue("solver.runs"), classes);
 
-  // And the totals match a one-thread run of the same problem: the cache
-  // is deterministic, so hit/miss splits are identical too.
-  const std::int64_t parallelMisses =
-      registry.counterValue("cost.center_cache.miss");
+  // And the totals match a one-thread run of the same problem.
   registry.reset();
   (void)scheduleGomcds(refs, mesh);
   EXPECT_EQ(registry.counterValue("sched.gomcds.data"), refs.numData());
-  EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
-                registry.counterValue("cost.center_cache.miss"),
-            tables);
-  EXPECT_EQ(registry.counterValue("cost.center_cache.miss"), parallelMisses);
+  EXPECT_EQ(registry.counterValue("gomcds.dedup.classes"), classes);
+  EXPECT_EQ(registry.counterValue("cost.center_eval_calls"),
+            classes * refs.numWindows());
 
   // On the healthy model every class is solved separably, at any thread
   // count: one separable solve per class, no serve table, no 2-D solve.
@@ -276,9 +269,7 @@ TEST(Obs, ParallelGomcdsMergedMetricsEqualPerThreadSum) {
                   registry.counterValue("solver.runs"),
               registry.counterValue("gomcds.flat.solves"));
     EXPECT_EQ(registry.counterValue("solver.runs"), 0);
-    EXPECT_EQ(registry.counterValue("cost.center_cache.hit") +
-                  registry.counterValue("cost.center_cache.miss"),
-              0);
+    EXPECT_EQ(registry.counterValue("cost.center_eval_calls"), 0);
   }
   registry.reset();
 }
@@ -291,19 +282,23 @@ TEST(Obs, ServeTableLookupsCoverEveryScheduler) {
   const ReferenceTrace t = testutil::randomTrace(rng, g, 6, 6, 24, 12);
   const WindowedRefs refs(t, WindowPartition::evenCount(t.numSteps(), 8), g);
   obs::Registry& registry = obs::Registry::instance();
-  const auto lookups = [&] {
-    return registry.counterValue("cost.center_cache.hit") +
-           registry.counterValue("cost.center_cache.miss");
+  const auto rows = [&] {
+    return registry.counterValue("cost.center_eval_calls");
   };
 
   // Grouped GOMCDS prices every (datum, window) cell once, through the
   // window prefix of each datum.
   registry.reset();
   (void)scheduleGroupedGomcds(refs, model);
-  EXPECT_EQ(lookups(),
+  EXPECT_EQ(rows(),
             static_cast<std::int64_t>(refs.numData()) * refs.numWindows());
 
-  // LOMCDS looks up referenced cells only: an empty window prices
+  // SCDS prices one merged string per datum.
+  registry.reset();
+  (void)scheduleScds(refs, model);
+  EXPECT_EQ(rows(), refs.numData());
+
+  // LOMCDS prices referenced cells only: an empty window prices
   // movement from the previous center instead.
   std::int64_t referenced = 0;
   for (DataId d = 0; d < refs.numData(); ++d) {
@@ -315,7 +310,7 @@ TEST(Obs, ServeTableLookupsCoverEveryScheduler) {
             static_cast<std::int64_t>(refs.numData()) * refs.numWindows());
   registry.reset();
   (void)scheduleLomcds(refs, model);
-  EXPECT_EQ(lookups(), referenced);
+  EXPECT_EQ(rows(), referenced);
   registry.reset();
 }
 

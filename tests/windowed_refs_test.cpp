@@ -142,6 +142,23 @@ TEST(WindowedRefs, RefsSignatureAgreesWithSameRefs) {
   EXPECT_NE(refs.refsSignature(0), refs.refsSignature(2));
 }
 
+// refsSignature and the incremental solver's suffix signatures share one
+// FNV-1a row mixer (rowHashMixPairs); these values are the ones each
+// signature produced before they did, and must not drift.
+TEST(WindowedRefs, RefsSignaturePinnedValuesOfAFixedRow) {
+  const Grid g(2, 2);
+  ReferenceTrace t(DataSpace::singleSquare(1));
+  t.add(0, 1, 0, 2);
+  t.add(0, 3, 0, 4);
+  t.add(1, 0, 0, 7);
+  t.finalize();
+  const WindowedRefs refs(t, WindowPartition::perStep(2), g);
+  ASSERT_EQ(refs.refs(0, 0).size(), 2u);
+  EXPECT_EQ(refs.refsSignature(0), 8797196649123024387ull);
+  EXPECT_EQ(refs.refsSignature(0, 0), 7546405253402489509ull);
+  EXPECT_EQ(refs.refsSignature(0, 1), 1052585123780953765ull);
+}
+
 TEST(WindowedRefs, RefsSignatureSeparatesWeightAndProcessor) {
   // Same processors with different weights, and same weights on different
   // processors, must both change the signature (FNV mixes each field).
