@@ -1,11 +1,12 @@
 #include "ablation/repair.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
-#include "cost/center_list.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "obs/obs.hpp"
@@ -108,10 +109,12 @@ RepairResult repairSchedule(const DataSchedule& schedule,
             satAdd(costs[static_cast<std::size_t>(p)],
                    chargedMove(model, prev, p, recovered));
       }
-      const CenterList list(costs);
-      const ProcId p = list.firstAvailable(occupancy);
+      const ProcId p = argminWithRoom(
+          grid.size(),
+          [&](ProcId q) { return costs[static_cast<std::size_t>(q)]; },
+          [&](ProcId q) { return occupancy.hasRoom(q); });
       if (p == kNoProc) {
-        if (!list.hasFeasible()) {
+        if (*std::min_element(costs.begin(), costs.end()) >= kInfiniteCost) {
           throw UnreachableError(
               "repairSchedule: no feasible center for datum " +
               std::to_string(d) + " in window " + std::to_string(w) +

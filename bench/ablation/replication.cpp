@@ -5,8 +5,8 @@
 
 #include "ablation/kmedian.hpp"
 #include "core/data_order.hpp"
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
-#include "cost/center_list.hpp"
 #include "fault/fault_map.hpp"
 #include "pim/memory.hpp"
 
@@ -36,8 +36,10 @@ ReplicatedSchedule scheduleReplicated(const WindowedRefs& refs,
   for (const DataId d : order) {
     separableCenterCostsInto(model, refs.mergedRefs(d, 0, refs.numWindows()),
                              costs);
-    const CenterList list(costs);
-    const ProcId primary = list.firstAvailable(occupancy);
+    const ProcId primary = argminWithRoom(
+        model.grid().size(),
+        [&](ProcId p) { return costs[static_cast<std::size_t>(p)]; },
+        [&](ProcId p) { return occupancy.hasRoom(p); });
     if (primary == kNoProc) {
       throw CapacityInfeasibleError(
           "scheduleReplicated: capacity infeasible for primary copies");

@@ -3,56 +3,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
-#include "graph/simd/simd_kernels.hpp"
 #include "obs/obs.hpp"
-#include "pim/memory.hpp"
 #include "util/aligned.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pimsched {
 
 namespace detail {
-
-void throwPlacementInfeasible(const CostModel& model, const char* scheduler,
-                              const char* infeasibleMessage) {
-  // On a faulted mesh an infeasible cost-graph usually means the faults
-  // severed every placement path (dead mesh, partition), which callers
-  // handle differently from running out of slots.
-  if (const FaultMap* faults = model.faults()) {
-    if (faults->aliveProcCount() == 0 || model.distances().partitioned()) {
-      throw UnreachableError(std::string(scheduler) +
-                             ": faulted mesh cannot host data (" +
-                             faults->summary() + ")");
-    }
-  }
-  throw CapacityInfeasibleError(infeasibleMessage);
-}
-
-namespace {
-
-[[noreturn]] void throwGomcdsSlotDisagreement(DataId d, ProcId p, WindowId w,
-                                              const OccupancyMap& occ) {
-  // nodeCost returned kInfiniteCost for full processors, so a path through
-  // one means the solver and the occupancy maps disagree — fail loudly
-  // instead of corrupting the capacity accounting.
-  throw std::logic_error(
-      "scheduleGomcds: solver placed datum " + std::to_string(d) +
-      " on full processor " + std::to_string(p) + " in window " +
-      std::to_string(w) + " (used " + std::to_string(occ.used(p)) + "/" +
-      std::to_string(occ.capacity()) + ")");
-}
-
-}  // namespace
 
 bool staticForbiddenSet(const CostModel& model,
                         const SchedulerOptions& options) {
@@ -79,66 +43,6 @@ DedupClasses computeDedupClasses(const WindowedRefs& refs) {
                        static_cast<std::int64_t>(n) -
                            static_cast<std::int64_t>(out.rep.size()));
   return out;
-}
-
-GomcdsPlacement::GomcdsPlacement(const WindowedRefs& refs,
-                                 const CostModel& model,
-                                 const SchedulerOptions& options,
-                                 bool trackFull)
-    : model_(&model),
-      order_(dataVisitOrder(refs, options.order)),
-      occupancy_(static_cast<std::size_t>(refs.numWindows()),
-                 model.occupancy(options.capacity)),
-      schedule_(refs.numData(), refs.numWindows()) {
-  if (trackFull) {
-    const std::size_t P = static_cast<std::size_t>(model.grid().size());
-    full_.resize(occupancy_.size() * P);
-    for (std::size_t w = 0; w < occupancy_.size(); ++w) {
-      for (std::size_t p = 0; p < P; ++p) {
-        full_[w * P + p] = !occupancy_[w].hasRoom(static_cast<ProcId>(p));
-      }
-    }
-  }
-}
-
-bool GomcdsPlacement::fits(const LayeredPath& path) const {
-  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
-    if (!occupancy_[w].hasRoom(static_cast<ProcId>(path.nodes[w]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void GomcdsPlacement::mask(CostBuffer& costs) const {
-  simd::active().maskInf(reinterpret_cast<const unsigned char*>(full_.data()),
-                         costs.data(), costs.size());
-}
-
-void GomcdsPlacement::commit(DataId d, const LayeredPath& path) {
-  if (!path.feasible()) {
-    throwPlacementInfeasible(
-        *model_, "scheduleGomcds",
-        "scheduleGomcds: capacity infeasible (no placement path)");
-  }
-  const std::size_t P = static_cast<std::size_t>(model_->grid().size());
-  for (std::size_t w = 0; w < occupancy_.size(); ++w) {
-    const auto p = static_cast<ProcId>(path.nodes[w]);
-    OccupancyMap& occ = occupancy_[w];
-    if (!occ.tryPlace(p)) {
-      throwGomcdsSlotDisagreement(d, p, static_cast<WindowId>(w), occ);
-    }
-    if (!full_.empty()) {
-      full_[w * P + static_cast<std::size_t>(p)] = !occ.hasRoom(p);
-    }
-    schedule_.setCenter(d, static_cast<WindowId>(w), p);
-  }
-}
-
-DataSchedule GomcdsPlacement::finish() {
-  PIMSCHED_COUNTER_ADD("sched.gomcds.data",
-                       static_cast<std::int64_t>(order_.size()));
-  return std::move(schedule_);
 }
 
 LayerKernel::LayerKernel(const CostModel& model, GomcdsEngine engine)
@@ -226,7 +130,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   PIMSCHED_SCOPED_TIMER("sched.gomcds");
   const int W = refs.numWindows();
   const bool staticMask = detail::staticForbiddenSet(model, options);
-  detail::GomcdsPlacement placement(refs, model, options, !staticMask);
+  Placement placement(refs, model, options.capacity, options.order);
   const std::vector<DataId>& order = placement.order();
   const detail::LayerKernel kernel(model, engine);
   const bool separable = kernel.separable();
@@ -255,9 +159,13 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     PIMSCHED_COUNTER_ADD("gomcds.flat.solves", solves);
     if (separable) PIMSCHED_COUNTER_ADD("gomcds.separable.solves", solves);
     for (const DataId d : order) {
-      placement.commit(d, paths[static_cast<std::size_t>(
-                              classes.classOf[static_cast<std::size_t>(d)])]);
+      placement.commit(d,
+                       paths[static_cast<std::size_t>(
+                           classes.classOf[static_cast<std::size_t>(d)])],
+                       "scheduleGomcds");
     }
+    PIMSCHED_COUNTER_ADD("sched.gomcds.data",
+                         static_cast<std::int64_t>(order.size()));
     return placement.finish();
   }
 
@@ -278,7 +186,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     if (separable) {
       kernel.solveDatum(refs, d, scratch, path);
       if (path.feasible() && placement.fits(path)) {
-        placement.commit(d, path);
+        placement.commit(d, path, "scheduleGomcds");
         continue;
       }
       ++misses;
@@ -288,7 +196,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     }
     placement.mask(scratch.serve);
     kernel.solve(W, scratch.serve, scratch.dag, path);
-    placement.commit(d, path);
+    placement.commit(d, path, "scheduleGomcds");
   }
   const auto solves = static_cast<std::int64_t>(order.size());
   PIMSCHED_COUNTER_ADD("gomcds.flat.solves", solves);
@@ -296,6 +204,7 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
     PIMSCHED_COUNTER_ADD("gomcds.separable.solves", solves);
     PIMSCHED_COUNTER_ADD("gomcds.separable.screen_misses", misses);
   }
+  PIMSCHED_COUNTER_ADD("sched.gomcds.data", solves);
   return placement.finish();
 }
 

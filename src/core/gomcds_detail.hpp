@@ -18,7 +18,6 @@
 #include "cost/cost_model.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/mesh_links.hpp"
-#include "pim/memory.hpp"
 #include "trace/windowed_refs.hpp"
 #include "util/aligned.hpp"
 
@@ -41,13 +40,6 @@ struct GomcdsScratch {
 /// same equivalence class share one solved path.
 [[nodiscard]] bool staticForbiddenSet(const CostModel& model,
                                       const SchedulerOptions& options);
-
-/// Throws for a datum the movement-aware DP cannot place. On a faulted
-/// array that is all dead or partitioned, UnreachableError naming
-/// `scheduler`; otherwise CapacityInfeasibleError(infeasibleMessage).
-[[noreturn]] void throwPlacementInfeasible(const CostModel& model,
-                                           const char* scheduler,
-                                           const char* infeasibleMessage);
 
 /// Equivalence classes of data whose windowed reference strings are
 /// byte-identical — they pose the same per-datum DAG subproblem, so under
@@ -97,43 +89,6 @@ DedupClasses buildEquivalenceClasses(DataId n, const SigFn& sig,
 /// prescreen, WindowedRefs::sameRefs confirms. Emits the gomcds.dedup.*
 /// counters.
 [[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs);
-
-/// Occupancy and visit-order commit of one GOMCDS call, shared by the
-/// engine and the incremental solver: every window's OccupancyMap (the
-/// capacity option plus fault capacity limits), the data in visit order,
-/// the schedule being filled and, when the forbidden set can grow, the
-/// W x P full-slot mirror (full[w * P + p] == !occupancy[w].hasRoom(p))
-/// that masked solves read.
-class GomcdsPlacement {
- public:
-  GomcdsPlacement(const WindowedRefs& refs, const CostModel& model,
-                  const SchedulerOptions& options, bool trackFull);
-
-  /// The data in the visit order of options.order.
-  [[nodiscard]] const std::vector<DataId>& order() const { return order_; }
-
-  /// True when every (window, center) slot of the feasible `path` still
-  /// has room.
-  [[nodiscard]] bool fits(const LayeredPath& path) const;
-
-  /// Sets every entry of the flat W x P table whose slot is full to
-  /// kInfiniteCost (requires trackFull).
-  void mask(CostBuffer& costs) const;
-
-  /// Places datum d on `path`: throws the infeasibility error for a path
-  /// without a finite cost and a logic error if a slot on it is full.
-  void commit(DataId d, const LayeredPath& path);
-
-  /// The finished schedule (counter sched.gomcds.data += data).
-  [[nodiscard]] DataSchedule finish();
-
- private:
-  const CostModel* model_;
-  std::vector<DataId> order_;
-  std::vector<OccupancyMap> occupancy_;
-  std::vector<char> full_;
-  DataSchedule schedule_;
-};
 
 /// The per-datum layered-DAG kernel of one scheduling call, chosen from
 /// the model and the engine: the chamfer distance transform on a healthy

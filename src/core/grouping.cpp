@@ -6,13 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
-#include "fault/fault_map.hpp"
+#include "core/placement.hpp"
 #include "graph/layered_dag.hpp"
-#include "graph/simd/simd_kernels.hpp"
 #include "obs/obs.hpp"
-#include "pim/memory.hpp"
 
 namespace pimsched {
 
@@ -240,61 +237,25 @@ namespace {
 
 /// Capacity-aware variant of the greedy grouper used by both grouped
 /// schedulers: group centers are restricted to processors with a free slot
-/// in every window of the group (given the occupancy left by previously
-/// scheduled data), so Algorithm 3's merge decisions are made against the
-/// costs that will actually be realised.
+/// in every window of the group (given the occupancy the Placement holds
+/// from previously scheduled data), so Algorithm 3's merge decisions are
+/// made against the costs that will actually be realised.
 ///
-/// One instance serves a whole scheduling call and owns its per-window
-/// occupancy (with the model's fault capacity limits, so dead processors
-/// hold nothing), mirrored as a W x P byte table of full slots. Occupancy
-/// does not change while one datum is grouped, so a segment's center is a
-/// pure function of its window range and is memoized per datum in a
-/// (W+1)^2 table.
+/// One instance serves a whole scheduling call. Occupancy does not change
+/// while one datum is grouped, so a segment's center is a pure function of
+/// its window range and is memoized per datum in a (W+1)^2 table.
 class CapacityAwareGrouper {
  public:
-  CapacityAwareGrouper(const CostModel& model, int numWindows,
-                       std::int64_t capacity)
+  CapacityAwareGrouper(const CostModel& model, const Placement& placement)
       : model_(model),
-        numProcs_(static_cast<std::size_t>(model.grid().size())),
-        beta_(model.params().hopCost * model.params().moveVolume),
-        occupancy_(static_cast<std::size_t>(numWindows),
-                   model.occupancy(capacity)),
-        full_(static_cast<std::size_t>(numWindows) * numProcs_) {
-    for (WindowId w = 0; w < numWindows; ++w) {
-      const OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
-      for (ProcId p = 0; p < static_cast<ProcId>(numProcs_); ++p) {
-        full_[slot(w, p)] = !occ.hasRoom(p);
-      }
-    }
+        placement_(placement),
+        beta_(model.params().hopCost * model.params().moveVolume) {
     // Never-referenced data settle near processor 0, or near the first
     // processor the model allows when 0 is dead.
     while (anchor_ + 1 < model.grid().size() &&
            model.centerForbidden(anchor_)) {
       ++anchor_;
     }
-  }
-
-  [[nodiscard]] bool roomEverywhere(ProcId p, WindowId begin,
-                                    WindowId end) const {
-    for (WindowId w = begin; w < end; ++w) {
-      if (full_[slot(w, p)] != 0) return false;
-    }
-    return true;
-  }
-
-  /// Sets row[p] to kInfiniteCost for every processor p that lacks room in
-  /// some window of [begin, end).
-  void maskFull(WindowId begin, WindowId end, Cost* row) const {
-    for (WindowId w = begin; w < end; ++w) {
-      simd::active().maskInf(full_.data() + slot(w, 0), row, numProcs_);
-    }
-  }
-
-  /// Claims one slot on p in window w (the caller checked room).
-  void claim(ProcId p, WindowId w) {
-    OccupancyMap& occ = occupancy_[static_cast<std::size_t>(w)];
-    occ.tryPlace(p);
-    full_[slot(w, p)] = !occ.hasRoom(p);
   }
 
   /// Starts grouping the datum `prefix` describes; the occupancy must not
@@ -341,26 +302,6 @@ class CapacityAwareGrouper {
     return true;
   }
 
-  /// Smallest (key(p), p) over processors with a finite key and room in
-  /// every window of [begin, end); kNoProc when none exists. Equals the
-  /// first such processor of the stable ascending-key order (the paper's
-  /// processor list), without sorting. Room is checked only for
-  /// processors that would improve the running best.
-  template <class KeyFn>
-  [[nodiscard]] ProcId argminWithRoom(WindowId begin, WindowId end,
-                                      const KeyFn& key) const {
-    ProcId best = kNoProc;
-    Cost bestKey = kInfiniteCost;
-    for (ProcId p = 0; p < prefix_->numProcs(); ++p) {
-      const Cost k = key(p);
-      if (k < bestKey && roomEverywhere(p, begin, end)) {
-        best = p;
-        bestKey = k;
-      }
-    }
-    return best;
-  }
-
   /// First processor of the segment's ascending-cost list with room in
   /// every window of [begin, end); kNoProc when none exists. Memoized.
   [[nodiscard]] ProcId segmentCenter(WindowId begin, WindowId end) {
@@ -369,7 +310,7 @@ class CapacityAwareGrouper {
                   static_cast<std::size_t>(prefix_->numWindows() + 1) +
               static_cast<std::size_t>(end)];
     if (center == kUnknown) {
-      center = argminWithRoom(begin, end, [&](ProcId p) {
+      center = placement_.argminWithRoom(begin, end, [&](ProcId p) {
         return prefix_->segment(begin, end, p);
       });
     }
@@ -378,11 +319,6 @@ class CapacityAwareGrouper {
 
  private:
   static constexpr ProcId kUnknown = -2;
-
-  [[nodiscard]] std::size_t slot(WindowId w, ProcId p) const {
-    return static_cast<std::size_t>(w) * numProcs_ +
-           static_cast<std::size_t>(p);
-  }
 
   /// First processor of the ascending list of moveCost(from, .) with room
   /// in every window of the empty group [begin, end). With beta > 0 only
@@ -393,10 +329,10 @@ class CapacityAwareGrouper {
   [[nodiscard]] ProcId nearestAvailable(ProcId from, WindowId begin,
                                         WindowId end) const {
     if (beta_ > 0 && model_.moveCost(from, from) == 0 &&
-        roomEverywhere(from, begin, end)) {
+        placement_.roomEverywhere(from, begin, end)) {
       return from;
     }
-    return argminWithRoom(begin, end, [&](ProcId p) {
+    return placement_.argminWithRoom(begin, end, [&](ProcId p) {
       return model_.moveCost(from, p);
     });
   }
@@ -439,24 +375,19 @@ class CapacityAwareGrouper {
   }
 
   const CostModel& model_;
-  std::size_t numProcs_;
+  const Placement& placement_;
   Cost beta_;
-  std::vector<OccupancyMap> occupancy_;
-  std::vector<unsigned char> full_;  ///< [w * P + p]: no room on p in w
   ProcId anchor_ = 0;
   const WindowCostPrefix* prefix_ = nullptr;
   std::vector<ProcId> memo_;  ///< [begin * (W + 1) + end] -> segment center
   DataGrouping candidate_;
 };
 
-/// Claims group i's center in every window of the group and records it.
+/// Places datum d on center c in every window of group i.
 void placeGroup(const DataGrouping& g, int i, ProcId c, DataId d,
-                CapacityAwareGrouper& grouper, DataSchedule& schedule) {
-  const auto [begin, end] = g.range(i, schedule.numWindows());
-  for (WindowId w = begin; w < end; ++w) {
-    grouper.claim(c, w);
-    schedule.setCenter(d, w, c);
-  }
+                int numWindows, Placement& placement) {
+  const auto [begin, end] = g.range(i, numWindows);
+  for (WindowId w = begin; w < end; ++w) placement.place(d, w, c);
 }
 
 }  // namespace
@@ -467,21 +398,19 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
   PIMSCHED_SCOPED_TIMER("sched.grouped_gomcds");
   const int W = refs.numWindows();
   const std::size_t m = static_cast<std::size_t>(model.grid().size());
-  DataSchedule schedule(refs.numData(), W);
-  CapacityAwareGrouper grouper(model, W, options.capacity);
+  Placement placement(refs, model, options.capacity, options.order);
+  CapacityAwareGrouper grouper(model, placement);
   const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
   LayeredDagScratch scratch;
   LayeredPath path;
   CostBuffer nodeCosts;
   DataGrouping grouping;
 
-  for (const DataId d : dataVisitOrder(refs, options.order)) {
+  for (const DataId d : placement.order()) {
     const WindowCostPrefix prefix(refs, model, d);
     grouper.start(prefix);
     if (!grouper.run(grouping)) {
-      detail::throwPlacementInfeasible(
-          model, "scheduleGroupedGomcds",
-          "scheduleGroupedGomcds: capacity infeasible for a datum");
+      placement.fail("scheduleGroupedGomcds", "for a datum");
     }
     const int g = grouping.numGroups();
 
@@ -495,21 +424,19 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
       for (ProcId p = 0; p < static_cast<ProcId>(m); ++p) {
         row[p] = prefix.segment(begin, end, p);
       }
-      grouper.maskFull(begin, end, row);
+      placement.mask(begin, end, row);
     }
     kernel.solve(g, nodeCosts, scratch, path);
     if (!path.feasible()) {
-      detail::throwPlacementInfeasible(
-          model, "scheduleGroupedGomcds",
-          "scheduleGroupedGomcds: no feasible center path");
+      placement.fail("scheduleGroupedGomcds", "(no feasible center path)");
     }
     for (int i = 0; i < g; ++i) {
       placeGroup(grouping, i,
                  static_cast<ProcId>(path.nodes[static_cast<std::size_t>(i)]),
-                 d, grouper, schedule);
+                 d, W, placement);
     }
   }
-  return schedule;
+  return placement.finish();
 }
 
 DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
@@ -518,11 +445,11 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
                                    GroupingMethod method) {
   PIMSCHED_SCOPED_TIMER("sched.grouped_lomcds");
   const int W = refs.numWindows();
-  DataSchedule schedule(refs.numData(), W);
-  CapacityAwareGrouper grouper(model, W, options.capacity);
+  Placement placement(refs, model, options.capacity, options.order);
+  CapacityAwareGrouper grouper(model, placement);
   DataGrouping greedy;
 
-  for (const DataId d : dataVisitOrder(refs, options.order)) {
+  for (const DataId d : placement.order()) {
     const WindowCostPrefix prefix(refs, model, d);
     grouper.start(prefix);
 
@@ -531,13 +458,11 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       // by the data scheduled so far; the chosen centers are feasible by
       // construction.
       if (!grouper.run(greedy)) {
-        detail::throwPlacementInfeasible(
-            model, "scheduleGroupedLomcds",
-            "scheduleGroupedLomcds: capacity infeasible for a datum");
+        placement.fail("scheduleGroupedLomcds", "for a datum");
       }
       for (int i = 0; i < greedy.numGroups(); ++i) {
         placeGroup(greedy, i, greedy.centers[static_cast<std::size_t>(i)], d,
-                   grouper, schedule);
+                   W, placement);
       }
       continue;
     }
@@ -554,11 +479,11 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       // list to the best center with room in every window of the group.
       const ProcId own = grouping.centers[static_cast<std::size_t>(i)];
       const ProcId placed = prefix.segment(begin, end, own) < kInfiniteCost &&
-                                    grouper.roomEverywhere(own, begin, end)
+                                    placement.roomEverywhere(own, begin, end)
                                 ? own
                                 : grouper.segmentCenter(begin, end);
       if (placed != kNoProc) {
-        placeGroup(grouping, i, placed, d, grouper, schedule);
+        placeGroup(grouping, i, placed, d, W, placement);
         continue;
       }
       // No single processor has room across the whole group: degrade
@@ -566,25 +491,20 @@ DataSchedule scheduleGroupedLomcds(const WindowedRefs& refs,
       // center — for each window, the cheapest processor with room,
       // charging both its serving cost and the detour from the group
       // center (this is plain LOMCDS with a movement-aware tie).
-      const ProcId intended =
-          grouping.centers[static_cast<std::size_t>(i)];
       for (WindowId w = begin; w < end; ++w) {
         const ProcId fallback =
-            grouper.argminWithRoom(w, w + 1, [&](ProcId p) {
+            placement.argminWithRoom(w, w + 1, [&](ProcId p) {
               return satAdd(prefix.segment(w, w + 1, p),
-                            model.moveCost(intended, p));
+                            model.moveCost(own, p));
             });
         if (fallback == kNoProc) {
-          detail::throwPlacementInfeasible(
-              model, "scheduleGroupedLomcds",
-              "scheduleGroupedLomcds: capacity infeasible for a group");
+          placement.fail("scheduleGroupedLomcds", "for a group");
         }
-        grouper.claim(fallback, w);
-        schedule.setCenter(d, w, fallback);
+        placement.place(d, w, fallback);
       }
     }
   }
-  return schedule;
+  return placement.finish();
 }
 
 }  // namespace pimsched

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/gomcds_detail.hpp"
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
 #include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
@@ -381,11 +382,14 @@ DataSchedule IncrementalSolver::solve(
 
     // The cold engine's static-set commit: visit order, feasibility
     // checks, occupancy accounting.
-    detail::GomcdsPlacement placement(refs, model, options, false);
+    Placement placement(refs, model, options.capacity, options.order);
     for (const DataId d : placement.order()) {
       const int cls = classes.classOf[static_cast<std::size_t>(d)];
-      placement.commit(d, newStates[static_cast<std::size_t>(cls)]->path);
+      placement.commit(d, newStates[static_cast<std::size_t>(cls)]->path,
+                       "scheduleGomcds");
     }
+    PIMSCHED_COUNTER_ADD("sched.gomcds.data",
+                         static_cast<std::int64_t>(placement.order().size()));
     DataSchedule schedule = placement.finish();
 
     prevRefs_ = std::move(sharedRefs);

@@ -5,12 +5,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/data_order.hpp"
 #include "core/gomcds_detail.hpp"
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
-#include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
-#include "pim/memory.hpp"
 #include "util/aligned.hpp"
 
 namespace pimsched {
@@ -22,10 +20,7 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   }
   const Grid& grid = model.grid();
   const int W = refs.numWindows();
-  DataSchedule schedule(refs.numData(), W);
-
-  std::vector<OccupancyMap> occupancy(static_cast<std::size_t>(W),
-                                      model.occupancy(options.capacity));
+  Placement placement(refs, model, options.capacity, options.order);
 
   const std::size_t m = static_cast<std::size_t>(grid.size());
   // Chamfer on a healthy mesh, the fault-aware mesh sweeps on a faulted
@@ -34,7 +29,7 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   CostBuffer serve;  // W x P serving costs of one datum
   LayeredDagScratch scratch;
   LayeredPath path;
-  for (const DataId d : dataVisitOrder(refs, options.order)) {
+  for (const DataId d : placement.order()) {
     datumCenterCostsInto(refs, model, d, serve);
 
     ProcId prev = kNoProc;
@@ -49,9 +44,8 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
       // when committed), matching an online system that cannot reserve
       // the future.
       Cost* first = serve.data() + static_cast<std::size_t>(w) * m;
-      const OccupancyMap& occ = occupancy[static_cast<std::size_t>(w)];
       for (ProcId p = 0; p < static_cast<ProcId>(m); ++p) {
-        if (!occ.hasRoom(p)) {
+        if (!placement.hasRoom(w, p)) {
           first[p] = kInfiniteCost;
         } else if (prev != kNoProc) {
           first[p] = satAdd(first[p], model.moveCost(prev, p));
@@ -61,17 +55,13 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
           horizon,
           std::span<const Cost>(first, static_cast<std::size_t>(horizon) * m),
           scratch, path);
-      if (!path.feasible()) {
-        throw CapacityInfeasibleError(
-            "scheduleOnline: capacity infeasible (window full)");
-      }
+      if (!path.feasible()) placement.fail("scheduleOnline", "(window full)");
       const auto chosen = static_cast<ProcId>(path.nodes[0]);
-      occupancy[static_cast<std::size_t>(w)].tryPlace(chosen);
-      schedule.setCenter(d, w, chosen);
+      placement.place(d, w, chosen);
       prev = chosen;
     }
   }
-  return schedule;
+  return placement.finish();
 }
 
 }  // namespace pimsched

@@ -1,56 +1,36 @@
 #include "core/scds.hpp"
 
-#include <stdexcept>
-#include <string>
+#include <algorithm>
+#include <vector>
 
-#include "core/data_order.hpp"
+#include "core/placement.hpp"
 #include "cost/center_costs.hpp"
-#include "cost/center_list.hpp"
-#include "fault/fault_map.hpp"
 #include "obs/obs.hpp"
-#include "pim/memory.hpp"
 
 namespace pimsched {
 
 DataSchedule scheduleScds(const WindowedRefs& refs, const CostModel& model,
                           const SchedulerOptions& options) {
   PIMSCHED_SCOPED_TIMER("sched.scds");
-  DataSchedule schedule(refs.numData(), refs.numWindows());
-  // A static placement occupies its slot for the whole run, so a single
-  // occupancy map covers every window.
-  OccupancyMap occupancy = model.occupancy(options.capacity);
-
+  const WindowId W = refs.numWindows();
+  // A static placement occupies its slot in every window, so every window
+  // holds the same data and window 0's room speaks for all of them.
+  const WindowId probe = std::min<WindowId>(W, 1);
+  Placement placement(refs, model, options.capacity, options.order);
   std::vector<Cost> costs(static_cast<std::size_t>(model.grid().size()));
-  // Buffered locally and merged once on exit to keep the placement loop
-  // free of atomic traffic.
-  std::int64_t placements = 0;
-  for (const DataId d : dataVisitOrder(refs, options.order)) {
-    separableCenterCostsInto(model, refs.mergedRefs(d, 0, refs.numWindows()),
-                             costs);
-    const CenterList list(costs);
-    const ProcId p = list.firstAvailable(occupancy);
+  for (const DataId d : placement.order()) {
+    separableCenterCostsInto(model, refs.mergedRefs(d, 0, W), costs);
+    const ProcId p = placement.argminWithRoom(0, probe, [&](ProcId q) {
+      return costs[static_cast<std::size_t>(q)];
+    });
     if (p == kNoProc) {
-      if (!list.hasFeasible()) {
-        throw UnreachableError("scheduleScds: no feasible center for datum " +
-                               std::to_string(d) + " on faulted mesh");
-      }
-      throw CapacityInfeasibleError(
-          "scheduleScds: capacity infeasible (all processors full)");
+      placement.fail("scheduleScds", "(all processors full)");
     }
-    if (!occupancy.tryPlace(p)) {
-      // firstAvailable only returns processors with room; a failure here
-      // means the occupancy accounting itself went wrong.
-      throw std::logic_error("scheduleScds: tryPlace failed for datum " +
-                             std::to_string(d) + " on processor " +
-                             std::to_string(p) + " (used " +
-                             std::to_string(occupancy.used(p)) + "/" +
-                             std::to_string(occupancy.capacity()) + ")");
-    }
-    schedule.setStatic(d, p);
-    ++placements;
+    for (WindowId w = 0; w < W; ++w) placement.place(d, w, p);
   }
-  PIMSCHED_COUNTER_ADD("sched.scds.placements", placements);
-  return schedule;
+  PIMSCHED_COUNTER_ADD("sched.scds.placements",
+                       static_cast<std::int64_t>(placement.order().size()));
+  return placement.finish();
 }
 
 }  // namespace pimsched

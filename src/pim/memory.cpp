@@ -8,25 +8,11 @@ OccupancyMap::OccupancyMap(const Grid& grid, std::int64_t capacityPerProc)
     : capacity_(capacityPerProc),
       used_(static_cast<std::size_t>(grid.size()), 0) {}
 
-bool OccupancyMap::tryPlace(ProcId p) {
-  if (!hasRoom(p)) return false;
-  ++used_[static_cast<std::size_t>(p)];
-  ++totalUsed_;
-  return true;
-}
-
 void OccupancyMap::limitCapacity(ProcId p, std::int64_t cap) {
   assert(cap >= 0 && "per-processor limit must be >= 0");
   if (limits_.empty()) limits_.assign(used_.size(), -1);
   auto& limit = limits_[static_cast<std::size_t>(p)];
   if (limit < 0 || cap < limit) limit = cap;
-}
-
-void OccupancyMap::release(ProcId p) {
-  auto& u = used_[static_cast<std::size_t>(p)];
-  assert(u > 0 && "release without matching tryPlace");
-  --u;
-  --totalUsed_;
 }
 
 std::int64_t paperCapacity(const Grid& grid, std::int64_t numData) {

@@ -47,17 +47,14 @@ class OccupancyMap {
   }
 
   /// Claims one slot on p. Returns false (and changes nothing) if full.
-  bool tryPlace(ProcId p);
-
-  /// Releases one slot on p. The slot must have been claimed.
-  void release(ProcId p);
-
-  /// Total slots claimed across all processors.
-  [[nodiscard]] std::int64_t totalUsed() const { return totalUsed_; }
+  bool tryPlace(ProcId p) {
+    if (!hasRoom(p)) return false;
+    ++used_[static_cast<std::size_t>(p)];
+    return true;
+  }
 
  private:
   std::int64_t capacity_;
-  std::int64_t totalUsed_ = 0;
   std::vector<std::int64_t> used_;
   std::vector<std::int64_t> limits_;  ///< lazily sized; -1 = no per-proc bound
 };

@@ -1,4 +1,4 @@
-#include "cost/center_list.hpp"
+#include "center_list.hpp"
 
 #include <gtest/gtest.h>
 

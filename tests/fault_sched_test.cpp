@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/gomcds.hpp"
+#include "core/online.hpp"
 #include "core/pipeline.hpp"
 #include "core/verify.hpp"
 #include "fault/distance_map.hpp"
@@ -170,6 +171,65 @@ TEST(FaultSched, CrossPartitionReferencesThrowUnreachable) {
                          Method::kGroupedOptimal}) {
     EXPECT_THROW((void)exp.schedule(m), UnreachableError) << toString(m);
   }
+}
+
+/// Three data read only by processor 0, in one step.
+ReferenceTrace threeDataOnProcessorZero() {
+  DataSpace space;
+  space.addArray("A", 1, 3);
+  ReferenceTrace trace(space);
+  for (DataId d = 0; d < 3; ++d) trace.add(0, 0, d, 1);
+  trace.finalize();
+  return trace;
+}
+
+/// Expects every capacity-aware method, and scheduleOnline, to throw E on
+/// the experiment.
+template <class E>
+void expectEveryMethodThrows(const Experiment& exp) {
+  for (const Method m :
+       {Method::kScds, Method::kLomcds, Method::kGomcds,
+        Method::kGroupedLomcds, Method::kGroupedGomcds,
+        Method::kGroupedOptimal}) {
+    EXPECT_THROW((void)exp.schedule(m), E) << toString(m);
+  }
+  OnlineOptions online;
+  online.capacity = exp.capacity();
+  EXPECT_THROW((void)scheduleOnline(exp.refs(), exp.costModel(), online), E)
+      << "online";
+}
+
+TEST(FaultSched, PartitionedMeshIsUnreachableForEveryMethod) {
+  // 1x4 with processor 2 dead splits into {0, 1} and {3}. Capacity 1
+  // leaves the third datum only processor 3, which cannot reach its
+  // reader: the mesh, not the capacity, is what fails it.
+  const Grid grid(1, 4);
+  const ReferenceTrace trace = threeDataOnProcessorZero();
+  FaultMap faults(grid);
+  faults.killProc(2);
+  PipelineConfig cfg;
+  cfg.numWindows = 1;
+  cfg.capacity = 1;
+  const Experiment exp(trace, grid, faults, cfg);
+  expectEveryMethodThrows<UnreachableError>(exp);
+}
+
+TEST(FaultSched, ConnectedMeshOutOfSlotsIsCapacityInfeasibleForEveryMethod) {
+  // 1x4 with processor 3 dead stays connected; three slots cannot hold
+  // four data.
+  const Grid grid(1, 4);
+  DataSpace space;
+  space.addArray("A", 1, 4);
+  ReferenceTrace trace(space);
+  for (DataId d = 0; d < 4; ++d) trace.add(0, 0, d, 1);
+  trace.finalize();
+  FaultMap faults(grid);
+  faults.killProc(3);
+  PipelineConfig cfg;
+  cfg.numWindows = 1;
+  cfg.capacity = 1;
+  const Experiment exp(trace, grid, faults, cfg);
+  expectEveryMethodThrows<CapacityInfeasibleError>(exp);
 }
 
 TEST(FaultSched, FaultObliviousBaselineFailsFaultVerify) {

@@ -13,11 +13,11 @@
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
 #include "core/verify.hpp"
-#include "cost/center_list.hpp"
 #include "fault/fault_map.hpp"
 #include "graph/layered_dag.hpp"
 #include "kernels/benchmarks.hpp"
 #include "pim/memory.hpp"
+#include "center_list.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {

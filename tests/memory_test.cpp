@@ -12,7 +12,6 @@ TEST(OccupancyMap, StartsEmpty) {
     EXPECT_EQ(occ.used(p), 0);
     EXPECT_TRUE(occ.hasRoom(p));
   }
-  EXPECT_EQ(occ.totalUsed(), 0);
 }
 
 TEST(OccupancyMap, FillsToCapacity) {
@@ -24,17 +23,6 @@ TEST(OccupancyMap, FillsToCapacity) {
   EXPECT_FALSE(occ.tryPlace(0));
   EXPECT_EQ(occ.used(0), 2);
   EXPECT_TRUE(occ.hasRoom(1));
-  EXPECT_EQ(occ.totalUsed(), 2);
-}
-
-TEST(OccupancyMap, ReleaseFreesSlot) {
-  const Grid g(2, 2);
-  OccupancyMap occ(g, 1);
-  ASSERT_TRUE(occ.tryPlace(3));
-  EXPECT_FALSE(occ.hasRoom(3));
-  occ.release(3);
-  EXPECT_TRUE(occ.hasRoom(3));
-  EXPECT_EQ(occ.totalUsed(), 0);
 }
 
 TEST(OccupancyMap, UnlimitedCapacity) {
