@@ -4,10 +4,10 @@
 // static forbidden set, where subproblem dedup shares whole solves),
 // against the flat solver with dedup, plus faulted-mesh points
 // (3% dead processors and dead links) comparing the mesh-sweep engine
-// against the dense transition-table engine (GomcdsEngine::kNaive), plus a
-// `grouped` section timing grouped GOMCDS (Algorithm 3 + the group DP) on
-// the five paper kernels at 16x16 under the paper's 2x-minimum capacity,
-// with each schedule's digest. Emits results/bench_gomcds.json and
+// against the frozen dense cost-graph baseline (ablation/dense_gomcds),
+// plus a `grouped` section timing grouped GOMCDS (Algorithm 3 + the group
+// DP) on the five paper kernels at 16x16 under the paper's 2x-minimum
+// capacity, with each schedule's digest. Emits results/bench_gomcds.json and
 // self-checks that all variants produce bit-identical schedules and that
 // every grouped schedule passes verifySchedule (exit 1 otherwise).
 //
@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ablation/dense_gomcds.hpp"
 #include "bench_common.hpp"
 #include "core/data_order.hpp"
 #include "core/gomcds.hpp"
@@ -215,8 +216,9 @@ struct Point {
   bool match = false;
 };
 
-/// A faulted-mesh sweep point: the same scheduling call through the mesh
-/// sweeps (kChamfer on a faulted model) and the dense table (kNaive).
+/// A faulted-mesh sweep point: the same schedule through the mesh sweeps
+/// (scheduleGomcds on a faulted model) and the dense table
+/// (scheduleDenseGomcds).
 struct FaultedPoint {
   int side = 0;
   int n = 0;
@@ -372,21 +374,22 @@ FaultedPoint faultedPoint(int side, int n,
   pt.deadLinks = faults.deadLinkCount();
   pt.dedupClasses = countDedupClasses(exp.refs());
 
-  const auto run = [&](GomcdsEngine engine) {
-    return scheduleGomcds(exp.refs(), exp.costModel(), opts, 1, engine);
+  const auto runDense = [&] {
+    return scheduleDenseGomcds(exp.refs(), exp.costModel(), opts);
+  };
+  const auto runMesh = [&] {
+    return scheduleGomcds(exp.refs(), exp.costModel(), opts);
   };
   const simd::Tier dispatched = simd::activeTier();
-  const DataSchedule dense = run(GomcdsEngine::kNaive);
-  const DataSchedule mesh = run(GomcdsEngine::kChamfer);
+  const DataSchedule dense = runDense();
+  const DataSchedule mesh = runMesh();
   simd::forceTier(simd::Tier::kScalar);
-  const DataSchedule meshScalar = run(GomcdsEngine::kChamfer);
+  const DataSchedule meshScalar = runMesh();
   simd::forceTier(dispatched);
   pt.match = sameSchedule(dense, mesh) && sameSchedule(dense, meshScalar);
 
-  pt.denseMs = benchtool::medianRunMs(
-      [&] { (void)run(GomcdsEngine::kNaive); }, rep);
-  pt.meshMs = benchtool::medianRunMs(
-      [&] { (void)run(GomcdsEngine::kChamfer); }, rep);
+  pt.denseMs = benchtool::medianRunMs([&] { (void)runDense(); }, rep);
+  pt.meshMs = benchtool::medianRunMs([&] { (void)runMesh(); }, rep);
   return pt;
 }
 
@@ -609,7 +612,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Faulted meshes: the mesh-sweep engine against the dense table engine.
+  // Faulted meshes: the mesh-sweep engine against the dense baseline.
   const std::vector<int> faultedSides =
       smoke ? std::vector<int>{12, 16} : std::vector<int>{12, 16, 32, 64};
   std::vector<FaultedPoint> faulted;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "ablation/dense_gomcds.hpp"
 #include "core/gomcds.hpp"
 #include "core/grouping.hpp"
 #include "core/lomcds.hpp"
@@ -172,8 +173,7 @@ void BM_GomcdsChamfer(benchmark::State& state) {
   const CostModel model(grid);
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kChamfer));
+    benchmark::DoNotOptimize(scheduleGomcds(refs, model));
   }
 }
 BENCHMARK(BM_GomcdsChamfer)->Arg(8)->Arg(16)->Arg(32);
@@ -183,8 +183,7 @@ void BM_GomcdsNaive(benchmark::State& state) {
   const CostModel model(grid);
   const WindowedRefs refs = benchRefs(grid, static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
+    benchmark::DoNotOptimize(scheduleDenseGomcds(refs, model));
   }
 }
 BENCHMARK(BM_GomcdsNaive)->Arg(8)->Arg(16)->Arg(32);

@@ -45,26 +45,11 @@ DedupClasses computeDedupClasses(const WindowedRefs& refs) {
   return out;
 }
 
-LayerKernel::LayerKernel(const CostModel& model, GomcdsEngine engine)
+LayerKernel::LayerKernel(const CostModel& model)
     : grid_(&model.grid()),
       hopCost_(model.params().hopCost),
-      beta_(model.params().hopCost * model.params().moveVolume),
-      dense_(engine == GomcdsEngine::kNaive) {
-  if (dense_) {
-    // Rows by source: fault distances can be asymmetric.
-    const int m = grid_->size();
-    trans_.resize(static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
-    for (ProcId q = 0; q < m; ++q) {
-      Cost* row = trans_.data() +
-                  static_cast<std::size_t>(q) * static_cast<std::size_t>(m);
-      for (ProcId p = 0; p < m; ++p) {
-        row[static_cast<std::size_t>(p)] = model.moveCost(q, p);
-      }
-    }
-    PIMSCHED_COUNTER_ADD("gomcds.trans_table.builds", 1);
-  } else if (model.faultAware()) {
-    mesh_.emplace(model.distances());
-  }
+      beta_(model.params().hopCost * model.params().moveVolume) {
+  if (model.faultAware()) mesh_.emplace(model.distances());
 }
 
 void LayerKernel::solve(int numLayers, std::span<const Cost> nodeCosts,
@@ -81,15 +66,9 @@ void LayerKernel::resume(int numLayers, std::span<const Cost> nodeCosts,
                          int fromLayer, CostBuffer& dp,
                          LayeredDagScratch& scratch, LayeredPath& out,
                          LayeredParentCache* parents) const {
-  if (dense_) {
-    LayeredDagSolver::solveFlatResumeInto(numLayers, grid_->size(), nodeCosts,
-                                          trans_, fromLayer, dp, scratch, out,
-                                          parents);
-  } else {
-    LayeredDagSolver::solveMeshFlatResumeInto(mesh_.value(), numLayers,
-                                              nodeCosts, beta_, fromLayer, dp,
-                                              scratch, out, parents);
-  }
+  LayeredDagSolver::solveMeshFlatResumeInto(mesh_.value(), numLayers,
+                                            nodeCosts, beta_, fromLayer, dp,
+                                            scratch, out, parents);
 }
 
 void LayerKernel::solveDatum(const WindowedRefs& refs, DataId d,
@@ -125,14 +104,14 @@ void LayerKernel::serveFromMarginals(int numLayers,
 }  // namespace detail
 
 DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
-                            const SchedulerOptions& options, unsigned threads,
-                            GomcdsEngine engine) {
+                            const SchedulerOptions& options,
+                            unsigned threads) {
   PIMSCHED_SCOPED_TIMER("sched.gomcds");
   const int W = refs.numWindows();
   const bool staticMask = detail::staticForbiddenSet(model, options);
   Placement placement(refs, model, options.capacity, options.order);
   const std::vector<DataId>& order = placement.order();
-  const detail::LayerKernel kernel(model, engine);
+  const detail::LayerKernel kernel(model);
   const bool separable = kernel.separable();
 
   if (staticMask) {
@@ -177,8 +156,8 @@ DataSchedule scheduleGomcds(const WindowedRefs& refs, const CostModel& model,
   // nodes stay optimal and present (docs/algorithms.md, "The capacity
   // screen"). Otherwise the serve table is built, masked and solved in
   // 2-D: on a healthy mesh from the marginals the separable solve left in
-  // scratch (a row sum, cheaper than recomputing the row), on every other
-  // kernel row by row with datumCenterCostsInto.
+  // scratch (a row sum, cheaper than recomputing the row), on a faulted
+  // mesh row by row with datumCenterCostsInto.
   detail::GomcdsScratch& scratch = workerScratch<detail::GomcdsScratch>();
   LayeredPath path;
   std::int64_t misses = 0;

@@ -7,15 +7,6 @@
 
 namespace pimsched {
 
-/// Which engine solves the per-datum shortest-path problem. Both produce
-/// identical schedules; kChamfer exploits the grid structure of the
-/// movement cost to relax each layer without a numProcs^2 transition
-/// table — the L1 distance transform on a healthy mesh, O(numProcs), and
-/// masked grid sweeps over the alive links on a faulted one, O(numProcs)
-/// per sweep. kNaive exists for the A2 ablation and as the literal reading
-/// of the paper's cost-graph: a dense O(numProcs^2) relax per layer.
-enum class GomcdsEngine { kChamfer, kNaive };
-
 /// Global-Optimal Multiple-Center Data Scheduling (paper Algorithm 2): for
 /// each datum, build the layered cost-graph — one node per (execution
 /// window, processor), edge weight = movement cost between the processors
@@ -28,11 +19,12 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// are scheduled in visit order (options.order) and a (window, processor)
 /// slot that is full becomes a forbidden node for later data.
 ///
-/// On a healthy mesh (a model without a DistanceMap) under kChamfer, the
-/// serving and move costs are weighted Manhattan distances, so a datum's
-/// DAG is the product of a row chain and a column chain: its unconstrained
-/// path comes from two 1-D solves, O(W * (R + C)), with no W x P serve
-/// table (docs/algorithms.md, "Separable GOMCDS").
+/// The per-datum kernel follows from the model alone. On a healthy mesh (a
+/// model without a DistanceMap) the serving and move costs are weighted
+/// Manhattan distances, so a datum's DAG is the product of a row chain and
+/// a column chain: its unconstrained path comes from two 1-D solves,
+/// O(W * (R + C)), with no W x P serve table (docs/algorithms.md,
+/// "Separable GOMCDS").
 ///
 /// Under a static forbidden set (unlimited capacity, no alive processor
 /// with a fault capacity limit) paths cannot conflict: data with identical
@@ -43,15 +35,16 @@ enum class GomcdsEngine { kChamfer, kNaive };
 /// live forbidden set, on the calling thread: every datum costs exactly
 /// one solve. On a healthy mesh that solve is first the separable one,
 /// kept when none of its slots is full (an exact screen: it is then the
-/// masked optimum too); otherwise, and on faulted meshes and kNaive, the
-/// datum's serve table is masked and solved in 2-D.
+/// masked optimum too); otherwise, and on faulted meshes, the datum's serve
+/// table is masked and solved in 2-D: by the L1 distance transform on a
+/// healthy mesh, by masked grid sweeps over the alive links on a faulted
+/// one, O(numProcs) per sweep, never by a numProcs^2 transition table.
 ///
 /// The schedule is the same for every thread count. threads = 0 uses
 /// hardware concurrency; helper workers come from the shared ThreadPool
 /// (util/thread_pool.hpp).
 [[nodiscard]] DataSchedule scheduleGomcds(
     const WindowedRefs& refs, const CostModel& model,
-    const SchedulerOptions& options = {}, unsigned threads = 1,
-    GomcdsEngine engine = GomcdsEngine::kChamfer);
+    const SchedulerOptions& options = {}, unsigned threads = 1);
 
 }  // namespace pimsched

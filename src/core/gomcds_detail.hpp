@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/gomcds.hpp"
 #include "core/schedule.hpp"
 #include "core/scheduler_options.hpp"
 #include "cost/cost_model.hpp"
@@ -91,34 +90,33 @@ DedupClasses buildEquivalenceClasses(DataId n, const SigFn& sig,
 [[nodiscard]] DedupClasses computeDedupClasses(const WindowedRefs& refs);
 
 /// The per-datum layered-DAG kernel of one scheduling call, chosen from
-/// the model and the engine: the chamfer distance transform on a healthy
-/// mesh, the masked mesh sweeps on a faulted one (both GomcdsEngine::
-/// kChamfer), and for GomcdsEngine::kNaive the dense relax over a P x P
-/// beta x distance table — the literal cost-graph oracle, whose table is
-/// built once per kernel (counter gomcds.trans_table.builds). All three
-/// produce bit-identical dp tables and paths. On a healthy mesh under
-/// kChamfer a datum's unconstrained DAG is also separable (solveDatum).
-/// Read-only once built, so one instance serves every worker of a parallel
-/// call; the model (and its DistanceMap) must outlive it.
+/// the model alone: the chamfer distance transform on a healthy mesh (no
+/// DistanceMap), where a datum's unconstrained DAG is also separable
+/// (solveDatum), and the masked mesh sweeps on a faulted one. Both produce
+/// dp tables and paths bit-identical to the dense relax over the P x P
+/// model.moveCost table, which stays in graph/ as the test oracle
+/// (LayeredDagSolver::solveFlatInto). Read-only once built, so one
+/// instance serves every worker of a parallel call; the model (and its
+/// DistanceMap) must outlive it.
 class LayerKernel {
  public:
-  LayerKernel(const CostModel& model, GomcdsEngine engine);
+  explicit LayerKernel(const CostModel& model);
 
   /// Cold solve of a flat numLayers x P node-cost table.
   void solve(int numLayers, std::span<const Cost> nodeCosts,
              LayeredDagScratch& scratch, LayeredPath& out) const;
 
   /// Warm-start solve under the contract of
-  /// LayeredDagSolver::solveFlatResumeInto. Requires !separable(): a
-  /// healthy mesh re-solves a datum whole (solveDatum), so only the dense
-  /// and faulted-mesh kernels resume.
+  /// LayeredDagSolver::solveMeshFlatResumeInto. Requires !separable(): a
+  /// healthy mesh re-solves a datum whole (solveDatum), so only the
+  /// faulted-mesh kernel resumes.
   void resume(int numLayers, std::span<const Cost> nodeCosts, int fromLayer,
               CostBuffer& dp, LayeredDagScratch& scratch, LayeredPath& out,
               LayeredParentCache* parents) const;
 
   /// True for the healthy-mesh chamfer kernel: the model has no
-  /// DistanceMap and the engine is kChamfer.
-  [[nodiscard]] bool separable() const { return !dense_ && !mesh_; }
+  /// DistanceMap.
+  [[nodiscard]] bool separable() const { return !mesh_; }
 
   /// Datum d's path with no slot forbidden, by the separable solve
   /// (LayeredDagSolver::solveSeparableInto over the row and column
@@ -139,9 +137,7 @@ class LayerKernel {
   const Grid* grid_;
   Cost hopCost_;
   Cost beta_;
-  bool dense_;
-  std::optional<MeshLinks> mesh_;  ///< faulted mesh, kChamfer engine
-  std::vector<Cost> trans_;        ///< kNaive: trans[q * P + p]
+  std::optional<MeshLinks> mesh_;  ///< faulted mesh only
 };
 
 }  // namespace pimsched::detail

@@ -400,7 +400,7 @@ DataSchedule scheduleGroupedGomcds(const WindowedRefs& refs,
   const std::size_t m = static_cast<std::size_t>(model.grid().size());
   Placement placement(refs, model, options.capacity, options.order);
   CapacityAwareGrouper grouper(model, placement);
-  const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
+  const detail::LayerKernel kernel(model);
   LayeredDagScratch scratch;
   LayeredPath path;
   CostBuffer nodeCosts;

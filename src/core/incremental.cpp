@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/gomcds.hpp"
 #include "core/gomcds_detail.hpp"
 #include "core/placement.hpp"
 #include "cost/center_costs.hpp"
@@ -19,14 +20,12 @@ namespace pimsched {
 namespace {
 
 /// Content fingerprint of everything the retained solver state depends on:
-/// problem shape, cost parameters, scheduler options, engine, and the full
-/// fault state (dead processors, capacity limits, directed link faults —
-/// link faults change the distance metric and therefore both serve costs
-/// and the transition table). O(numProcs), negligible next to one layer
-/// relaxation.
+/// problem shape, cost parameters, scheduler options, and the full fault
+/// state (dead processors, capacity limits, directed link faults — link
+/// faults change the distance metric and therefore both serve costs and
+/// the mesh relax). O(numProcs), negligible next to one layer relaxation.
 std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
-                               const SchedulerOptions& options,
-                               GomcdsEngine engine) {
+                               const SchedulerOptions& options) {
   std::uint64_t h = kRowHashSeed;
   const auto mix = [&h](std::uint64_t v) { rowHashMix(h, v); };
   mix(static_cast<std::uint64_t>(refs.numData()));
@@ -39,7 +38,6 @@ std::uint64_t solveFingerprint(const WindowedRefs& refs, const CostModel& model,
   mix(static_cast<std::uint64_t>(model.params().moveVolume));
   mix(static_cast<std::uint64_t>(options.capacity));
   mix(static_cast<std::uint64_t>(options.order == DataOrder::kByWeightDesc));
-  mix(static_cast<std::uint64_t>(engine == GomcdsEngine::kNaive));
   mix(static_cast<std::uint64_t>(model.faultAware()));
   if (const FaultMap* faults = model.faults()) {
     const int R = grid.rows();
@@ -241,30 +239,29 @@ std::size_t IncrementalSolver::retainedBytes() const {
 
 DataSchedule IncrementalSolver::coldFall(const WindowedRefs& refs,
                                          const CostModel& model,
-                                         const SchedulerOptions& options,
-                                         GomcdsEngine engine) {
+                                         const SchedulerOptions& options) {
   invalidate();
   stats_ = Stats{};
   PIMSCHED_COUNTER_ADD("gomcds.incremental.cold_falls", 1);
-  return scheduleGomcds(refs, model, options, 1, engine);
+  return scheduleGomcds(refs, model, options);
 }
 
 DataSchedule IncrementalSolver::solve(
     std::shared_ptr<const WindowedRefs> sharedRefs, const CostModel& model,
-    const SchedulerOptions& options, GomcdsEngine engine) {
+    const SchedulerOptions& options) {
   const WindowedRefs& refs = *sharedRefs;
   // Retention requires a static forbidden set: under capacity pressure the
   // mask grows between data, so per-class dp tables and paths from one
   // datum are unsound for the next — cold solve, retain nothing.
   if (!detail::staticForbiddenSet(model, options) || refs.numWindows() < 1) {
-    return coldFall(refs, model, options, engine);
+    return coldFall(refs, model, options);
   }
 
   PIMSCHED_SCOPED_TIMER("sched.gomcds_incremental");
   const int W = refs.numWindows();
   const std::size_t pn = static_cast<std::size_t>(model.grid().size());
 
-  const std::uint64_t fp = solveFingerprint(refs, model, options, engine);
+  const std::uint64_t fp = solveFingerprint(refs, model, options);
   const bool warm = retainedValid_ && fp == fingerprint_ && prevRefs_ &&
                     prevClassOf_.size() == static_cast<std::size_t>(refs.numData());
   stats_ = Stats{};
@@ -272,8 +269,8 @@ DataSchedule IncrementalSolver::solve(
 
   try {
     // Rebuilt per solve: O(P) masks on a faulted mesh, nothing on a
-    // healthy one. Only the kNaive oracle pays its P x P table each time.
-    const detail::LayerKernel kernel(model, engine);
+    // healthy one.
+    const detail::LayerKernel kernel(model);
     const bool separable = kernel.separable();
 
     // Cold generations rehash every reference string; warm generations

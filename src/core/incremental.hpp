@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/gomcds.hpp"
 #include "core/schedule.hpp"
 #include "core/scheduler_options.hpp"
 #include "cost/cost_model.hpp"
@@ -51,14 +50,15 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// comparison — authoritative, and in the CSR layout cheaper than
 /// recomputing either side's signature), and a class whose reference
 /// strings are unchanged keeps sharing its state. A changed class is
-/// re-solved through the same kernels as the cold engine
-/// (detail::LayerKernel):
-///  - on a healthy mesh under kChamfer, whole, by the separable solve,
-///    O(W * (R + C)) per class — the state is just the solved path;
-///  - on a faulted mesh or under kNaive, the state also holds the
-///    serving-cost table, dp table and predecessor cache; the retained
-///    prefix rows are reused untouched, and only the changed suffix is
-///    re-relaxed (faulted mesh sweeps or the kNaive dense table).
+/// re-solved through the same kernel as the cold engine
+/// (detail::LayerKernel, chosen from the model):
+///  - on a healthy mesh, whole, by the separable solve, O(W * (R + C)) per
+///    class — the state is just the solved path;
+///  - on a faulted mesh, the state also holds the serving-cost table, dp
+///    table and predecessor cache; the retained prefix rows are reused
+///    untouched, and only the changed suffix is re-relaxed by the mesh
+///    sweeps. Resuming beats re-solving a changed class whole there (see
+///    docs/performance.md, "Why the faulted resume stays").
 ///
 /// Warm solves also skip the full reference-string rehash of the cold
 /// dedup classing: the new partition is derived from the previous one by
@@ -72,8 +72,8 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 /// datum's path is a deterministic function of its own reference string,
 /// so a split costs duplicate solves but cannot change any schedule cell.
 ///
-/// The result is bit-identical to scheduleGomcds(refs, model, options, 1,
-/// engine) on every call — warm-start is purely a speed/memory trade. The
+/// The result is bit-identical to scheduleGomcds(refs, model, options) on
+/// every call — warm-start is purely a speed/memory trade. The
 /// solver falls back to a cold solve (counter gomcds.incremental.cold_falls)
 /// whenever reuse would be unsound or unprofitable: no retained state, a
 /// changed model/options/shape fingerprint, no windows, or a capacity-
@@ -82,14 +82,14 @@ int firstChangedWindowImpl(int numWindows, const SigEqFn& sigEqual,
 ///
 /// Not thread-safe: one IncrementalSolver per stream, externally
 /// serialized. Memory between solves (see retainedBytes()): on a healthy
-/// mesh under kChamfer, the paths, numClasses * numWindows ints; otherwise
+/// mesh, the paths, numClasses * numWindows ints; on a faulted one
 /// O(numClasses * numWindows * numProcs) costs.
 class IncrementalSolver {
  public:
   /// Per-class layers of the last solve. An unchanged class counts W
   /// reused layers. A changed class counts its unchanged prefix windows as
-  /// reused and the rest as relaxed, except on a healthy mesh under
-  /// kChamfer, where it is re-solved whole and counts W relaxed layers.
+  /// reused and the rest as relaxed, except on a healthy mesh, where it is
+  /// re-solved whole and counts W relaxed layers.
   struct Stats {
     std::int64_t reusedLayers = 0;   ///< per-class layers reused verbatim
     std::int64_t relaxedLayers = 0;  ///< per-class layers re-relaxed
@@ -102,17 +102,10 @@ class IncrementalSolver {
   /// not copied) to diff the next solve against.
   [[nodiscard]] DataSchedule solve(std::shared_ptr<const WindowedRefs> refs,
                                    const CostModel& model,
-                                   const SchedulerOptions& options = {},
-                                   GomcdsEngine engine = GomcdsEngine::kChamfer);
+                                   const SchedulerOptions& options = {});
 
   /// Stats of the most recent solve().
   [[nodiscard]] const Stats& lastStats() const { return stats_; }
-
-  /// Epoch invalidation: drops all retained state so the next solve runs
-  /// cold. Streaming callers invoke this on fault drift; the solver also
-  /// detects model changes itself via a content fingerprint, so this is a
-  /// belt-and-braces fast path, not the only line of defense.
-  void invalidate();
 
   /// Bytes held by retained paths and, off the healthy mesh, cost tables
   /// (shared class states counted once).
@@ -129,8 +122,13 @@ class IncrementalSolver {
     LayeredPath path;  ///< solved path (static forbidden set only)
   };
 
+  /// Drops all retained state so the next solve runs cold: on a
+  /// capacity-bound or windowless solve, and when a solve throws. A model
+  /// change needs no call: the content fingerprint detects it.
+  void invalidate();
+
   DataSchedule coldFall(const WindowedRefs& refs, const CostModel& model,
-                        const SchedulerOptions& options, GomcdsEngine engine);
+                        const SchedulerOptions& options);
 
   Stats stats_;
   bool retainedValid_ = false;

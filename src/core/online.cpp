@@ -25,7 +25,7 @@ DataSchedule scheduleOnline(const WindowedRefs& refs, const CostModel& model,
   const std::size_t m = static_cast<std::size_t>(grid.size());
   // Chamfer on a healthy mesh, the fault-aware mesh sweeps on a faulted
   // one: in-horizon movement is priced like GOMCDS prices it.
-  const detail::LayerKernel kernel(model, GomcdsEngine::kChamfer);
+  const detail::LayerKernel kernel(model);
   CostBuffer serve;  // W x P serving costs of one datum
   LayeredDagScratch scratch;
   LayeredPath path;

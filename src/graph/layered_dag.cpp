@@ -30,7 +30,7 @@ namespace {
 ///
 /// `parents`, when non-null, memoizes the scans: a cached entry >= 0 is
 /// used verbatim (it is the pure-function result of an earlier scan over
-/// the same dp rows — the resume entry points invalidate entries whose
+/// the same dp rows — the resume entry point invalidates entries whose
 /// rows changed), and every fresh scan is stored back. Since the scan is
 /// deterministic, cache hits and misses pick identical predecessors.
 template <class ScanFn>
@@ -255,15 +255,6 @@ int meshMinPlusInto(const MeshLinks& links, std::span<const Cost> in,
   return sweeps;
 }
 
-void LayeredDagSolver::solveFlatInto(int numLayers, int numNodes,
-                                     std::span<const Cost> nodeCosts,
-                                     std::span<const Cost> transCosts,
-                                     LayeredDagScratch& scratch,
-                                     LayeredPath& out) {
-  solveFlatResumeInto(numLayers, numNodes, nodeCosts, transCosts, 0,
-                      scratch.dp, scratch, out);
-}
-
 namespace {
 
 /// The layer loop every flat kernel shares: validates the problem and the
@@ -321,11 +312,11 @@ void solveLayered(int numLayers, int numNodes, std::span<const Cost> nodeCosts,
 
 }  // namespace
 
-void LayeredDagSolver::solveFlatResumeInto(
-    int numLayers, int numNodes, std::span<const Cost> nodeCosts,
-    std::span<const Cost> transCosts, int fromLayer, CostBuffer& dpBuf,
-    LayeredDagScratch& scratch, LayeredPath& out,
-    LayeredParentCache* parents) {
+void LayeredDagSolver::solveFlatInto(int numLayers, int numNodes,
+                                     std::span<const Cost> nodeCosts,
+                                     std::span<const Cost> transCosts,
+                                     LayeredDagScratch& scratch,
+                                     LayeredPath& out) {
   const std::size_t n = static_cast<std::size_t>(std::max(numNodes, 0));
   if (numNodes >= 1 && transCosts.size() != n * n) {
     throw std::invalid_argument(
@@ -334,7 +325,7 @@ void LayeredDagSolver::solveFlatResumeInto(
   const auto& k = simd::active();
   const Cost* trans = transCosts.data();
   solveLayered(
-      numLayers, numNodes, nodeCosts, fromLayer, dpBuf, scratch, out, parents,
+      numLayers, numNodes, nodeCosts, 0, scratch.dp, scratch, out, nullptr,
       [&](const Cost* prev, Cost* relaxed) {
         // Min-plus against the full table. Sources run in the outer loop so
         // the inner pass reads one contiguous table row; unreachable sums

@@ -36,7 +36,7 @@ struct LayeredDagScratch {
   CostBuffer relaxed;  ///< one min-plus-relaxed layer
 };
 
-/// Memoized predecessor cache for the warm-start (resume) solvers: a
+/// Memoized predecessor cache for the warm-start (resume) solver: a
 /// numLayers x numNodes table where entry [w * N + p] is the predecessor
 /// the backward argmin scan resolved for node p in layer w, or -1 when
 /// that (layer, node) has never been scanned against the current dp rows.
@@ -44,12 +44,12 @@ struct LayeredDagScratch {
 /// transition costs (the scan's target minus node cost (w, p) is the
 /// relaxed value, which row w-1 alone determines), so a cached entry stays
 /// valid exactly as long as the retained dp row below it — a resume from
-/// fromLayer re-relaxes dp rows [fromLayer, numLayers), so the resume
-/// solvers invalidate cache rows [fromLayer + 1, numLayers) on entry and
-/// fill entries lazily during reconstruction. Over a stream of warm
-/// solves the unchanged-prefix entries accumulate, and reconstruction
-/// collapses from one argmin scan per layer to a pointer walk wherever a
-/// previously scanned chain is rejoined.
+/// fromLayer re-relaxes dp rows [fromLayer, numLayers), so the mesh
+/// resume (solveMeshFlatResumeInto) invalidates cache rows [fromLayer + 1,
+/// numLayers) on entry and fills entries lazily during reconstruction.
+/// Over a stream of warm solves the unchanged-prefix entries accumulate,
+/// and reconstruction collapses from one argmin scan per layer to a
+/// pointer walk wherever a previously scanned chain is rejoined.
 using LayeredParentCache = std::vector<std::int32_t>;
 
 /// Shortest path through a DAG of `numLayers` layers with `numNodes` nodes
@@ -86,32 +86,6 @@ class LayeredDagSolver {
                             std::span<const Cost> nodeCosts,
                             std::span<const Cost> transCosts,
                             LayeredDagScratch& scratch, LayeredPath& out);
-
-  /// Warm-start variant for streaming re-solves: `dp` is the caller-retained
-  /// numLayers x numNodes dp table of a previous solve. Rows [0, fromLayer)
-  /// must still be valid — i.e. the node-cost rows [0, fromLayer) and the
-  /// transition table are byte-identical to that previous solve — and only
-  /// layers [fromLayer, numLayers) are re-relaxed. fromLayer == 0 recomputes
-  /// the whole table (exactly solveFlatInto against `dp`); fromLayer ==
-  /// numLayers re-runs only the reconstruction. The resulting dp table and
-  /// path are bit-identical to a cold solve of the full node-cost table,
-  /// including tie-breaks.
-  ///
-  /// `parents`, when non-null, is a caller-retained LayeredParentCache for
-  /// this dp table: entries for layers [fromLayer + 1, numLayers) are
-  /// invalidated on entry (a wrong-sized cache is reset wholesale, which
-  /// is always safe — every entry is recomputed on demand), entries for
-  /// layers up to fromLayer are trusted under the same contract as the
-  /// retained dp rows they were scanned against (rows below fromLayer),
-  /// and reconstruction consults the cache before scanning and
-  /// stores every predecessor it does scan. Cached or scanned, the chosen
-  /// predecessors — and therefore the path — are bit-identical.
-  static void solveFlatResumeInto(int numLayers, int numNodes,
-                                  std::span<const Cost> nodeCosts,
-                                  std::span<const Cost> transCosts,
-                                  int fromLayer, CostBuffer& dp,
-                                  LayeredDagScratch& scratch, LayeredPath& out,
-                                  LayeredParentCache* parents = nullptr);
 
   /// Chamfer flat solve for transition cost beta * manhattan(prev, node).
   /// Requires 0 <= beta <= maxChamferBeta(grid) (pim/grid.hpp); any other
@@ -159,10 +133,26 @@ class LayeredDagSolver {
                                 std::span<const Cost> nodeCosts, Cost beta,
                                 LayeredDagScratch& scratch, LayeredPath& out);
 
-  /// Warm-start mesh variant; same contract as solveFlatResumeInto
-  /// (including the optional predecessor cache), with retained dp rows
-  /// valid as long as the fault state, beta and the node-cost prefix are
-  /// unchanged.
+  /// Warm-start variant of solveMeshFlatInto for streaming re-solves: `dp`
+  /// is the caller-retained numLayers x numNodes dp table of a previous
+  /// solve. Rows [0, fromLayer) must still be valid — i.e. the node-cost
+  /// rows [0, fromLayer), the fault state of `links` and beta are
+  /// byte-identical to that previous solve — and only layers [fromLayer,
+  /// numLayers) are re-relaxed. fromLayer == 0 recomputes the whole table
+  /// (exactly solveMeshFlatInto against `dp`); fromLayer == numLayers
+  /// re-runs only the reconstruction. The resulting dp table and path are
+  /// bit-identical to a cold solve of the full node-cost table, including
+  /// tie-breaks.
+  ///
+  /// `parents`, when non-null, is a caller-retained LayeredParentCache for
+  /// this dp table: entries for layers [fromLayer + 1, numLayers) are
+  /// invalidated on entry (a wrong-sized cache is reset wholesale, which
+  /// is always safe — every entry is recomputed on demand), entries for
+  /// layers up to fromLayer are trusted under the same contract as the
+  /// retained dp rows they were scanned against (rows below fromLayer),
+  /// and reconstruction consults the cache before scanning and
+  /// stores every predecessor it does scan. Cached or scanned, the chosen
+  /// predecessors — and therefore the path — are bit-identical.
   static void solveMeshFlatResumeInto(const MeshLinks& links, int numLayers,
                                       std::span<const Cost> nodeCosts,
                                       Cost beta, int fromLayer, CostBuffer& dp,

@@ -5,8 +5,10 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
+#include "ablation/dense_gomcds.hpp"
 #include "core/evaluator.hpp"
 #include "core/lomcds.hpp"
 #include "core/pipeline.hpp"
@@ -94,7 +96,8 @@ TEST(Gomcds, MatchesExhaustiveOptimumUncapacitated) {
   }
 }
 
-TEST(Gomcds, NaiveEngineProducesIdenticalSchedule) {
+// The capacity loop against the literal dense cost-graph reference.
+TEST(Gomcds, MatchesDenseReferenceUnderCapacity) {
   const Grid g(3, 3);
   const CostModel model(g);
   testutil::Rng rng(53);
@@ -102,13 +105,11 @@ TEST(Gomcds, NaiveEngineProducesIdenticalSchedule) {
   const WindowedRefs refs = refsFromTrace(t, g, 5);
   SchedulerOptions opts;
   opts.capacity = 4;
-  const DataSchedule fast =
-      scheduleGomcds(refs, model, opts, 1, GomcdsEngine::kChamfer);
-  const DataSchedule naive =
-      scheduleGomcds(refs, model, opts, 1, GomcdsEngine::kNaive);
+  const DataSchedule fast = scheduleGomcds(refs, model, opts);
+  const DataSchedule dense = testutil::referenceGomcds(refs, model, opts);
   for (DataId d = 0; d < refs.numData(); ++d) {
     for (WindowId w = 0; w < refs.numWindows(); ++w) {
-      ASSERT_EQ(fast.center(d, w), naive.center(d, w));
+      ASSERT_EQ(fast.center(d, w), dense.center(d, w));
     }
   }
 }
@@ -223,7 +224,7 @@ TEST(Gomcds, DedupProducesIdenticalSchedulesOnMatmul) {
   } while (0)
 #endif
 
-TEST(Gomcds, DedupCountersTrackClassesAndTransTableBuiltOnce) {
+TEST(Gomcds, DedupCountersTrackClasses) {
   PIMSCHED_OBS_TEST_GUARD();
   const Grid g(4, 4);
   const ReferenceTrace t =
@@ -243,13 +244,6 @@ TEST(Gomcds, DedupCountersTrackClassesAndTransTableBuiltOnce) {
   EXPECT_EQ(classes + deduped, exp.refs().numData());
   // Static forbidden set: one flat solve per class, not per datum.
   EXPECT_EQ(registry.counterValue("gomcds.flat.solves"), classes);
-
-  // The naive engine materializes the transition matrix exactly once per
-  // call — the per-datum transition-lambda path is gone.
-  registry.reset();
-  (void)scheduleGomcds(exp.refs(), exp.costModel(), SchedulerOptions{}, 1,
-                       GomcdsEngine::kNaive);
-  EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
   registry.reset();
 }
 
@@ -266,35 +260,27 @@ TEST(Gomcds, FaultedFastPathBuildsNoTransitionTable) {
   const Experiment exp(t, g, faults, cfg);
   SchedulerOptions opts{exp.capacity(), cfg.order};
 
-  // The mesh sweeps relax the faulted layers; no P x P table is built at
-  // one thread or two, whatever the capacity regime.
+  // The mesh sweeps relax every faulted layer, at one thread or two,
+  // whatever the capacity regime.
   obs::Registry& registry = obs::Registry::instance();
   for (const std::int64_t capacity : {std::int64_t{-1}, exp.capacity()}) {
     opts.capacity = capacity;
     registry.reset();
     (void)scheduleGomcds(exp.refs(), exp.costModel(), opts);
     (void)scheduleGomcds(exp.refs(), exp.costModel(), opts, 2);
-    EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 0);
     EXPECT_GE(registry.counterValue("solver.mesh_sweeps"),
               registry.counterValue("solver.relaxed_layers"));
   }
-
-  // kNaive stays the dense oracle: one table per call.
-  registry.reset();
-  (void)scheduleGomcds(exp.refs(), exp.costModel(), opts, 1,
-                       GomcdsEngine::kNaive);
-  EXPECT_EQ(registry.counterValue("gomcds.trans_table.builds"), 1);
-  EXPECT_EQ(registry.counterValue("solver.mesh_sweeps"), 0);
   registry.reset();
 }
 
 // On a healthy mesh scheduleGomcds takes the separable solve and its
 // capacity screen; the mesh engine on an empty-fault DistanceMap and the
-// kNaive engine never do. Their schedules must agree cell for cell at
-// unlimited, paper 2x-minimum and tight capacity, at every thread count,
-// on thin and odd grids, with windows that reference a datum not at all,
-// with one window, and with hopCost or moveVolume zero (where every center
-// or every move ties).
+// literal dense reference (testutil::referenceGomcds) never do. Their
+// schedules must agree cell for cell at unlimited, paper 2x-minimum and
+// tight capacity, at every thread count, on thin and odd grids, with
+// windows that reference a datum not at all, with one window, and with
+// hopCost or moveVolume zero (where every center or every move ties).
 TEST(Gomcds, SeparableScreenMatchesMeshAndDenseEngines) {
   testutil::Rng rng(3401);
   for (const auto& [rows, cols] :
@@ -317,8 +303,8 @@ TEST(Gomcds, SeparableScreenMatchesMeshAndDenseEngines) {
           const SchedulerOptions opts{capacity, DataOrder::kByWeightDesc};
           const DataSchedule expect = scheduleGomcds(refs, mesh, opts);
           expectIdenticalSchedules(
-              scheduleGomcds(refs, healthy, opts, 1, GomcdsEngine::kNaive),
-              expect, "kNaive");
+              testutil::referenceGomcds(refs, healthy, opts), expect,
+              "dense reference");
           for (const unsigned threads : {1u, 2u, 4u}) {
             const std::string where =
                 std::to_string(rows) + "x" + std::to_string(cols) +
@@ -441,6 +427,37 @@ TEST(Gomcds, ZeroMoveVolumeDegeneratesToLomcdsServeCost) {
       evaluateSchedule(scheduleLomcds(refs, model), refs, model);
   EXPECT_EQ(go.aggregate.serve, lo.aggregate.serve);
   EXPECT_EQ(go.aggregate.move, 0);
+}
+
+// The frozen dense baseline the benches time the mesh sweeps against: the
+// same schedule as scheduleGomcds under a static forbidden set, on healthy
+// and faulted meshes, and refused when the forbidden set can grow.
+TEST(DenseGomcds, MatchesSchedulerAndRefusesAGrowingForbiddenSet) {
+  const Grid g(5, 5);
+  testutil::Rng rng(57);
+  const ReferenceTrace t = testutil::randomTrace(rng, g, 4, 4, 14, 20);
+  const WindowedRefs refs = refsFromTrace(t, g, 4);
+  FaultMap faults(g);
+  faults.killProc(7);
+  faults.killLink(12, 13);
+  const DistanceMap distances(g, faults);
+  const WindowedRefs masked = refs.withProcsMasked(faults.deadProcMask());
+  const CostModel healthy(g);
+  const CostModel faulted(g, distances);
+  expectIdenticalSchedules(scheduleDenseGomcds(refs, healthy),
+                           scheduleGomcds(refs, healthy), "healthy");
+  expectIdenticalSchedules(scheduleDenseGomcds(masked, faulted),
+                           scheduleGomcds(masked, faulted), "faulted");
+
+  SchedulerOptions capped;
+  capped.capacity = 4;
+  EXPECT_THROW((void)scheduleDenseGomcds(refs, healthy, capped),
+               std::invalid_argument);
+  faults.limitCapacity(3, 1);
+  const DistanceMap limitedDistances(g, faults);
+  const CostModel limited(g, limitedDistances);
+  EXPECT_THROW((void)scheduleDenseGomcds(masked, limited),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "gomcds_reference.hpp"
 #include "graph/layered_dag.hpp"
 #include "graph/mesh_links.hpp"
-#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace pimsched {
@@ -183,8 +182,7 @@ TEST(Incremental, BitIdenticalWithStableFaults) {
 
 // A faulted stream with one-way dead links on a larger grid: every warm
 // solve resumes through the mesh-sweep kernel and must match a cold solve
-// of the dense cost-graph oracle, and no P x P transition table is built
-// or retained along the way.
+// and the literal dense cost-graph reference.
 TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
   const Grid g(7, 6);
   FaultMap faults(g);
@@ -199,28 +197,43 @@ TEST(Incremental, FaultedStreamWarmMatchesColdAndDenseOracle) {
   testutil::Rng rng(903);
   StreamWorkload work(rng, g, 20, 6, 40);
   IncrementalSolver solver;
-#ifndef PIMSCHED_NO_OBS
-  obs::Registry::instance().reset();
-#endif
   for (int stream = 0; stream < 6; ++stream) {
     const WindowedRefs refs =
         work.refs(g).withProcsMasked(faults.deadProcMask());
     const DataSchedule warm = solver.solve(shared(refs), model);
     expectSameSchedule(warm, scheduleGomcds(refs, model));
-    expectSameSchedule(
-        warm, scheduleGomcds(refs, model, {}, 1, GomcdsEngine::kNaive));
+    expectSameSchedule(warm, testutil::referenceGomcds(refs, model));
     if (stream > 0) {
       EXPECT_FALSE(solver.lastStats().cold);
       EXPECT_GT(solver.lastStats().reusedLayers, 0);
     }
     work.churnTail(rng, 1 + stream % 3, 40);
   }
-#ifndef PIMSCHED_NO_OBS
-  // Only the kNaive oracle call of each step builds a table.
-  EXPECT_EQ(
-      obs::Registry::instance().counterValue("gomcds.trans_table.builds"), 6);
-  obs::Registry::instance().reset();
-#endif
+}
+
+// An alive processor with a fault capacity limit makes the forbidden set
+// grow while data are placed, even at unlimited options.capacity: every
+// step of the stream must cold-fall and still match the reference.
+TEST(Incremental, FaultCapacityLimitColdFallsAndMatchesReference) {
+  const Grid g(4, 4);
+  FaultMap faults(g);
+  faults.killProc(5);
+  faults.limitCapacity(10, 1);
+  const DistanceMap distances(g, faults);
+  ASSERT_FALSE(distances.partitioned());
+  const CostModel model(g, distances);
+  testutil::Rng rng(913);
+  StreamWorkload work(rng, g, 12, 5, 30);
+  IncrementalSolver solver;
+  for (int stream = 0; stream < 4; ++stream) {
+    const WindowedRefs refs =
+        work.refs(g).withProcsMasked(faults.deadProcMask());
+    expectSameSchedule(solver.solve(shared(refs), model),
+                       testutil::referenceGomcds(refs, model));
+    EXPECT_TRUE(solver.lastStats().cold) << "step " << stream;
+    EXPECT_EQ(solver.retainedBytes(), 0u);
+    work.churnTail(rng, 2, 30);
+  }
 }
 
 TEST(Incremental, BitIdenticalWithDedupOffAndWeightOrder) {
@@ -273,8 +286,7 @@ TEST(Incremental, ModelChangeForcesColdAndStaysIdentical) {
 
 TEST(Incremental, FaultContentChangeIsDetectedWithoutInvalidate) {
   // Same shapes, same object layout — only the fault content differs. The
-  // solver's fingerprint must catch it even though invalidate() was never
-  // called.
+  // solver's fingerprint alone must catch it.
   const Grid g(4, 4);
   testutil::Rng rng(906);
   StreamWorkload work(rng, g, 8, 5, 20);
@@ -296,6 +308,8 @@ TEST(Incremental, FaultContentChangeIsDetectedWithoutInvalidate) {
   expectSameSchedule(warm, scheduleGomcds(masked, m2));
 }
 
+// A capacity-bound solve cold-falls and drops the retained state, so the
+// next unlimited solve starts cold.
 TEST(Incremental, InvalidateDropsRetainedState) {
   const Grid g(3, 3);
   const CostModel model(g);
@@ -305,7 +319,11 @@ TEST(Incremental, InvalidateDropsRetainedState) {
   const WindowedRefs refs = work.refs(g);
   (void)solver.solve(shared(refs), model);
   EXPECT_GT(solver.retainedBytes(), 0u);
-  solver.invalidate();
+  SchedulerOptions capped;
+  capped.capacity = 3;
+  expectSameSchedule(solver.solve(shared(refs), model, capped),
+                     scheduleGomcds(refs, model, capped));
+  EXPECT_TRUE(solver.lastStats().cold);
   EXPECT_EQ(solver.retainedBytes(), 0u);
   const DataSchedule after = solver.solve(shared(refs), model);
   EXPECT_TRUE(solver.lastStats().cold);
@@ -492,39 +510,6 @@ TEST(SignatureCollision, ProductionSignaturesStillPrescreenCorrectly) {
 }
 
 // --- resume-capable flat solvers ------------------------------------------
-
-TEST(ResumeSolver, MatchesFullSolveAfterSuffixChange) {
-  const Grid g(3, 4);
-  const int W = 6;
-  const int P = g.size();
-  testutil::Rng rng(909);
-  std::vector<Cost> costs(static_cast<std::size_t>(W * P));
-  for (Cost& c : costs) c = rng.range(0, 40);
-  std::vector<Cost> trans(static_cast<std::size_t>(P * P));
-  for (ProcId q = 0; q < P; ++q) {
-    for (ProcId p = 0; p < P; ++p) {
-      trans[static_cast<std::size_t>(q * P + p)] =
-          2 * static_cast<Cost>(g.manhattan(q, p));
-    }
-  }
-
-  LayeredDagScratch scratch;
-  CostBuffer dp;
-  LayeredPath path;
-  LayeredDagSolver::solveFlatResumeInto(W, P, costs, trans, 0, dp, scratch,
-                                        path);
-  for (int from : {3, 1, W - 1}) {
-    for (std::size_t i = static_cast<std::size_t>(from * P);
-         i < costs.size(); ++i) {
-      costs[i] = rng.range(0, 40);
-    }
-    LayeredDagSolver::solveFlatResumeInto(W, P, costs, trans, from, dp,
-                                          scratch, path);
-    const LayeredPath cold = LayeredDagSolver::solveFlat(W, P, costs, trans);
-    ASSERT_EQ(path.total, cold.total);
-    ASSERT_EQ(path.nodes, cold.nodes);
-  }
-}
 
 // The predecessor cache of the faulted-mesh resume, the one faulted
 // streams run: cached or scanned, reconstruction picks the same path. A
